@@ -8,6 +8,7 @@ One binary with subcommands; global flags ``--config`` (JSON file),
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 from pathlib import Path
@@ -70,12 +71,16 @@ def _load_config(path: str | None) -> dict:
     return obj
 
 
-def _study_kind(name: str) -> StudyKind:
+def _enum_value(enum, value, what: str):
     try:
-        return StudyKind(name)
+        return enum(value)
     except ValueError:
-        choices = ", ".join(k.value for k in StudyKind)
-        raise ValidationError(f"unknown study kind {name!r} (choose from: {choices})") from None
+        choices = ", ".join(k.value for k in enum)
+        raise ValidationError(f"unknown {what} {value!r} (choose from: {choices})") from None
+
+
+def _study_kind(name: str) -> StudyKind:
+    return _enum_value(StudyKind, name, "study kind")
 
 
 def _study_config(kind: StudyKind, config: dict) -> CaseStudyConfig:
@@ -183,10 +188,17 @@ def cmd_train(args, config: dict) -> int:
     kind = config.get("model", "decision_tree")
     if kind not in MODEL_KINDS:
         raise ValidationError(f"unknown model {kind!r} (choose from {sorted(MODEL_KINDS)})")
-    granularity = Granularity(config.get("granularity", "sample"))
+    granularity = _enum_value(Granularity, config.get("granularity", "sample"), "granularity")
+    params = config.get("params", {})
+    if not isinstance(params, dict):
+        raise ValidationError("'params' must be a JSON object")
+    allowed = inspect.signature(MODEL_KINDS[kind]).parameters
+    unknown = sorted(set(params) - set(allowed))
+    if unknown:
+        raise ValidationError(f"unknown {kind} params {unknown} (choose from {sorted(allowed)})")
     split = stratified_split(matrix, config.get("fraction", 0.75), args.seed, granularity)
     train, test = split_matrix(matrix, split)
-    model = MODEL_KINDS[kind](**config.get("params", {})).fit(train.values, train.label_keys())
+    model = MODEL_KINDS[kind](**params).fit(train.values, train.label_keys())
     save_model(model, out / "model.json")
     write_json(split.to_json(), out / "split.json")
     cm = evaluate(model, test)

@@ -9,6 +9,14 @@ identical models on any platform:
   index, then the lowest threshold (midpoints of adjacent sorted values).
 * Forest/class votes break ties toward the smallest label.
 
+Trees sort each feature once per fit and filter those sorted row lists at
+every split (the attribute lists of SLIQ, Mehta, Agrawal & Rissanen 1996),
+scoring all candidate features of a node in one vectorized pass.  Growth
+stays depth-first in preorder: a forest's per-split feature picker draws
+from each tree's random stream in that order, so growing level by level
+would change every forest.  Fitted trees are held as flat node arrays and
+predict by a vectorized descent; model JSON keeps the nested ``root`` form.
+
 The default split granularity keeps all superpixel rows of a sample on
 one side: rows of one sample are near-duplicates, and splitting them
 across train/test inflates accuracy.  Row-level splitting stays available
@@ -22,6 +30,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -159,21 +168,25 @@ class KNearestNeighbors:
             candidates = np.broadcast_to(
                 np.arange(self.train_x.shape[0]), (x.shape[0], self.train_x.shape[0])
             )
-        out = np.empty(x.shape[0])
-        for i in range(x.shape[0]):
-            nearest = candidates[i]
-            votes = self.train_y[nearest]
-            dists = d2[i, nearest]
-            labels = np.unique(votes)
-            counts = np.array([(votes == l).sum() for l in labels])
-            sums = np.array([dists[votes == l].sum() for l in labels])
-            best = counts == counts.max()
-            tied = labels[best]
-            tied_sums = sums[best]
-            # ties: smallest summed distance, then smallest label (labels
-            # are sorted, so argmin picks the smaller label on equal sums)
-            out[i] = tied[np.argmin(tied_sums)]
-        return out
+        labels, train_idx = np.unique(self.train_y, return_inverse=True)
+        votes = train_idx[candidates]
+        dists = np.take_along_axis(d2, candidates, axis=1)
+        rows = np.arange(x.shape[0])
+        counts = np.zeros((x.shape[0], labels.size), dtype=np.int64)
+        sums = np.zeros((x.shape[0], labels.size))
+        # summed left to right in candidate order, as numpy sums under 8 terms
+        for j in range(candidates.shape[1]):
+            counts[rows, votes[:, j]] += 1
+            sums[rows, votes[:, j]] += dists[:, j]
+        tied = counts == counts.max(axis=1, keepdims=True)
+        # numpy sums 8 or more terms pairwise: redo such tied sums its way
+        for i in np.nonzero((tied.sum(axis=1) > 1) & (counts.max(axis=1) >= 8))[0]:
+            for c in np.nonzero(tied[i])[0]:
+                sums[i, c] = dists[i][votes[i] == c].sum()
+        # ties: smallest summed distance, then smallest label
+        tied_sums = np.where(tied, sums, np.inf)
+        best = tied & (tied_sums == tied_sums.min(axis=1, keepdims=True))
+        return labels[np.argmax(best, axis=1)]
 
     def to_json(self) -> dict:
         return {
@@ -194,43 +207,132 @@ def _gini(counts: np.ndarray, total: int) -> float:
     return float(1.0 - (p * p).sum())
 
 
-def _best_split(x, y_idx, n_classes, features, min_leaf):
-    """Best (gain, feature, threshold) over candidate features, or None.
+def _best_split(xs, ys, total_counts, min_leaf, class_ids):
+    """Best (candidate, gap) position over the candidate features, or None.
 
-    Candidates are midpoints of adjacent distinct sorted values.  The
-    scan order (features ascending, thresholds ascending, strict
-    improvement) realizes the documented tie-break.
+    Row i of ``xs`` holds the node's values of candidate feature i sorted
+    ascending, and the same row of ``ys`` the class index of each sorted
+    value; ``class_ids`` is ``arange(n_classes)`` as a column.  Gap j lies
+    between sorted positions j and j + 1.  All gaps of all candidates are
+    scored at once; a gap between equal values, or one leaving fewer than
+    ``min_leaf`` rows on a side, is no candidate.  The first maximum in
+    feature-major order realizes the documented tie-break: lowest feature,
+    then lowest threshold.
     """
-    n = x.shape[0]
-    total_counts = np.bincount(y_idx, minlength=n_classes)
+    m, n = xs.shape
+    edge = max(math.ceil(min_leaf), 1)  # fewest rows a side may keep
+    lo, hi = edge - 1, n - edge  # the gaps that keep them: lo .. hi - 1
+    if m == 0 or hi <= lo:
+        return None
     parent = _gini(total_counts, n)
-    best = None
-    for f in features:
-        order = np.argsort(x[:, f], kind="stable")
-        xs = x[order, f]
-        boundaries = np.nonzero(xs[:-1] < xs[1:])[0]
-        if boundaries.size == 0:
-            continue
-        onehot = np.zeros((n, n_classes))
-        onehot[np.arange(n), y_idx[order]] = 1.0
-        left_counts = np.cumsum(onehot, axis=0)[boundaries]
-        n_left = boundaries + 1
-        n_right = n - n_left
-        valid = (n_left >= min_leaf) & (n_right >= min_leaf)
-        if not valid.any():
-            continue
-        right_counts = total_counts - left_counts
-        gini_left = 1.0 - (left_counts**2).sum(axis=1) / n_left**2
-        gini_right = 1.0 - (right_counts**2).sum(axis=1) / n_right**2
-        gain = parent - (n_left * gini_left + n_right * gini_right) / n
-        gain[~valid] = -np.inf
-        pick = int(np.argmax(gain))
-        if gain[pick] == -np.inf:
-            continue
-        threshold = (xs[boundaries[pick]] + xs[boundaries[pick] + 1]) / 2.0
-        if best is None or gain[pick] > best[0]:
-            best = (float(gain[pick]), int(f), float(threshold))
-    return best
+    left_counts = np.cumsum(ys[:, None, :hi] == class_ids, axis=2, dtype=np.float64)[:, :, lo:]
+    right_counts = total_counts[:, None] - left_counts
+    n_left = np.arange(edge, hi + 1)
+    n_right = n - n_left
+    # class counts are exact integers, so these sums do not depend on order
+    gini_left = 1.0 - np.add.reduce(left_counts**2, axis=1) / n_left**2
+    gini_right = 1.0 - np.add.reduce(right_counts**2, axis=1) / n_right**2
+    gain = parent - (n_left * gini_left + n_right * gini_right) / n
+    gain = np.where(xs[:, lo:hi] < xs[:, lo + 1 : hi + 1], gain, -np.inf)
+    pick = int(np.argmax(gain))
+    if gain.flat[pick] == -np.inf:
+        return None
+    pos, gap = divmod(pick, hi - lo)
+    return pos, gap + lo
+
+
+class TreeNodes(NamedTuple):
+    """A fitted tree as parallel arrays indexed by preorder node number.
+
+    Node 0 is the root.  Internal node i sends a row to ``left[i]`` when
+    ``row[feature[i]] <= threshold[i]`` and to ``right[i]`` otherwise.  A
+    leaf has ``feature[i] == -1`` and predicts class index ``leaf[i]``.
+    """
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    leaf: np.ndarray
+
+    @classmethod
+    def from_columns(cls, feature, threshold, left, right, leaf) -> "TreeNodes":
+        return cls(
+            np.array(feature, dtype=np.int64),
+            np.array(threshold, dtype=np.float64),
+            np.array(left, dtype=np.int64),
+            np.array(right, dtype=np.int64),
+            np.array(leaf, dtype=np.int64),
+        )
+
+    def nested(self) -> dict:
+        """The nested-dict form that model JSON stores."""
+        feature, threshold = self.feature.tolist(), self.threshold.tolist()
+        left, right, leaf = self.left.tolist(), self.right.tolist(), self.leaf.tolist()
+
+        def node(i):
+            if feature[i] < 0:
+                return {"leaf": leaf[i]}
+            return {
+                "feature": feature[i],
+                "threshold": threshold[i],
+                "left": node(left[i]),
+                "right": node(right[i]),
+            }
+
+        return node(0)
+
+    @classmethod
+    def from_nested(cls, root, n_classes: int) -> "TreeNodes":
+        """Flatten and validate the nested-dict form."""
+        columns = ([], [], [], [], [])
+
+        def is_index(value):
+            return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+        def visit(node) -> int:
+            i = len(columns[0])
+            if not isinstance(node, dict):
+                raise ValidationError(f"tree node {i} is not an object")
+            if "leaf" in node:
+                if not is_index(node["leaf"]) or node["leaf"] >= n_classes:
+                    raise ValidationError(
+                        f"tree node {i}: leaf {node['leaf']!r} is not a class index below {n_classes}"
+                    )
+                for column, value in zip(columns, (-1, 0.0, -1, -1, node["leaf"])):
+                    column.append(value)
+                return i
+            missing = [key for key in ("feature", "threshold", "left", "right") if key not in node]
+            if missing:
+                raise ValidationError(f"tree node {i} has no 'leaf' and lacks {missing}")
+            threshold = node["threshold"]
+            if not is_index(node["feature"]):
+                raise ValidationError(f"tree node {i}: feature {node['feature']!r} is not an index")
+            if not isinstance(threshold, (int, float)) or isinstance(threshold, bool):
+                raise ValidationError(f"tree node {i}: threshold {threshold!r} is not a number")
+            for column, value in zip(columns, (node["feature"], float(threshold), -1, -1, -1)):
+                column.append(value)
+            columns[2][i] = visit(node["left"])
+            columns[3][i] = visit(node["right"])
+            return i
+
+        visit(root)
+        return cls.from_columns(*columns)
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """Leaf class index of every row, descending all rows level by level."""
+        if self.feature.max() >= x.shape[1]:
+            raise ValidationError(
+                f"tree splits on feature {self.feature.max()} but rows have {x.shape[1]} columns"
+            )
+        node = np.zeros(x.shape[0], dtype=np.int64)
+        active = np.arange(x.shape[0])[self.feature[node] >= 0]
+        while active.size:
+            at = node[active]
+            goes_left = x[active, self.feature[at]] <= self.threshold[at]
+            node[active] = np.where(goes_left, self.left[at], self.right[at])
+            active = active[self.feature[node[active]] >= 0]
+        return self.leaf[node]
 
 
 class DecisionTree:
@@ -240,15 +342,14 @@ class DecisionTree:
         self.max_depth = max_depth
         self.min_leaf = min_leaf
         self.classes_ = None
-        self.root = None
+        self.nodes: TreeNodes | None = None
         self._feature_picker = None
 
     def fit(self, x: np.ndarray, y: np.ndarray) -> "DecisionTree":
         x = np.asarray(x, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
         self.classes_ = np.unique(y)
-        y_idx = np.searchsorted(self.classes_, y)
-        self.root = self._grow(x, y_idx, depth=0)
+        self.nodes = self._grow(x, np.searchsorted(self.classes_, y))
         return self
 
     def _pick_features(self, d: int):
@@ -256,38 +357,69 @@ class DecisionTree:
             return np.arange(d)
         return self._feature_picker(d)
 
-    def _grow(self, x, y_idx, depth):
-        counts = np.bincount(y_idx, minlength=self.classes_.size)
-        majority = int(np.argmax(counts))  # argmax takes the smallest label on ties
-        if counts.max() == y_idx.size:
-            return {"leaf": majority}
-        if self.max_depth is not None and depth >= self.max_depth:
-            return {"leaf": majority}
-        if y_idx.size < 2 * self.min_leaf:
-            return {"leaf": majority}
-        found = _best_split(x, y_idx, self.classes_.size, self._pick_features(x.shape[1]), self.min_leaf)
-        if found is None:
-            return {"leaf": majority}
-        _, feature, threshold = found
-        mask = x[:, feature] <= threshold
-        return {
-            "feature": feature,
-            "threshold": threshold,
-            "left": self._grow(x[mask], y_idx[mask], depth + 1),
-            "right": self._grow(x[~mask], y_idx[~mask], depth + 1),
-        }
+    def _grow(self, x, y_idx) -> TreeNodes:
+        """Grow depth-first, numbering nodes in preorder.
+
+        Every feature is sorted once.  A node carries its rows and, per
+        feature, those rows in sorted order; a split filters each sorted
+        list with one mask, and a stable filter of a stable sort is the
+        stable sort of the subset, so every node scores the same candidate
+        thresholds a fresh sort of its own rows would give.
+        """
+        n, d = x.shape
+        n_classes = self.classes_.size
+        class_ids = np.arange(n_classes)[:, None]
+        xt = np.ascontiguousarray(x.T)
+        goes_left = np.zeros(n, dtype=bool)
+        columns = ([], [], [], [], [])  # feature, threshold, left, right, leaf
+        # (rows, sorted rows per feature, depth, parent of a right child or -1)
+        stack = [(np.arange(n), np.argsort(x, axis=0, kind="stable").T, 0, -1)]
+        while stack:
+            rows, order, depth, parent = stack.pop()
+            node = len(columns[0])
+            if parent >= 0:
+                columns[3][parent] = node
+            counts = np.bincount(y_idx[rows], minlength=n_classes)
+            found = None
+            if (
+                counts.max() < rows.size
+                and (self.max_depth is None or depth < self.max_depth)
+                and rows.size >= 2 * self.min_leaf
+            ):
+                features = self._pick_features(d)
+                candidates = order[features]
+                xs = xt[features[:, None], candidates]
+                found = _best_split(xs, y_idx[candidates], counts, self.min_leaf, class_ids)
+            if found is None:
+                # argmax takes the smallest label on ties
+                for column, value in zip(columns, (-1, 0.0, -1, -1, int(np.argmax(counts)))):
+                    column.append(value)
+                continue
+            pos, gap = found
+            feature = int(features[pos])
+            threshold = float((xs[pos, gap] + xs[pos, gap + 1]) / 2.0)
+            for column, value in zip(columns, (feature, threshold, node + 1, -1, -1)):
+                column.append(value)
+            side = x[rows, feature] <= threshold
+            n_left = np.count_nonzero(side)
+            if n_left in (0, rows.size):  # the midpoint overflowed to +-inf
+                raise ValidationError(f"feature {feature} is too large to split at {threshold}")
+            goes_left[rows] = side
+            sel = goes_left[order]
+            stack.append((rows[~side], order[~sel].reshape(d, rows.size - n_left), depth + 1, node))
+            stack.append((rows[side], order[sel].reshape(d, n_left), depth + 1, -1))
+        return TreeNodes.from_columns(*columns)
+
+    @property
+    def root(self) -> dict | None:
+        """The fitted tree as nested dicts, the form model JSON stores."""
+        return None if self.nodes is None else self.nodes.nested()
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        if self.root is None:
+        if self.nodes is None:
             raise ValidationError("predict before fit")
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        out = np.empty(x.shape[0], dtype=np.int64)
-        for i, row in enumerate(x):
-            node = self.root
-            while "leaf" not in node:
-                node = node["left"] if row[node["feature"]] <= node["threshold"] else node["right"]
-            out[i] = node["leaf"]
-        return self.classes_[out]
+        return self.classes_[self.nodes.apply(x)]
 
     def to_json(self) -> dict:
         return {
@@ -302,7 +434,7 @@ class DecisionTree:
     def from_json(cls, obj: dict) -> "DecisionTree":
         model = cls(max_depth=obj["max_depth"], min_leaf=obj["min_leaf"])
         model.classes_ = np.array(obj["classes"], dtype=np.float64)
-        model.root = obj["root"]
+        model.nodes = TreeNodes.from_nested(obj["root"], model.classes_.size)
         return model
 
 
@@ -351,12 +483,12 @@ class RandomForest:
         if not self.trees:
             raise ValidationError("predict before fit")
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        votes = np.stack([tree.predict(x) for tree in self.trees])
-        out = np.empty(x.shape[0])
-        for i in range(x.shape[0]):
-            labels, counts = np.unique(votes[:, i], return_counts=True)
-            out[i] = labels[counts == counts.max()].min()
-        return out
+        labels = np.unique(np.concatenate([tree.classes_ for tree in self.trees]))
+        votes = np.searchsorted(labels, np.stack([tree.predict(x) for tree in self.trees]))
+        cells = votes + np.arange(x.shape[0]) * labels.size
+        counts = np.bincount(cells.ravel(), minlength=x.shape[0] * labels.size)
+        # argmax takes the smallest label on ties
+        return labels[np.argmax(counts.reshape(x.shape[0], labels.size), axis=1)]
 
     def to_json(self) -> dict:
         return {
@@ -584,10 +716,17 @@ MODEL_KINDS = {
 
 
 def model_from_json(obj: dict):
+    if not isinstance(obj, dict):
+        raise ValidationError("model JSON must be an object")
     kind = obj.get("kind")
     if kind not in MODEL_KINDS:
         raise ValidationError(f"unknown model kind {kind!r}")
-    return MODEL_KINDS[kind].from_json(obj)
+    try:
+        return MODEL_KINDS[kind].from_json(obj)
+    except KeyError as exc:
+        raise ValidationError(f"{kind} model JSON lacks key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"malformed {kind} model JSON: {exc}") from None
 
 
 def save_model(model, path) -> None:
@@ -598,7 +737,11 @@ def save_model(model, path) -> None:
 
 def load_model(path):
     with open(path) as fh:
-        return model_from_json(json.load(fh))
+        try:
+            obj = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"malformed model JSON {path}: {exc}") from None
+    return model_from_json(obj)
 
 
 # --------------------------------------------------------------------------
@@ -649,8 +792,7 @@ def evaluate(model, test: DataMatrix) -> ConfusionMatrix:
     truth = test.label_keys()
     predicted = model.predict(test.values)
     labels = tuple(sorted(set(truth.tolist()) | set(np.asarray(predicted).tolist())))
-    index = {label: i for i, label in enumerate(labels)}
-    counts = np.zeros((len(labels), len(labels)), dtype=np.int64)
-    for t, p in zip(truth, predicted):
-        counts[index[t], index[p]] += 1
+    keys = np.array(labels)
+    cells = np.searchsorted(keys, truth) * len(labels) + np.searchsorted(keys, predicted)
+    counts = np.bincount(cells, minlength=len(labels) ** 2).reshape(len(labels), len(labels))
     return ConfusionMatrix(labels=labels, counts=counts)

@@ -241,7 +241,12 @@ class PipelineOptions:
     def from_json(cls, obj: dict) -> "PipelineOptions":
         if not isinstance(obj, dict):
             raise ValidationError("pipeline options must be a JSON object")
-        bilateral = obj.get("bilateral")
+        # an absent key means the default filter, null disables it, and a
+        # dict fills its missing fields with the defaults
+        bilateral = obj.get("bilateral", {})
+        if bilateral is not None and not isinstance(bilateral, dict):
+            raise ValidationError("'bilateral' must be a JSON object or null")
+        default = BilateralOptions()
         return cls(
             crop=tuple(obj["crop"]) if obj.get("crop") else None,
             dark=bool(obj.get("dark", True)),
@@ -249,11 +254,11 @@ class PipelineOptions:
             spectral=obj.get("spectral", None),
             bilateral=(
                 BilateralOptions(
-                    window=int(bilateral.get("window", 5)),
-                    sigma_s=float(bilateral.get("sigma_s", 2.0)),
-                    sigma_r=float(bilateral.get("sigma_r", 0.1)),
+                    window=int(bilateral.get("window", default.window)),
+                    sigma_s=float(bilateral.get("sigma_s", default.sigma_s)),
+                    sigma_r=float(bilateral.get("sigma_r", default.sigma_r)),
                 )
-                if bilateral
+                if bilateral is not None
                 else None
             ),
         )

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from dualmsi.cli import main
@@ -134,3 +135,62 @@ class TestOtherCommands:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert run(["--config", bad, "--out", tmp_path / "o", "synth"]) == 2
+
+
+class TestMalformedModelAndTrainConfigs:
+    @pytest.fixture
+    def matrix_csv(self, tmp_path):
+        from test_features import matrix_from
+
+        rng = np.random.default_rng(0)
+        labels = [lv for lv in (0.0, 5.0) for _ in range(6)]
+        path = tmp_path / "m.csv"
+        matrix_from(rng.normal(size=(12, 2)), labels=labels).to_csv(path)
+        return path
+
+    def run_with(self, tmp_path, command, config):
+        cfg = tmp_path / f"{command}.json"
+        cfg.write_text(json.dumps(config))
+        return run(["--config", cfg, "--out", tmp_path / "o", command])
+
+    def tree_json(self, tmp_path, matrix_csv):
+        assert self.run_with(tmp_path, "train", {"matrix": str(matrix_csv)}) == 0
+        return json.loads((tmp_path / "o" / "model.json").read_text())
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda o: o.pop("root"),
+            lambda o: o["root"]["left"].pop("leaf"),
+            lambda o: o["root"].pop("feature"),
+            lambda o: o["root"].pop("threshold"),
+            lambda o: o["root"].pop("left"),
+            lambda o: o["root"].pop("right"),
+        ],
+        ids=["no-root", "no-leaf", "no-feature", "no-threshold", "no-left", "no-right"],
+    )
+    def test_eval_of_malformed_tree_exits_2(self, tmp_path, matrix_csv, mutate):
+        model = self.tree_json(tmp_path, matrix_csv)
+        mutate(model)
+        path = tmp_path / "bad_model.json"
+        path.write_text(json.dumps(model))
+        config = {"model": str(path), "matrix": str(matrix_csv)}
+        assert self.run_with(tmp_path, "eval", config) == 2
+
+    def test_eval_of_unparsable_model_exits_2(self, tmp_path, matrix_csv):
+        path = tmp_path / "bad_model.json"
+        path.write_text("{not json")
+        assert self.run_with(tmp_path, "eval", {"model": str(path), "matrix": str(matrix_csv)}) == 2
+
+    @pytest.mark.parametrize(
+        "extra",
+        [{"params": {"depth": 3}}, {"params": [3]}, {"granularity": "bogus"}],
+        ids=["unknown-param", "params-not-object", "bogus-granularity"],
+    )
+    def test_train_with_bad_config_exits_2(self, tmp_path, matrix_csv, extra):
+        assert self.run_with(tmp_path, "train", {"matrix": str(matrix_csv), **extra}) == 2
+
+    def test_train_with_known_params_exits_0(self, tmp_path, matrix_csv):
+        config = {"matrix": str(matrix_csv), "model": "random_forest",
+                  "params": {"n_trees": 3, "max_depth": 2}}
+        assert self.run_with(tmp_path, "train", config) == 0

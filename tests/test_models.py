@@ -1,5 +1,9 @@
+import json
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dualmsi.core import Label
 from dualmsi.errors import ValidationError
@@ -16,6 +20,7 @@ from dualmsi.models import (
     split_matrix,
     stratified_split,
 )
+from dualmsi.synth import stream
 
 from test_features import matrix_from
 
@@ -176,6 +181,11 @@ class TestDecisionTree:
         y = np.array([0.0, 1.0])
         model = DecisionTree().fit(x, y)
         assert model.root["threshold"] == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("top", [1.5e308, np.inf])
+    def test_overflowing_midpoint_is_validation_error(self, top):
+        with pytest.raises(ValidationError), np.errstate(over="ignore"):
+            DecisionTree().fit(np.array([[1e308], [top]]), np.array([0.0, 1.0]))
 
     def test_deterministic(self):
         rng = np.random.default_rng(46)
@@ -372,3 +382,301 @@ class TestEvaluate:
 
         recall = evaluate(Echo(), matrix).per_class_recall()
         assert recall == {0.0: 1.0, 1.0: 1.0}
+
+
+# --------------------------------------------------------------------------
+# Reference implementations: the recursive grower that re-sorts every
+# candidate feature at every node, the nested-dict walk, and the per-row
+# KNN vote.  The vectorized models must reproduce them exactly.
+# --------------------------------------------------------------------------
+
+
+def oracle_gini(counts, total):
+    p = counts / total
+    return float(1.0 - (p * p).sum())
+
+
+def oracle_best_split(x, y_idx, n_classes, features, min_leaf):
+    n = x.shape[0]
+    total_counts = np.bincount(y_idx, minlength=n_classes)
+    parent = oracle_gini(total_counts, n)
+    best = None
+    for f in features:
+        order = np.argsort(x[:, f], kind="stable")
+        xs = x[order, f]
+        boundaries = np.nonzero(xs[:-1] < xs[1:])[0]
+        if boundaries.size == 0:
+            continue
+        onehot = np.zeros((n, n_classes))
+        onehot[np.arange(n), y_idx[order]] = 1.0
+        left_counts = np.cumsum(onehot, axis=0)[boundaries]
+        n_left = boundaries + 1
+        n_right = n - n_left
+        valid = (n_left >= min_leaf) & (n_right >= min_leaf)
+        if not valid.any():
+            continue
+        right_counts = total_counts - left_counts
+        gini_left = 1.0 - (left_counts**2).sum(axis=1) / n_left**2
+        gini_right = 1.0 - (right_counts**2).sum(axis=1) / n_right**2
+        gain = parent - (n_left * gini_left + n_right * gini_right) / n
+        gain[~valid] = -np.inf
+        pick = int(np.argmax(gain))
+        if gain[pick] == -np.inf:
+            continue
+        threshold = (xs[boundaries[pick]] + xs[boundaries[pick] + 1]) / 2.0
+        if best is None or gain[pick] > best[0]:
+            best = (float(gain[pick]), int(f), float(threshold))
+    return best
+
+
+def oracle_grow(x, y_idx, n_classes, depth, max_depth, min_leaf, pick):
+    counts = np.bincount(y_idx, minlength=n_classes)
+    majority = int(np.argmax(counts))
+    if counts.max() == y_idx.size:
+        return {"leaf": majority}
+    if max_depth is not None and depth >= max_depth:
+        return {"leaf": majority}
+    if y_idx.size < 2 * min_leaf:
+        return {"leaf": majority}
+    features = np.arange(x.shape[1]) if pick is None else pick(x.shape[1])
+    found = oracle_best_split(x, y_idx, n_classes, features, min_leaf)
+    if found is None:
+        return {"leaf": majority}
+    _, feature, threshold = found
+    mask = x[:, feature] <= threshold
+    grow = lambda m: oracle_grow(x[m], y_idx[m], n_classes, depth + 1, max_depth, min_leaf, pick)
+    return {"feature": feature, "threshold": threshold, "left": grow(mask), "right": grow(~mask)}
+
+
+def oracle_tree_json(x, y, max_depth=None, min_leaf=1, pick=None):
+    classes = np.unique(y)
+    root = oracle_grow(x, np.searchsorted(classes, y), classes.size, 0, max_depth, min_leaf, pick)
+    return {
+        "kind": "decision_tree",
+        "max_depth": max_depth,
+        "min_leaf": min_leaf,
+        "classes": classes.tolist(),
+        "root": root,
+    }
+
+
+def oracle_forest_json(x, y, n_trees, mtry, bootstrap, seed, max_depth, min_leaf):
+    n, d = x.shape
+    m = min(mtry if mtry is not None else math.ceil(math.sqrt(d)), d)
+    trees = []
+    for t in range(n_trees):
+        rng = stream(seed, "forest", t)
+        idx = rng.integers(0, n, n) if bootstrap else np.arange(n)
+        pick = (lambda dim: np.sort(rng.choice(dim, size=m, replace=False))) if m < d else None
+        trees.append(oracle_tree_json(x[idx], y[idx], max_depth, min_leaf, pick))
+    return {
+        "kind": "random_forest",
+        "n_trees": n_trees,
+        "mtry": mtry,
+        "bootstrap": bootstrap,
+        "seed": seed,
+        "max_depth": max_depth,
+        "min_leaf": min_leaf,
+        "classes": np.unique(y).tolist(),
+        "trees": trees,
+    }
+
+
+def oracle_tree_predict(tree_json, x):
+    out = []
+    for row in x:
+        node = tree_json["root"]
+        while "leaf" not in node:
+            node = node["left"] if row[node["feature"]] <= node["threshold"] else node["right"]
+        out.append(tree_json["classes"][node["leaf"]])
+    return np.array(out)
+
+
+def oracle_forest_predict(forest_json, x):
+    votes = np.stack([oracle_tree_predict(t, x) for t in forest_json["trees"]])
+    out = np.empty(x.shape[0])
+    for i in range(x.shape[0]):
+        labels, counts = np.unique(votes[:, i], return_counts=True)
+        out[i] = labels[counts == counts.max()].min()
+    return out
+
+
+def oracle_knn_predict(train_x, train_y, k, x):
+    d2 = (x**2).sum(axis=1)[:, None] + (train_x**2).sum(axis=1)[None, :] - 2.0 * (x @ train_x.T)
+    np.maximum(d2, 0.0, out=d2)
+    if k < train_x.shape[0]:
+        candidates = np.argpartition(d2, k - 1, axis=1)[:, :k]
+    else:
+        candidates = np.broadcast_to(np.arange(train_x.shape[0]), (x.shape[0], train_x.shape[0]))
+    out = np.empty(x.shape[0])
+    for i in range(x.shape[0]):
+        votes = train_y[candidates[i]]
+        dists = d2[i, candidates[i]]
+        labels = np.unique(votes)
+        counts = np.array([(votes == l).sum() for l in labels])
+        sums = np.array([dists[votes == l].sum() for l in labels])
+        best = counts == counts.max()
+        out[i] = labels[best][np.argmin(sums[best])]
+    return out
+
+
+@st.composite
+def labelled_matrices(draw, max_rows=24, max_cols=4):
+    """Small matrices on a coarse grid (many tied values), sometimes with a
+    constant column, and one to four classes."""
+    n = draw(st.integers(1, max_rows))
+    d = draw(st.integers(1, max_cols))
+    grid = draw(st.lists(st.integers(-4, 4), min_size=n * d, max_size=n * d))
+    x = np.array(grid, dtype=np.float64).reshape(n, d) / draw(st.sampled_from([1.0, 3.0, 7.0]))
+    constant = draw(st.integers(-1, d - 1))
+    if constant >= 0:
+        x[:, constant] = 0.25
+    n_classes = draw(st.integers(1, 4))
+    y = np.array(draw(st.lists(st.integers(0, n_classes - 1), min_size=n, max_size=n))) * 5.0
+    return x, y
+
+
+def as_saved(obj):
+    return json.dumps(obj, indent=2, sort_keys=True)
+
+
+class TestEquivalenceWithReference:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        data=labelled_matrices(),
+        min_leaf=st.integers(1, 4),
+        max_depth=st.one_of(st.none(), st.integers(1, 3)),
+    )
+    def test_tree_json_and_predictions(self, data, min_leaf, max_depth):
+        x, y = data
+        model = DecisionTree(max_depth=max_depth, min_leaf=min_leaf).fit(x, y)
+        want = oracle_tree_json(x, y, max_depth, min_leaf)
+        assert as_saved(model.to_json()) == as_saved(want)
+        queries = np.vstack([x, x + 0.1, x - 0.3])
+        assert np.array_equal(model.predict(queries), oracle_tree_predict(want, queries))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=labelled_matrices(),
+        n_trees=st.integers(1, 3),
+        mtry=st.one_of(st.none(), st.integers(1, 4)),
+        bootstrap=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+        min_leaf=st.integers(1, 4),
+        max_depth=st.one_of(st.none(), st.integers(1, 3)),
+    )
+    def test_forest_json_and_predictions(
+        self, data, n_trees, mtry, bootstrap, seed, min_leaf, max_depth
+    ):
+        x, y = data
+        params = dict(n_trees=n_trees, mtry=mtry, bootstrap=bootstrap, seed=seed,
+                      max_depth=max_depth, min_leaf=min_leaf)
+        model = RandomForest(**params).fit(x, y)
+        want = oracle_forest_json(x, y, **params)
+        assert as_saved(model.to_json()) == as_saved(want)
+        queries = np.vstack([x, x + 0.1])
+        assert np.array_equal(model.predict(queries), oracle_forest_predict(want, queries))
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=labelled_matrices(), queries=labelled_matrices(), k=st.integers(1, 24))
+    def test_knn_predictions(self, data, queries, k):
+        x, y = data
+        q = queries[0][:, :1].repeat(x.shape[1], axis=1)  # grid points: exact-distance ties
+        k = min(k, x.shape[0])
+        got = KNearestNeighbors(k=k).fit(x, y).predict(q)
+        assert np.array_equal(got, oracle_knn_predict(x, y, k, q))
+
+    def test_knn_tie_of_eight_or_more_uses_numpy_sums(self):
+        # 8 votes each: numpy sums class 1's squared distances 2**54 + 1 * 7
+        # pairwise to 2**54 + 4, where an in-order sum gives 2**54 and a tie
+        x = np.array([2.0**27] + [1.0] * 7 + [-(2.0**27)] + [0.0] * 7)[:, None]
+        y = np.array([1.0] * 8 + [2.0] * 8)
+        q = np.zeros((1, 1))
+        got = KNearestNeighbors(k=16).fit(x, y).predict(q)
+        assert got[0] == oracle_knn_predict(x, y, 16, q)[0] == 2.0
+
+
+# Written by the recursive-grower release: the nested tree form must keep
+# loading and predicting the same.
+SEED_TREE_JSON = (
+    '{"classes": [0.0, 5.0, 10.0], "kind": "decision_tree", "max_depth": null, "min_leaf": 1, '
+    '"root": {"feature": 1, "left": {"leaf": 1}, "right": {"feature": 0, "left": {"leaf": 0}, '
+    '"right": {"leaf": 2}, "threshold": 1.25}, "threshold": 0.75}}'
+)
+SEED_FOREST_JSON = (
+    '{"bootstrap": true, "classes": [0.0, 5.0, 10.0], "kind": "random_forest", '
+    '"max_depth": null, "min_leaf": 1, "mtry": 1, "n_trees": 2, "seed": 3, "trees": ['
+    '{"classes": [0.0, 10.0], "kind": "decision_tree", "max_depth": null, "min_leaf": 1, '
+    '"root": {"feature": 1, "left": {"leaf": 0}, "right": {"leaf": 1}, "threshold": 1.25}}, '
+    + SEED_TREE_JSON
+    + "]}"
+)
+SEED_TRAIN = (
+    np.array([[0.0, 1.0], [0.5, 1.0], [1.0, 0.0], [1.5, 0.5],
+              [2.0, 2.0], [2.5, 1.5], [3.0, 0.5], [3.5, 2.5]]),
+    np.array([0.0, 0.0, 5.0, 5.0, 10.0, 10.0, 5.0, 10.0]),
+)
+SEED_QUERIES = np.array([[0.2, 0.3], [1.2, 2.0], [2.2, 0.1], [3.3, 3.0], [1.8, 1.0]])
+
+
+class TestSeedModelJson:
+    @pytest.mark.parametrize(
+        "text, predicted",
+        [
+            (SEED_TREE_JSON, [5.0, 0.0, 5.0, 10.0, 10.0]),
+            (SEED_FOREST_JSON, [0.0, 0.0, 0.0, 10.0, 0.0]),
+        ],
+    )
+    def test_loads_predicts_and_saves_unchanged(self, text, predicted):
+        model = model_from_json(json.loads(text))
+        assert model.predict(SEED_QUERIES).tolist() == predicted
+        assert json.dumps(model.to_json(), sort_keys=True) == text
+
+    def test_refit_writes_the_same_json(self):
+        x, y = SEED_TRAIN
+        assert json.dumps(DecisionTree().fit(x, y).to_json(), sort_keys=True) == SEED_TREE_JSON
+        forest = RandomForest(n_trees=2, mtry=1, seed=3).fit(x, y)
+        assert json.dumps(forest.to_json(), sort_keys=True) == SEED_FOREST_JSON
+
+    def test_forest_votes_over_its_trees_classes(self):
+        obj = json.loads(SEED_FOREST_JSON)
+        obj["classes"] = [10.0, 0.0]
+        obj["trees"][0]["classes"] = [0.0, 7.0]
+        got = model_from_json(obj).predict(SEED_QUERIES)
+        assert np.array_equal(got, oracle_forest_predict(obj, SEED_QUERIES))
+
+
+class TestMalformedModelJson:
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda o: o.pop("root"),
+            lambda o: o["root"]["left"].pop("leaf"),
+            lambda o: o["root"].pop("threshold"),
+            lambda o: o["root"].pop("right"),
+            lambda o: o["root"].update(feature=-1),
+            lambda o: o["root"].update(feature="1"),
+            lambda o: o["root"].update(threshold="x"),
+            lambda o: o["root"]["left"].update(leaf=3),
+            lambda o: o["root"]["left"].update(leaf=True),
+            lambda o: o["root"].update(left=[1]),
+            lambda o: o.update(classes="abc"),
+        ],
+        ids=["no-root", "no-leaf", "no-threshold", "no-right", "negative-feature",
+             "string-feature", "string-threshold", "leaf-beyond-classes", "bool-leaf",
+             "list-child", "string-classes"],
+    )
+    def test_tree_node_errors_are_validation_errors(self, mutate):
+        obj = json.loads(SEED_TREE_JSON)
+        mutate(obj)
+        with pytest.raises(ValidationError):
+            model_from_json(obj)
+
+    def test_not_an_object(self):
+        with pytest.raises(ValidationError):
+            model_from_json([SEED_TREE_JSON])
+
+    def test_feature_beyond_matrix_columns(self):
+        model = model_from_json(json.loads(SEED_TREE_JSON))
+        with pytest.raises(ValidationError):
+            model.predict(np.zeros((2, 1)))

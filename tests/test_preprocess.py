@@ -338,3 +338,11 @@ class TestPipeline:
         again = PipelineOptions.from_json(options.to_json())
         assert again == options
         assert PipelineOptions.from_json({"bilateral": None}).bilateral is None
+
+    def test_options_json_defaults_match_constructor(self):
+        assert PipelineOptions.from_json({}) == PipelineOptions()
+        assert PipelineOptions.from_json({"bilateral": {}}).bilateral == BilateralOptions()
+        partial = PipelineOptions.from_json({"bilateral": {"window": 7}}).bilateral
+        assert partial == BilateralOptions(window=7)
+        with pytest.raises(ValidationError):
+            PipelineOptions.from_json({"bilateral": 5})
