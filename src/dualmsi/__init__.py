@@ -5,7 +5,8 @@ Synthetic reflectance/transmittance acquisition, the correction pipeline
 superpixel data matrices with merged-mode fusion, PCA/LDA feature
 extraction, five classifiers with a leakage-safe split protocol, the
 KL-divergence adulteration metric with its linear functional map, and a
-byte-level simulation of the controller firmware and capture handshake.
+simulation of the controller firmware's byte protocol and capture
+handshake (the firmware side only; there is no host codec).
 """
 
 __version__ = "0.1.0"
@@ -79,10 +80,9 @@ from .features import (
     band_normalize,
     build_matrix,
     lda_fit,
-    lda_transform,
     merge,
     pca_fit,
-    pca_transform,
+    project,
     spectral_signature,
     superpixels,
 )
@@ -120,8 +120,5 @@ from .devicelink import (
 from .harness import (
     repeatability_report,
     run_case_study,
-    run_coconut_oil_study,
-    run_color_chart_study,
-    run_turmeric_study,
     spatial_consistency_report,
 )

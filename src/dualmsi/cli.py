@@ -12,9 +12,10 @@ import inspect
 import json
 import sys
 from pathlib import Path
+from typing import get_type_hints
 
 from . import __version__
-from .core import Mode, load_dataset, save_dataset
+from .core import Mode, json_value, load_dataset, save_dataset
 from .devicelink import (
     FirmwareConfig,
     SimCamera,
@@ -50,7 +51,7 @@ from .preprocess import (
     quantize_sample,
 )
 from .studies import CaseStudyConfig, StudyKind, generate_case_study, render_white_reference
-from .synth import IlluminationProfile, MixtureSpec, NoiseSpec, SceneConfig, render_repeat_series
+from .synth import MixtureSpec, SceneConfig, render_repeat_series
 from . import materials
 
 EXIT_OK = 0
@@ -83,35 +84,6 @@ def _study_kind(name: str) -> StudyKind:
     return _enum_value(StudyKind, name, "study kind")
 
 
-def _study_config(kind: StudyKind, config: dict) -> CaseStudyConfig:
-    overrides = {}
-    for key in (
-        "replicates",
-        "width",
-        "height",
-        "depth",
-        "fraction_jitter_sd",
-        "depth_jitter_sd",
-        "refl_scale_jitter_sd",
-        "refl_tilt_jitter_sd",
-        "refl_band_jitter_sd",
-        "trans_scale_jitter_sd",
-        "trans_tilt_jitter_sd",
-        "trans_band_jitter_sd",
-        "texture_adulteration_gain",
-        "n_classes",
-    ):
-        if key in config:
-            overrides[key] = config[key]
-    if "levels" in config:
-        overrides["levels"] = tuple(float(v) for v in config["levels"])
-    if "noise" in config:
-        overrides["noise"] = NoiseSpec(**config["noise"])
-    if "illumination" in config:
-        overrides["illumination"] = IlluminationProfile(**config["illumination"])
-    return CaseStudyConfig.for_kind(kind, **overrides)
-
-
 def _require_out(args) -> Path:
     if args.out is None:
         raise ValidationError("this command needs --out")
@@ -123,7 +95,7 @@ def _require_out(args) -> Path:
 def cmd_synth(args, config: dict) -> int:
     """Generate a case-study dataset (plus white references) on disk."""
     kind = _study_kind(config.get("kind", args.kind or "turmeric"))
-    study_config = _study_config(kind, config)
+    study_config = CaseStudyConfig.from_json(kind, config)
     out = _require_out(args)
     data = generate_case_study(kind, study_config, args.seed)
     for mode, samples in (
@@ -169,7 +141,7 @@ def cmd_matrix(args, config: dict) -> int:
         t = build_matrix(load_dataset(config["transmittance"]), Mode.TRANSMITTANCE)
         matrix = merge(r, t)
     elif "input" in config:
-        mode = Mode(config.get("mode", "reflectance"))
+        mode = _enum_value(Mode, config.get("mode", "reflectance"), "mode")
         matrix = build_matrix(load_dataset(config["input"]), mode)
     else:
         raise ValidationError("config needs 'input' or 'reflectance'+'transmittance'")
@@ -196,6 +168,8 @@ def cmd_train(args, config: dict) -> int:
     unknown = sorted(set(params) - set(allowed))
     if unknown:
         raise ValidationError(f"unknown {kind} params {unknown} (choose from {sorted(allowed)})")
+    hints = get_type_hints(MODEL_KINDS[kind].__init__)
+    params = {k: json_value(hints[k], v, f"{kind} param {k}") for k, v in params.items()}
     split = stratified_split(matrix, config.get("fraction", 0.75), args.seed, granularity)
     train, test = split_matrix(matrix, split)
     model = MODEL_KINDS[kind](**params).fit(train.values, train.label_keys())
@@ -246,7 +220,7 @@ def cmd_kl_regress(args, config: dict) -> int:
 
 def cmd_study(args, config: dict, kind: StudyKind) -> int:
     out = _require_out(args)
-    study_config = _study_config(kind, config)
+    study_config = CaseStudyConfig.from_json(kind, config)
     bundle = run_case_study(kind, study_config, args.seed)
     write_study_bundle(bundle, out)
     print(f"{kind.value} study -> {out / 'report.json'}")
@@ -260,8 +234,9 @@ def cmd_consistency(args, config: dict) -> int:
         white = load_dataset(config["white"])[0]
     else:
         kind = _study_kind(config.get("kind", "turmeric"))
-        study_config = _study_config(kind, config)
-        white = render_white_reference(study_config, Mode(config.get("mode", "reflectance")), args.seed)
+        study_config = CaseStudyConfig.from_json(kind, config)
+        mode = _enum_value(Mode, config.get("mode", "reflectance"), "mode")
+        white = render_white_reference(study_config, mode, args.seed)
     report = spatial_consistency_report(white)
     write_consistency_report(report, out, band=config.get("band"))
     print(
@@ -274,10 +249,10 @@ def cmd_consistency(args, config: dict) -> int:
 def cmd_repeatability(args, config: dict) -> int:
     out = _require_out(args)
     kind = _study_kind(config.get("kind", "turmeric"))
-    study_config = _study_config(kind, config)
+    study_config = CaseStudyConfig.from_json(kind, config)
     scene = SceneConfig(
         band_set=study_config.band_set,
-        mode=Mode(config.get("mode", "reflectance")),
+        mode=_enum_value(Mode, config.get("mode", "reflectance"), "mode"),
         mixture=MixtureSpec.pure(materials.TURMERIC),
         illumination=study_config.illumination,
         noise=study_config.noise,

@@ -10,10 +10,11 @@ freely across threads.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, is_dataclass, replace
 from enum import Enum
 from pathlib import Path
-from typing import Iterator, Mapping
+from types import UnionType
+from typing import Iterator, Mapping, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -308,6 +309,42 @@ def crop(cube: SpectralCube, x: int, y: int, w: int, h: int) -> SpectralCube:
     bands = {wl: SpectralFrame(f.values[window]) for wl, f in cube.bands.items()}
     dark = SpectralFrame(cube.dark.values[window])
     return SpectralCube(bands=bands, dark=dark, mode=cube.mode, band_set=cube.band_set)
+
+
+def json_value(hint, value, what: str):
+    """``value`` parsed from JSON as the annotated type ``hint``.
+
+    Numbers must be JSON numbers (an int is accepted for a float, a bool
+    never is), tuples come from lists, ``X | None`` also takes null, and a
+    dataclass comes from an object whose keys name its fields, each read
+    the same way.  Anything else raises ValidationError.
+    """
+    if get_origin(hint) in (Union, UnionType):
+        if value is None and type(None) in get_args(hint):
+            return None
+        (hint,) = [a for a in get_args(hint) if a is not type(None)]
+    args = get_args(hint)
+    if get_origin(hint) is tuple and isinstance(value, list):
+        if args[-1] is not Ellipsis and len(value) != len(args):
+            raise ValidationError(f"{what} needs {len(args)} entries, got {len(value)}")
+        return tuple(json_value(args[0], v, what) for v in value)
+    if is_dataclass(hint) and isinstance(value, dict):
+        hints = get_type_hints(hint)
+        unknown = sorted(set(value) - set(hints))
+        if unknown:
+            raise ValidationError(f"unknown {what} keys {unknown} (choose from {sorted(hints)})")
+        return hint(**{k: json_value(hints[k], v, f"{what}.{k}") for k, v in value.items()})
+    if hint is bool and isinstance(value, bool):
+        return value
+    if hint in (int, float) and isinstance(value, (int, float)) and not isinstance(value, bool):
+        if hint is int and isinstance(value, int):
+            return value
+        if hint is float:
+            try:
+                return float(value)
+            except OverflowError:
+                raise ValidationError(f"{what} {value} is too large") from None
+    raise ValidationError(f"{what} must be {getattr(hint, '__name__', hint)}, got {value!r}")
 
 
 # --------------------------------------------------------------------------

@@ -189,52 +189,6 @@ def firmware_step(
 
 
 # --------------------------------------------------------------------------
-# Wire message codec (host-side view of the grammar)
-# --------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class WireMessage:
-    opcode: int
-    band_index: int | None = None
-
-    def encode(self) -> bytes:
-        if self.opcode == OP_CAPTURE_BAND:
-            if self.band_index is None or not 0 <= self.band_index <= 255:
-                raise ValidationError("capture-band frame needs a band byte")
-            return bytes([self.opcode, self.band_index])
-        if self.band_index is not None:
-            raise ValidationError("single-byte message carries no band")
-        return bytes([self.opcode])
-
-
-VALID_SINGLE = {OP_CAPTURE_ALL, OP_DONE, OP_READY}
-
-
-def decode(data: bytes) -> list[WireMessage]:
-    """Parse a byte string into wire messages; rejects unknown opcodes."""
-    out = []
-    i = 0
-    while i < len(data):
-        op = data[i]
-        if op == OP_CAPTURE_BAND:
-            if i + 1 >= len(data):
-                raise ValidationError("truncated capture-band frame")
-            out.append(WireMessage(op, data[i + 1]))
-            i += 2
-        elif op in VALID_SINGLE:
-            out.append(WireMessage(op))
-            i += 1
-        else:
-            raise ValidationError(f"unknown opcode 0x{op:02x}")
-    return out
-
-
-def encode(messages: Iterable[WireMessage]) -> bytes:
-    return b"".join(m.encode() for m in messages)
-
-
-# --------------------------------------------------------------------------
 # Discrete-event capture simulation
 # --------------------------------------------------------------------------
 

@@ -416,18 +416,3 @@ def project(proj: Projection, matrix: DataMatrix) -> DataMatrix:
     return matrix.with_values(
         transformed, col_labels=tuple(f"{prefix}{i + 1}" for i in range(proj.k))
     )
-
-
-# both transforms are the same pure projection
-pca_transform = project
-lda_transform = project
-
-
-def fisher_ratio(values: np.ndarray, keys: np.ndarray, direction: np.ndarray) -> float:
-    """Between/within variance ratio of labeled data along a direction."""
-    z = values @ direction
-    classes = np.unique(keys)
-    grand = z.mean()
-    between = sum((z[keys == c].mean() - grand) ** 2 * (keys == c).sum() for c in classes)
-    within = sum(((z[keys == c] - z[keys == c].mean()) ** 2).sum() for c in classes)
-    return float(between / within) if within > 0 else float("inf")

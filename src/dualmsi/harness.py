@@ -25,7 +25,6 @@ from .divergence import (
     adulteration_curve,
     band_feature_extractor,
     fit_linear,
-    lda_feature_extractor,
     median_curve,
 )
 from .errors import ValidationError
@@ -55,10 +54,10 @@ from .preprocess import Corrections, PipelineOptions, fit_corrections, preproces
 from .studies import (
     CaseStudyConfig,
     StudyKind,
+    _seed,
     generate_case_study,
     render_white_reference,
 )
-from .synth import stream
 
 
 # --------------------------------------------------------------------------
@@ -163,10 +162,6 @@ def repeatability_report(series: Sequence[Sample]) -> dict:
 TRAIN_FRACTION = 0.75
 
 
-def _seed(*parts) -> int:
-    return int(stream(*parts).integers(0, 2**63 - 1))
-
-
 def study_classifiers(master_seed: int, kinds: Sequence[str] | None = None) -> dict:
     """Fresh classifier instances with study-scale training budgets.
 
@@ -248,164 +243,89 @@ def run_pipeline_on_matrix(
     }
 
 
-def _accuracy_table(results: dict) -> dict:
-    return {name: round(info["accuracy"], 6) for name, info in results.items()}
+@dataclass(frozen=True)
+class StudySpec:
+    """The axes and extras of one case study.
 
-
-def _preprocess_all(
-    samples: Sequence[Sample], corrections: Corrections | None, options: PipelineOptions
-) -> list[Sample]:
-    return [preprocess_pipeline(s, corrections, options) for s in samples]
-
-
-def _study_options(corrected: bool) -> PipelineOptions:
-    if corrected:
-        return PipelineOptions()  # dark + spatial + mode-default spectral + bilateral
-    return PipelineOptions(spatial=False, spectral=False)
-
-
-def run_turmeric_study(
-    config: CaseStudyConfig | None = None,
-    master_seed: int = 0,
-    include_uncorrected: bool = True,
-    classifier_kinds: Sequence[str] | None = None,
-) -> dict:
-    """Powder adulteration study: per-mode and merged accuracies (both
-    correction variants), merged-LDA loadings and scatter data."""
-    config = config or CaseStudyConfig.turmeric()
-    data = generate_case_study(StudyKind.TURMERIC, config, master_seed)
-    classifiers = study_classifiers(master_seed, classifier_kinds)
-    corrections = {
-        mode: fit_corrections(render_white_reference(config, mode, master_seed))
-        for mode in (Mode.REFLECTANCE, Mode.TRANSMITTANCE)
-    }
-    split_seed = _seed(master_seed, "turmeric-split")
-
-    bundle: dict = {
-        "kind": "turmeric",
-        "master_seed": master_seed,
-        "counts": {
-            "reflectance": len(data.reflectance),
-            "transmittance": len(data.transmittance),
-        },
-        "accuracy": {},
-    }
-    variants = ("corrected", "uncorrected") if include_uncorrected else ("corrected",)
-    for variant in variants:
-        options = _study_options(variant == "corrected")
-        refl = _preprocess_all(
-            data.reflectance, corrections[Mode.REFLECTANCE] if variant == "corrected" else None, options
-        )
-        trans = _preprocess_all(
-            data.transmittance, corrections[Mode.TRANSMITTANCE] if variant == "corrected" else None, options
-        )
-        r_matrix = build_matrix(refl, Mode.REFLECTANCE)
-        t_matrix = build_matrix(trans, Mode.TRANSMITTANCE)
-        m_matrix = merge(r_matrix, t_matrix)
-
-        per_mode = {}
-        for name, matrix in (("reflectance", r_matrix), ("transmittance", t_matrix), ("merged", m_matrix)):
-            run = run_pipeline_on_matrix(matrix, classifiers, split_seed)
-            per_mode[name] = _accuracy_table(run["results"])
-            if variant == "corrected" and name == "merged":
-                proj = run["projection"]
-                bundle["merged_lda_loadings"] = {
-                    col: round(float(w), 6)
-                    for col, w in zip(proj.col_labels, proj.loadings())
-                }
-                test_p = run["test_projected"]
-                bundle["merged_lda_scatter"] = [
-                    [round(float(row[0]), 6), round(float(row[1]), 6), meta[1].key]
-                    for row, meta in zip(test_p.values, test_p.row_meta)
-                ]
-        bundle["accuracy"][variant] = per_mode
-        if variant == "corrected":
-            bundle["signatures"] = _signature_summary(t_matrix)
-
-    bundle["best"] = {
-        variant: {mode: max(table.values()) for mode, table in per_mode_tables.items()}
-        for variant, per_mode_tables in bundle["accuracy"].items()
-    }
-    return bundle
-
-
-def run_coconut_oil_study(
-    config: CaseStudyConfig | None = None,
-    master_seed: int = 0,
-    classifier_kinds: Sequence[str] = ("logistic", "knn", "svm", "decision_tree"),
-    kl_band: int | None = 621,
-) -> dict:
-    """Liquid adulteration study: classifier table plus the KL functional map.
-
-    The divergence curve is built on a single mid-contrast band (default
-    621 nm) rather than the leading LDA component: on this fixture the
-    discriminant axis separates levels so completely that their
-    distributions share no support with the reference, and the divergence
-    of disjoint smoothed histograms collapses to one constant.  A band
-    with moderate absorbance contrast keeps distributions overlapping, so
-    the divergence grows smoothly with adulteration.
+    Accuracy tables are keyed variant -> matrix -> projection, leaving out
+    every axis with a single entry.  ``scatter_key``/``loadings_key`` name
+    the report entries taken from the corrected LDA run on the last matrix;
+    ``kl_band`` adds the KL curve and functional map of the corrected
+    transmittance samples on that band.
     """
-    config = config or CaseStudyConfig.coconut_oil()
-    data = generate_case_study(StudyKind.COCONUT_OIL, config, master_seed)
-    corrections = fit_corrections(render_white_reference(config, Mode.TRANSMITTANCE, master_seed))
-    # transparent liquid: spectral step stays off (mode default)
-    samples = _preprocess_all(data.transmittance, corrections, _study_options(True))
 
-    matrix = build_matrix(samples, Mode.TRANSMITTANCE)
-    classifiers = study_classifiers(master_seed, classifier_kinds)
-    run = run_pipeline_on_matrix(matrix, classifiers, _seed(master_seed, "oil-split"))
+    split_tag: str
+    variants: tuple[str, ...] = ("corrected",)
+    projections: tuple[str, ...] = ("LDA",)
+    classifiers: tuple[str, ...] | None = None  # None: all five
+    scatter_key: str | None = None
+    loadings_key: str | None = None
+    kl_band: int | None = None
 
-    if kl_band is not None:
-        extractor = band_feature_extractor(kl_band)
+
+STUDIES: dict[StudyKind, StudySpec] = {
+    StudyKind.TURMERIC: StudySpec(
+        "turmeric-split",
+        variants=("corrected", "uncorrected"),
+        scatter_key="merged_lda_scatter",
+        loadings_key="merged_lda_loadings",
+    ),
+    StudyKind.COCONUT_OIL: StudySpec(
+        "oil-split",
+        classifiers=("logistic", "knn", "svm", "decision_tree"),
+        # The divergence curve is built on a single mid-contrast band
+        # rather than the leading LDA component: on this fixture the
+        # discriminant axis separates levels so completely that their
+        # distributions share no support with the reference, and the
+        # divergence of disjoint smoothed histograms collapses to one
+        # constant.  A band with moderate absorbance contrast keeps the
+        # distributions overlapping, so the divergence grows smoothly with
+        # adulteration.
+        kl_band=621,
+    ),
+    StudyKind.COLOR_CHART: StudySpec("chart-split", projections=("PCA", "LDA"), scatter_key="lda_scatter"),
+}
+
+
+def _variant_matrices(
+    sides: Mapping[Mode, Sequence[Sample]], corrections: Mapping[Mode, Corrections] | None, kl_band: int | None
+) -> tuple[dict[str, DataMatrix], list | None]:
+    """One matrix per mode, plus their merge when there are two, and the
+    KL points of the transmittance samples when ``kl_band`` is set.
+
+    Preprocessed cubes are dropped as soon as their matrix is built.
+    """
+    if corrections:
+        options = PipelineOptions()  # dark + spatial + mode-default spectral + bilateral
     else:
-        extractor = lda_feature_extractor(samples)
-    points = adulteration_curve(samples, extractor)
-    medians = median_curve(points)
-    return {
-        "kind": "coconut_oil",
-        "master_seed": master_seed,
-        "counts": {"transmittance": len(samples)},
-        "accuracy": _accuracy_table(run["results"]),
-        "kl_points": [[lv, round(kl, 6)] for lv, kl in points],
-        "kl_medians": [[lv, round(kl, 6)] for lv, kl in medians],
-        "functional_map": fit_linear(points).to_json(),
-        "functional_map_medians": fit_linear(medians).to_json(),
-        "signatures": _signature_summary(matrix),
-    }
+        options = PipelineOptions(spatial=False, spectral=False)
+    matrices: dict[str, DataMatrix] = {}
+    points = None
+    for mode, raw in sides.items():
+        samples = [preprocess_pipeline(s, corrections[mode] if corrections else None, options) for s in raw]
+        matrices[mode.value] = build_matrix(samples, mode)
+        if kl_band is not None and mode is Mode.TRANSMITTANCE:
+            points = adulteration_curve(samples, band_feature_extractor(kl_band))
+        del samples
+    if len(matrices) == 2:
+        matrices["merged"] = merge(*matrices.values())
+    return matrices, points
 
 
-def run_color_chart_study(
-    config: CaseStudyConfig | None = None,
-    master_seed: int = 0,
-    classifier_kinds: Sequence[str] | None = None,
-) -> dict:
-    """24-color palette study: the PCA-vs-LDA accuracy table."""
-    config = config or CaseStudyConfig.color_chart()
-    data = generate_case_study(StudyKind.COLOR_CHART, config, master_seed)
-    corrections = fit_corrections(render_white_reference(config, Mode.REFLECTANCE, master_seed))
-    samples = _preprocess_all(data.reflectance, corrections, _study_options(True))
-    matrix = build_matrix(samples, Mode.REFLECTANCE)
-    classifiers = study_classifiers(master_seed, classifier_kinds)
-    split_seed = _seed(master_seed, "chart-split")
-
-    accuracy = {}
-    scatter = None
-    for projection in ("PCA", "LDA"):
-        run = run_pipeline_on_matrix(matrix, classifiers, split_seed, projection=projection)
-        accuracy[projection] = _accuracy_table(run["results"])
-        if projection == "LDA":
-            test_p = run["test_projected"]
-            scatter = [
-                [round(float(row[0]), 6), round(float(row[1]), 6), meta[1].key]
-                for row, meta in zip(test_p.values, test_p.row_meta)
-            ]
-    return {
-        "kind": "color_chart",
-        "master_seed": master_seed,
-        "counts": {"reflectance": len(samples)},
-        "accuracy": accuracy,
-        "lda_scatter": scatter,
-    }
+def _nest(cells: Mapping[tuple[str, ...], object]):
+    """Nest values keyed by equal-length tuples, leaving out the key
+    positions that hold a single value across all keys."""
+    keys = list(cells)
+    kept = [i for i in range(len(keys[0])) if len({key[i] for key in keys}) > 1]
+    if not kept:
+        return cells[keys[0]]
+    out: dict = {}
+    for key, value in cells.items():
+        node = out
+        for i in kept[:-1]:
+            node = node.setdefault(key[i], {})
+        node[key[kept[-1]]] = value
+    return out
 
 
 def _signature_summary(matrix: DataMatrix) -> dict:
@@ -419,13 +339,77 @@ def _signature_summary(matrix: DataMatrix) -> dict:
 
 
 def run_case_study(
-    kind: StudyKind, config: CaseStudyConfig | None = None, master_seed: int = 0, **kwargs
+    kind: StudyKind,
+    config: CaseStudyConfig | None = None,
+    master_seed: int = 0,
+    classifier_kinds: Sequence[str] | None = None,
 ) -> dict:
-    if kind is StudyKind.TURMERIC:
-        return run_turmeric_study(config, master_seed, **kwargs)
-    if kind is StudyKind.COCONUT_OIL:
-        return run_coconut_oil_study(config, master_seed, **kwargs)
-    return run_color_chart_study(config, master_seed, **kwargs)
+    """Run one case study as its ``STUDIES`` spec lays out.
+
+    Each correction variant preprocesses every mode the dataset holds and
+    runs each of its matrices through every projection of the spec.  The
+    report holds the accuracy tables, the corrected transmittance
+    signatures, the spec's scatter/loadings/KL extras, and the best
+    accuracy per matrix when the study merges modes.
+    """
+    spec = STUDIES[kind]
+    config = config or CaseStudyConfig.for_kind(kind)
+    data = generate_case_study(kind, config, master_seed)
+    sides = {
+        mode: samples
+        for mode, samples in ((Mode.REFLECTANCE, data.reflectance), (Mode.TRANSMITTANCE, data.transmittance))
+        if samples
+    }
+    corrections = {mode: fit_corrections(render_white_reference(config, mode, master_seed)) for mode in sides}
+    classifiers = study_classifiers(
+        master_seed, spec.classifiers if classifier_kinds is None else classifier_kinds
+    )
+    split_seed = _seed(master_seed, spec.split_tag)
+
+    bundle: dict = {
+        "kind": kind.value,
+        "master_seed": master_seed,
+        "counts": {mode.value: len(samples) for mode, samples in sides.items()},
+    }
+    tables = {}
+    for variant in spec.variants:
+        corrected = variant == "corrected"
+        matrices, points = _variant_matrices(
+            sides, corrections if corrected else None, spec.kl_band if corrected else None
+        )
+        for name, matrix in matrices.items():
+            for projection in spec.projections:
+                run = run_pipeline_on_matrix(matrix, classifiers, split_seed, projection=projection)
+                tables[variant, name, projection] = {
+                    clf: round(info["accuracy"], 6) for clf, info in run["results"].items()
+                }
+                if corrected and projection == "LDA":
+                    lda_run = run  # the last matrix's run is the one reported
+        if not corrected:
+            continue
+        if spec.scatter_key:
+            test_p = lda_run["test_projected"]
+            bundle[spec.scatter_key] = [
+                [round(float(row[0]), 6), round(float(row[1]), 6), meta[1].key]
+                for row, meta in zip(test_p.values, test_p.row_meta)
+            ]
+        if spec.loadings_key:
+            proj = lda_run["projection"]
+            bundle[spec.loadings_key] = {
+                col: round(float(w), 6) for col, w in zip(proj.col_labels, proj.loadings())
+            }
+        if "transmittance" in matrices:
+            bundle["signatures"] = _signature_summary(matrices["transmittance"])
+        if points is not None:
+            medians = median_curve(points)
+            bundle["kl_points"] = [[lv, round(kl, 6)] for lv, kl in points]
+            bundle["kl_medians"] = [[lv, round(kl, 6)] for lv, kl in medians]
+            bundle["functional_map"] = fit_linear(points).to_json()
+            bundle["functional_map_medians"] = fit_linear(medians).to_json()
+    bundle["accuracy"] = _nest(tables)
+    if len(sides) == 2:
+        bundle["best"] = _nest({key: max(table.values()) for key, table in tables.items()})
+    return bundle
 
 
 # --------------------------------------------------------------------------
@@ -479,25 +463,30 @@ def write_accuracy_csv(tables: Mapping[str, Mapping[str, float]], path) -> None:
 
 
 def write_study_bundle(bundle: dict, out_dir) -> None:
-    """Write the JSON summary plus the flat CSV/plot artifacts of a study."""
+    """Write the JSON summary plus the flat CSV/plot artifacts of a study.
+
+    The accuracy CSVs follow the shape of ``bundle["accuracy"]``: one file
+    per correction variant when there are several, else ``accuracy.csv``
+    (a single table becomes the one column of the study's one mode).
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_json(bundle, out / "report.json")
-    kind = bundle.get("kind")
-    if kind == "turmeric":
-        for variant, tables in bundle["accuracy"].items():
+    accuracy = bundle["accuracy"]
+    first = next(iter(accuracy.values()))
+    if not isinstance(first, dict):
+        write_accuracy_csv({mode: accuracy for mode in bundle["counts"]}, out / "accuracy.csv")
+    elif isinstance(next(iter(first.values())), dict):
+        for variant, tables in accuracy.items():
             write_accuracy_csv(tables, out / f"accuracy_{variant}.csv")
-        if "merged_lda_scatter" in bundle:
-            rows = ["ld1 ld2 label"] + [
-                f"{a} {b} {label}" for a, b, label in bundle["merged_lda_scatter"]
-            ]
-            (out / "merged_lda_scatter.dat").write_text("\n".join(rows) + "\n")
-    elif kind == "coconut_oil":
-        write_accuracy_csv({"transmittance": bundle["accuracy"]}, out / "accuracy.csv")
+    else:
+        write_accuracy_csv(accuracy, out / "accuracy.csv")
+    if "merged_lda_scatter" in bundle:
+        rows = ["ld1 ld2 label"] + [f"{a} {b} {label}" for a, b, label in bundle["merged_lda_scatter"]]
+        (out / "merged_lda_scatter.dat").write_text("\n".join(rows) + "\n")
+    if "kl_points" in bundle:
         write_kl_curve_csv(bundle["kl_points"], out / "kl_curve.csv")
         write_json(bundle["functional_map"], out / "functional_map.json")
-    elif kind == "color_chart":
-        write_accuracy_csv(bundle["accuracy"], out / "accuracy.csv")
 
 
 def write_consistency_report(report: SpatialConsistencyReport, out_dir, band: int | None = None) -> None:

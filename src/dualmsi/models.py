@@ -135,6 +135,14 @@ def split_matrix(matrix: DataMatrix, split: Split) -> tuple[DataMatrix, DataMatr
 # --------------------------------------------------------------------------
 
 
+def _rows(x, width: int) -> np.ndarray:
+    """``x`` as a float matrix of rows, which must have ``width`` columns."""
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    if x.shape[1] != width:
+        raise ValidationError(f"model expects {width} columns, rows have {x.shape[1]}")
+    return x
+
+
 class KNearestNeighbors:
     """Euclidean k-nearest-neighbor majority vote."""
 
@@ -154,7 +162,7 @@ class KNearestNeighbors:
     def predict(self, x: np.ndarray) -> np.ndarray:
         if self.train_x is None:
             raise ValidationError("predict before fit")
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        x = _rows(x, self.train_x.shape[1])
         # squared distances via |x|^2 + |t|^2 - 2 x.t, clipped at zero
         d2 = (
             (x**2).sum(axis=1)[:, None]
@@ -583,8 +591,7 @@ class LogisticRegressionGD:
     def predict(self, x: np.ndarray) -> np.ndarray:
         if self.weights is None:
             raise ValidationError("predict before fit")
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        scores = x @ self.weights.T + self.bias
+        scores = _rows(x, self.weights.shape[1]) @ self.weights.T + self.bias
         return self.classes_[np.argmax(scores, axis=1)]
 
     def to_json(self) -> dict:
@@ -608,12 +615,11 @@ class LogisticRegressionGD:
 class LinearSVM:
     """Linear SVM: per-class margins, argmax prediction, subgradient descent.
 
-    The default training objective is the multiclass (Crammer-Singer)
-    hinge: each row pushes its true-class score at least one margin above
-    the strongest rival.  A plain one-vs-rest hinge (``loss="ovr"``) is
-    also available, but on ordered adulteration levels the middle classes
-    are not one-vs-rest separable and their scores collapse, so the joint
-    hinge is the default.
+    The training objective is the multiclass (Crammer-Singer) hinge: each
+    row pushes its true-class score at least one margin above the strongest
+    rival.  A one-vs-rest hinge does not fit ordered adulteration levels:
+    the middle classes are not one-vs-rest separable and their scores
+    collapse.
     """
 
     def __init__(
@@ -622,15 +628,11 @@ class LinearSVM:
         lr: float = 10.0,
         lr_decay: float = 1e-2,
         epochs: int = 1500,
-        loss: str = "multiclass",
     ):
-        if loss not in ("multiclass", "ovr"):
-            raise ValidationError(f"unknown SVM loss {loss!r}")
         self.c = c
         self.lr = lr
         self.lr_decay = lr_decay
         self.epochs = epochs
-        self.loss = loss
         self.classes_ = None
         self.weights = None
         self.bias = None
@@ -651,14 +653,6 @@ class LinearSVM:
         grad_b = push.sum(axis=0) / n
         return grad_w, grad_b
 
-    def _grads_ovr(self, x, signs, weights, bias, reg):
-        n = x.shape[0]
-        margins = signs * (x @ weights.T + bias)
-        violating = (margins < 1.0).astype(np.float64) * signs
-        grad_w = reg * weights - (violating.T @ x) / n
-        grad_b = -violating.sum(axis=0) / n
-        return grad_w, grad_b
-
     def fit(self, x: np.ndarray, y: np.ndarray) -> "LinearSVM":
         x = np.asarray(x, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
@@ -666,15 +660,11 @@ class LinearSVM:
         n, d = x.shape
         c_count = self.classes_.size
         y_idx = np.searchsorted(self.classes_, y)
-        signs = np.where(y[:, None] == self.classes_[None, :], 1.0, -1.0)
         weights = np.zeros((c_count, d))
         bias = np.zeros(c_count)
         reg = 1.0 / (self.c * n)
         for epoch in range(self.epochs):
-            if self.loss == "multiclass":
-                grad_w, grad_b = self._grads_multiclass(x, y_idx, weights, bias, reg)
-            else:
-                grad_w, grad_b = self._grads_ovr(x, signs, weights, bias, reg)
+            grad_w, grad_b = self._grads_multiclass(x, y_idx, weights, bias, reg)
             lr = self.lr / (1.0 + self.lr_decay * epoch)
             weights -= lr * grad_w
             bias -= lr * grad_b
@@ -684,14 +674,14 @@ class LinearSVM:
     def predict(self, x: np.ndarray) -> np.ndarray:
         if self.weights is None:
             raise ValidationError("predict before fit")
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        return self.classes_[np.argmax(x @ self.weights.T + self.bias, axis=1)]
+        scores = _rows(x, self.weights.shape[1]) @ self.weights.T + self.bias
+        return self.classes_[np.argmax(scores, axis=1)]
 
     def to_json(self) -> dict:
         return {
             "kind": "linear_svm",
             "c": self.c,
-            "loss": self.loss,
+            "loss": "multiclass",
             "classes": self.classes_.tolist(),
             "weights": self.weights.tolist(),
             "bias": self.bias.tolist(),
@@ -699,7 +689,9 @@ class LinearSVM:
 
     @classmethod
     def from_json(cls, obj: dict) -> "LinearSVM":
-        model = cls(c=obj["c"], loss=obj.get("loss", "multiclass"))
+        if obj.get("loss", "multiclass") != "multiclass":
+            raise ValidationError(f"unknown SVM loss {obj['loss']!r}")
+        model = cls(c=obj["c"])
         model.classes_ = np.array(obj["classes"], dtype=np.float64)
         model.weights = np.array(obj["weights"])
         model.bias = np.array(obj["bias"])

@@ -14,13 +14,14 @@ These magnitudes are fixture calibration, not measured device values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from enum import Enum
+from typing import get_type_hints
 
 import numpy as np
 
 from . import materials
-from .core import BandSet, Label, Mode, Sample
+from .core import BandSet, Label, Mode, Sample, json_value
 from .errors import ValidationError
 from .synth import (
     IlluminationProfile,
@@ -43,7 +44,7 @@ ADULTERATION_LEVELS = tuple(float(p) for p in range(0, 41, 5))
 
 @dataclass(frozen=True)
 class CaseStudyConfig:
-    """Knobs for one synthetic case study; defaults via the classmethods."""
+    """Knobs for one synthetic case study; per-kind defaults via ``for_kind``."""
 
     kind: StudyKind
     replicates: int
@@ -78,43 +79,34 @@ class CaseStudyConfig:
             raise ValidationError("adulteration study needs at least 2 levels")
 
     @classmethod
-    def turmeric(cls, **overrides) -> "CaseStudyConfig":
-        settings = dict(kind=StudyKind.TURMERIC, replicates=9)
-        settings.update(overrides)
-        return cls(**settings)
-
-    @classmethod
-    def coconut_oil(cls, **overrides) -> "CaseStudyConfig":
-        settings = dict(
-            kind=StudyKind.COCONUT_OIL,
-            replicates=8,
-            depth_jitter_sd=0.005,
-            trans_scale_jitter_sd=0.004,
-            trans_tilt_jitter_sd=0.003,
-            trans_band_jitter_sd=0.002,
-        )
-        settings.update(overrides)
-        return cls(**settings)
-
-    @classmethod
-    def color_chart(cls, **overrides) -> "CaseStudyConfig":
-        settings = dict(
-            kind=StudyKind.COLOR_CHART,
-            replicates=4,
-            refl_scale_jitter_sd=0.02,
-            refl_tilt_jitter_sd=0.012,
-        )
-        settings.update(overrides)
-        return cls(**settings)
-
-    @classmethod
     def for_kind(cls, kind: StudyKind, **overrides) -> "CaseStudyConfig":
-        factory = {
-            StudyKind.TURMERIC: cls.turmeric,
-            StudyKind.COCONUT_OIL: cls.coconut_oil,
-            StudyKind.COLOR_CHART: cls.color_chart,
-        }[kind]
-        return factory(**overrides)
+        return cls(kind=kind, **{**_KIND_DEFAULTS[kind], **overrides})
+
+    @classmethod
+    def from_json(cls, kind: StudyKind, obj: dict) -> "CaseStudyConfig":
+        """The ``kind`` defaults with every field that ``obj`` names read
+        from JSON and type-checked; keys that name no field are ignored."""
+        hints = get_type_hints(cls)
+        overrides = {
+            f.name: json_value(hints[f.name], obj[f.name], f.name)
+            for f in fields(cls)
+            if f.name != "kind" and f.name in obj
+        }
+        return cls.for_kind(kind, **overrides)
+
+
+# Per-kind settings that differ from the field defaults.
+_KIND_DEFAULTS = {
+    StudyKind.TURMERIC: dict(replicates=9),
+    StudyKind.COCONUT_OIL: dict(
+        replicates=8,
+        depth_jitter_sd=0.005,
+        trans_scale_jitter_sd=0.004,
+        trans_tilt_jitter_sd=0.003,
+        trans_band_jitter_sd=0.002,
+    ),
+    StudyKind.COLOR_CHART: dict(replicates=4, refl_scale_jitter_sd=0.02, refl_tilt_jitter_sd=0.012),
+}
 
 
 @dataclass(frozen=True)
@@ -124,9 +116,6 @@ class StudyDataset:
     kind: StudyKind
     reflectance: tuple[Sample, ...] = ()
     transmittance: tuple[Sample, ...] = ()
-
-    def for_mode(self, mode: Mode) -> tuple[Sample, ...]:
-        return self.reflectance if mode is Mode.REFLECTANCE else self.transmittance
 
 
 def _seed(*parts) -> int:
@@ -290,9 +279,3 @@ def render_white_reference(
         label=Label.adulteration(0.0),
     )
     return render(scene, sample_id=f"white-{mode.value}")
-
-
-def small_config(kind: StudyKind, replicates: int = 2, size: int = 40) -> CaseStudyConfig:
-    """Reduced-size config for quick shape checks and smoke tests."""
-    base = CaseStudyConfig.for_kind(kind)
-    return replace(base, replicates=replicates, width=size, height=size)

@@ -40,7 +40,7 @@ def oil_study_full():
     100-superpixel rows per replicate."""
     from dualmsi.studies import generate_case_study
 
-    config = CaseStudyConfig.coconut_oil()
+    config = CaseStudyConfig.for_kind(StudyKind.COCONUT_OIL)
     return generate_case_study(StudyKind.COCONUT_OIL, config, master_seed=0), config
 
 
@@ -49,5 +49,5 @@ def turmeric_study_small():
     """Reduced turmeric dataset: 3 replicates, small frames, both modes."""
     from dualmsi.studies import generate_case_study
 
-    config = CaseStudyConfig.turmeric(replicates=3, width=40, height=40)
+    config = CaseStudyConfig.for_kind(StudyKind.TURMERIC, replicates=3, width=40, height=40)
     return generate_case_study(StudyKind.TURMERIC, config, master_seed=0), config

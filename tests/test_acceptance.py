@@ -22,12 +22,7 @@ from dualmsi.divergence import (
     kl_divergence,
 )
 from dualmsi.features import build_matrix, merge, pca_fit
-from dualmsi.harness import (
-    repeatability_report,
-    run_color_chart_study,
-    run_coconut_oil_study,
-    run_turmeric_study,
-)
+from dualmsi.harness import repeatability_report, run_case_study
 from dualmsi.models import KNearestNeighbors, LogisticRegressionGD
 from dualmsi.preprocess import (
     apply_spatial_gain,
@@ -66,27 +61,27 @@ def criterion(number: int, budget_s: float, what: str, extra_elapsed: float = 0.
 @pytest.fixture(scope="session")
 def turmeric_bundle():
     start = time.perf_counter()
-    bundle = run_turmeric_study(master_seed=0)
+    bundle = run_case_study(StudyKind.TURMERIC, master_seed=0)
     return bundle, time.perf_counter() - start
 
 
 @pytest.fixture(scope="session")
 def oil_bundle():
     start = time.perf_counter()
-    bundle = run_coconut_oil_study(master_seed=0)
+    bundle = run_case_study(StudyKind.COCONUT_OIL, master_seed=0)
     return bundle, time.perf_counter() - start
 
 
 @pytest.fixture(scope="session")
 def chart_bundle():
     start = time.perf_counter()
-    bundle = run_color_chart_study(master_seed=0)
+    bundle = run_case_study(StudyKind.COLOR_CHART, master_seed=0)
     return bundle, time.perf_counter() - start
 
 
 def test_criterion_01_data_matrix_shape_law():
     with criterion(1, 1.0, "merged data-matrix width is 2B (26 for B=13)"):
-        config = CaseStudyConfig.turmeric(replicates=1, levels=(0.0, 40.0))
+        config = CaseStudyConfig.for_kind(StudyKind.TURMERIC, replicates=1, levels=(0.0, 40.0))
         data = generate_case_study(StudyKind.TURMERIC, config, master_seed=0)
         assert len(config.band_set) == 13
         r = build_matrix(list(data.reflectance), Mode.REFLECTANCE)
@@ -169,7 +164,8 @@ def test_criterion_06_color_chart(chart_bundle):
 
 def test_criterion_07_flat_field():
     with criterion(7, 5.0, "corner/peak 0.7 white flattens to <= 2% per band"):
-        config = CaseStudyConfig.turmeric(
+        config = CaseStudyConfig.for_kind(
+            StudyKind.TURMERIC,
             illumination=IlluminationProfile.corner_ratio(0.7)
         )
         white = render_white_reference(config, Mode.REFLECTANCE, master_seed=0)

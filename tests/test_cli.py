@@ -6,6 +6,8 @@ import pytest
 from dualmsi.cli import main
 from dualmsi.core import load_dataset
 
+from test_features import matrix_from
+
 
 def run(args):
     return main([str(a) for a in args])
@@ -36,6 +38,19 @@ class TestSynthCommand:
 
     def test_missing_out_is_validation_error(self, tmp_path):
         assert run(["synth", "--kind", "turmeric"]) == 2
+
+    @pytest.mark.parametrize(
+        "extra",
+        [{"replicates": "3"}, {"replicates": 2.5}, {"width": True}, {"levels": "0,5"},
+         {"noise": {"bogus": 1}}, {"noise": {"dark_sd": -1}}, {"illumination": [1]}],
+        ids=["string-int", "float-int", "bool-int", "string-levels", "unknown-noise-key",
+             "negative-noise", "list-illumination"],
+    )
+    def test_bad_study_config_values_exit_2(self, tmp_path, extra):
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps({"kind": "turmeric", **extra}))
+        assert run(["--config", config, "--out", tmp_path / "o", "synth"]) == 2
+        assert not (tmp_path / "o" / "reflectance").exists()
 
 
 class TestPreprocessMatrixTrainEval(object):
@@ -91,6 +106,24 @@ class TestPreprocessMatrixTrainEval(object):
         assert run(["--config", cfg, "--out", tmp_path / "o", "matrix"]) == 2
 
 
+class TestUnknownMode:
+    @pytest.mark.parametrize(
+        "command, config",
+        [("consistency", {"kind": "turmeric", "mode": "bogus", "width": 20, "height": 20}),
+         ("repeatability", {"mode": "bogus", "width": 20, "height": 20})],
+    )
+    def test_synthetic_fixture_commands_exit_2(self, tmp_path, command, config):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(config))
+        assert run(["--config", cfg, "--out", tmp_path / "o", command]) == 2
+
+    def test_single_input_matrix_exits_2(self, synth_dirs, tmp_path):
+        cfg = tmp_path / "m.json"
+        cfg.write_text(json.dumps({"input": str(synth_dirs / "transmittance"), "mode": "bogus"}))
+        assert run(["--config", cfg, "--out", tmp_path / "o", "matrix"]) == 2
+        assert not (tmp_path / "o" / "matrix.csv").exists()
+
+
 class TestOtherCommands:
     def test_protocol_sim(self, tmp_path):
         out = tmp_path / "proto"
@@ -140,8 +173,6 @@ class TestOtherCommands:
 class TestMalformedModelAndTrainConfigs:
     @pytest.fixture
     def matrix_csv(self, tmp_path):
-        from test_features import matrix_from
-
         rng = np.random.default_rng(0)
         labels = [lv for lv in (0.0, 5.0) for _ in range(6)]
         path = tmp_path / "m.csv"
@@ -184,8 +215,12 @@ class TestMalformedModelAndTrainConfigs:
 
     @pytest.mark.parametrize(
         "extra",
-        [{"params": {"depth": 3}}, {"params": [3]}, {"granularity": "bogus"}],
-        ids=["unknown-param", "params-not-object", "bogus-granularity"],
+        [{"params": {"depth": 3}}, {"params": [3]}, {"granularity": "bogus"},
+         {"model": "knn", "params": {"k": "5"}},
+         {"model": "random_forest", "params": {"bootstrap": 1}},
+         {"model": "logistic", "params": {"epochs": 10.5}}],
+        ids=["unknown-param", "params-not-object", "bogus-granularity", "string-param",
+             "int-for-bool-param", "float-for-int-param"],
     )
     def test_train_with_bad_config_exits_2(self, tmp_path, matrix_csv, extra):
         assert self.run_with(tmp_path, "train", {"matrix": str(matrix_csv), **extra}) == 2
@@ -193,4 +228,21 @@ class TestMalformedModelAndTrainConfigs:
     def test_train_with_known_params_exits_0(self, tmp_path, matrix_csv):
         config = {"matrix": str(matrix_csv), "model": "random_forest",
                   "params": {"n_trees": 3, "max_depth": 2}}
+        assert self.run_with(tmp_path, "train", config) == 0
+
+    @pytest.mark.parametrize("model", ["logistic", "knn", "linear_svm"])
+    def test_eval_on_wider_matrix_exits_2(self, tmp_path, matrix_csv, model):
+        config = {"matrix": str(matrix_csv), "model": model, "params": {"k": 1} if model == "knn" else {}}
+        assert self.run_with(tmp_path, "train", config) == 0
+        wide = tmp_path / "wide.csv"
+        labels = [lv for lv in (0.0, 5.0) for _ in range(6)]
+        matrix_from(np.zeros((12, 3)), labels=labels).to_csv(wide)
+        config = {"model": str(tmp_path / "o" / "model.json"), "matrix": str(wide)}
+        assert self.run_with(tmp_path, "eval", config) == 2
+
+    def test_train_with_null_optional_and_int_for_float_params_exits_0(self, tmp_path, matrix_csv):
+        config = {"matrix": str(matrix_csv), "model": "random_forest",
+                  "params": {"n_trees": 2, "max_depth": None, "mtry": 1}}
+        assert self.run_with(tmp_path, "train", config) == 0
+        config = {"matrix": str(matrix_csv), "model": "logistic", "params": {"lr": 1, "epochs": 20}}
         assert self.run_with(tmp_path, "train", config) == 0

@@ -5,7 +5,6 @@ from dualmsi.devicelink import (
     OP_CAPTURE_ALL,
     OP_CAPTURE_BAND,
     OP_DONE,
-    OP_READY,
     TICK,
     CaptureComplete,
     FirmwareConfig,
@@ -17,10 +16,7 @@ from dualmsi.devicelink import (
     SendReady,
     SimCamera,
     TimedOut,
-    WireMessage,
     capture_handshake,
-    decode,
-    encode,
     firmware_step,
     render_transcript,
     run_sequential_capture,
@@ -108,28 +104,6 @@ class TestFirmwareStep:
             firmware_step(FirmwareState(), TICK, (1, 2, 3), CONFIG)
         with pytest.raises(ValidationError):
             firmware_step(FirmwareState(), TICK, (300,) * 8, CONFIG)
-
-
-class TestWireCodec:
-    def test_round_trip_all_valid_messages(self):
-        messages = [
-            WireMessage(OP_CAPTURE_ALL),
-            WireMessage(OP_CAPTURE_BAND, 7),
-            WireMessage(OP_DONE),
-            WireMessage(OP_READY),
-            WireMessage(OP_CAPTURE_BAND, 0),
-        ]
-        data = encode(messages)
-        assert decode(data) == messages
-        assert encode(decode(data)) == data
-
-    def test_unknown_opcode_rejected(self):
-        with pytest.raises(ValidationError):
-            decode(b"\x00")
-
-    def test_truncated_frame_rejected(self):
-        with pytest.raises(ValidationError):
-            decode(bytes([OP_CAPTURE_BAND]))
 
 
 class TestHandshake:

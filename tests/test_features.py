@@ -9,17 +9,25 @@ from dualmsi.features import (
     apply_normalizer,
     band_normalize,
     build_matrix,
-    fisher_ratio,
     lda_fit,
-    lda_transform,
     merge,
     pca_fit,
-    pca_transform,
+    project,
     spectral_signature,
     superpixels,
 )
 
 from conftest import make_cube, random_raw_sample
+
+
+def fisher_ratio(values: np.ndarray, keys: np.ndarray, direction: np.ndarray) -> float:
+    """Between/within variance ratio of labeled data along a direction."""
+    z = values @ direction
+    classes = np.unique(keys)
+    grand = z.mean()
+    between = sum((z[keys == c].mean() - grand) ** 2 * (keys == c).sum() for c in classes)
+    within = sum(((z[keys == c] - z[keys == c].mean()) ** 2).sum() for c in classes)
+    return float(between / within) if within > 0 else float("inf")
 
 
 def matrix_from(values, labels=None, cols=None, sample_ids=None):
@@ -202,7 +210,7 @@ class TestPca:
         data = rng.normal(size=(20, 4))
         matrix = matrix_from(data)
         proj = pca_fit(matrix, k=4)
-        projected = pca_transform(proj, matrix)
+        projected = project(proj, matrix)
         recovered = projected.values @ proj.components + proj.mean
         assert np.allclose(recovered, data, atol=1e-9)
 
@@ -231,7 +239,7 @@ class TestPca:
         data = rng.normal(size=(60, 5)) @ rng.normal(size=(5, 5))
         matrix = matrix_from(data)
         proj = pca_fit(matrix, k=5)
-        z = pca_transform(proj, matrix).values
+        z = project(proj, matrix).values
         cov = np.cov(z.T)
         off = cov - np.diag(np.diag(cov))
         assert np.abs(off).max() < 1e-8
@@ -262,7 +270,7 @@ class TestLda:
         labels = [0.0] * 30 + [40.0] * 30
         matrix = matrix_from(data, labels=labels)
         proj = lda_fit(matrix, k=1)
-        z = lda_transform(proj, matrix).values[:, 0]
+        z = project(proj, matrix).values[:, 0]
         thr = (z[:30].mean() + z[30:].mean()) / 2
         predicted = np.where(z > thr, 40.0, 0.0) if z[30:].mean() > thr else np.where(z < thr, 40.0, 0.0)
         assert np.all(predicted == np.array(labels))

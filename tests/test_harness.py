@@ -7,7 +7,7 @@ from dualmsi.core import Mode
 from dualmsi.errors import ValidationError
 from dualmsi.harness import (
     repeatability_report,
-    run_coconut_oil_study,
+    run_case_study,
     run_pipeline_on_matrix,
     spatial_consistency_report,
     study_classifiers,
@@ -18,7 +18,7 @@ from dualmsi.harness import (
     write_study_bundle,
 )
 from dualmsi.preprocess import fit_corrections
-from dualmsi.studies import CaseStudyConfig, render_white_reference
+from dualmsi.studies import CaseStudyConfig, StudyKind, render_white_reference
 from dualmsi.synth import (
     Curve,
     IlluminationProfile,
@@ -71,7 +71,8 @@ class TestRepeatability:
 
 class TestSpatialConsistency:
     def test_flat_noise_free_white_has_zero_heatmap(self):
-        config = CaseStudyConfig.turmeric(
+        config = CaseStudyConfig.for_kind(
+            StudyKind.TURMERIC,
             illumination=IlluminationProfile.flat(0.6),
             noise=NoiseSpec.none(),
             width=30,
@@ -82,13 +83,13 @@ class TestSpatialConsistency:
         assert np.allclose(report.before.heatmap, 0.0)
 
     def test_corrections_reduce_mean_distance(self):
-        config = CaseStudyConfig.turmeric(width=60, height=60)
+        config = CaseStudyConfig.for_kind(StudyKind.TURMERIC, width=60, height=60)
         white = render_white_reference(config, Mode.REFLECTANCE, master_seed=2)
         report = spatial_consistency_report(white, fit_corrections(white))
         assert report.after.mean_distance < report.before.mean_distance
 
     def test_recommended_region_nonempty(self):
-        config = CaseStudyConfig.turmeric(width=60, height=60)
+        config = CaseStudyConfig.for_kind(StudyKind.TURMERIC, width=60, height=60)
         white = render_white_reference(config, Mode.REFLECTANCE, master_seed=2)
         report = spatial_consistency_report(white)
         assert report.region_size > 0
@@ -108,19 +109,40 @@ class TestPipelineRunner:
             run_pipeline_on_matrix(matrix, study_classifiers(0, ["knn"]), 0, projection="TSNE")
 
 
+STUDY_FILES = {
+    StudyKind.TURMERIC: {
+        "report.json", "accuracy_corrected.csv", "accuracy_uncorrected.csv", "merged_lda_scatter.dat",
+    },
+    StudyKind.COLOR_CHART: {"report.json", "accuracy.csv"},
+    StudyKind.COCONUT_OIL: {"report.json", "accuracy.csv", "kl_curve.csv", "functional_map.json"},
+}
+
+
 class TestDeterminism:
+    def run_oil(self):
+        config = CaseStudyConfig.for_kind(StudyKind.COCONUT_OIL, replicates=3, width=30, height=30)
+        return run_case_study(StudyKind.COCONUT_OIL, config, master_seed=9, classifier_kinds=("knn",))
+
     def test_oil_study_bundle_is_reproducible(self):
-        config = CaseStudyConfig.coconut_oil(replicates=3, width=30, height=30)
-        a = run_coconut_oil_study(config, master_seed=9, classifier_kinds=("knn",))
-        b = run_coconut_oil_study(config, master_seed=9, classifier_kinds=("knn",))
+        a, b = self.run_oil(), self.run_oil()
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
     def test_bundle_files_byte_identical(self, tmp_path):
-        config = CaseStudyConfig.coconut_oil(replicates=3, width=30, height=30)
-        bundle = run_coconut_oil_study(config, master_seed=9, classifier_kinds=("knn",))
+        bundle = self.run_oil()
         write_study_bundle(bundle, tmp_path / "a")
         write_study_bundle(bundle, tmp_path / "b")
         for name in ("report.json", "kl_curve.csv", "functional_map.json", "accuracy.csv"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    @pytest.mark.parametrize("kind", list(StudyKind), ids=lambda k: k.value)
+    def test_every_study_reruns_to_identical_files(self, tmp_path, kind):
+        config = CaseStudyConfig.for_kind(kind, replicates=3, width=30, height=30)
+        for out in ("a", "b"):
+            bundle = run_case_study(kind, config, master_seed=9, classifier_kinds=("knn",))
+            write_study_bundle(bundle, tmp_path / out)
+        names = {path.name for path in (tmp_path / "a").iterdir()}
+        assert names == STUDY_FILES[kind]
+        for name in names:
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 

@@ -321,12 +321,6 @@ class TestLinearSvm:
         log_acc = (LogisticRegressionGD(epochs=800).fit(x, y).predict(tx) == ty).mean()
         assert abs(svm_acc - log_acc) <= 0.02
 
-    def test_ovr_loss_available(self):
-        x = np.array([[-1.0], [1.0]])
-        y = np.array([0.0, 1.0])
-        model = LinearSVM(epochs=500, loss="ovr").fit(x, y)
-        assert np.all(model.predict(x) == y)
-
     def test_json_round_trip(self):
         rng = np.random.default_rng(58)
         x, y = two_cluster_fixture(rng, n_per=10)
@@ -334,6 +328,12 @@ class TestLinearSvm:
         again = model_from_json(model.to_json())
         queries = rng.normal(size=(8, 2)) * 2
         assert np.array_equal(model.predict(queries), again.predict(queries))
+
+    def test_json_names_the_multiclass_loss_and_rejects_others(self):
+        obj = LinearSVM(epochs=10).fit(np.array([[-1.0], [1.0]]), np.array([0.0, 1.0])).to_json()
+        assert obj["loss"] == "multiclass"
+        with pytest.raises(ValidationError):
+            model_from_json({**obj, "loss": "ovr"})
 
 
 class TestEvaluate:
@@ -680,3 +680,13 @@ class TestMalformedModelJson:
         model = model_from_json(json.loads(SEED_TREE_JSON))
         with pytest.raises(ValidationError):
             model.predict(np.zeros((2, 1)))
+
+    @pytest.mark.parametrize(
+        "model",
+        [KNearestNeighbors(k=1), LogisticRegressionGD(epochs=5), LinearSVM(epochs=5)],
+        ids=["knn", "logistic", "linear_svm"],
+    )
+    def test_linear_and_knn_models_check_row_width(self, model):
+        model.fit(np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([0.0, 5.0]))
+        with pytest.raises(ValidationError):
+            model.predict(np.zeros((2, 3)))

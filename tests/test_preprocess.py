@@ -116,7 +116,8 @@ class TestSpatialGain:
         # pure linear tilt, where box smoothing is unbiased.
         from dualmsi.synth import NoiseSpec
 
-        config = CaseStudyConfig.turmeric(
+        config = CaseStudyConfig.for_kind(
+            StudyKind.TURMERIC,
             illumination=IlluminationProfile(tilt_x=0.15, tilt_y=0.10, radial_falloff=0.0),
             noise=NoiseSpec(dark_mean=80, dark_sd=1.0, shot_sd_fraction=0.001,
                             texture_shared_sd=0.0, texture_band_sd=0.0),
@@ -132,7 +133,8 @@ class TestSpatialGain:
     @pytest.mark.parametrize("corner_ratio", [0.3, 0.5, 0.7, 0.9])
     def test_flat_field_property(self, corner_ratio):
         # fit+apply on the fitting reference flattens it to <= 2% rel std
-        config = CaseStudyConfig.turmeric(
+        config = CaseStudyConfig.for_kind(
+            StudyKind.TURMERIC,
             illumination=IlluminationProfile.corner_ratio(corner_ratio),
         )
         white = render_white_reference(config, Mode.REFLECTANCE, master_seed=21)
@@ -259,7 +261,7 @@ class TestBilateral:
 class TestPipeline:
     @pytest.fixture()
     def white_and_corrections(self):
-        config = CaseStudyConfig.turmeric(width=40, height=40)
+        config = CaseStudyConfig.for_kind(StudyKind.TURMERIC, width=40, height=40)
         white = render_white_reference(config, Mode.REFLECTANCE, master_seed=3)
         return config, white, fit_corrections(white)
 
@@ -299,13 +301,13 @@ class TestPipeline:
     def test_corrections_reduce_spatial_variation(self):
         # tilted-illumination scene: per-band coefficient of variation must
         # shrink once spatial-spectral corrections run
-        config = CaseStudyConfig.turmeric(width=50, height=50)
+        config = CaseStudyConfig.for_kind(StudyKind.TURMERIC, width=50, height=50)
         white = render_white_reference(config, Mode.REFLECTANCE, master_seed=5)
         corrections = fit_corrections(white)
         from dualmsi.studies import generate_case_study
         data = generate_case_study(
             StudyKind.TURMERIC,
-            CaseStudyConfig.turmeric(replicates=1, levels=(0.0, 5.0), width=50, height=50),
+            CaseStudyConfig.for_kind(StudyKind.TURMERIC, replicates=1, levels=(0.0, 5.0), width=50, height=50),
             master_seed=5,
         )
         sample = data.reflectance[0]

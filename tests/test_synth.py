@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -247,7 +248,7 @@ class TestRepeatSeries:
 
 class TestCaseStudies:
     def test_turmeric_counts_and_pairing(self):
-        config = CaseStudyConfig.turmeric(width=12, height=12)
+        config = CaseStudyConfig.for_kind(StudyKind.TURMERIC, width=12, height=12)
         data = generate_case_study(StudyKind.TURMERIC, config, master_seed=1)
         assert len(data.reflectance) == 81
         assert len(data.transmittance) == 81
@@ -258,24 +259,76 @@ class TestCaseStudies:
         assert modes == {Mode.REFLECTANCE}
 
     def test_coconut_oil_counts(self):
-        config = CaseStudyConfig.coconut_oil(width=12, height=12)
+        config = CaseStudyConfig.for_kind(StudyKind.COCONUT_OIL, width=12, height=12)
         data = generate_case_study(StudyKind.COCONUT_OIL, config, master_seed=1)
         assert len(data.transmittance) == 72
         assert len(data.reflectance) == 0
 
     def test_color_chart_counts(self):
-        config = CaseStudyConfig.color_chart(replicates=4, width=12, height=12)
+        config = CaseStudyConfig.for_kind(StudyKind.COLOR_CHART, replicates=4, width=12, height=12)
         data = generate_case_study(StudyKind.COLOR_CHART, config, master_seed=1)
         assert len(data.reflectance) == 96
         assert {s.label.class_id for s in data.reflectance} == set(range(24))
 
     def test_deterministic_given_master_seed(self):
-        config = CaseStudyConfig.coconut_oil(replicates=2, width=10, height=10)
+        config = CaseStudyConfig.for_kind(StudyKind.COCONUT_OIL, replicates=2, width=10, height=10)
         a = generate_case_study(StudyKind.COCONUT_OIL, config, master_seed=5)
         b = generate_case_study(StudyKind.COCONUT_OIL, config, master_seed=5)
         assert all(x == y for x, y in zip(a.transmittance, b.transmittance))
 
     def test_config_kind_mismatch_rejected(self):
-        config = CaseStudyConfig.turmeric()
+        config = CaseStudyConfig.for_kind(StudyKind.TURMERIC)
         with pytest.raises(ValidationError):
             generate_case_study(StudyKind.COCONUT_OIL, config, master_seed=0)
+
+
+CONFIG_FIELDS = [f.name for f in fields(CaseStudyConfig)]
+NESTED_KEYS = [f.name for spec in (NoiseSpec, IlluminationProfile, BandSet) for f in fields(spec)]
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(NESTED_KEYS) | st.text(max_size=4), inner, max_size=3),
+    max_leaves=10,
+)
+
+
+class TestStudyConfigJson:
+    def test_empty_object_gives_the_kind_defaults(self):
+        for kind in StudyKind:
+            assert CaseStudyConfig.from_json(kind, {"kind": "ignored"}) == CaseStudyConfig.for_kind(kind)
+
+    def test_reads_fields_and_nested_specs(self):
+        obj = {"replicates": 3, "levels": [0, 10], "depth": 2, "noise": {"dark_mean": 70},
+               "illumination": {"center": [1, 2]}, "n_times": 4}
+        config = CaseStudyConfig.from_json(StudyKind.COCONUT_OIL, obj)
+        assert config == CaseStudyConfig.for_kind(
+            StudyKind.COCONUT_OIL,
+            replicates=3,
+            levels=(0.0, 10.0),
+            depth=2.0,
+            noise=NoiseSpec(dark_mean=70.0),
+            illumination=IlluminationProfile(center=(1.0, 2.0)),
+        )
+
+    @pytest.mark.parametrize(
+        "obj",
+        [{"replicates": "3"}, {"replicates": True}, {"depth": False}, {"width": 1.0},
+         {"levels": [0, "5"]}, {"noise": {"bogus": 1}}, {"noise": []},
+         {"illumination": {"center": [1, 2, 3]}}, {"band_set": {"wavelengths_nm": [405.5]}},
+         {"depth": 10**400}],
+    )
+    def test_wrong_types_are_validation_errors(self, obj):
+        with pytest.raises(ValidationError):
+            CaseStudyConfig.from_json(StudyKind.TURMERIC, obj)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        kind=st.sampled_from(list(StudyKind)),
+        obj=st.dictionaries(st.sampled_from(CONFIG_FIELDS), JSON_VALUES, max_size=4),
+    )
+    def test_any_json_gives_a_config_or_validation_error(self, kind, obj):
+        try:
+            config = CaseStudyConfig.from_json(kind, obj)
+        except ValidationError:
+            return
+        assert config.kind is kind
