@@ -17,7 +17,6 @@ from .core import (
     Mode,
     Sample,
     SpectralCube,
-    SpectralFrame,
     TABLE1_WAVELENGTHS,
     crop,
     load_dataset,

@@ -72,6 +72,11 @@ def _load_config(path: str | None) -> dict:
     return obj
 
 
+def _key(config: dict, key: str, hint, default=None):
+    """``config[key]`` read as ``hint`` by ``json_value``, or ``default`` if absent."""
+    return json_value(hint, config[key], key) if key in config else default
+
+
 def _enum_value(enum, value, what: str):
     try:
         return enum(value)
@@ -119,12 +124,11 @@ def cmd_preprocess(args, config: dict) -> int:
     if "input" not in config:
         raise ValidationError("config needs 'input' (dataset directory)")
     out = _require_out(args)
-    samples = load_dataset(config["input"])
-    options = PipelineOptions.from_json(config.get("options", {}))
+    samples = load_dataset(_key(config, "input", str))
+    options = _key(config, "options", PipelineOptions, PipelineOptions())
     corrections = None
-    if config.get("white"):
-        white = load_dataset(config["white"])[0]
-        corrections = fit_corrections(white)
+    if white := _key(config, "white", str):
+        corrections = fit_corrections(load_dataset(white)[0])
     quantized = [
         quantize_sample(preprocess_pipeline(s, corrections, options)) for s in samples
     ]
@@ -137,18 +141,23 @@ def cmd_matrix(args, config: dict) -> int:
     """Build a data matrix CSV from one or two (paired) dataset directories."""
     out = _require_out(args)
     if "reflectance" in config and "transmittance" in config:
-        r = build_matrix(load_dataset(config["reflectance"]), Mode.REFLECTANCE)
-        t = build_matrix(load_dataset(config["transmittance"]), Mode.TRANSMITTANCE)
+        r = build_matrix(load_dataset(_key(config, "reflectance", str)), Mode.REFLECTANCE)
+        t = build_matrix(load_dataset(_key(config, "transmittance", str)), Mode.TRANSMITTANCE)
         matrix = merge(r, t)
     elif "input" in config:
         mode = _enum_value(Mode, config.get("mode", "reflectance"), "mode")
-        matrix = build_matrix(load_dataset(config["input"]), mode)
+        matrix = build_matrix(load_dataset(_key(config, "input", str)), mode)
     else:
         raise ValidationError("config needs 'input' or 'reflectance'+'transmittance'")
-    path = out / config.get("name", "matrix.csv")
+    path = out / _key(config, "name", str, "matrix.csv")
     matrix.to_csv(path)
     print(f"wrote {matrix.n_rows}x{matrix.n_cols} matrix to {path}")
     return EXIT_OK
+
+
+def _matrix_csv(config: dict) -> DataMatrix:
+    label_kind = _key(config, "label_kind", str, "adulteration")
+    return DataMatrix.from_csv(_key(config, "matrix", str), label_kind)
 
 
 def cmd_train(args, config: dict) -> int:
@@ -156,8 +165,8 @@ def cmd_train(args, config: dict) -> int:
     if "matrix" not in config:
         raise ValidationError("config needs 'matrix' (CSV path)")
     out = _require_out(args)
-    matrix = DataMatrix.from_csv(config["matrix"], config.get("label_kind", "adulteration"))
-    kind = config.get("model", "decision_tree")
+    matrix = _matrix_csv(config)
+    kind = _key(config, "model", str, "decision_tree")
     if kind not in MODEL_KINDS:
         raise ValidationError(f"unknown model {kind!r} (choose from {sorted(MODEL_KINDS)})")
     granularity = _enum_value(Granularity, config.get("granularity", "sample"), "granularity")
@@ -170,7 +179,7 @@ def cmd_train(args, config: dict) -> int:
         raise ValidationError(f"unknown {kind} params {unknown} (choose from {sorted(allowed)})")
     hints = get_type_hints(MODEL_KINDS[kind].__init__)
     params = {k: json_value(hints[k], v, f"{kind} param {k}") for k, v in params.items()}
-    split = stratified_split(matrix, config.get("fraction", 0.75), args.seed, granularity)
+    split = stratified_split(matrix, _key(config, "fraction", float, 0.75), args.seed, granularity)
     train, test = split_matrix(matrix, split)
     model = MODEL_KINDS[kind](**params).fit(train.values, train.label_keys())
     save_model(model, out / "model.json")
@@ -187,8 +196,8 @@ def cmd_eval(args, config: dict) -> int:
         if key not in config:
             raise ValidationError(f"config needs '{key}'")
     out = _require_out(args)
-    model = load_model(config["model"])
-    matrix = DataMatrix.from_csv(config["matrix"], config.get("label_kind", "adulteration"))
+    model = load_model(_key(config, "model", str))
+    matrix = _matrix_csv(config)
     cm = evaluate(model, matrix)
     write_json(cm.to_json(), out / "eval.json")
     print(f"accuracy {cm.accuracy:.4f} over {cm.total} rows")
@@ -200,13 +209,13 @@ def cmd_kl_regress(args, config: dict) -> int:
     if "input" not in config:
         raise ValidationError("config needs 'input' (transmittance dataset directory)")
     out = _require_out(args)
-    samples = load_dataset(config["input"])
+    samples = load_dataset(_key(config, "input", str))
     extractor = lda_feature_extractor(samples)
     points = adulteration_curve(
         samples,
         extractor,
-        reference_label=config.get("reference_label", 0.0),
-        n_bins=config.get("n_bins", 24),
+        reference_label=_key(config, "reference_label", float, 0.0),
+        n_bins=_key(config, "n_bins", int, 24),
     )
     medians = median_curve(points)
     fmap = fit_linear(points)
@@ -231,14 +240,14 @@ def cmd_consistency(args, config: dict) -> int:
     """Spatial consistency report from a white dataset (or a synthetic one)."""
     out = _require_out(args)
     if "white" in config:
-        white = load_dataset(config["white"])[0]
+        white = load_dataset(_key(config, "white", str))[0]
     else:
         kind = _study_kind(config.get("kind", "turmeric"))
         study_config = CaseStudyConfig.from_json(kind, config)
         mode = _enum_value(Mode, config.get("mode", "reflectance"), "mode")
         white = render_white_reference(study_config, mode, args.seed)
     report = spatial_consistency_report(white)
-    write_consistency_report(report, out, band=config.get("band"))
+    write_consistency_report(report, out, band=_key(config, "band", int | None))
     print(
         f"mean spectral distance {report.before.mean_distance:.5f} -> "
         f"{report.after.mean_distance:.5f}; recommended region {report.region_size} px"
@@ -261,7 +270,7 @@ def cmd_repeatability(args, config: dict) -> int:
         rng_seed=args.seed,
     )
     series = render_repeat_series(
-        scene, config.get("n_times", 10), config.get("drift_amplitude")
+        scene, _key(config, "n_times", int, 10), _key(config, "drift_amplitude", float | None)
     )
     report = repeatability_report(series)
     report["per_band_deviation_pct"] = {
@@ -276,17 +285,17 @@ def cmd_protocol_sim(args, config: dict) -> int:
     """Run the capture handshake simulation and write the transcript."""
     out = _require_out(args)
     fw = FirmwareConfig(
-        n_bands=config.get("n_bands", 13),
-        timeout_steps=config.get("timeout_steps", 16),
+        n_bands=_key(config, "n_bands", int, 13),
+        timeout_steps=_key(config, "timeout_steps", int, 16),
     )
     camera = SimCamera(
-        exposure_steps=config.get("exposure_steps", 1),
-        fail=config.get("fail", False),
+        exposure_steps=_key(config, "exposure_steps", int, 1),
+        fail=_key(config, "fail", bool, False),
     )
-    if config.get("sequential", True):
+    if _key(config, "sequential", bool, True):
         transcript = run_sequential_capture(fw, camera)
     else:
-        transcript = capture_handshake(config.get("band", 0), fw, camera)
+        transcript = capture_handshake(_key(config, "band", int, 0), fw, camera)
     (out / "transcript.log").write_text(render_transcript(transcript))
     print(f"{len(transcript)} events -> {out / 'transcript.log'}")
     return EXIT_OK

@@ -1,10 +1,11 @@
 """Domain types, the portable sample directory format, and cube utilities.
 
-A capture of one specimen is a :class:`SpectralCube`: one monochrome frame
-per illumination band plus a dark frame recorded with all LEDs off.  All
-types here are immutable after construction (arrays are locked read-only)
-and every operation is a pure function, so cubes and samples can be shared
-freely across threads.
+A capture of one specimen is a :class:`SpectralCube`: one (B, h, w) array
+holding a monochrome frame per illumination band, in band-set order, plus
+the (h, w) dark frame recorded with all LEDs off.  All types here are
+immutable after construction (arrays are locked read-only) and every
+operation is a pure function, so cubes and samples can be shared freely
+across threads.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass, field, is_dataclass, replace
 from enum import Enum
 from pathlib import Path
 from types import UnionType
-from typing import Iterator, Mapping, Union, get_args, get_origin, get_type_hints
+from typing import Iterator, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -91,118 +92,69 @@ def _lock(arr: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class SpectralFrame:
-    """One monochrome frame: uint16 raw counts or float64 in [0, 1].
-
-    ``saturated`` is derived from the pixel values: a raw frame is
-    saturated when any pixel sits at full scale, a normalized frame when
-    any pixel reaches 1.0.
-    """
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.values)
-        if arr.ndim != 2 or arr.shape[0] <= 0 or arr.shape[1] <= 0:
-            raise ValidationError(f"frame must be a non-empty 2-D grid, got {arr.shape}")
-        if np.issubdtype(arr.dtype, np.integer):
-            arr = arr.astype(np.uint16) if arr.dtype != np.uint16 else arr
-            if self._out_of_range(np.asarray(self.values)):
-                raise ValidationError("raw frame values outside [0, 65535]")
-        elif np.issubdtype(arr.dtype, np.floating):
-            arr = arr.astype(np.float64, copy=False)
-            if not np.all(np.isfinite(arr)):
-                raise ValidationError("normalized frame contains non-finite values")
-        else:
-            raise ValidationError(f"unsupported frame dtype {arr.dtype}")
-        object.__setattr__(self, "values", _lock(arr))
-
-    @staticmethod
-    def _out_of_range(arr: np.ndarray) -> bool:
-        return bool(arr.size) and (int(arr.min()) < 0 or int(arr.max()) > RAW_MAX)
-
-    @property
-    def width(self) -> int:
-        return self.values.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def is_raw(self) -> bool:
-        return np.issubdtype(self.values.dtype, np.integer)
-
-    @property
-    def saturated(self) -> bool:
-        if self.is_raw:
-            return bool((self.values == RAW_MAX).any())
-        return bool((self.values >= 1.0).any())
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SpectralFrame):
-            return NotImplemented
-        return self.values.dtype == other.values.dtype and np.array_equal(
-            self.values, other.values
-        )
+def _counts(arr, ndim: int, what: str) -> np.ndarray:
+    """``arr`` locked as uint16 raw counts in [0, 65535] or finite float64."""
+    arr = np.asarray(arr)
+    if arr.ndim != ndim or 0 in arr.shape:
+        raise ValidationError(f"{what} must be a non-empty {ndim}-D array, got shape {arr.shape}")
+    if np.issubdtype(arr.dtype, np.integer):
+        if int(arr.min()) < 0 or int(arr.max()) > RAW_MAX:
+            raise ValidationError(f"raw {what} values outside [0, 65535]")
+        arr = arr.astype(np.uint16, copy=False)
+    elif np.issubdtype(arr.dtype, np.floating):
+        arr = arr.astype(np.float64, copy=False)
+        if not np.all(np.isfinite(arr)):
+            raise ValidationError(f"normalized {what} contains non-finite values")
+    else:
+        raise ValidationError(f"unsupported {what} dtype {arr.dtype}")
+    return _lock(arr)
 
 
 @dataclass(frozen=True, eq=False)
 class SpectralCube:
-    """Per-band frames plus the dark frame for one capture.
+    """One capture: a (B, h, w) stack of band frames plus the dark frame.
 
-    Invariants checked on construction: the band map covers the band set
-    exactly once, and every frame (dark included) has identical
-    dimensions.
+    ``values[i]`` is the frame of ``band_set.wavelengths_nm[i]``; ``dark``
+    is the (h, w) frame recorded with all LEDs off.  Both hold uint16 raw
+    counts or float64 in [0, 1] (one dtype for the whole cube) and are
+    locked read-only on construction.
     """
 
-    bands: Mapping[int, SpectralFrame]
-    dark: SpectralFrame
+    values: np.ndarray
+    dark: np.ndarray
     mode: Mode
     band_set: BandSet
 
     def __post_init__(self):
-        bands = dict(self.bands)
-        expected = set(self.band_set)
-        got = set(bands)
-        if got != expected:
-            missing = sorted(expected - got)
-            extra = sorted(got - expected)
+        values = _counts(self.values, 3, "band frames")
+        dark = _counts(self.dark, 2, "dark frame")
+        if values.shape[0] != len(self.band_set):
             raise ValidationError(
-                f"band map does not match band set (missing={missing}, extra={extra})"
+                f"{values.shape[0]} band frames for the bands {self.band_set.wavelengths_nm}"
             )
-        shape = self.dark.values.shape
-        for wl, frame in bands.items():
-            if frame.values.shape != shape:
-                raise DimensionMismatchError(
-                    f"band {wl} nm is {frame.values.shape}, dark frame is {shape}"
-                )
-        object.__setattr__(self, "bands", bands)
+        if values.shape[1:] != dark.shape:
+            raise DimensionMismatchError(
+                f"band frames are {values.shape[1:]}, dark frame is {dark.shape}"
+            )
+        if values.dtype != dark.dtype:
+            raise ValidationError(f"band frames are {values.dtype}, dark frame is {dark.dtype}")
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "dark", dark)
 
     @property
     def width(self) -> int:
-        return self.dark.width
+        return self.dark.shape[1]
 
     @property
     def height(self) -> int:
-        return self.dark.height
+        return self.dark.shape[0]
 
     @property
     def is_raw(self) -> bool:
-        return self.dark.is_raw
+        return self.dark.dtype == np.uint16
 
-    def frame(self, wavelength_nm: int) -> SpectralFrame:
-        return self.bands[wavelength_nm]
-
-    def stack(self) -> np.ndarray:
-        """Band frames as one (B, h, w) array in band-set order."""
-        return np.stack([self.bands[wl].values for wl in self.band_set])
-
-    def map_frames(self, fn) -> "SpectralCube":
-        """New cube with ``fn(values) -> values`` applied to every band."""
-        bands = {wl: SpectralFrame(fn(f.values)) for wl, f in self.bands.items()}
-        return replace(self, bands=bands)
+    def frame(self, wavelength_nm: int) -> np.ndarray:
+        return self.values[self.band_set.index(wavelength_nm)]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SpectralCube):
@@ -210,8 +162,9 @@ class SpectralCube:
         return (
             self.mode == other.mode
             and self.band_set == other.band_set
-            and self.dark == other.dark
-            and all(self.bands[wl] == other.bands[wl] for wl in self.band_set)
+            and self.values.dtype == other.values.dtype
+            and np.array_equal(self.values, other.values)
+            and np.array_equal(self.dark, other.dark)
         )
 
 
@@ -305,19 +258,18 @@ def crop(cube: SpectralCube, x: int, y: int, w: int, h: int) -> SpectralCube:
         raise ValidationError(
             f"crop rectangle ({x},{y},{w},{h}) exceeds frame {cube.width}x{cube.height}"
         )
-    window = np.s_[y : y + h, x : x + w]
-    bands = {wl: SpectralFrame(f.values[window]) for wl, f in cube.bands.items()}
-    dark = SpectralFrame(cube.dark.values[window])
-    return SpectralCube(bands=bands, dark=dark, mode=cube.mode, band_set=cube.band_set)
+    rows, cols = slice(y, y + h), slice(x, x + w)
+    return replace(cube, values=cube.values[:, rows, cols], dark=cube.dark[rows, cols])
 
 
 def json_value(hint, value, what: str):
     """``value`` parsed from JSON as the annotated type ``hint``.
 
     Numbers must be JSON numbers (an int is accepted for a float, a bool
-    never is), tuples come from lists, ``X | None`` also takes null, and a
-    dataclass comes from an object whose keys name its fields, each read
-    the same way.  Anything else raises ValidationError.
+    never is), a string or bool must be one, tuples come from lists,
+    ``X | None`` also takes null, and a dataclass comes from an object
+    whose keys name its fields, each read the same way.  Anything else
+    raises ValidationError.
     """
     if get_origin(hint) in (Union, UnionType):
         if value is None and type(None) in get_args(hint):
@@ -334,7 +286,7 @@ def json_value(hint, value, what: str):
         if unknown:
             raise ValidationError(f"unknown {what} keys {unknown} (choose from {sorted(hints)})")
         return hint(**{k: json_value(hints[k], v, f"{what}.{k}") for k, v in value.items()})
-    if hint is bool and isinstance(value, bool):
+    if hint in (bool, str) and isinstance(value, hint):
         return value
     if hint in (int, float) and isinstance(value, (int, float)) and not isinstance(value, bool):
         if hint is int and isinstance(value, int):
@@ -389,9 +341,9 @@ def save_sample(sample: Sample, dir_path) -> None:
     }
     payload = json.dumps(manifest, indent=2).encode("utf-8") + b"\n"
     (directory / MANIFEST_NAME).write_bytes(payload)
-    write_pgm16(directory / DARK_NAME, cube.dark.values)
-    for wl in cube.band_set:
-        write_pgm16(directory / _band_filename(wl), cube.frame(wl).values)
+    write_pgm16(directory / DARK_NAME, cube.dark)
+    for wl, values in zip(cube.band_set, cube.values):
+        write_pgm16(directory / _band_filename(wl), values)
 
 
 def load_sample(dir_path) -> Sample:
@@ -424,7 +376,7 @@ def load_sample(dir_path) -> Sample:
         raise ValidationError(f"duplicate wavelength in manifest: {sorted(wavelengths)}")
     band_set = BandSet(tuple(sorted(wavelengths)))
 
-    def read_frame(file_name: str, wavelength_nm: int | None) -> SpectralFrame:
+    def read_frame(file_name: str, wavelength_nm: int | None) -> np.ndarray:
         path = directory / file_name
         if not path.is_file():
             if wavelength_nm is not None:
@@ -436,14 +388,12 @@ def load_sample(dir_path) -> Sample:
                 f"{file_name} is {values.shape[1]}x{values.shape[0]}, "
                 f"manifest says {width}x{height}"
             )
-        return SpectralFrame(values)
+        return values
 
-    bands = {
-        int(entry["wavelength_nm"]): read_frame(entry["file"], int(entry["wavelength_nm"]))
-        for entry in manifest["bands"]
-    }
+    files = {int(entry["wavelength_nm"]): entry["file"] for entry in manifest["bands"]}
+    values = np.stack([read_frame(files[wl], wl) for wl in band_set])
     dark = read_frame(manifest["dark"], None)
-    cube = SpectralCube(bands=bands, dark=dark, mode=mode, band_set=band_set)
+    cube = SpectralCube(values=values, dark=dark, mode=mode, band_set=band_set)
     return Sample(id=str(manifest["id"]), cube=cube, label=label)
 
 

@@ -129,7 +129,7 @@ def superpixels(cube: SpectralCube, block: int = 10) -> np.ndarray:
             f"frame {cube.width}x{cube.height} not divisible by block {block}; "
             "trailing pixels dropped"
         )
-    stack = cube.stack().astype(np.float64)[:, : ny * block, : nx * block]
+    stack = cube.values.astype(np.float64)[:, : ny * block, : nx * block]
     blocks = stack.reshape(len(cube.band_set), ny, block, nx, block).mean(axis=(2, 4))
     return blocks.reshape(len(cube.band_set), ny * nx).T
 

@@ -20,7 +20,7 @@ from typing import Mapping, Sequence
 import numpy as np
 from scipy.ndimage import uniform_filter
 
-from .core import Mode, Sample
+from .core import Mode, Sample, SpectralCube
 from .divergence import (
     adulteration_curve,
     band_feature_extractor,
@@ -67,9 +67,10 @@ from .studies import (
 
 @dataclass(frozen=True)
 class SpatialVariant:
-    """One correction variant of the white-reference study."""
+    """One correction variant of the white-reference study; the frames of
+    its ``cube`` are the per-band intensity surfaces."""
 
-    surfaces: Mapping[int, np.ndarray]
+    cube: SpectralCube
     heatmap: np.ndarray
     center: tuple[int, int]
     mean_distance: float
@@ -89,15 +90,14 @@ class SpatialConsistencyReport:
 
 def _spatial_variant(sample: Sample) -> SpatialVariant:
     cube = sample.cube
-    stack = cube.stack()  # (B, h, w)
-    total = stack.sum(axis=0)
+    total = cube.values.sum(axis=0)
     smoothed = uniform_filter(total, size=11, mode="nearest")
     flat_index = int(np.argmax(smoothed))
     cy, cx = np.unravel_index(flat_index, smoothed.shape)
-    center_vec = stack[:, cy, cx]
-    heatmap = np.sqrt(((stack - center_vec[:, None, None]) ** 2).sum(axis=0))
+    center_vec = cube.values[:, cy, cx]
+    heatmap = np.sqrt(((cube.values - center_vec[:, None, None]) ** 2).sum(axis=0))
     return SpatialVariant(
-        surfaces={wl: cube.frame(wl).values for wl in cube.band_set},
+        cube=cube,
         heatmap=heatmap,
         center=(int(cx), int(cy)),
         mean_distance=float(heatmap.mean()),
@@ -138,9 +138,11 @@ def repeatability_report(series: Sequence[Sample]) -> dict:
     if len(series) < 2:
         raise ValidationError("repeatability needs at least 2 captures")
     band_set = series[0].cube.band_set
+    if any(s.cube.band_set != band_set for s in series):
+        raise ValidationError("repeatability captures must share one band set")
+    band_means = np.stack([s.cube.values.mean(axis=(1, 2)) for s in series], axis=1)
     deviations = {}
-    for wl in band_set:
-        means = np.array([float(s.cube.frame(wl).values.mean()) for s in series])
+    for wl, means in zip(band_set, band_means):
         center = means.mean()
         if center == 0 or np.all(means == means[0]):
             # identical captures deviate by exactly zero; averaging identical
@@ -490,6 +492,10 @@ def write_study_bundle(bundle: dict, out_dir) -> None:
 
 
 def write_consistency_report(report: SpatialConsistencyReport, out_dir, band: int | None = None) -> None:
+    wavelengths = report.after.cube.band_set.wavelengths_nm
+    shown = band if band is not None else wavelengths[len(wavelengths) // 2]
+    if shown not in wavelengths:
+        raise ValidationError(f"band {shown} nm is not in the band set {wavelengths}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     summary = {
@@ -500,10 +506,8 @@ def write_consistency_report(report: SpatialConsistencyReport, out_dir, band: in
         "recommended_region_pixels": report.region_size,
     }
     write_json(summary, out / "consistency.json")
-    bands = list(report.after.surfaces)
-    shown = band if band is not None else bands[len(bands) // 2]
-    write_grid(report.before.surfaces[shown], out / f"surface_{shown}_before.dat")
-    write_grid(report.after.surfaces[shown], out / f"surface_{shown}_after.dat")
+    write_grid(report.before.cube.frame(shown), out / f"surface_{shown}_before.dat")
+    write_grid(report.after.cube.frame(shown), out / f"surface_{shown}_after.dat")
     write_grid(report.before.heatmap, out / "heatmap_before.dat")
     write_grid(report.after.heatmap, out / "heatmap_after.dat")
     write_grid(report.recommended_region.astype(float), out / "recommended_region.dat")

@@ -78,6 +78,9 @@ WHITE_REFERENCE = MaterialSpec(
 )
 
 
+PALETTE_SIZE = 24
+
+
 def color_chart_material(class_id: int) -> MaterialSpec:
     """One of the 24 palette colors as a smooth single-bump albedo curve.
 
@@ -85,8 +88,8 @@ def color_chart_material(class_id: int) -> MaterialSpec:
     the spectral bump from 380 nm out to 940 nm and the row broadens it
     while lifting the baseline, giving 24 distinct, well-spaced spectra.
     """
-    if not 0 <= class_id < 24:
-        raise ValueError(f"palette has 24 colors, got class {class_id}")
+    if not 0 <= class_id < PALETTE_SIZE:
+        raise ValueError(f"palette has {PALETTE_SIZE} colors, got class {class_id}")
     row, col = divmod(class_id, 8)
     mu = 380.0 + col * (560.0 / 7.0)
     sigma = 45.0 + row * 20.0

@@ -2,8 +2,8 @@
 
 The fixed stage order is crop -> dark subtraction -> spatial gain ->
 spectral gain -> bilateral filter.  Gains are fitted once on a uniform
-white reference and are immutable afterwards; every function here is pure
-per frame, so bands and samples can be processed in parallel.
+white reference and are immutable afterwards; every function here is pure,
+so samples can be processed in parallel.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from typing import Mapping
 import numpy as np
 from scipy.ndimage import uniform_filter
 
-from .core import RAW_MAX, Sample, SpectralCube, SpectralFrame, crop
+from .core import RAW_MAX, Sample, SpectralCube, crop
 from .errors import DegenerateReferenceError, DimensionMismatchError, ValidationError
 
 
@@ -31,15 +31,9 @@ def subtract_dark(cube: SpectralCube) -> SpectralCube:
     """
     if not cube.is_raw:
         raise ValidationError("subtract_dark expects a raw cube")
-    dark = cube.dark.values.astype(np.int64)
-
-    def correct(values: np.ndarray) -> np.ndarray:
-        lifted = values.astype(np.int64) - dark
-        return np.maximum(lifted, 0).astype(np.float64) / RAW_MAX
-
-    bands = {wl: SpectralFrame(correct(f.values)) for wl, f in cube.bands.items()}
-    zero = SpectralFrame(np.zeros_like(dark, dtype=np.float64))
-    return SpectralCube(bands=bands, dark=zero, mode=cube.mode, band_set=cube.band_set)
+    lifted = cube.values.astype(np.int64) - cube.dark.astype(np.int64)
+    values = np.maximum(lifted, 0).astype(np.float64) / RAW_MAX
+    return replace(cube, values=values, dark=np.zeros(cube.dark.shape))
 
 
 @dataclass(frozen=True)
@@ -85,36 +79,39 @@ def fit_spatial_gain(white_cube: SpectralCube, window: int = 11, floor: float = 
         raise ValidationError("fit_spatial_gain expects a dark-subtracted float cube")
     if window < 1 or window % 2 == 0:
         raise ValidationError(f"smoothing window must be odd and >= 1: {window}")
-    gains, flags = {}, {}
-    for wl in white_cube.band_set:
-        smooth = uniform_filter(white_cube.frame(wl).values, size=window, mode="nearest")
-        peak = float(smooth.max())
-        if peak <= 0.0:
+    # size 1 along the band axis: each band is smoothed on its own
+    smooth = uniform_filter(white_cube.values, size=(1, window, window), mode="nearest")
+    peak = smooth.max(axis=(1, 2), keepdims=True)
+    for wl, band_peak in zip(white_cube.band_set, peak.ravel()):
+        if band_peak <= 0.0:
             raise DegenerateReferenceError(f"white reference band {wl} nm is all zero")
-        low = smooth < floor * peak
-        gain = peak / np.where(low, floor * peak, smooth)
-        gains[wl] = gain
-        flags[wl] = low
-    return SpatialGain(gains=gains, flags=flags, window=window, floor=floor)
+    low = smooth < floor * peak
+    gain = peak / np.where(low, floor * peak, smooth)
+    bands = white_cube.band_set
+    return SpatialGain(
+        gains=dict(zip(bands, gain)), flags=dict(zip(bands, low)), window=window, floor=floor
+    )
+
+
+def _in_band_order(table: Mapping[int, object], cube: SpectralCube, what: str) -> list:
+    """The entries of a wavelength-keyed ``table`` in the cube's band-set order."""
+    for wl in cube.band_set:
+        if wl not in table:
+            raise ValidationError(f"{what} for band {wl} nm")
+    return [table[wl] for wl in cube.band_set]
 
 
 def apply_spatial_gain(cube: SpectralCube, gain: SpatialGain) -> SpectralCube:
     """Multiply each band by its gain map, clamped to [0, 1]."""
     if cube.is_raw:
         raise ValidationError("apply_spatial_gain expects a float cube")
-    sample_shape = (cube.height, cube.width)
-    for wl in cube.band_set:
-        if wl not in gain.gains:
-            raise ValidationError(f"spatial gain has no map for band {wl} nm")
-        if gain.gains[wl].shape != sample_shape:
+    gains = _in_band_order(gain.gains, cube, "spatial gain has no map")
+    for wl, band_gain in zip(cube.band_set, gains):
+        if band_gain.shape != cube.dark.shape:
             raise DimensionMismatchError(
-                f"gain map for {wl} nm is {gain.gains[wl].shape}, cube is {sample_shape}"
+                f"gain map for {wl} nm is {band_gain.shape}, cube is {cube.dark.shape}"
             )
-    bands = {
-        wl: SpectralFrame(np.clip(f.values * gain.gains[wl], 0.0, 1.0))
-        for wl, f in cube.bands.items()
-    }
-    return replace(cube, bands=bands)
+    return replace(cube, values=np.clip(cube.values * np.stack(gains), 0.0, 1.0))
 
 
 def fit_spectral_gain(white_cube: SpectralCube, spatial: SpatialGain | None = None) -> SpectralGain:
@@ -127,7 +124,7 @@ def fit_spectral_gain(white_cube: SpectralCube, spatial: SpatialGain | None = No
         raise ValidationError("fit_spectral_gain expects a float cube")
     means = {}
     for wl in white_cube.band_set:
-        values = white_cube.frame(wl).values
+        values = white_cube.frame(wl)
         if spatial is not None and wl in spatial.flags:
             good = ~spatial.flags[wl]
             values = values[good] if good.any() else values
@@ -143,19 +140,14 @@ def apply_spectral_gain(cube: SpectralCube, gain: SpectralGain) -> SpectralCube:
     """Scale each band by its balance factor, clamping to 1.0 with a warning."""
     if cube.is_raw:
         raise ValidationError("apply_spectral_gain expects a float cube")
-    bands = {}
-    clipped = 0
-    for wl, frame in cube.bands.items():
-        if wl not in gain.scale:
-            raise ValidationError(f"spectral gain has no factor for band {wl} nm")
-        scaled = frame.values * gain.scale[wl]
-        clipped += int((scaled > 1.0).sum())
-        bands[wl] = SpectralFrame(np.minimum(scaled, 1.0))
+    scale = np.array(_in_band_order(gain.scale, cube, "spectral gain has no factor"))
+    scaled = cube.values * scale[:, None, None]
+    clipped = int((scaled > 1.0).sum())
     if clipped:
         warnings.warn(
             f"spectral gain clamped {clipped} pixels at 1.0", SaturationClipWarning
         )
-    return replace(cube, bands=bands)
+    return replace(cube, values=np.minimum(scaled, 1.0))
 
 
 def bilateral_filter(
@@ -220,49 +212,6 @@ class PipelineOptions:
             return mode is Mode.REFLECTANCE
         return self.spectral
 
-    def to_json(self) -> dict:
-        return {
-            "crop": list(self.crop) if self.crop else None,
-            "dark": self.dark,
-            "spatial": self.spatial,
-            "spectral": self.spectral,
-            "bilateral": (
-                {
-                    "window": self.bilateral.window,
-                    "sigma_s": self.bilateral.sigma_s,
-                    "sigma_r": self.bilateral.sigma_r,
-                }
-                if self.bilateral
-                else None
-            ),
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "PipelineOptions":
-        if not isinstance(obj, dict):
-            raise ValidationError("pipeline options must be a JSON object")
-        # an absent key means the default filter, null disables it, and a
-        # dict fills its missing fields with the defaults
-        bilateral = obj.get("bilateral", {})
-        if bilateral is not None and not isinstance(bilateral, dict):
-            raise ValidationError("'bilateral' must be a JSON object or null")
-        default = BilateralOptions()
-        return cls(
-            crop=tuple(obj["crop"]) if obj.get("crop") else None,
-            dark=bool(obj.get("dark", True)),
-            spatial=bool(obj.get("spatial", True)),
-            spectral=obj.get("spectral", None),
-            bilateral=(
-                BilateralOptions(
-                    window=int(bilateral.get("window", default.window)),
-                    sigma_s=float(bilateral.get("sigma_s", default.sigma_s)),
-                    sigma_r=float(bilateral.get("sigma_r", default.sigma_r)),
-                )
-                if bilateral is not None
-                else None
-            ),
-        )
-
     @classmethod
     def disabled(cls) -> "PipelineOptions":
         return cls(crop=None, dark=False, spatial=False, spectral=False, bilateral=None)
@@ -296,13 +245,10 @@ def quantize_sample(sample: Sample) -> Sample:
     cube = sample.cube
     if cube.is_raw:
         return sample
-    quantized = cube.map_frames(
-        lambda v: np.rint(np.clip(v, 0.0, 1.0) * RAW_MAX).astype(np.uint16)
-    )
-    dark = SpectralFrame(np.zeros((cube.height, cube.width), dtype=np.uint16))
+    values = np.rint(np.clip(cube.values, 0.0, 1.0) * RAW_MAX).astype(np.uint16)
     return Sample(
         id=sample.id,
-        cube=replace(quantized, dark=dark),
+        cube=replace(cube, values=values, dark=np.zeros(cube.dark.shape, dtype=np.uint16)),
         label=sample.label,
         provenance=sample.provenance + ("quantize",),
     )
@@ -329,9 +275,8 @@ def preprocess_pipeline(
         cube = subtract_dark(cube)
         applied.append("dark")
     elif cube.is_raw:
-        cube = cube.map_frames(lambda v: v.astype(np.float64) / RAW_MAX)
-        zero = SpectralFrame(np.zeros((cube.height, cube.width)))
-        cube = replace(cube, dark=zero)
+        values = cube.values.astype(np.float64) / RAW_MAX
+        cube = replace(cube, values=values, dark=np.zeros(cube.dark.shape))
 
     if options.spatial:
         if corrections.spatial is None:
@@ -347,9 +292,10 @@ def preprocess_pipeline(
 
     if options.bilateral is not None:
         opts = options.bilateral
-        cube = cube.map_frames(
-            lambda v: bilateral_filter(v, opts.sigma_s, opts.sigma_r, opts.window)
-        )
+        filtered = [
+            bilateral_filter(v, opts.sigma_s, opts.sigma_r, opts.window) for v in cube.values
+        ]
+        cube = replace(cube, values=np.stack(filtered))
         applied.append(f"bilateral(w={opts.window},ss={opts.sigma_s},sr={opts.sigma_r})")
 
     return Sample(

@@ -77,6 +77,10 @@ class CaseStudyConfig:
             raise ValidationError("replicates must be >= 1")
         if self.kind is not StudyKind.COLOR_CHART and len(self.levels) < 2:
             raise ValidationError("adulteration study needs at least 2 levels")
+        if self.kind is StudyKind.COLOR_CHART and not 1 <= self.n_classes <= materials.PALETTE_SIZE:
+            raise ValidationError(
+                f"n_classes must lie in [1, {materials.PALETTE_SIZE}], got {self.n_classes}"
+            )
 
     @classmethod
     def for_kind(cls, kind: StudyKind, **overrides) -> "CaseStudyConfig":

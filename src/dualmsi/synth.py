@@ -27,7 +27,6 @@ from .core import (
     Mode,
     Sample,
     SpectralCube,
-    SpectralFrame,
     RAW_MAX,
 )
 from .errors import ValidationError
@@ -360,7 +359,7 @@ def render(scene: SceneConfig, sample_id: str | None = None, intensity_scale: fl
         else 0.0
     )
 
-    frames = {}
+    frames = []
     for index, wl in enumerate(scene.band_set):
         led = scene.leds[wl]
         response = effective_band_response(scene.mixture, led, scene.mode)
@@ -374,12 +373,12 @@ def render(scene: SceneConfig, sample_id: str | None = None, intensity_scale: fl
             )
         signal = RAW_MAX * led.relative_power * response * gain * illum
         signal = signal * (1.0 + texture) * (1.0 + noise.shot_sd_fraction * shot)
-        counts = np.clip(np.rint(signal).astype(np.int64) + dark, 0, RAW_MAX)
-        frames[wl] = SpectralFrame(counts.astype(np.uint16))
+        frames.append(np.rint(signal).astype(np.int64))
 
+    counts = np.clip(np.stack(frames) + dark, 0, RAW_MAX)
     cube = SpectralCube(
-        bands=frames,
-        dark=SpectralFrame(np.clip(dark, 0, RAW_MAX).astype(np.uint16)),
+        values=counts.astype(np.uint16),
+        dark=dark.astype(np.uint16),
         mode=scene.mode,
         band_set=scene.band_set,
     )

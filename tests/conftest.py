@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dualmsi.core import BandSet, Label, Mode, Sample, SpectralCube, SpectralFrame
+from dualmsi.core import BandSet, Label, Mode, Sample, SpectralCube
 from dualmsi.studies import CaseStudyConfig, StudyKind
 
 
@@ -12,15 +12,10 @@ def make_cube(
 ) -> SpectralCube:
     """Cube from raw per-band arrays; zero dark frame unless given."""
     wavelengths = tuple(sorted(values_by_band))
-    first = next(iter(values_by_band.values()))
+    values = np.stack([np.asarray(values_by_band[wl]) for wl in wavelengths])
     if dark is None:
-        dark = np.zeros_like(np.asarray(first))
-    return SpectralCube(
-        bands={wl: SpectralFrame(np.asarray(v)) for wl, v in values_by_band.items()},
-        dark=SpectralFrame(np.asarray(dark)),
-        mode=mode,
-        band_set=BandSet(wavelengths),
-    )
+        dark = np.zeros_like(values[0])
+    return SpectralCube(values=values, dark=dark, mode=mode, band_set=BandSet(wavelengths))
 
 
 def random_raw_sample(rng: np.random.Generator, sample_id="s", n_bands=3, size=8,

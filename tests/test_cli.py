@@ -42,9 +42,11 @@ class TestSynthCommand:
     @pytest.mark.parametrize(
         "extra",
         [{"replicates": "3"}, {"replicates": 2.5}, {"width": True}, {"levels": "0,5"},
-         {"noise": {"bogus": 1}}, {"noise": {"dark_sd": -1}}, {"illumination": [1]}],
+         {"noise": {"bogus": 1}}, {"noise": {"dark_sd": -1}}, {"illumination": [1]},
+         {"kind": "color_chart", "n_classes": 30, "replicates": 1, "width": 10, "height": 10},
+         {"kind": "color_chart", "n_classes": 0, "replicates": 1, "width": 10, "height": 10}],
         ids=["string-int", "float-int", "bool-int", "string-levels", "unknown-noise-key",
-             "negative-noise", "list-illumination"],
+             "negative-noise", "list-illumination", "classes-beyond-palette", "no-classes"],
     )
     def test_bad_study_config_values_exit_2(self, tmp_path, extra):
         config = tmp_path / "bad.json"
@@ -100,6 +102,21 @@ class TestPreprocessMatrixTrainEval(object):
         header = (out / "matrix.csv").read_text().splitlines()[0]
         assert header.count("R:") == 13 and header.count("T:") == 13
 
+    @pytest.mark.parametrize(
+        "options",
+        [{"crop": [1, 2]}, {"dark": "no"}, {"bilateral": {"sigma": 1.0}}],
+        ids=["short-crop", "string-flag", "unknown-bilateral-key"],
+    )
+    def test_preprocess_with_bad_options_exits_2(self, synth_dirs, tmp_path, options):
+        cfg = tmp_path / "pre.json"
+        cfg.write_text(json.dumps({
+            "input": str(synth_dirs / "transmittance"),
+            "white": str(synth_dirs / "white_transmittance"),
+            "options": options,
+        }))
+        assert run(["--config", cfg, "--out", tmp_path / "o", "preprocess"]) == 2
+        assert not list((tmp_path / "o").iterdir())
+
     def test_missing_input_dir_fails_cleanly(self, tmp_path):
         cfg = tmp_path / "x.json"
         cfg.write_text(json.dumps({"input": str(tmp_path / "nope")}))
@@ -122,6 +139,35 @@ class TestUnknownMode:
         cfg.write_text(json.dumps({"input": str(synth_dirs / "transmittance"), "mode": "bogus"}))
         assert run(["--config", cfg, "--out", tmp_path / "o", "matrix"]) == 2
         assert not (tmp_path / "o" / "matrix.csv").exists()
+
+
+class TestCommandKeyTypes:
+    @pytest.mark.parametrize(
+        "command, config, artifact",
+        [("repeatability", {"width": 20, "height": 20, "n_times": "4"}, "repeatability.json"),
+         ("protocol-sim", {"n_bands": "13"}, "transcript.log"),
+         ("consistency", {"width": 20, "height": 20, "band": 999}, "consistency.json"),
+         ("consistency", {"width": 20, "height": 20, "band": "530"}, "consistency.json")],
+        ids=["repeatability-n-times", "protocol-sim-n-bands", "consistency-band-outside-set",
+             "consistency-string-band"],
+    )
+    def test_synthetic_commands_exit_2(self, tmp_path, command, config, artifact):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(config))
+        assert run(["--config", cfg, "--out", tmp_path / "o", command]) == 2
+        assert not (tmp_path / "o" / artifact).exists()
+
+    @pytest.mark.parametrize(
+        "command, config, artifact",
+        [("kl-regress", {"n_bins": "24"}, "kl_curve.csv"),
+         ("matrix", {"mode": "transmittance", "name": 5}, "5")],
+        ids=["kl-regress-n-bins", "matrix-name"],
+    )
+    def test_dataset_commands_exit_2(self, synth_dirs, tmp_path, command, config, artifact):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"input": str(synth_dirs / "transmittance"), **config}))
+        assert run(["--config", cfg, "--out", tmp_path / "o", command]) == 2
+        assert not (tmp_path / "o" / artifact).exists()
 
 
 class TestOtherCommands:
@@ -218,9 +264,9 @@ class TestMalformedModelAndTrainConfigs:
         [{"params": {"depth": 3}}, {"params": [3]}, {"granularity": "bogus"},
          {"model": "knn", "params": {"k": "5"}},
          {"model": "random_forest", "params": {"bootstrap": 1}},
-         {"model": "logistic", "params": {"epochs": 10.5}}],
+         {"model": "logistic", "params": {"epochs": 10.5}}, {"fraction": "0.5"}],
         ids=["unknown-param", "params-not-object", "bogus-granularity", "string-param",
-             "int-for-bool-param", "float-for-int-param"],
+             "int-for-bool-param", "float-for-int-param", "string-fraction"],
     )
     def test_train_with_bad_config_exits_2(self, tmp_path, matrix_csv, extra):
         assert self.run_with(tmp_path, "train", {"matrix": str(matrix_csv), **extra}) == 2

@@ -10,7 +10,6 @@ from dualmsi.core import (
     Mode,
     Sample,
     SpectralCube,
-    SpectralFrame,
     TABLE1_WAVELENGTHS,
     crop,
     load_dataset,
@@ -69,45 +68,69 @@ class TestLabel:
             assert Label.from_json(label.to_json()) == label
 
 
+def cube_of(values, dark, band_set=(530,)):
+    return SpectralCube(values=values, dark=dark, mode=Mode.REFLECTANCE, band_set=BandSet(band_set))
+
+
 class TestFrameAndCube:
     def test_frame_rejects_bad_shapes(self):
+        frame = np.zeros((4, 4), dtype=np.uint16)
         with pytest.raises(ValidationError):
-            SpectralFrame(np.zeros(4, dtype=np.uint16))
+            cube_of(np.zeros((1, 4), dtype=np.uint16), frame)
         with pytest.raises(ValidationError):
-            SpectralFrame(np.zeros((0, 4), dtype=np.uint16))
+            cube_of(np.zeros((1, 0, 4), dtype=np.uint16), np.zeros((0, 4), dtype=np.uint16))
+        with pytest.raises(ValidationError):
+            cube_of(frame[None], np.zeros(4, dtype=np.uint16))
 
-    def test_saturated_flag(self):
-        arr = np.zeros((2, 2), dtype=np.uint16)
-        assert not SpectralFrame(arr).saturated
-        arr[0, 0] = 65535
-        assert SpectralFrame(arr).saturated
-        assert SpectralFrame(np.full((2, 2), 1.0)).saturated
+    def test_frame_values_must_be_counts_or_finite_floats(self):
+        zeros = np.zeros((2, 2), dtype=np.int64)
+        with pytest.raises(ValidationError):
+            cube_of(np.full((1, 2, 2), 65536), zeros)
+        with pytest.raises(ValidationError):
+            cube_of(np.full((1, 2, 2), -1), zeros)
+        with pytest.raises(ValidationError):
+            cube_of(zeros[None], np.full((2, 2), 70000))
+        with pytest.raises(ValidationError):
+            cube_of(np.full((1, 2, 2), np.nan), np.zeros((2, 2)))
+        with pytest.raises(ValidationError):
+            cube_of(np.zeros((1, 2, 2)), np.full((2, 2), np.inf))
+        with pytest.raises(ValidationError):
+            cube_of(np.zeros((1, 2, 2), dtype=bool), np.zeros((2, 2), dtype=bool))
+        with pytest.raises(ValidationError):
+            cube_of(np.zeros((1, 2, 2)), zeros)
+        cube = cube_of(np.full((1, 2, 2), 65535), zeros)
+        assert cube.values.dtype == np.uint16 and cube.dark.dtype == np.uint16 and cube.is_raw
+        assert not cube_of(np.ones((1, 2, 2), dtype=np.float32), np.zeros((2, 2))).is_raw
 
     def test_frames_are_immutable(self):
-        frame = SpectralFrame(np.zeros((2, 2), dtype=np.uint16))
-        with pytest.raises(ValueError):
-            frame.values[0, 0] = 1
+        values = np.zeros((2, 2, 2), dtype=np.uint16)
+        cube = cube_of(values, values[0], band_set=(405, 530))
+        for arr in (cube.values, cube.frame(530), cube.dark):
+            with pytest.raises(ValueError):
+                arr[0, 0] = 1
+        values[1, 0, 0] = 9
+        assert cube.frame(530)[0, 0] == 0
+
+    def test_frame_is_band_set_row(self):
+        values = np.arange(3 * 2 * 2, dtype=np.uint16).reshape(3, 2, 2)
+        cube = cube_of(values, values[0], band_set=(405, 530, 660))
+        for i, wl in enumerate((405, 530, 660)):
+            assert np.array_equal(cube.frame(wl), values[i])
+            assert np.shares_memory(cube.frame(wl), cube.values)
 
     def test_cube_requires_band_set_coverage(self):
         a = np.zeros((4, 4), dtype=np.uint16)
         with pytest.raises(ValidationError):
-            SpectralCube(
-                bands={530: SpectralFrame(a)},
-                dark=SpectralFrame(a),
-                mode=Mode.REFLECTANCE,
-                band_set=BandSet((405, 530)),
-            )
+            cube_of(a[None], a, band_set=(405, 530))
+        with pytest.raises(ValidationError):
+            cube_of(np.stack([a, a, a]), a, band_set=(405, 530))
 
     def test_cube_requires_equal_dimensions(self):
         with pytest.raises(DimensionMismatchError):
-            SpectralCube(
-                bands={
-                    405: SpectralFrame(np.zeros((4, 4), dtype=np.uint16)),
-                    530: SpectralFrame(np.zeros((5, 5), dtype=np.uint16)),
-                },
-                dark=SpectralFrame(np.zeros((4, 4), dtype=np.uint16)),
-                mode=Mode.REFLECTANCE,
-                band_set=BandSet((405, 530)),
+            cube_of(
+                np.zeros((2, 5, 5), dtype=np.uint16),
+                np.zeros((4, 4), dtype=np.uint16),
+                band_set=(405, 530),
             )
 
 
@@ -117,7 +140,7 @@ class TestCrop:
         values[3, 3] = 777
         cube = make_cube({530: values})
         out = crop(cube, 0, 0, 8, 8)
-        assert out.frame(530).values[3, 3] == 777
+        assert out.frame(530)[3, 3] == 777
         assert out.width == 8 and out.height == 8
 
     def test_offset_mapping(self):
@@ -125,7 +148,7 @@ class TestCrop:
         values = rng.integers(0, 65536, (20, 30)).astype(np.uint16)
         cube = make_cube({530: values})
         out = crop(cube, 5, 2, 7, 9)
-        assert np.array_equal(out.frame(530).values, values[2:11, 5:12])
+        assert np.array_equal(out.frame(530), values[2:11, 5:12])
 
     def test_full_frame_is_identity(self):
         rng = np.random.default_rng(4)
@@ -142,8 +165,8 @@ class TestCrop:
         cube = make_cube(bands, dark=np.ones((1024, 1280), dtype=np.uint16))
         out = crop(cube, 590, 462, 100, 100)
         assert out.width == out.height == 100
-        assert len(out.bands) == 14
-        assert out.dark.values.shape == (100, 100)
+        assert out.values.shape == (14, 100, 100)
+        assert out.dark.shape == (100, 100)
 
     def test_out_of_bounds(self):
         cube = make_cube({530: np.zeros((10, 10), dtype=np.uint16)})

@@ -1,0 +1,363 @@
+"""The whole-array cube stages against per-frame reference implementations.
+
+Each reference below applies a stage one band frame at a time, with the
+float expressions of the per-frame code the single-array cube replaced.
+The library must reproduce them bit for bit on arbitrary cubes, and emit
+the same warnings.
+"""
+
+import json
+import tempfile
+import warnings
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy.ndimage import uniform_filter
+
+from dualmsi.core import (
+    RAW_MAX,
+    BandSet,
+    Label,
+    Mode,
+    Sample,
+    SpectralCube,
+    crop,
+    load_sample,
+    save_sample,
+)
+from dualmsi.errors import DegenerateReferenceError
+from dualmsi.features import superpixels
+from dualmsi.harness import repeatability_report
+from dualmsi.pgm import read_pgm16
+from dualmsi.preprocess import (
+    BilateralOptions,
+    Corrections,
+    PipelineOptions,
+    SaturationClipWarning,
+    SpatialGain,
+    SpectralGain,
+    apply_spatial_gain,
+    apply_spectral_gain,
+    bilateral_filter,
+    fit_spatial_gain,
+    fit_spectral_gain,
+    preprocess_pipeline,
+    quantize_sample,
+    subtract_dark,
+)
+
+WAVELENGTHS = (405, 530, 660, 770, 850)
+
+
+# --------------------------------------------------------------------------
+# Per-frame references: lists of 2-D arrays in band-set order.
+# --------------------------------------------------------------------------
+
+
+def ref_subtract_dark(frames, dark):
+    d = dark.astype(np.int64)
+    return [np.maximum(f.astype(np.int64) - d, 0).astype(np.float64) / RAW_MAX for f in frames]
+
+
+def ref_fit_spatial_gain(frames, window, floor):
+    gains, flags = [], []
+    for f in frames:
+        smooth = uniform_filter(f, size=window, mode="nearest")
+        peak = float(smooth.max())
+        if peak <= 0.0:
+            return None
+        low = smooth < floor * peak
+        gains.append(peak / np.where(low, floor * peak, smooth))
+        flags.append(low)
+    return gains, flags
+
+
+def ref_apply_spatial_gain(frames, gains):
+    return [np.clip(f * g, 0.0, 1.0) for f, g in zip(frames, gains)]
+
+
+def ref_apply_spectral_gain(frames, scales):
+    out, clipped = [], 0
+    for f, c in zip(frames, scales):
+        scaled = f * c
+        clipped += int((scaled > 1.0).sum())
+        out.append(np.minimum(scaled, 1.0))
+    messages = [f"spectral gain clamped {clipped} pixels at 1.0"] if clipped else []
+    return out, messages
+
+
+def ref_quantize(frames):
+    return [np.rint(np.clip(f, 0.0, 1.0) * RAW_MAX).astype(np.uint16) for f in frames]
+
+
+def ref_superpixels(frames, block):
+    h, w = frames[0].shape
+    ny, nx = h // block, w // block
+    stack = np.stack(frames).astype(np.float64)[:, : ny * block, : nx * block]
+    blocks = stack.reshape(len(frames), ny, block, nx, block).mean(axis=(2, 4))
+    return blocks.reshape(len(frames), ny * nx).T
+
+
+def ref_pipeline(frames, dark, corrections, options, mode):
+    """The stage chain of ``preprocess_pipeline`` on frames; returns
+    (frames, provenance, spectral-gain warning messages)."""
+    applied, messages = [], []
+    if options.crop is not None:
+        x, y, w, h = options.crop
+        frames = [f[y : y + h, x : x + w] for f in frames]
+        dark = dark[y : y + h, x : x + w]
+        applied.append(f"crop({x},{y},{w},{h})")
+    if options.dark:
+        frames = ref_subtract_dark(frames, dark)
+        applied.append("dark")
+    else:
+        frames = [f.astype(np.float64) / RAW_MAX for f in frames]
+    if options.spatial:
+        frames = ref_apply_spatial_gain(frames, list(corrections.spatial.gains.values()))
+        applied.append("spatial")
+    if options.spectral_enabled(mode):
+        frames, messages = ref_apply_spectral_gain(frames, list(corrections.spectral.scale.values()))
+        applied.append("spectral")
+    if options.bilateral is not None:
+        b = options.bilateral
+        frames = [bilateral_filter(f, b.sigma_s, b.sigma_r, b.window) for f in frames]
+        applied.append(f"bilateral(w={b.window},ss={b.sigma_s},sr={b.sigma_r})")
+    return frames, tuple(applied), messages
+
+
+# --------------------------------------------------------------------------
+# Strategies and helpers
+# --------------------------------------------------------------------------
+
+
+@st.composite
+def raw_frames(draw, max_side=12, n=None, shape=None):
+    """(frames, dark) of uint16 counts; extremes and dark above signal included."""
+    n = n or draw(st.integers(1, len(WAVELENGTHS)))
+    shape = shape or (draw(st.integers(1, max_side)), draw(st.integers(1, max_side)))
+    counts = st.integers(0, RAW_MAX)
+    stack = draw(hnp.arrays(np.uint16, (n, *shape), elements=counts))
+    dark = draw(hnp.arrays(np.uint16, shape, elements=counts))
+    return list(stack), dark
+
+
+@st.composite
+def float_frames(draw, max_side=12):
+    n = draw(st.integers(1, len(WAVELENGTHS)))
+    shape = (draw(st.integers(1, max_side)), draw(st.integers(1, max_side)))
+    values = st.just(0.0) | st.just(1.0) | st.floats(1e-6, 1.0)
+    return list(draw(hnp.arrays(np.float64, (n, *shape), elements=values)))
+
+
+def cube_from(frames, dark=None, mode=Mode.REFLECTANCE):
+    dark = np.zeros_like(frames[0]) if dark is None else dark
+    return SpectralCube(
+        values=np.stack(frames),
+        dark=dark,
+        mode=mode,
+        band_set=BandSet(WAVELENGTHS[: len(frames)]),
+    )
+
+
+def same_bits(got: np.ndarray, want) -> bool:
+    want = np.stack(want) if isinstance(want, list) else np.asarray(want)
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def spectral_messages(fn, *args):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = fn(*args)
+    assert all(issubclass(w.category, SaturationClipWarning) for w in caught)
+    return out, [str(w.message) for w in caught]
+
+
+# --------------------------------------------------------------------------
+# Stages
+# --------------------------------------------------------------------------
+
+
+class TestStagesMatchPerFrameReference:
+    @settings(max_examples=80, deadline=None)
+    @given(data=raw_frames())
+    def test_subtract_dark(self, data):
+        frames, dark = data
+        out = subtract_dark(cube_from(frames, dark))
+        assert same_bits(out.values, ref_subtract_dark(frames, dark))
+        assert same_bits(out.dark, np.zeros(dark.shape))
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        frames=float_frames(),
+        window=st.sampled_from([1, 3, 5, 11]),
+        floor=st.sampled_from([0.05, 0.5, 0.95]),
+    )
+    def test_fit_and_apply_spatial_gain(self, frames, window, floor):
+        cube = cube_from(frames)
+        want = ref_fit_spatial_gain(frames, window, floor)
+        if want is None:
+            with pytest.raises(DegenerateReferenceError):
+                fit_spatial_gain(cube, window=window, floor=floor)
+            return
+        gain = fit_spatial_gain(cube, window=window, floor=floor)
+        assert list(gain.gains) == list(gain.flags) == list(cube.band_set)
+        assert same_bits(np.stack(list(gain.gains.values())), want[0])
+        assert same_bits(np.stack(list(gain.flags.values())), want[1])
+        out = apply_spatial_gain(cube, gain)
+        assert same_bits(out.values, ref_apply_spatial_gain(frames, want[0]))
+
+    @settings(max_examples=80, deadline=None)
+    @given(frames=float_frames(), data=st.data())
+    def test_apply_spatial_gain_with_drawn_maps(self, frames, data):
+        shape = (len(frames), *frames[0].shape)
+        maps = data.draw(hnp.arrays(np.float64, shape, elements=st.floats(0.0, 30.0)))
+        # keyed in reverse band order: application follows the cube's order
+        gain = SpatialGain(
+            gains={wl: maps[i] for i, wl in reversed(list(enumerate(WAVELENGTHS[: len(frames)])))},
+            flags={wl: np.zeros(shape[1:], bool) for wl in WAVELENGTHS[: len(frames)]},
+            window=1,
+            floor=0.05,
+        )
+        out = apply_spatial_gain(cube_from(frames), gain)
+        assert same_bits(out.values, ref_apply_spatial_gain(frames, list(maps)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(frames=float_frames(), data=st.data())
+    def test_apply_spectral_gain_and_clip_warnings(self, frames, data):
+        scales = data.draw(st.lists(st.floats(0.25, 4.0), min_size=len(frames), max_size=len(frames)))
+        gain = SpectralGain(scale=dict(reversed(list(zip(WAVELENGTHS, scales)))))
+        out, messages = spectral_messages(apply_spectral_gain, cube_from(frames), gain)
+        want, want_messages = ref_apply_spectral_gain(frames, scales)
+        assert same_bits(out.values, want)
+        assert messages == want_messages
+
+    @settings(max_examples=60, deadline=None)
+    @given(frames=float_frames(), masked=st.booleans())
+    def test_fit_spectral_gain_uses_per_band_means(self, frames, masked):
+        assume(all(f.mean() > 0 for f in frames))
+        cube = cube_from(frames)
+        spatial = fit_spatial_gain(cube, window=3, floor=0.5) if masked else None
+        got = fit_spectral_gain(cube, spatial)
+        means = []
+        for i, f in enumerate(frames):
+            good = ~list(spatial.flags.values())[i] if masked else np.ones(f.shape, bool)
+            means.append(float((f[good] if good.any() else f).mean()))
+        top = max(means)
+        assert list(got.scale.values()) == [top / m for m in means]
+
+    @settings(max_examples=80, deadline=None)
+    @given(frames=float_frames())
+    def test_quantize_sample(self, frames):
+        sample = Sample("q", cube_from(frames), Label.adulteration(5.0), ("dark",))
+        out = quantize_sample(sample)
+        assert same_bits(out.cube.values, ref_quantize(frames))
+        assert same_bits(out.cube.dark, np.zeros(frames[0].shape, dtype=np.uint16))
+        assert out.provenance == ("dark", "quantize")
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=raw_frames(), rect=st.tuples(*[st.integers(0, 12)] * 4))
+    def test_crop(self, data, rect):
+        frames, dark = data
+        h, w = dark.shape
+        x, y = min(rect[0], w - 1), min(rect[1], h - 1)
+        cw, ch = 1 + rect[2] % (w - x), 1 + rect[3] % (h - y)
+        out = crop(cube_from(frames, dark), x, y, cw, ch)
+        assert same_bits(out.values, [f[y : y + ch, x : x + cw] for f in frames])
+        assert same_bits(out.dark, dark[y : y + ch, x : x + cw])
+
+    @settings(max_examples=60, deadline=None)
+    @given(frames=float_frames(max_side=25), block=st.integers(1, 6))
+    def test_superpixels(self, frames, block):
+        assume(block <= min(frames[0].shape))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            got = superpixels(cube_from(frames), block=block)
+        assert same_bits(got, ref_superpixels(frames, block))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(1, len(WAVELENGTHS)),
+        shape=st.tuples(st.integers(1, 8), st.integers(1, 8)),
+        data=st.data(),
+    )
+    def test_repeatability_report(self, n, shape, data):
+        series = data.draw(st.lists(raw_frames(n=n, shape=shape), min_size=2, max_size=4))
+        samples = [Sample(f"r{k}", cube_from(f, d), Label.adulteration(0.0)) for k, (f, d) in enumerate(series)]
+        report = repeatability_report(samples)
+        for i, wl in enumerate(WAVELENGTHS[:n]):
+            means = np.array([float(f[i].mean()) for f, _ in series])
+            center = means.mean()
+            want = 0.0 if center == 0 or np.all(means == means[0]) else float(
+                np.abs(means - center).max() / center * 100.0
+            )
+            assert report["per_band_deviation_pct"][wl] == want
+
+
+class TestPipelineMatchesPerFrameReference:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=raw_frames(max_side=10),
+        white_seed=st.integers(0, 2**32 - 1),
+        stages=st.tuples(st.booleans(), st.booleans(), st.none() | st.booleans(), st.booleans()),
+        mode=st.sampled_from(Mode),
+        cropped=st.booleans(),
+    )
+    def test_pipeline(self, data, white_seed, stages, mode, cropped):
+        frames, dark = data
+        dark_on, spatial_on, spectral, bilateral_on = stages
+        shape = dark.shape
+        crop_rect = (0, 0, max(1, shape[1] - 1), max(1, shape[0] - 1)) if cropped else None
+        size = shape if crop_rect is None else (crop_rect[3], crop_rect[2])
+        # gains of the cropped size, fitted on a white with every band lit
+        rng = np.random.default_rng(white_seed)
+        white_frames = list(rng.integers(1, RAW_MAX + 1, (len(frames), *size)).astype(np.uint16))
+        white_cube = subtract_dark(cube_from(white_frames, np.zeros(size, np.uint16)))
+        spatial = fit_spatial_gain(white_cube, window=3)
+        corrections = Corrections(spatial=spatial, spectral=fit_spectral_gain(white_cube, spatial))
+        options = PipelineOptions(
+            crop=crop_rect,
+            dark=dark_on,
+            spatial=spatial_on,
+            spectral=spectral,
+            bilateral=BilateralOptions(window=3, sigma_s=1.5, sigma_r=0.2) if bilateral_on else None,
+        )
+        sample = Sample("p", cube_from(frames, dark, mode), Label.adulteration(10.0))
+        out, messages = spectral_messages(preprocess_pipeline, sample, corrections, options)
+        want, provenance, want_messages = ref_pipeline(frames, dark, corrections, options, mode)
+        assert same_bits(out.cube.values, want)
+        assert same_bits(out.cube.dark, np.zeros(size))
+        assert out.provenance == provenance
+        assert messages == want_messages
+
+
+# --------------------------------------------------------------------------
+# Disk format
+# --------------------------------------------------------------------------
+
+
+class TestSampleFilesMatchPerFrameReference:
+    @settings(max_examples=40, deadline=None)
+    @given(data=raw_frames(), order=st.randoms(use_true_random=False))
+    def test_save_and_load_any_manifest_order(self, data, order):
+        frames, dark = data
+        sample = Sample("s", cube_from(frames, dark, Mode.TRANSMITTANCE), Label.color(3))
+        with tempfile.TemporaryDirectory() as tmp:
+            target = Path(tmp) / "s"
+            save_sample(sample, target)
+            wavelengths = WAVELENGTHS[: len(frames)]
+            for wl, frame in zip(wavelengths, frames):
+                assert same_bits(read_pgm16(target / f"band_{wl}.pgm"), frame)
+            assert same_bits(read_pgm16(target / "dark.pgm"), dark)
+            assert load_sample(target) == sample
+
+            manifest_path = target / "manifest.json"
+            manifest = json.loads(manifest_path.read_text())
+            order.shuffle(manifest["bands"])
+            manifest_path.write_text(json.dumps(manifest))
+            loaded = load_sample(target)
+        assert loaded.cube.band_set.wavelengths_nm == wavelengths
+        assert same_bits(loaded.cube.values, frames)
+        assert loaded == sample

@@ -26,6 +26,7 @@ from dualmsi.synth import (
     MixtureSpec,
     NoiseSpec,
     SceneConfig,
+    render,
     render_repeat_series,
 )
 
@@ -67,6 +68,16 @@ class TestRepeatability:
         series = render_repeat_series(repeat_scene(), 2)
         with pytest.raises(ValidationError):
             repeatability_report(series[:1])
+
+    def test_mixed_band_sets_rejected(self):
+        from dataclasses import replace
+
+        from dualmsi.core import BandSet
+
+        scene = repeat_scene()
+        other = replace(scene, band_set=BandSet((405, 530, 770)))
+        with pytest.raises(ValidationError):
+            repeatability_report([render(scene), render(other)])
 
 
 class TestSpatialConsistency:

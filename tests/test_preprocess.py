@@ -1,10 +1,12 @@
+import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dualmsi.core import Mode
+from dualmsi.core import Mode, json_value
 from dualmsi.errors import (
     DegenerateReferenceError,
     DimensionMismatchError,
@@ -32,16 +34,7 @@ from conftest import make_cube, random_raw_sample
 
 
 def make_float(values_by_band, mode=Mode.REFLECTANCE):
-    from dualmsi.core import BandSet, SpectralCube, SpectralFrame
-
-    wavelengths = tuple(sorted(values_by_band))
-    first = np.asarray(next(iter(values_by_band.values())), dtype=np.float64)
-    return SpectralCube(
-        bands={wl: SpectralFrame(np.asarray(v, dtype=np.float64)) for wl, v in values_by_band.items()},
-        dark=SpectralFrame(np.zeros_like(first)),
-        mode=mode,
-        band_set=BandSet(wavelengths),
-    )
+    return make_cube({wl: np.asarray(v, dtype=np.float64) for wl, v in values_by_band.items()}, mode=mode)
 
 
 class TestSubtractDark:
@@ -49,26 +42,26 @@ class TestSubtractDark:
         raw = np.full((2, 2), 1000, dtype=np.uint16)
         dark = np.full((2, 2), 100, dtype=np.uint16)
         out = subtract_dark(make_cube({530: raw}, dark=dark))
-        assert np.allclose(out.frame(530).values, 900 / 65535)
-        assert np.all(out.dark.values == 0.0)
+        assert np.allclose(out.frame(530), 900 / 65535)
+        assert np.all(out.dark == 0.0)
 
     def test_clamps_at_zero(self):
         raw = np.full((2, 2), 50, dtype=np.uint16)
         dark = np.full((2, 2), 100, dtype=np.uint16)
         out = subtract_dark(make_cube({530: raw}, dark=dark))
-        assert np.all(out.frame(530).values == 0.0)
+        assert np.all(out.frame(530) == 0.0)
 
     def test_zero_dark_is_pure_scaling(self):
         raw = np.arange(4, dtype=np.uint16).reshape(2, 2) * 1000
         out = subtract_dark(make_cube({530: raw}))
-        assert np.allclose(out.frame(530).values, raw / 65535)
+        assert np.allclose(out.frame(530), raw / 65535)
 
     def test_output_in_unit_interval(self):
         rng = np.random.default_rng(0)
         sample = random_raw_sample(rng, size=16)
         out = subtract_dark(sample.cube)
         for wl in out.band_set:
-            v = out.frame(wl).values
+            v = out.frame(wl)
             assert v.min() >= 0.0 and v.max() <= 1.0
 
 
@@ -127,7 +120,7 @@ class TestSpatialGain:
         gain = fit_spatial_gain(dark_sub)
         flat = apply_spatial_gain(dark_sub, gain)
         for wl in flat.band_set:
-            values = flat.frame(wl).values[~gain.flags[wl]]
+            values = flat.frame(wl)[~gain.flags[wl]]
             assert (values / values.max()).min() >= 0.98
 
     @pytest.mark.parametrize("corner_ratio", [0.3, 0.5, 0.7, 0.9])
@@ -143,7 +136,7 @@ class TestSpatialGain:
         flat = apply_spatial_gain(dark_sub, gain)
         for wl in list(flat.band_set)[::4]:
             good = ~gain.flags[wl]
-            values = flat.frame(wl).values[good]
+            values = flat.frame(wl)[good]
             assert values.std() / values.mean() <= 0.02
 
 
@@ -169,8 +162,8 @@ class TestSpectralGain:
         gain = SpectralGain(scale={405: 1.5, 530: 2.0})
         with pytest.warns(SaturationClipWarning):
             out = apply_spectral_gain(cube, gain)
-        assert np.allclose(out.frame(405).values, 0.9)
-        assert np.allclose(out.frame(530).values, 1.0)
+        assert np.allclose(out.frame(405), 0.9)
+        assert np.allclose(out.frame(530), 1.0)
 
     def test_unit_gain_identity(self):
         cube = make_float({405: np.full((4, 4), 0.6)})
@@ -270,7 +263,7 @@ class TestPipeline:
         sample = random_raw_sample(rng)
         out = preprocess_pipeline(sample, None, PipelineOptions.disabled())
         for wl in out.cube.band_set:
-            assert np.allclose(out.cube.frame(wl).values, sample.cube.frame(wl).values / 65535)
+            assert np.allclose(out.cube.frame(wl), sample.cube.frame(wl) / 65535)
         assert out.provenance == ()
 
     @pytest.mark.filterwarnings("ignore::dualmsi.preprocess.SaturationClipWarning")
@@ -314,8 +307,8 @@ class TestPipeline:
         plain = preprocess_pipeline(sample, None, PipelineOptions(spatial=False, spectral=False, bilateral=None))
         fixed = preprocess_pipeline(sample, corrections, PipelineOptions(spectral=True, bilateral=None))
         for wl in list(sample.cube.band_set)[::4]:
-            cv_plain = plain.cube.frame(wl).values.std() / plain.cube.frame(wl).values.mean()
-            cv_fixed = fixed.cube.frame(wl).values.std() / fixed.cube.frame(wl).values.mean()
+            cv_plain = plain.cube.frame(wl).std() / plain.cube.frame(wl).mean()
+            cv_fixed = fixed.cube.frame(wl).std() / fixed.cube.frame(wl).mean()
             assert cv_fixed < cv_plain
 
     @pytest.mark.filterwarnings("ignore::dualmsi.preprocess.SaturationClipWarning")
@@ -334,17 +327,31 @@ class TestPipeline:
         with pytest.raises(ValidationError):
             preprocess_pipeline(sample, None, PipelineOptions(spatial=True, bilateral=None))
 
-    def test_options_json_round_trip(self):
-        options = PipelineOptions(crop=(1, 2, 3, 4), dark=True, spatial=False,
-                                  spectral=True, bilateral=BilateralOptions(7, 1.5, 0.2))
-        again = PipelineOptions.from_json(options.to_json())
-        assert again == options
-        assert PipelineOptions.from_json({"bilateral": None}).bilateral is None
+    @settings(max_examples=50, deadline=None)
+    @given(
+        crop=st.none() | st.tuples(*[st.integers(0, 99)] * 4),
+        flags=st.tuples(st.booleans(), st.booleans(), st.none() | st.booleans()),
+        bilateral=st.none() | st.builds(
+            BilateralOptions, st.integers(1, 9), st.floats(0.1, 5.0), st.integers(1, 3)
+        ),
+    )
+    def test_options_json_round_trip(self, crop, flags, bilateral):
+        # the CLI reads "options" with json_value; any options object
+        # written as plain JSON reads back equal
+        dark, spatial, spectral = flags
+        options = PipelineOptions(crop, dark, spatial, spectral, bilateral)
+        text = json.dumps(dataclasses.asdict(options))
+        assert json_value(PipelineOptions, json.loads(text), "options") == options
 
     def test_options_json_defaults_match_constructor(self):
-        assert PipelineOptions.from_json({}) == PipelineOptions()
-        assert PipelineOptions.from_json({"bilateral": {}}).bilateral == BilateralOptions()
-        partial = PipelineOptions.from_json({"bilateral": {"window": 7}}).bilateral
-        assert partial == BilateralOptions(window=7)
-        with pytest.raises(ValidationError):
-            PipelineOptions.from_json({"bilateral": 5})
+        def read(obj):
+            return json_value(PipelineOptions, obj, "options")
+
+        assert read({}) == PipelineOptions()
+        assert read({"bilateral": None}).bilateral is None
+        assert read({"bilateral": {}}).bilateral == BilateralOptions()
+        assert read({"bilateral": {"window": 7}}).bilateral == BilateralOptions(window=7)
+        for bad in ({"bilateral": 5}, {"crop": [1, 2]}, {"dark": "no"},
+                    {"bilateral": {"sigma": 1.0}}, {"spectral": 1}, [1]):
+            with pytest.raises(ValidationError):
+                read(bad)
