@@ -102,7 +102,6 @@ from .divergence import (
     Distribution,
     FunctionalMap,
     adulteration_curve,
-    band_feature_extractor,
     fit_linear,
     histogram,
     kl_divergence,

@@ -209,11 +209,10 @@ def cmd_kl_regress(args, config: dict) -> int:
     if "input" not in config:
         raise ValidationError("config needs 'input' (transmittance dataset directory)")
     out = _require_out(args)
-    samples = load_dataset(_key(config, "input", str))
-    extractor = lda_feature_extractor(samples)
+    matrix = build_matrix(load_dataset(_key(config, "input", str)), Mode.TRANSMITTANCE)
     points = adulteration_curve(
-        samples,
-        extractor,
+        matrix,
+        lda_feature_extractor(matrix),
         reference_label=_key(config, "reference_label", float, 0.0),
         n_bins=_key(config, "n_bins", int, 24),
     )

@@ -10,8 +10,9 @@ across threads.
 
 from __future__ import annotations
 
+import functools
 import json
-from dataclasses import dataclass, field, is_dataclass, replace
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from enum import Enum
 from pathlib import Path
 from types import UnionType
@@ -212,16 +213,6 @@ class Label:
             return {"adulteration_pct": self.adulteration_pct}
         return {"class_id": self.class_id}
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "Label":
-        if not isinstance(obj, dict) or len(obj) != 1:
-            raise ValidationError(f"malformed label object: {obj!r}")
-        if "adulteration_pct" in obj:
-            return cls.adulteration(obj["adulteration_pct"])
-        if "class_id" in obj:
-            return cls.color(obj["class_id"])
-        raise ValidationError(f"unknown label variant: {obj!r}")
-
 
 @dataclass(frozen=True, eq=False)
 class Sample:
@@ -262,14 +253,17 @@ def crop(cube: SpectralCube, x: int, y: int, w: int, h: int) -> SpectralCube:
     return replace(cube, values=cube.values[:, rows, cols], dark=cube.dark[rows, cols])
 
 
+_type_hints = functools.cache(get_type_hints)  # resolving string annotations is slow
+
+
 def json_value(hint, value, what: str):
     """``value`` parsed from JSON as the annotated type ``hint``.
 
     Numbers must be JSON numbers (an int is accepted for a float, a bool
     never is), a string or bool must be one, tuples come from lists,
     ``X | None`` also takes null, and a dataclass comes from an object
-    whose keys name its fields, each read the same way.  Anything else
-    raises ValidationError.
+    whose keys name its fields (all those without a default), each read
+    the same way.  Anything else raises ValidationError.
     """
     if get_origin(hint) in (Union, UnionType):
         if value is None and type(None) in get_args(hint):
@@ -281,10 +275,14 @@ def json_value(hint, value, what: str):
             raise ValidationError(f"{what} needs {len(args)} entries, got {len(value)}")
         return tuple(json_value(args[0], v, what) for v in value)
     if is_dataclass(hint) and isinstance(value, dict):
-        hints = get_type_hints(hint)
+        hints = _type_hints(hint)
         unknown = sorted(set(value) - set(hints))
         if unknown:
             raise ValidationError(f"unknown {what} keys {unknown} (choose from {sorted(hints)})")
+        missing = [f.name for f in fields(hint) if f.name not in value
+                   and f.default is MISSING and f.default_factory is MISSING]
+        if missing:
+            raise ValidationError(f"{what} is missing keys {missing}")
         return hint(**{k: json_value(hints[k], v, f"{what}.{k}") for k, v in value.items()})
     if hint in (bool, str) and isinstance(value, hint):
         return value
@@ -308,6 +306,26 @@ def json_value(hint, value, what: str):
 
 MANIFEST_NAME = "manifest.json"
 DARK_NAME = "dark.pgm"
+
+
+@dataclass(frozen=True)
+class _BandEntry:
+    wavelength_nm: int
+    file: str
+
+
+@dataclass(frozen=True)
+class _Manifest:
+    """The manifest.json schema, read by ``json_value``."""
+
+    id: str
+    mode: str
+    label: Label
+    width: int
+    height: int
+    bit_depth: int
+    dark: str
+    bands: tuple[_BandEntry, ...]
 
 
 def _band_filename(wavelength_nm: int) -> str:
@@ -353,28 +371,22 @@ def load_sample(dir_path) -> Sample:
     if not manifest_path.is_file():
         raise ValidationError(f"no {MANIFEST_NAME} in {directory}")
     try:
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+        obj = json.loads(manifest_path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # undecodable bytes or malformed JSON
         raise ValidationError(f"malformed manifest in {directory}: {exc}") from exc
-
-    for key in ("id", "mode", "label", "width", "height", "bit_depth", "dark", "bands"):
-        if key not in manifest:
-            raise ValidationError(f"manifest missing key {key!r} in {directory}")
-    if manifest["bit_depth"] != BIT_DEPTH:
-        raise ValidationError(f"unsupported bit depth {manifest['bit_depth']}")
+    manifest = json_value(_Manifest, obj, f"manifest in {directory}")
+    if manifest.bit_depth != BIT_DEPTH:
+        raise ValidationError(f"unsupported bit depth {manifest.bit_depth}")
     try:
-        mode = Mode(manifest["mode"])
+        mode = Mode(manifest.mode)
     except ValueError:
-        raise ValidationError(f"unknown mode string {manifest['mode']!r}") from None
+        raise ValidationError(f"unknown mode string {manifest.mode!r}") from None
 
-    width = int(manifest["width"])
-    height = int(manifest["height"])
-    label = Label.from_json(manifest["label"])
-
-    wavelengths = [int(entry["wavelength_nm"]) for entry in manifest["bands"]]
-    if len(set(wavelengths)) != len(wavelengths):
-        raise ValidationError(f"duplicate wavelength in manifest: {sorted(wavelengths)}")
-    band_set = BandSet(tuple(sorted(wavelengths)))
+    files = {entry.wavelength_nm: entry.file for entry in manifest.bands}
+    if len(files) != len(manifest.bands):
+        wavelengths = sorted(entry.wavelength_nm for entry in manifest.bands)
+        raise ValidationError(f"duplicate wavelength in manifest: {wavelengths}")
+    band_set = BandSet(tuple(sorted(files)))
 
     def read_frame(file_name: str, wavelength_nm: int | None) -> np.ndarray:
         path = directory / file_name
@@ -383,18 +395,17 @@ def load_sample(dir_path) -> Sample:
                 raise MissingFrameError(wavelength_nm, path)
             raise ValidationError(f"missing dark frame: {path}")
         values = read_pgm16(path)
-        if values.shape != (height, width):
+        if values.shape != (manifest.height, manifest.width):
             raise DimensionMismatchError(
                 f"{file_name} is {values.shape[1]}x{values.shape[0]}, "
-                f"manifest says {width}x{height}"
+                f"manifest says {manifest.width}x{manifest.height}"
             )
         return values
 
-    files = {int(entry["wavelength_nm"]): entry["file"] for entry in manifest["bands"]}
     values = np.stack([read_frame(files[wl], wl) for wl in band_set])
-    dark = read_frame(manifest["dark"], None)
+    dark = read_frame(manifest.dark, None)
     cube = SpectralCube(values=values, dark=dark, mode=mode, band_set=band_set)
-    return Sample(id=str(manifest["id"]), cube=cube, label=label)
+    return Sample(id=manifest.id, cube=cube, label=manifest.label)
 
 
 def save_dataset(samples, dir_path) -> None:

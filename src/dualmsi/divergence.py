@@ -1,10 +1,12 @@
 """KL-divergence adulteration metric and the linear functional map.
 
 The divergence is computed between smoothed histograms of a scalar
-feature (by default the first LDA component of the transmittance matrix,
-configurable to a single band).  The pooled 0%-level distribution is the
-reference; each replicate contributes one (level, KL) point, and an
-ordinary least-squares line maps adulteration percentage to divergence.
+feature with one value per row of a transmittance ``DataMatrix``: the
+first LDA component (``lda_feature_extractor``, used by the CLI's
+``kl-regress``) or one band column (the coconut-oil study).  The pooled
+reference-level distribution is the reference; each replicate
+contributes one (level, KL) point, and an ordinary least-squares line
+maps adulteration percentage to divergence.
 
 KL uses natural log (nats).  Every bin receives a small additive epsilon
 before normalization so the divergence is always finite; this is a
@@ -14,13 +16,12 @@ documented deviation from the bare formula.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .core import Mode, Sample
 from .errors import EmptyDataError, ValidationError
-from .features import build_matrix, lda_fit
+from .features import DataMatrix, lda_fit, project
 
 
 @dataclass(frozen=True)
@@ -81,79 +82,51 @@ def kl_divergence(p: Distribution, q: Distribution) -> float:
     return float(np.sum(p.probs[mask] * np.log(p.probs[mask] / q.probs[mask])))
 
 
-# --------------------------------------------------------------------------
-# Feature extractors: sample -> 1-D values the distributions are built on
-# --------------------------------------------------------------------------
-
-
-def lda_feature_extractor(
-    samples: Sequence[Sample], mode: Mode = Mode.TRANSMITTANCE, block: int = 10
-) -> Callable[[Sample], np.ndarray]:
-    """First-LDA-component extractor fitted on the given samples' matrix."""
-    matrix = build_matrix([s for s in samples if s.cube.mode is mode], mode, block=block)
-    proj = lda_fit(matrix, k=1)
-
-    def extract(sample: Sample) -> np.ndarray:
-        from .features import superpixels
-
-        rows = superpixels(sample.cube, block=block)
-        return (rows - proj.mean) @ proj.components[0]
-
-    return extract
-
-
-def band_feature_extractor(wavelength_nm: int, block: int = 10) -> Callable[[Sample], np.ndarray]:
-    """Single-band superpixel extractor (raw-band divergence mode)."""
-
-    def extract(sample: Sample) -> np.ndarray:
-        from .features import superpixels
-
-        rows = superpixels(sample.cube, block=block)
-        idx = sample.cube.band_set.index(wavelength_nm)
-        return rows[:, idx]
-
-    return extract
+def lda_feature_extractor(matrix: DataMatrix) -> np.ndarray:
+    """The first-LDA-component value of every row, fitted on ``matrix`` itself."""
+    return project(lda_fit(matrix, k=1), matrix).values[:, 0]
 
 
 def adulteration_curve(
-    samples: Sequence[Sample],
-    feature_extractor: Callable[[Sample], np.ndarray] | None = None,
+    matrix: DataMatrix,
+    feature,
     reference_label: float = 0.0,
     n_bins: int = 24,
     epsilon: float = 1e-9,
 ) -> list[tuple[float, float]]:
-    """One (adulteration %, KL) point per replicate sample.
+    """One (adulteration %, KL) point per sample of ``matrix``.
 
-    The reference distribution pools every sample at ``reference_label``;
-    the histogram range is the global span of the extracted feature so
-    all distributions share bin edges.  Reference replicates are included
-    (their KL is the within-class noise floor).
+    ``feature`` holds one scalar per matrix row; a sample's distribution
+    is the histogram of its rows' values.  The reference distribution
+    pools every sample at ``reference_label``; the histogram range is the
+    global span of the feature so all distributions share bin edges.
+    Reference replicates are included (their KL is the within-class noise
+    floor).  Points follow the samples' first-appearance order.
     """
-    samples = list(samples)
-    if not samples:
+    values = np.asarray(feature, dtype=np.float64).ravel()
+    if values.size != matrix.n_rows:
+        raise ValidationError(f"{values.size} feature values for {matrix.n_rows} matrix rows")
+    if not values.size:
         raise EmptyDataError("no samples")
-    extractor = feature_extractor or lda_feature_extractor(samples)
-    values = {s.id: np.asarray(extractor(s), dtype=np.float64).ravel() for s in samples}
-    pool = np.concatenate(list(values.values()))
-    lo, hi = float(pool.min()), float(pool.max())
+    rows: dict[str, list[int]] = {}
+    for i, (sid, _) in enumerate(matrix.row_meta):
+        rows.setdefault(sid, []).append(i)
+    levels = {sid: matrix.row_meta[idx[0]][1].adulteration_pct for sid, idx in rows.items()}
+    if None in levels.values():
+        unlabeled = next(sid for sid, level in levels.items() if level is None)
+        raise ValidationError(f"sample {unlabeled} has no adulteration label")
+    lo, hi = float(values.min()), float(values.max())
     if hi <= lo:
         hi = lo + 1e-9
-    span = (lo, hi)
 
-    reference = [
-        values[s.id] for s in samples if s.label.adulteration_pct == reference_label
-    ]
+    def dist(v: np.ndarray) -> Distribution:
+        return histogram(v, n_bins=n_bins, value_range=(lo, hi), epsilon=epsilon)
+
+    reference = [values[idx] for sid, idx in rows.items() if levels[sid] == reference_label]
     if not reference:
         raise ValidationError(f"no samples at reference level {reference_label}")
-    p = histogram(np.concatenate(reference), n_bins=n_bins, value_range=span, epsilon=epsilon)
-
-    points = []
-    for sample in samples:
-        if sample.label.adulteration_pct is None:
-            raise ValidationError(f"sample {sample.id} has no adulteration label")
-        q = histogram(values[sample.id], n_bins=n_bins, value_range=span, epsilon=epsilon)
-        points.append((sample.label.adulteration_pct, kl_divergence(p, q)))
-    return points
+    p = dist(np.concatenate(reference))
+    return [(levels[sid], kl_divergence(p, dist(values[idx]))) for sid, idx in rows.items()]
 
 
 @dataclass(frozen=True)
@@ -163,9 +136,6 @@ class FunctionalMap:
     slope: float
     intercept: float
     r_squared: float
-
-    def __call__(self, x: float) -> float:
-        return self.slope * x + self.intercept
 
     def to_json(self) -> dict:
         return {"slope": self.slope, "intercept": self.intercept, "r_squared": self.r_squared}

@@ -9,7 +9,7 @@ Fitted normalizers and projections are immutable; transforms are pure.
 from __future__ import annotations
 
 import csv
-import json
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
@@ -92,19 +92,33 @@ class DataMatrix:
 
     @classmethod
     def from_csv(cls, path, label_kind: str = "adulteration") -> "DataMatrix":
+        """Read a file written by :meth:`to_csv`; a malformed row raises
+        ValidationError naming the file and line."""
         make = Label.adulteration if label_kind == "adulteration" else Label.color
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
-            if not header or header[:2] != ["sample_id", "label"]:
+            if not header or len(header) < 3 or header[:2] != ["sample_id", "label"]:
                 raise ValidationError(f"unexpected matrix CSV header in {path}")
             cols = tuple(header[2:])
             meta, rows = [], []
             for record in reader:
-                sid, key, *vals = record
-                raw = float(key)
-                meta.append((sid, make(int(raw) if label_kind == "class" else raw)))
-                rows.append([float(v) for v in vals])
+                where = f"{path} line {reader.line_num}"
+                if len(record) != len(header):
+                    raise ValidationError(f"{where}: {len(record)} fields, the header has {len(header)}")
+                try:
+                    numbers = [float(v) for v in record[1:]]
+                except ValueError:
+                    numbers = [math.nan]
+                if not all(map(math.isfinite, numbers)):
+                    raise ValidationError(f"{where}: label and cells must be finite numbers")
+                raw, *vals = numbers
+                try:
+                    label = make(int(raw) if label_kind == "class" else raw)
+                except ValidationError as exc:
+                    raise ValidationError(f"{where}: {exc}") from None
+                meta.append((record[0], label))
+                rows.append(vals)
         if not rows:
             raise ValidationError(f"empty matrix CSV: {path}")
         return cls(values=np.array(rows), col_labels=cols, row_meta=tuple(meta))
@@ -269,30 +283,6 @@ class Projection:
         total = weights.sum() or 1.0
         return (weights[:, None] * np.abs(self.components)).sum(axis=0) / total
 
-    def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "mean": self.mean.tolist(),
-            "components": self.components.tolist(),
-            "eigenvalues": self.eigenvalues.tolist(),
-            "col_labels": list(self.col_labels),
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "Projection":
-        return cls(
-            kind=obj["kind"],
-            mean=np.array(obj["mean"]),
-            components=np.array(obj["components"]),
-            eigenvalues=np.array(obj["eigenvalues"]),
-            col_labels=tuple(obj.get("col_labels", ())),
-        )
-
-    def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
 
 def _fix_signs(components: np.ndarray) -> np.ndarray:
     """Deterministic sign convention: largest-|entry| of each row positive."""
@@ -349,7 +339,6 @@ def pca_fit(
 
 def lda_fit(
     matrix: DataMatrix,
-    labels: np.ndarray | None = None,
     k: int | None = None,
     shrinkage: float | None = None,
 ) -> Projection:
@@ -361,9 +350,7 @@ def lda_fit(
     components exist.
     """
     values = matrix.values
-    keys = matrix.label_keys() if labels is None else np.asarray(labels, dtype=np.float64)
-    if keys.shape[0] != values.shape[0]:
-        raise ValidationError("label count does not match row count")
+    keys = matrix.label_keys()
     classes = np.unique(keys)
     n, d = values.shape
     if classes.size < 2:

@@ -21,12 +21,7 @@ import numpy as np
 from scipy.ndimage import uniform_filter
 
 from .core import Mode, Sample, SpectralCube
-from .divergence import (
-    adulteration_curve,
-    band_feature_extractor,
-    fit_linear,
-    median_curve,
-)
+from .divergence import adulteration_curve, fit_linear, median_curve
 from .errors import ValidationError
 from .features import (
     DataMatrix,
@@ -252,8 +247,8 @@ class StudySpec:
     Accuracy tables are keyed variant -> matrix -> projection, leaving out
     every axis with a single entry.  ``scatter_key``/``loadings_key`` name
     the report entries taken from the corrected LDA run on the last matrix;
-    ``kl_band`` adds the KL curve and functional map of the corrected
-    transmittance samples on that band.
+    ``kl_band`` adds the KL curve and functional map computed on that
+    band's column of the corrected transmittance matrix.
     """
 
     split_tag: str
@@ -290,10 +285,9 @@ STUDIES: dict[StudyKind, StudySpec] = {
 
 
 def _variant_matrices(
-    sides: Mapping[Mode, Sequence[Sample]], corrections: Mapping[Mode, Corrections] | None, kl_band: int | None
-) -> tuple[dict[str, DataMatrix], list | None]:
-    """One matrix per mode, plus their merge when there are two, and the
-    KL points of the transmittance samples when ``kl_band`` is set.
+    sides: Mapping[Mode, Sequence[Sample]], corrections: Mapping[Mode, Corrections] | None
+) -> dict[str, DataMatrix]:
+    """One matrix per mode, plus their merge when there are two.
 
     Preprocessed cubes are dropped as soon as their matrix is built.
     """
@@ -302,16 +296,13 @@ def _variant_matrices(
     else:
         options = PipelineOptions(spatial=False, spectral=False)
     matrices: dict[str, DataMatrix] = {}
-    points = None
     for mode, raw in sides.items():
         samples = [preprocess_pipeline(s, corrections[mode] if corrections else None, options) for s in raw]
         matrices[mode.value] = build_matrix(samples, mode)
-        if kl_band is not None and mode is Mode.TRANSMITTANCE:
-            points = adulteration_curve(samples, band_feature_extractor(kl_band))
         del samples
     if len(matrices) == 2:
         matrices["merged"] = merge(*matrices.values())
-    return matrices, points
+    return matrices
 
 
 def _nest(cells: Mapping[tuple[str, ...], object]):
@@ -356,6 +347,8 @@ def run_case_study(
     """
     spec = STUDIES[kind]
     config = config or CaseStudyConfig.for_kind(kind)
+    if spec.kl_band is not None and spec.kl_band not in config.band_set:
+        raise ValidationError(f"the {kind.value} study needs band {spec.kl_band} nm in its band set")
     data = generate_case_study(kind, config, master_seed)
     sides = {
         mode: samples
@@ -376,9 +369,7 @@ def run_case_study(
     tables = {}
     for variant in spec.variants:
         corrected = variant == "corrected"
-        matrices, points = _variant_matrices(
-            sides, corrections if corrected else None, spec.kl_band if corrected else None
-        )
+        matrices = _variant_matrices(sides, corrections if corrected else None)
         for name, matrix in matrices.items():
             for projection in spec.projections:
                 run = run_pipeline_on_matrix(matrix, classifiers, split_seed, projection=projection)
@@ -391,8 +382,9 @@ def run_case_study(
             continue
         if spec.scatter_key:
             test_p = lda_run["test_projected"]
+            # two classes give one LD component; more give at least two
             bundle[spec.scatter_key] = [
-                [round(float(row[0]), 6), round(float(row[1]), 6), meta[1].key]
+                [*(round(float(v), 6) for v in row[:2]), meta[1].key]
                 for row, meta in zip(test_p.values, test_p.row_meta)
             ]
         if spec.loadings_key:
@@ -402,7 +394,10 @@ def run_case_study(
             }
         if "transmittance" in matrices:
             bundle["signatures"] = _signature_summary(matrices["transmittance"])
-        if points is not None:
+        if spec.kl_band is not None:
+            transmittance = matrices["transmittance"]
+            band = transmittance.values[:, config.band_set.index(spec.kl_band)]
+            points = adulteration_curve(transmittance, band)
             medians = median_curve(points)
             bundle["kl_points"] = [[lv, round(kl, 6)] for lv, kl in points]
             bundle["kl_medians"] = [[lv, round(kl, 6)] for lv, kl in medians]
@@ -483,8 +478,9 @@ def write_study_bundle(bundle: dict, out_dir) -> None:
             write_accuracy_csv(tables, out / f"accuracy_{variant}.csv")
     else:
         write_accuracy_csv(accuracy, out / "accuracy.csv")
-    if "merged_lda_scatter" in bundle:
-        rows = ["ld1 ld2 label"] + [f"{a} {b} {label}" for a, b, label in bundle["merged_lda_scatter"]]
+    if scatter := bundle.get("merged_lda_scatter"):
+        header = [f"ld{i + 1}" for i in range(len(scatter[0]) - 1)] + ["label"]
+        rows = [" ".join(map(str, row)) for row in [header, *scatter]]
         (out / "merged_lda_scatter.dat").write_text("\n".join(rows) + "\n")
     if "kl_points" in bundle:
         write_kl_curve_csv(bundle["kl_points"], out / "kl_curve.csv")

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from dualmsi.cli import main
-from dualmsi.core import load_dataset
+from dualmsi.core import Label, Mode, Sample, load_dataset, save_dataset
 
+from conftest import random_raw_sample
 from test_features import matrix_from
 
 
@@ -292,3 +293,118 @@ class TestMalformedModelAndTrainConfigs:
         assert self.run_with(tmp_path, "train", config) == 0
         config = {"matrix": str(matrix_csv), "model": "logistic", "params": {"lr": 1, "epochs": 20}}
         assert self.run_with(tmp_path, "train", config) == 0
+
+
+class TestScatterComponents:
+    @pytest.mark.parametrize(
+        "command, config, header",
+        [("turmeric", {"levels": [0, 5], "replicates": 2, "width": 20, "height": 20}, "ld1 label"),
+         ("turmeric", {"levels": [0, 5, 10], "replicates": 2, "width": 20, "height": 20}, "ld1 ld2 label"),
+         ("colorcheck", {"n_classes": 2, "replicates": 2, "width": 20, "height": 20}, None)],
+        ids=["turmeric-two-levels", "turmeric-three-levels", "colorcheck-two-classes"],
+    )
+    def test_scatter_rows_hold_the_components_that_exist(self, tmp_path, command, config, header):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "o"
+        assert run(["--config", cfg, "--out", out, command]) == 0
+        report = json.loads((out / "report.json").read_text())
+        width = len(header.split()) if header else 2
+        key = "merged_lda_scatter" if command == "turmeric" else "lda_scatter"
+        assert report[key] and all(len(row) == width for row in report[key])
+        if header:
+            lines = (out / "merged_lda_scatter.dat").read_text().splitlines()
+            assert lines[0] == header
+            assert all(len(line.split()) == width for line in lines[1:])
+
+
+class TestOilStudyBandSet:
+    def test_oil_study_without_its_kl_band_exits_2(self, tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"band_set": {"wavelengths_nm": [405, 530, 660]},
+                                   "replicates": 2, "width": 20, "height": 20}))
+        assert run(["--config", cfg, "--out", tmp_path / "o", "coconut-oil"]) == 2
+        assert not (tmp_path / "o" / "report.json").exists()
+
+
+def matrix_csv_lines() -> list[str]:
+    labels = [lv for lv in (0.0, 5.0) for _ in range(6)]
+    rows = np.random.default_rng(0).normal(size=(12, 2)).tolist()
+    return ["sample_id,label,x0,x1"] + [
+        f"s{i},{label!r},{a!r},{b!r}" for i, (label, (a, b)) in enumerate(zip(labels, rows))
+    ]
+
+
+class TestMatrixCsvRows:
+    @pytest.mark.parametrize(
+        "mutate",
+        [lambda lines: lines.__setitem__(3, lines[3] + ",0.5"),
+         lambda lines: lines.__setitem__(3, lines[3].rsplit(",", 1)[0]),
+         lambda lines: lines.__setitem__(3, lines[3].rsplit(",", 1)[0] + ",abc"),
+         lambda lines: lines.__setitem__(3, "s2"),
+         lambda lines: lines.__setitem__(3, "s2,0.0,nan,1.0"),
+         lambda lines: lines.__setitem__(3, "s2,inf,1.0,1.0"),
+         lambda lines: lines.__setitem__(3, "s2,150,1.0,1.0")],
+        ids=["ragged-long", "ragged-short", "non-numeric-cell", "one-field", "nan-cell",
+             "infinite-label", "label-out-of-range"],
+    )
+    def test_train_exits_2_naming_the_line(self, tmp_path, capsys, mutate):
+        lines = matrix_csv_lines()
+        mutate(lines)
+        path = tmp_path / "m.csv"
+        path.write_text("\n".join(lines) + "\n")
+        cfg = tmp_path / "t.json"
+        cfg.write_text(json.dumps({"matrix": str(path)}))
+        assert run(["--config", cfg, "--out", tmp_path / "o", "train"]) == 2
+        assert f"{path} line 4" in capsys.readouterr().err
+
+    def test_valid_csv_trains(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("\n".join(matrix_csv_lines()) + "\n")
+        cfg = tmp_path / "t.json"
+        cfg.write_text(json.dumps({"matrix": str(path)}))
+        assert run(["--config", cfg, "--out", tmp_path / "o", "train"]) == 0
+
+
+def tiny_dataset(path, modes=(Mode.TRANSMITTANCE,) * 4):
+    """Raw 20x20 samples, alternating 0% and 5% labels, one per mode given."""
+    rng = np.random.default_rng(0)
+    samples = []
+    for i, mode in enumerate(modes):
+        sample = random_raw_sample(rng, f"s{i}", size=20, mode=mode)
+        samples.append(Sample(sample.id, sample.cube, Label.adulteration(5.0 * (i % 2))))
+    save_dataset(samples, path)
+    return path
+
+
+class TestManifestValidation:
+    @pytest.mark.parametrize(
+        "mutate",
+        [lambda m: m["bands"][0].pop("wavelength_nm"),
+         lambda m: m.update(dark=5),
+         lambda m: m.update(bands={"wavelength_nm": 405, "file": "band_405.pgm"}),
+         lambda m: m.update(label={"adulteration_pct": "5"}),
+         lambda m: m.update(label={"class_id": "x"}),
+         lambda m: m["bands"][0].update(wavelength_nm="405"),
+         lambda m: m.update(width="20")],
+        ids=["band-without-wavelength", "non-string-dark", "non-list-bands", "string-label",
+             "string-class-id", "string-wavelength", "string-width"],
+    )
+    def test_matrix_exits_2(self, tmp_path, mutate):
+        data = tiny_dataset(tmp_path / "d")
+        manifest_path = data / "s1" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        mutate(manifest)
+        manifest_path.write_text(json.dumps(manifest))
+        cfg = tmp_path / "m.json"
+        cfg.write_text(json.dumps({"input": str(data), "mode": "transmittance"}))
+        assert run(["--config", cfg, "--out", tmp_path / "o", "matrix"]) == 2
+        assert not (tmp_path / "o" / "matrix.csv").exists()
+
+    def test_kl_regress_on_mixed_modes_exits_2(self, tmp_path):
+        modes = (Mode.TRANSMITTANCE, Mode.TRANSMITTANCE, Mode.REFLECTANCE, Mode.TRANSMITTANCE)
+        data = tiny_dataset(tmp_path / "d", modes)
+        cfg = tmp_path / "k.json"
+        cfg.write_text(json.dumps({"input": str(data)}))
+        assert run(["--config", cfg, "--out", tmp_path / "o", "kl-regress"]) == 2
+        assert not (tmp_path / "o" / "kl_curve.csv").exists()

@@ -12,6 +12,7 @@ from dualmsi.core import (
     SpectralCube,
     TABLE1_WAVELENGTHS,
     crop,
+    json_value,
     load_dataset,
     load_sample,
     save_dataset,
@@ -65,7 +66,7 @@ class TestLabel:
 
     def test_json_round_trip(self):
         for label in (Label.adulteration(40.0), Label.color(3)):
-            assert Label.from_json(label.to_json()) == label
+            assert json_value(Label, label.to_json(), "label") == label
 
 
 def cube_of(values, dark, band_set=(530,)):

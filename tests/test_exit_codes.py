@@ -1,0 +1,180 @@
+"""Fuzz the CLI's input boundaries: whatever a matrix CSV, a manifest or a
+PGM header holds, ``main()`` returns 0, 2 or 3 and raises nothing.
+
+Frame sizes and sample counts are never mutated, so every run stays tiny.
+"""
+
+import json
+import shutil
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from dualmsi.cli import main
+from dualmsi.core import Label, Mode, Sample, save_dataset
+
+from conftest import random_raw_sample
+
+FUZZ = settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+EXIT_CODES = {0, 2, 3}
+
+TOKENS = st.sampled_from(
+    ["", " ", "0", "-1", "5", "150", "0.5", "1e999", "nan", "inf", "-inf", "abc", '"', ",", "\n",
+     "s0", "x0", "label", "sample_id"]
+)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 2000) | st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from(["", "dark.pgm", "band_405.pgm", "transmittance", "reflectance", "../x"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+        st.sampled_from(["wavelength_nm", "file", "adulteration_pct", "class_id", "extra"]), inner, max_size=3
+    ),
+    max_leaves=6,
+)
+
+
+def run_in(root: Path, command: str, config: dict) -> int:
+    cfg = root / f"{command}.json"
+    cfg.write_text(json.dumps(config))
+    return main(["--config", str(cfg), "--seed", "1", "--out", str(root / "out"), command])
+
+
+@pytest.fixture(scope="module")
+def seeds(tmp_path_factory):
+    """A valid matrix CSV, a tree trained on it and a four-sample dataset."""
+    root = tmp_path_factory.mktemp("fuzz")
+    labels = [lv for lv in (0.0, 5.0) for _ in range(6)]
+    rows = np.random.default_rng(0).normal(size=(12, 2)).tolist()
+    lines = ["sample_id,label,x0,x1"] + [
+        f"s{i},{label!r},{a!r},{b!r}" for i, (label, (a, b)) in enumerate(zip(labels, rows))
+    ]
+    (root / "m.csv").write_text("\n".join(lines) + "\n")
+    assert run_in(root, "train", {"matrix": str(root / "m.csv")}) == 0
+    shutil.copy(root / "out" / "model.json", root / "model.json")
+    rng = np.random.default_rng(1)
+    samples = []
+    for i in range(4):
+        s = random_raw_sample(rng, f"s{i}", n_bands=2, size=10, mode=Mode.TRANSMITTANCE)
+        samples.append(Sample(s.id, s.cube, Label.adulteration(5.0 * (i % 2))))
+    save_dataset(samples, root / "data")
+    return root
+
+
+@st.composite
+def csv_mutations(draw, lines):
+    lines = list(lines)
+    for _ in range(draw(st.integers(1, 3))):
+        if not lines:
+            break
+        i = draw(st.integers(0, len(lines) - 1))
+        fields = lines[i].split(",")
+        op = draw(st.sampled_from(["replace", "drop", "add", "delete-line", "duplicate-line", "insert"]))
+        if op == "replace":
+            fields[draw(st.integers(0, len(fields) - 1))] = draw(TOKENS)
+        elif op == "drop":
+            del fields[draw(st.integers(0, len(fields) - 1))]
+        elif op == "add":
+            fields.insert(draw(st.integers(0, len(fields))), draw(TOKENS))
+        elif op == "delete-line":
+            del lines[i]
+            continue
+        elif op == "duplicate-line":
+            lines.insert(i, lines[i])
+            continue
+        else:
+            text = lines[i]
+            at = draw(st.integers(0, len(text)))
+            fields = [text[:at] + draw(TOKENS) + text[at:]]
+        lines[i] = ",".join(fields)
+    return "\n".join(lines) + draw(st.sampled_from(["\n", "", "\n\n"]))
+
+
+class TestMatrixCsvFuzz:
+    @FUZZ
+    @given(data=st.data(), command=st.sampled_from(["train", "eval"]))
+    def test_train_and_eval_exit_cleanly(self, seeds, data, command):
+        lines = (seeds / "m.csv").read_text().splitlines()
+        text = data.draw(csv_mutations(lines))
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            (root / "m.csv").write_text(text)
+            config = {"matrix": str(root / "m.csv")}
+            if command == "eval":
+                config["model"] = str(seeds / "model.json")
+            assert run_in(root, command, config) in EXIT_CODES
+
+
+MANIFEST_KEYS = ["id", "mode", "label", "bit_depth", "dark", "bands"]  # width/height stay
+
+
+@st.composite
+def manifest_mutations(draw, manifest: dict):
+    text = json.dumps(manifest)
+    if draw(st.booleans()):
+        raw = bytearray(text.encode())
+        for _ in range(draw(st.integers(1, 3))):
+            at = draw(st.integers(0, len(raw) - 1))
+            raw[at:at + 1] = draw(st.binary(min_size=0, max_size=2))
+        return bytes(raw)
+    manifest = json.loads(text)
+    for _ in range(draw(st.integers(1, 3))):
+        op = draw(st.sampled_from(["set", "drop", "band-set", "band-drop", "extra"]))
+        if op == "set":
+            manifest[draw(st.sampled_from(MANIFEST_KEYS))] = draw(JSON_VALUES)
+        elif op == "drop":
+            manifest.pop(draw(st.sampled_from(MANIFEST_KEYS)), None)
+        elif op == "extra":
+            manifest["extra"] = draw(JSON_VALUES)
+        elif isinstance(manifest.get("bands"), list) and manifest["bands"]:
+            entry = manifest["bands"][draw(st.integers(0, len(manifest["bands"]) - 1))]
+            if isinstance(entry, dict):
+                key = draw(st.sampled_from(["wavelength_nm", "file"]))
+                if op == "band-set":
+                    entry[key] = draw(JSON_VALUES)
+                else:
+                    entry.pop(key, None)
+    return json.dumps(manifest).encode()
+
+
+@st.composite
+def pgm_header_mutations(draw, data: bytes):
+    """Mutate the magic, maxval or separators of ``P5\\n<w> <h>\\n65535\\n``."""
+    magic, dims, maxval, payload = data.split(b"\n", 3)
+    op = draw(st.sampled_from(["magic", "maxval", "separator", "comment", "truncate"]))
+    token = draw(st.sampled_from([b"", b"P2", b"P6", b"p5", b"0", b"255", b"65536", b"-1", b"x", b"#"]))
+    if op == "magic":
+        magic = token
+    elif op == "maxval":
+        maxval = token
+    elif op == "comment":
+        magic += b"\n# " + token
+    elif op == "truncate":
+        head = magic + b"\n" + dims + b"\n" + maxval + b"\n"
+        return head[: draw(st.integers(0, len(head)))]
+    sep = draw(st.sampled_from([b"\n", b" ", b"\t", b"\r\n", b""])) if op == "separator" else b"\n"
+    return magic + sep + dims + b"\n" + maxval + b"\n" + payload
+
+
+class TestDatasetFuzz:
+    def dataset_copy(self, seeds, root: Path) -> Path:
+        return Path(shutil.copytree(seeds / "data", root / "data"))
+
+    @FUZZ
+    @given(data=st.data())
+    def test_matrix_with_mutated_manifest_exits_cleanly(self, seeds, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            path = self.dataset_copy(seeds, root) / "s1" / "manifest.json"
+            path.write_bytes(data.draw(manifest_mutations(json.loads(path.read_text()))))
+            assert run_in(root, "matrix", {"input": str(root / "data"), "mode": "transmittance"}) in EXIT_CODES
+
+    @FUZZ
+    @given(data=st.data(), name=st.sampled_from(["dark.pgm", "band_405.pgm", "band_530.pgm"]))
+    def test_matrix_with_mutated_pgm_header_exits_cleanly(self, seeds, data, name):
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            path = self.dataset_copy(seeds, root) / "s2" / name
+            path.write_bytes(data.draw(pgm_header_mutations(path.read_bytes())))
+            assert run_in(root, "matrix", {"input": str(root / "data"), "mode": "transmittance"}) in EXIT_CODES

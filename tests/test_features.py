@@ -5,7 +5,6 @@ from dualmsi.core import Label, Mode
 from dualmsi.errors import ModeMismatchError, UnpairedSampleError, ValidationError
 from dualmsi.features import (
     DataMatrix,
-    Projection,
     apply_normalizer,
     band_normalize,
     build_matrix,
@@ -322,13 +321,3 @@ class TestLda:
         assert loadings.shape == (4,)
         assert np.all(loadings >= 0)
         assert proj.col_labels == ("R:405", "R:530", "T:405", "T:530")
-
-    def test_projection_json_round_trip(self, tmp_path):
-        rng = np.random.default_rng(16)
-        data = rng.normal(size=(30, 3))
-        labels = np.repeat([0.0, 1.0, 2.0], 10)
-        proj = lda_fit(matrix_from(data, labels=labels))
-        again = Projection.from_json(proj.to_json())
-        assert np.allclose(again.components, proj.components)
-        assert np.allclose(again.mean, proj.mean)
-        assert again.kind == "LDA"
