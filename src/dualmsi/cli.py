@@ -3,19 +3,23 @@
 One binary with subcommands; global flags ``--config`` (JSON file),
 ``--seed`` and ``--out``.  Exit codes: 0 success, 2 validation error,
 3 IO error.
+
+A handler's keyword parameters are its config schema: ``main`` reads each
+key of the config object as the parameter it names, typed by its
+annotation (``core.json_call``), and a key that names none exits 2.  The
+study-reading handlers pass their ``**study`` keys on to
+``CaseStudyConfig.from_json``, which rejects any that is not a field.
 """
 
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import sys
 from pathlib import Path
-from typing import get_type_hints
 
 from . import __version__
-from .core import Mode, json_value, load_dataset, save_dataset
+from .core import Mode, json_call, load_dataset, save_dataset
 from .devicelink import (
     FirmwareConfig,
     SimCamera,
@@ -25,7 +29,7 @@ from .devicelink import (
 )
 from .divergence import adulteration_curve, fit_linear, lda_feature_extractor, median_curve
 from .errors import DualMsiError, ValidationError
-from .features import DataMatrix, build_matrix, merge
+from .features import DataMatrix, LabelKind, build_matrix, merge
 from .harness import (
     repeatability_report,
     run_case_study,
@@ -72,23 +76,6 @@ def _load_config(path: str | None) -> dict:
     return obj
 
 
-def _key(config: dict, key: str, hint, default=None):
-    """``config[key]`` read as ``hint`` by ``json_value``, or ``default`` if absent."""
-    return json_value(hint, config[key], key) if key in config else default
-
-
-def _enum_value(enum, value, what: str):
-    try:
-        return enum(value)
-    except ValueError:
-        choices = ", ".join(k.value for k in enum)
-        raise ValidationError(f"unknown {what} {value!r} (choose from: {choices})") from None
-
-
-def _study_kind(name: str) -> StudyKind:
-    return _enum_value(StudyKind, name, "study kind")
-
-
 def _require_out(args) -> Path:
     if args.out is None:
         raise ValidationError("this command needs --out")
@@ -97,11 +84,10 @@ def _require_out(args) -> Path:
     return out
 
 
-def cmd_synth(args, config: dict) -> int:
+def cmd_synth(args, out: Path, kind: StudyKind | None = None, **study) -> int:
     """Generate a case-study dataset (plus white references) on disk."""
-    kind = _study_kind(config.get("kind", args.kind or "turmeric"))
-    study_config = CaseStudyConfig.from_json(kind, config)
-    out = _require_out(args)
+    kind = kind or StudyKind(args.kind or "turmeric")
+    study_config = CaseStudyConfig.from_json(kind, study)
     data = generate_case_study(kind, study_config, args.seed)
     for mode, samples in (
         (Mode.REFLECTANCE, data.reflectance),
@@ -116,19 +102,16 @@ def cmd_synth(args, config: dict) -> int:
     return EXIT_OK
 
 
-def cmd_preprocess(args, config: dict) -> int:
+def cmd_preprocess(
+    args, out: Path, input: str, white: str | None = None,
+    options: PipelineOptions = PipelineOptions(),
+) -> int:
     """Apply the correction pipeline to a dataset directory.
 
     Output frames are re-quantized to 16-bit for storage.
     """
-    if "input" not in config:
-        raise ValidationError("config needs 'input' (dataset directory)")
-    out = _require_out(args)
-    samples = load_dataset(_key(config, "input", str))
-    options = _key(config, "options", PipelineOptions, PipelineOptions())
-    corrections = None
-    if white := _key(config, "white", str):
-        corrections = fit_corrections(load_dataset(white)[0])
+    samples = load_dataset(input)
+    corrections = fit_corrections(load_dataset(white)[0]) if white else None
     quantized = [
         quantize_sample(preprocess_pipeline(s, corrections, options)) for s in samples
     ]
@@ -137,84 +120,65 @@ def cmd_preprocess(args, config: dict) -> int:
     return EXIT_OK
 
 
-def cmd_matrix(args, config: dict) -> int:
+def cmd_matrix(
+    args, out: Path, input: str | None = None, mode: Mode | None = None,
+    reflectance: str | None = None, transmittance: str | None = None, name: str = "matrix.csv",
+) -> int:
     """Build a data matrix CSV from one or two (paired) dataset directories."""
-    out = _require_out(args)
-    if "reflectance" in config and "transmittance" in config:
-        r = build_matrix(load_dataset(_key(config, "reflectance", str)), Mode.REFLECTANCE)
-        t = build_matrix(load_dataset(_key(config, "transmittance", str)), Mode.TRANSMITTANCE)
+    if input is None and mode is None and None not in (reflectance, transmittance):
+        r = build_matrix(load_dataset(reflectance), Mode.REFLECTANCE)
+        t = build_matrix(load_dataset(transmittance), Mode.TRANSMITTANCE)
         matrix = merge(r, t)
-    elif "input" in config:
-        mode = _enum_value(Mode, config.get("mode", "reflectance"), "mode")
-        matrix = build_matrix(load_dataset(_key(config, "input", str)), mode)
+    elif input is not None and reflectance is None and transmittance is None:
+        matrix = build_matrix(load_dataset(input), mode or Mode.REFLECTANCE)
     else:
-        raise ValidationError("config needs 'input' or 'reflectance'+'transmittance'")
-    path = out / _key(config, "name", str, "matrix.csv")
+        raise ValidationError("config needs 'input' (and optionally 'mode') or else both "
+                              "'reflectance' and 'transmittance'")
+    path = out / name
     matrix.to_csv(path)
     print(f"wrote {matrix.n_rows}x{matrix.n_cols} matrix to {path}")
     return EXIT_OK
 
 
-def _matrix_csv(config: dict) -> DataMatrix:
-    label_kind = _key(config, "label_kind", str, "adulteration")
-    return DataMatrix.from_csv(_key(config, "matrix", str), label_kind)
-
-
-def cmd_train(args, config: dict) -> int:
+def cmd_train(
+    args, out: Path, matrix: str, model: str = "decision_tree", params: dict | None = None,
+    fraction: float = 0.75, granularity: Granularity = Granularity.SAMPLE,
+    label_kind: LabelKind = LabelKind.ADULTERATION,
+) -> int:
     """Split a matrix CSV, train one classifier, save model + split."""
-    if "matrix" not in config:
-        raise ValidationError("config needs 'matrix' (CSV path)")
-    out = _require_out(args)
-    matrix = _matrix_csv(config)
-    kind = _key(config, "model", str, "decision_tree")
-    if kind not in MODEL_KINDS:
-        raise ValidationError(f"unknown model {kind!r} (choose from {sorted(MODEL_KINDS)})")
-    granularity = _enum_value(Granularity, config.get("granularity", "sample"), "granularity")
-    params = config.get("params", {})
-    if not isinstance(params, dict):
-        raise ValidationError("'params' must be a JSON object")
-    allowed = inspect.signature(MODEL_KINDS[kind]).parameters
-    unknown = sorted(set(params) - set(allowed))
-    if unknown:
-        raise ValidationError(f"unknown {kind} params {unknown} (choose from {sorted(allowed)})")
-    hints = get_type_hints(MODEL_KINDS[kind].__init__)
-    params = {k: json_value(hints[k], v, f"{kind} param {k}") for k, v in params.items()}
-    split = stratified_split(matrix, _key(config, "fraction", float, 0.75), args.seed, granularity)
-    train, test = split_matrix(matrix, split)
-    model = MODEL_KINDS[kind](**params).fit(train.values, train.label_keys())
-    save_model(model, out / "model.json")
+    data = DataMatrix.from_csv(matrix, label_kind)
+    if model not in MODEL_KINDS:
+        raise ValidationError(f"unknown model {model!r} (choose from {sorted(MODEL_KINDS)})")
+    classifier = json_call(MODEL_KINDS[model], params or {}, f"{model} params")
+    split = stratified_split(data, fraction, args.seed, granularity)
+    train, test = split_matrix(data, split)
+    classifier.fit(train.values, train.label_keys())
+    save_model(classifier, out / "model.json")
     write_json(split.to_json(), out / "split.json")
-    cm = evaluate(model, test)
+    cm = evaluate(classifier, test)
     write_json(cm.to_json(), out / "train_eval.json")
-    print(f"{kind}: test accuracy {cm.accuracy:.4f} ({len(split.test_ids)} test units)")
+    print(f"{model}: test accuracy {cm.accuracy:.4f} ({len(split.test_ids)} test units)")
     return EXIT_OK
 
 
-def cmd_eval(args, config: dict) -> int:
+def cmd_eval(
+    args, out: Path, model: str, matrix: str, label_kind: LabelKind = LabelKind.ADULTERATION
+) -> int:
     """Evaluate a saved model against a matrix CSV."""
-    for key in ("model", "matrix"):
-        if key not in config:
-            raise ValidationError(f"config needs '{key}'")
-    out = _require_out(args)
-    model = load_model(_key(config, "model", str))
-    matrix = _matrix_csv(config)
-    cm = evaluate(model, matrix)
+    classifier = load_model(model)
+    cm = evaluate(classifier, DataMatrix.from_csv(matrix, label_kind))
     write_json(cm.to_json(), out / "eval.json")
     print(f"accuracy {cm.accuracy:.4f} over {cm.total} rows")
     return EXIT_OK
 
 
-def cmd_kl_regress(args, config: dict) -> int:
+def cmd_kl_regress(
+    args, out: Path, input: str, reference_label: float = 0.0, n_bins: int = 24
+) -> int:
     """KL adulteration curve + linear functional map from a dataset directory."""
-    if "input" not in config:
-        raise ValidationError("config needs 'input' (transmittance dataset directory)")
-    out = _require_out(args)
-    matrix = build_matrix(load_dataset(_key(config, "input", str)), Mode.TRANSMITTANCE)
+    matrix = build_matrix(load_dataset(input), Mode.TRANSMITTANCE)
     points = adulteration_curve(
-        matrix,
-        lda_feature_extractor(matrix),
-        reference_label=_key(config, "reference_label", float, 0.0),
-        n_bins=_key(config, "n_bins", int, 24),
+        matrix, lda_feature_extractor(matrix), reference_label=reference_label, n_bins=n_bins
     )
     medians = median_curve(points)
     fmap = fit_linear(points)
@@ -226,27 +190,26 @@ def cmd_kl_regress(args, config: dict) -> int:
     return EXIT_OK
 
 
-def cmd_study(args, config: dict, kind: StudyKind) -> int:
-    out = _require_out(args)
-    study_config = CaseStudyConfig.from_json(kind, config)
+def cmd_study(args, out: Path, kind: StudyKind, /, **study) -> int:
+    study_config = CaseStudyConfig.from_json(kind, study)
     bundle = run_case_study(kind, study_config, args.seed)
     write_study_bundle(bundle, out)
     print(f"{kind.value} study -> {out / 'report.json'}")
     return EXIT_OK
 
 
-def cmd_consistency(args, config: dict) -> int:
+def cmd_consistency(
+    args, out: Path, white: str | None = None, kind: StudyKind = StudyKind.TURMERIC,
+    mode: Mode = Mode.REFLECTANCE, band: int | None = None, **study,
+) -> int:
     """Spatial consistency report from a white dataset (or a synthetic one)."""
-    out = _require_out(args)
-    if "white" in config:
-        white = load_dataset(_key(config, "white", str))[0]
+    study_config = CaseStudyConfig.from_json(kind, study)
+    if white is None:
+        white_sample = render_white_reference(study_config, mode, args.seed)
     else:
-        kind = _study_kind(config.get("kind", "turmeric"))
-        study_config = CaseStudyConfig.from_json(kind, config)
-        mode = _enum_value(Mode, config.get("mode", "reflectance"), "mode")
-        white = render_white_reference(study_config, mode, args.seed)
-    report = spatial_consistency_report(white)
-    write_consistency_report(report, out, band=_key(config, "band", int | None))
+        white_sample = load_dataset(white)[0]
+    report = spatial_consistency_report(white_sample)
+    write_consistency_report(report, out, band=band)
     print(
         f"mean spectral distance {report.before.mean_distance:.5f} -> "
         f"{report.after.mean_distance:.5f}; recommended region {report.region_size} px"
@@ -254,13 +217,14 @@ def cmd_consistency(args, config: dict) -> int:
     return EXIT_OK
 
 
-def cmd_repeatability(args, config: dict) -> int:
-    out = _require_out(args)
-    kind = _study_kind(config.get("kind", "turmeric"))
-    study_config = CaseStudyConfig.from_json(kind, config)
+def cmd_repeatability(
+    args, out: Path, kind: StudyKind = StudyKind.TURMERIC, mode: Mode = Mode.REFLECTANCE,
+    n_times: int = 10, drift_amplitude: float | None = None, **study,
+) -> int:
+    study_config = CaseStudyConfig.from_json(kind, study)
     scene = SceneConfig(
         band_set=study_config.band_set,
-        mode=_enum_value(Mode, config.get("mode", "reflectance"), "mode"),
+        mode=mode,
         mixture=MixtureSpec.pure(materials.TURMERIC),
         illumination=study_config.illumination,
         noise=study_config.noise,
@@ -268,9 +232,7 @@ def cmd_repeatability(args, config: dict) -> int:
         height=study_config.height,
         rng_seed=args.seed,
     )
-    series = render_repeat_series(
-        scene, _key(config, "n_times", int, 10), _key(config, "drift_amplitude", float | None)
-    )
+    series = render_repeat_series(scene, n_times, drift_amplitude)
     report = repeatability_report(series)
     report["per_band_deviation_pct"] = {
         str(k): v for k, v in report["per_band_deviation_pct"].items()
@@ -280,21 +242,17 @@ def cmd_repeatability(args, config: dict) -> int:
     return EXIT_OK
 
 
-def cmd_protocol_sim(args, config: dict) -> int:
+def cmd_protocol_sim(
+    args, out: Path, n_bands: int = 13, timeout_steps: int = 16, exposure_steps: int = 1,
+    fail: bool = False, sequential: bool = True, band: int = 0,
+) -> int:
     """Run the capture handshake simulation and write the transcript."""
-    out = _require_out(args)
-    fw = FirmwareConfig(
-        n_bands=_key(config, "n_bands", int, 13),
-        timeout_steps=_key(config, "timeout_steps", int, 16),
-    )
-    camera = SimCamera(
-        exposure_steps=_key(config, "exposure_steps", int, 1),
-        fail=_key(config, "fail", bool, False),
-    )
-    if _key(config, "sequential", bool, True):
+    fw = FirmwareConfig(n_bands=n_bands, timeout_steps=timeout_steps)
+    camera = SimCamera(exposure_steps=exposure_steps, fail=fail)
+    if sequential:
         transcript = run_sequential_capture(fw, camera)
     else:
-        transcript = capture_handshake(_key(config, "band", int, 0), fw, camera)
+        transcript = capture_handshake(band, fw, camera)
     (out / "transcript.log").write_text(render_transcript(transcript))
     print(f"{len(transcript)} events -> {out / 'transcript.log'}")
     return EXIT_OK
@@ -327,19 +285,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Each command's handler, and the positional arguments it takes after
+# ``args`` and ``out``; its keyword parameters are read from the config.
 COMMANDS = {
-    "synth": cmd_synth,
-    "preprocess": cmd_preprocess,
-    "matrix": cmd_matrix,
-    "train": cmd_train,
-    "eval": cmd_eval,
-    "kl-regress": cmd_kl_regress,
-    "colorcheck": lambda a, c: cmd_study(a, c, StudyKind.COLOR_CHART),
-    "turmeric": lambda a, c: cmd_study(a, c, StudyKind.TURMERIC),
-    "coconut-oil": lambda a, c: cmd_study(a, c, StudyKind.COCONUT_OIL),
-    "consistency": cmd_consistency,
-    "repeatability": cmd_repeatability,
-    "protocol-sim": cmd_protocol_sim,
+    "synth": (cmd_synth,),
+    "preprocess": (cmd_preprocess,),
+    "matrix": (cmd_matrix,),
+    "train": (cmd_train,),
+    "eval": (cmd_eval,),
+    "kl-regress": (cmd_kl_regress,),
+    "colorcheck": (cmd_study, StudyKind.COLOR_CHART),
+    "turmeric": (cmd_study, StudyKind.TURMERIC),
+    "coconut-oil": (cmd_study, StudyKind.COCONUT_OIL),
+    "consistency": (cmd_consistency,),
+    "repeatability": (cmd_repeatability,),
+    "protocol-sim": (cmd_protocol_sim,),
 }
 
 
@@ -347,7 +307,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = _load_config(args.config)
-        return COMMANDS[args.command](args, config)
+        out = _require_out(args)
+        handler, *extra = COMMANDS[args.command]
+        return json_call(handler, config, f"{args.command} config", args, out, *extra)
     except (ValidationError, DualMsiError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -11,8 +11,9 @@ across threads.
 from __future__ import annotations
 
 import functools
+import inspect
 import json
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
+from dataclasses import dataclass, field, is_dataclass, replace
 from enum import Enum
 from pathlib import Path
 from types import UnionType
@@ -189,8 +190,8 @@ class Label:
             object.__setattr__(self, "adulteration_pct", pct)
         else:
             cid = int(self.class_id)
-            if cid < 0:
-                raise ValidationError(f"class_id must be non-negative: {cid}")
+            if cid != self.class_id or cid < 0:
+                raise ValidationError(f"class_id must be a non-negative integer: {self.class_id}")
             object.__setattr__(self, "class_id", cid)
 
     @classmethod
@@ -253,17 +254,14 @@ def crop(cube: SpectralCube, x: int, y: int, w: int, h: int) -> SpectralCube:
     return replace(cube, values=cube.values[:, rows, cols], dark=cube.dark[rows, cols])
 
 
-_type_hints = functools.cache(get_type_hints)  # resolving string annotations is slow
-
-
 def json_value(hint, value, what: str):
     """``value`` parsed from JSON as the annotated type ``hint``.
 
     Numbers must be JSON numbers (an int is accepted for a float, a bool
-    never is), a string or bool must be one, tuples come from lists,
-    ``X | None`` also takes null, and a dataclass comes from an object
-    whose keys name its fields (all those without a default), each read
-    the same way.  Anything else raises ValidationError.
+    never is), a string, bool or object must be one, an Enum comes from
+    one of its values, tuples come from lists, ``X | None`` also takes
+    null, and a dataclass comes from an object read by :func:`json_call`.
+    Anything else raises ValidationError.
     """
     if get_origin(hint) in (Union, UnionType):
         if value is None and type(None) in get_args(hint):
@@ -275,16 +273,13 @@ def json_value(hint, value, what: str):
             raise ValidationError(f"{what} needs {len(args)} entries, got {len(value)}")
         return tuple(json_value(args[0], v, what) for v in value)
     if is_dataclass(hint) and isinstance(value, dict):
-        hints = _type_hints(hint)
-        unknown = sorted(set(value) - set(hints))
-        if unknown:
-            raise ValidationError(f"unknown {what} keys {unknown} (choose from {sorted(hints)})")
-        missing = [f.name for f in fields(hint) if f.name not in value
-                   and f.default is MISSING and f.default_factory is MISSING]
-        if missing:
-            raise ValidationError(f"{what} is missing keys {missing}")
-        return hint(**{k: json_value(hints[k], v, f"{what}.{k}") for k, v in value.items()})
-    if hint in (bool, str) and isinstance(value, hint):
+        return json_call(hint, value, what)
+    if isinstance(hint, type) and issubclass(hint, Enum):
+        members = {m.value: m for m in hint}
+        if isinstance(value, str) and value in members:
+            return members[value]
+        raise ValidationError(f"unknown {what} {value!r} (choose from: {', '.join(members)})")
+    if hint in (bool, str, dict) and isinstance(value, hint):
         return value
     if hint in (int, float) and isinstance(value, (int, float)) and not isinstance(value, bool):
         if hint is int and isinstance(value, int):
@@ -295,6 +290,44 @@ def json_value(hint, value, what: str):
             except OverflowError:
                 raise ValidationError(f"{what} {value} is too large") from None
     raise ValidationError(f"{what} must be {getattr(hint, '__name__', hint)}, got {value!r}")
+
+
+@functools.cache
+def _readable(fn, n_args: int):
+    """The type hints of the keyword parameters of ``fn`` that ``n_args``
+    positional arguments leave unfilled, the required ones among them, the
+    names of all its keyword parameters, and whether it takes ``**kwargs``.
+    Cached: resolving string annotations is slow."""
+    params = list(inspect.signature(fn).parameters.values())
+    hints = get_type_hints(fn.__init__ if isinstance(fn, type) else fn)
+    keyword = {p.name for p in params if p.kind in (p.POSITIONAL_OR_KEYWORD, p.KEYWORD_ONLY)}
+    named = [p for p in params[n_args:] if p.name in keyword]
+    return (
+        {p.name: hints[p.name] for p in named},
+        [p.name for p in named if p.default is p.empty],
+        keyword,
+        any(p.kind is p.VAR_KEYWORD for p in params),
+    )
+
+
+def json_call(fn, obj: dict, what: str, *args):
+    """``fn(*args, **kwargs)`` with every keyword read from the JSON object ``obj``.
+
+    A key naming a parameter of ``fn`` that ``args`` left unfilled is read
+    by :func:`json_value` as that parameter's annotated type.  A key that
+    names no parameter is passed on unread if ``fn`` takes ``**kwargs``.
+    Any other key raises ValidationError, as does a missing required
+    parameter.
+    """
+    hints, required, keyword, takes_rest = _readable(fn, len(args))
+    unknown = sorted(k for k in obj if k not in hints and (k in keyword or not takes_rest))
+    if unknown:
+        raise ValidationError(f"unknown {what} keys {unknown} (choose from {sorted(hints)})")
+    missing = [name for name in required if name not in obj]
+    if missing:
+        raise ValidationError(f"{what} is missing keys {missing}")
+    kwargs = {k: json_value(hints[k], v, f"{what}.{k}") if k in hints else v for k, v in obj.items()}
+    return fn(*args, **kwargs)
 
 
 # --------------------------------------------------------------------------
@@ -319,7 +352,7 @@ class _Manifest:
     """The manifest.json schema, read by ``json_value``."""
 
     id: str
-    mode: str
+    mode: Mode
     label: Label
     width: int
     height: int
@@ -377,10 +410,6 @@ def load_sample(dir_path) -> Sample:
     manifest = json_value(_Manifest, obj, f"manifest in {directory}")
     if manifest.bit_depth != BIT_DEPTH:
         raise ValidationError(f"unsupported bit depth {manifest.bit_depth}")
-    try:
-        mode = Mode(manifest.mode)
-    except ValueError:
-        raise ValidationError(f"unknown mode string {manifest.mode!r}") from None
 
     files = {entry.wavelength_nm: entry.file for entry in manifest.bands}
     if len(files) != len(manifest.bands):
@@ -404,7 +433,7 @@ def load_sample(dir_path) -> Sample:
 
     values = np.stack([read_frame(files[wl], wl) for wl in band_set])
     dark = read_frame(manifest.dark, None)
-    cube = SpectralCube(values=values, dark=dark, mode=mode, band_set=band_set)
+    cube = SpectralCube(values=values, dark=dark, mode=manifest.mode, band_set=band_set)
     return Sample(id=manifest.id, cube=cube, label=manifest.label)
 
 

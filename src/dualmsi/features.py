@@ -12,6 +12,7 @@ import csv
 import math
 import warnings
 from dataclasses import dataclass
+from enum import Enum
 from typing import Sequence
 
 import numpy as np
@@ -23,6 +24,13 @@ from .errors import (
     UnpairedSampleError,
     ValidationError,
 )
+
+
+class LabelKind(Enum):
+    """What a matrix CSV's label column holds."""
+
+    ADULTERATION = "adulteration"  # a percentage
+    CLASS = "class"  # an integer colour class
 
 
 @dataclass(frozen=True)
@@ -91,10 +99,11 @@ class DataMatrix:
                 writer.writerow([sid, label.key, *(repr(float(v)) for v in row)])
 
     @classmethod
-    def from_csv(cls, path, label_kind: str = "adulteration") -> "DataMatrix":
-        """Read a file written by :meth:`to_csv`; a malformed row raises
-        ValidationError naming the file and line."""
-        make = Label.adulteration if label_kind == "adulteration" else Label.color
+    def from_csv(cls, path, label_kind: LabelKind = LabelKind.ADULTERATION) -> "DataMatrix":
+        """Read a file written by :meth:`to_csv`; a malformed row or label
+        (a class label must be an integer) raises ValidationError naming the
+        file and line."""
+        make = Label.adulteration if label_kind is LabelKind.ADULTERATION else Label.color
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
@@ -114,7 +123,7 @@ class DataMatrix:
                     raise ValidationError(f"{where}: label and cells must be finite numbers")
                 raw, *vals = numbers
                 try:
-                    label = make(int(raw) if label_kind == "class" else raw)
+                    label = make(raw)
                 except ValidationError as exc:
                     raise ValidationError(f"{where}: {exc}") from None
                 meta.append((record[0], label))

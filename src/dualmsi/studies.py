@@ -14,14 +14,13 @@ These magnitudes are fixture calibration, not measured device values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from enum import Enum
-from typing import get_type_hints
 
 import numpy as np
 
 from . import materials
-from .core import BandSet, Label, Mode, Sample, json_value
+from .core import BandSet, Label, Mode, Sample, json_call, json_value
 from .errors import ValidationError
 from .synth import (
     IlluminationProfile,
@@ -89,14 +88,13 @@ class CaseStudyConfig:
     @classmethod
     def from_json(cls, kind: StudyKind, obj: dict) -> "CaseStudyConfig":
         """The ``kind`` defaults with every field that ``obj`` names read
-        from JSON and type-checked; keys that name no field are ignored."""
-        hints = get_type_hints(cls)
-        overrides = {
-            f.name: json_value(hints[f.name], obj[f.name], f.name)
-            for f in fields(cls)
-            if f.name != "kind" and f.name in obj
-        }
-        return cls.for_kind(kind, **overrides)
+        from JSON and type-checked.  A key that names no field, or a
+        ``kind`` other than ``kind`` itself, raises ValidationError."""
+        obj = dict(obj)
+        given = json_value(StudyKind, obj.pop("kind", kind.value), "study kind")
+        if given is not kind:
+            raise ValidationError(f"config is for the {given.value} study, not {kind.value}")
+        return json_call(cls, {**_KIND_DEFAULTS[kind], **obj}, "study config", kind)
 
 
 # Per-kind settings that differ from the field defaults.

@@ -1,10 +1,16 @@
+import inspect
 import json
+from dataclasses import fields, is_dataclass
+from enum import Enum
+from types import UnionType
+from typing import Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 import pytest
 
-from dualmsi.cli import main
-from dualmsi.core import Label, Mode, Sample, load_dataset, save_dataset
+from dualmsi.cli import COMMANDS, main
+from dualmsi.core import Label, Mode, Sample, json_value, load_dataset, save_dataset
+from dualmsi.models import MODEL_KINDS
 
 from conftest import random_raw_sample
 from test_features import matrix_from
@@ -408,3 +414,129 @@ class TestManifestValidation:
         cfg.write_text(json.dumps({"input": str(data)}))
         assert run(["--config", cfg, "--out", tmp_path / "o", "kl-regress"]) == 2
         assert not (tmp_path / "o" / "kl_curve.csv").exists()
+
+
+def write_csv(path, lines):
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+class TestLabelKind:
+    def train(self, tmp_path, config):
+        cfg = tmp_path / "t.json"
+        cfg.write_text(json.dumps(config))
+        return run(["--config", cfg, "--out", tmp_path / "o", "train"])
+
+    def test_bogus_kind_exits_2(self, tmp_path, capsys):
+        path = write_csv(tmp_path / "m.csv", matrix_csv_lines())
+        assert self.train(tmp_path, {"matrix": str(path), "label_kind": "bogus"}) == 2
+        assert "choose from: adulteration, class" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "model.json").exists()
+
+    def test_class_with_a_fractional_label_exits_2_naming_the_line(self, tmp_path, capsys):
+        lines = [line.replace(",5.0,", ",2.5,") for line in matrix_csv_lines()]
+        path = write_csv(tmp_path / "m.csv", lines)
+        assert self.train(tmp_path, {"matrix": str(path), "label_kind": "class"}) == 2
+        assert f"{path} line 8" in capsys.readouterr().err  # s6, the first 2.5
+        assert not (tmp_path / "o" / "model.json").exists()
+        assert self.train(tmp_path, {"matrix": str(path)}) == 0  # a percentage may be 2.5
+
+    def test_class_with_integer_labels_trains_and_evaluates(self, tmp_path):
+        lines = [line.replace(",5.0,", ",2.0,") for line in matrix_csv_lines()]
+        path = write_csv(tmp_path / "m.csv", lines)
+        assert self.train(tmp_path, {"matrix": str(path), "label_kind": "class"}) == 0
+        assert json.loads((tmp_path / "o" / "train_eval.json").read_text())["labels"] == [0.0, 2.0]
+        cfg = tmp_path / "e.json"
+        cfg.write_text(json.dumps({"model": str(tmp_path / "o" / "model.json"),
+                                   "matrix": str(path), "label_kind": "class"}))
+        assert run(["--config", cfg, "--out", tmp_path / "e", "eval"]) == 0
+
+
+class TestMatrixInputs:
+    @pytest.mark.parametrize(
+        "keys",
+        [("input", "reflectance"), ("input", "transmittance"),
+         ("input", "reflectance", "transmittance"), ("reflectance",), ("transmittance",),
+         ("mode", "reflectance", "transmittance"), ("mode",), ()],
+        ids=lambda keys: "+".join(keys) or "nothing",
+    )
+    def test_ambiguous_or_missing_inputs_exit_2(self, synth_dirs, tmp_path, keys):
+        values = {"input": str(synth_dirs / "reflectance"), "mode": "reflectance",
+                  "reflectance": str(synth_dirs / "reflectance"),
+                  "transmittance": str(synth_dirs / "transmittance")}
+        cfg = tmp_path / "m.json"
+        cfg.write_text(json.dumps({k: values[k] for k in keys}))
+        assert run(["--config", cfg, "--out", tmp_path / "o", "matrix"]) == 2
+        assert not (tmp_path / "o" / "matrix.csv").exists()
+
+
+class TestConsistencyWithWhite:
+    @pytest.mark.parametrize(
+        "extra, code",
+        [({}, 0), ({"bogus": 1}, 2), ({"replicates": "3"}, 2), ({"kind": "bogus"}, 2),
+         ({"mode": "bogus"}, 2)],
+        ids=["white-only", "unknown-key", "bad-study-field", "bad-kind", "bad-mode"],
+    )
+    def test_keys_beside_white_are_checked(self, synth_dirs, tmp_path, extra, code):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"white": str(synth_dirs / "white_reflectance"), **extra}))
+        assert run(["--config", cfg, "--out", tmp_path / "o", "consistency"]) == code
+        assert (tmp_path / "o" / "consistency.json").exists() == (code == 0)
+
+
+class TestUnknownKeys:
+    @pytest.mark.parametrize("key", ["bogus", "args"])
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_unknown_key_exits_2_naming_it(self, tmp_path, capsys, command, key):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({key: 1}))
+        out = tmp_path / "o"
+        assert run(["--config", cfg, "--out", out, command]) == 2
+        assert f"config keys ['{key}']" in capsys.readouterr().err
+        assert not any(out.rglob("*"))
+
+    @pytest.mark.parametrize("command, kind", [("turmeric", "coconut_oil"),
+                                               ("coconut-oil", "color_chart"),
+                                               ("colorcheck", "turmeric")])
+    def test_study_command_rejects_another_kind(self, tmp_path, command, kind):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"kind": kind}))
+        assert run(["--config", cfg, "--out", tmp_path / "o", command]) == 2
+        assert not any((tmp_path / "o").rglob("*"))
+
+
+JSON_SCALARS = {bool: True, int: 3, float: 0.5, str: "x", dict: {}}
+
+
+def assert_json_type(hint, what):
+    """Assert ``json_value`` reads ``hint``, recursing into its parts."""
+    if get_origin(hint) in (Union, UnionType):
+        assert json_value(hint, None, what) is None
+        (hint,) = [a for a in get_args(hint) if a is not type(None)]
+    if is_dataclass(hint):
+        hints = get_type_hints(hint)
+        for f in fields(hint):
+            assert_json_type(hints[f.name], f"{what}.{f.name}")
+    elif get_origin(hint) is tuple:
+        for arg in get_args(hint):
+            if arg is not Ellipsis:
+                assert_json_type(arg, what)
+    elif isinstance(hint, type) and issubclass(hint, Enum):
+        assert all(json_value(hint, m.value, what) is m for m in hint)
+    else:
+        assert hint in JSON_SCALARS, f"json_value cannot read {what}: {hint}"
+        assert json_value(hint, JSON_SCALARS[hint], what) == JSON_SCALARS[hint]
+
+
+READERS = [(f"command {name}", handler, 2 + len(extra)) for name, (handler, *extra) in COMMANDS.items()]
+READERS += [(f"model {name}", cls, 0) for name, cls in MODEL_KINDS.items()]
+
+
+class TestReadableParameters:
+    @pytest.mark.parametrize("name, fn, n_args", READERS, ids=[r[0] for r in READERS])
+    def test_every_readable_parameter_has_a_json_type(self, name, fn, n_args):
+        hints = get_type_hints(fn.__init__ if isinstance(fn, type) else fn)
+        for param in list(inspect.signature(fn).parameters.values())[n_args:]:
+            if param.kind is not param.VAR_KEYWORD:
+                assert param.name in hints, f"{name}: {param.name} has no type hint"
+                assert_json_type(hints[param.name], f"{name}: {param.name}")

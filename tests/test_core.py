@@ -12,6 +12,7 @@ from dualmsi.core import (
     SpectralCube,
     TABLE1_WAVELENGTHS,
     crop,
+    json_call,
     json_value,
     load_dataset,
     load_sample,
@@ -67,6 +68,43 @@ class TestLabel:
     def test_json_round_trip(self):
         for label in (Label.adulteration(40.0), Label.color(3)):
             assert json_value(Label, label.to_json(), "label") == label
+
+
+def reader(first, /, count: int, mode: Mode = Mode.REFLECTANCE, label: Label | None = None, **rest):
+    return first, count, mode, label, rest
+
+
+def plain_reader(count: int, scale: float = 1.0):
+    return count, scale
+
+
+class TestJsonCall:
+    def test_reads_each_key_as_its_annotated_type(self):
+        obj = {"count": 2, "mode": "transmittance", "label": {"class_id": 1}}
+        assert json_call(reader, obj, "cfg", "a") == ("a", 2, Mode.TRANSMITTANCE, Label.color(1), {})
+        assert json_call(plain_reader, {"count": 2, "scale": 3}, "cfg") == (2, 3.0)
+
+    def test_other_keys_go_to_kwargs_unread(self):
+        obj = {"count": 1, "first": [1], "extra": "x"}
+        assert json_call(reader, obj, "cfg", "a")[-1] == {"first": [1], "extra": "x"}
+
+    @pytest.mark.parametrize(
+        "fn, obj, args, message",
+        [(plain_reader, {"count": 1, "bogus": 2}, (), "unknown cfg keys ['bogus']"),
+         (plain_reader, {"count": 1}, (1,), "unknown cfg keys ['count']"),
+         (plain_reader, {"scale": 1.0}, (), "cfg is missing keys ['count']"),
+         (reader, {}, ("a",), "cfg is missing keys ['count']"),
+         (reader, {"count": "1"}, ("a",), "cfg.count must be int"),
+         (reader, {"count": 1, "mode": "bogus"}, ("a",), "unknown cfg.mode 'bogus' (choose from: "
+          "reflectance, transmittance)"),
+         (reader, {"count": 1, "mode": 1}, ("a",), "unknown cfg.mode 1")],
+        ids=["unknown-key", "filled-by-args", "missing-key", "missing-key-with-kwargs",
+             "wrong-type", "unknown-enum-value", "non-string-enum-value"],
+    )
+    def test_bad_objects_are_validation_errors(self, fn, obj, args, message):
+        with pytest.raises(ValidationError) as exc:
+            json_call(fn, obj, "cfg", *args)
+        assert message in str(exc.value)
 
 
 def cube_of(values, dark, band_set=(530,)):

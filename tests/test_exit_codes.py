@@ -1,20 +1,24 @@
-"""Fuzz the CLI's input boundaries: whatever a matrix CSV, a manifest or a
-PGM header holds, ``main()`` returns 0, 2 or 3 and raises nothing.
+"""Fuzz the CLI's input boundaries: whatever a config, a matrix CSV, a
+manifest or a PGM header holds, ``main()`` returns 0, 2 or 3 and raises
+nothing.
 
 Frame sizes and sample counts are never mutated, so every run stays tiny.
 """
 
+import inspect
 import json
 import shutil
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, event, given, settings, strategies as st
 
-from dualmsi.cli import main
+from dualmsi.cli import COMMANDS, main
 from dualmsi.core import Label, Mode, Sample, save_dataset
+from dualmsi.studies import CaseStudyConfig
 
 from conftest import random_raw_sample
 
@@ -59,6 +63,9 @@ def seeds(tmp_path_factory):
         s = random_raw_sample(rng, f"s{i}", n_bands=2, size=10, mode=Mode.TRANSMITTANCE)
         samples.append(Sample(s.id, s.cube, Label.adulteration(5.0 * (i % 2))))
     save_dataset(samples, root / "data")
+    (root / "synth").mkdir()
+    synth = {"kind": "coconut_oil", "replicates": 2, "levels": [0, 40], "width": 10, "height": 10}
+    assert run_in(root / "synth", "synth", synth) == 0
     return root
 
 
@@ -178,3 +185,73 @@ class TestDatasetFuzz:
             path = self.dataset_copy(seeds, root) / "s2" / name
             path.write_bytes(data.draw(pgm_header_mutations(path.read_bytes())))
             assert run_in(root, "matrix", {"input": str(root / "data"), "mode": "transmittance"}) in EXIT_CODES
+
+
+SIZE_KEYS = {"width", "height", "replicates", "levels", "n_times", "n_bands"}
+CONFIG_FUZZ = settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+
+def tiny_config(command: str, seeds: Path) -> dict:
+    """A small valid config for ``command``, reading the ``seeds`` files."""
+    study = {"replicates": 3, "levels": [0, 40], "width": 10, "height": 20, "depth": 1.0}
+    return {
+        "synth": {"kind": "coconut_oil", "replicates": 1, "levels": [0, 40], "width": 10, "height": 10},
+        "preprocess": {"input": str(seeds / "synth" / "out" / "transmittance"),
+                       "white": str(seeds / "synth" / "out" / "white_transmittance"),
+                       "options": {"bilateral": None}},
+        "matrix": {"input": str(seeds / "data"), "mode": "transmittance", "name": "m.csv"},
+        "train": {"matrix": str(seeds / "m.csv"), "model": "decision_tree", "fraction": 0.75},
+        "eval": {"model": str(seeds / "model.json"), "matrix": str(seeds / "m.csv"),
+                 "label_kind": "adulteration"},
+        "kl-regress": {"input": str(seeds / "synth" / "out" / "transmittance"), "n_bins": 8,
+                       "reference_label": 0},
+        "turmeric": {**study, "kind": "turmeric"},
+        "coconut-oil": {**study, "kind": "coconut_oil"},
+        "colorcheck": {"kind": "color_chart", "replicates": 3, "n_classes": 2, "width": 10,
+                       "height": 20},
+        "consistency": {"kind": "turmeric", "mode": "transmittance", "width": 20, "height": 20,
+                        "band": 530},
+        "repeatability": {"mode": "reflectance", "width": 10, "height": 10, "n_times": 2,
+                          "drift_amplitude": 0.01},
+        "protocol-sim": {"n_bands": 3, "timeout_steps": 4, "exposure_steps": 1, "fail": False,
+                         "sequential": True, "band": 0},
+    }[command]
+
+
+def config_keys(command: str) -> set[str]:
+    """Every key ``command`` reads: its handler's keyword parameters, plus
+    the study fields for a handler that takes ``**study``."""
+    handler, *extra = COMMANDS[command]
+    params = list(inspect.signature(handler).parameters.values())[2 + len(extra):]
+    keys = {p.name for p in params if p.kind is not p.VAR_KEYWORD}
+    if any(p.kind is p.VAR_KEYWORD for p in params):
+        keys |= {f.name for f in fields(CaseStudyConfig)}
+    return keys
+
+
+class TestConfigFuzz:
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_tiny_config_is_valid(self, seeds, tmp_path, command):
+        assert run_in(tmp_path, command, tiny_config(command, seeds)) == 0
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    @CONFIG_FUZZ
+    @given(data=st.data())
+    def test_mutated_config_exits_cleanly(self, seeds, command, data):
+        config = tiny_config(command, seeds)
+        keys = config_keys(command)
+        mutable = sorted(set(config) - SIZE_KEYS)
+        addable = sorted(keys - SIZE_KEYS - set(config))
+        op = data.draw(st.sampled_from(["add-unknown", "drop", "replace"] + ["add"] * bool(addable)))
+        if op == "add-unknown":
+            config[data.draw(st.text(max_size=6).filter(lambda k: k not in keys))] = data.draw(JSON_VALUES)
+        elif op == "add":
+            config[data.draw(st.sampled_from(addable))] = data.draw(JSON_VALUES)
+        elif op == "drop":
+            del config[data.draw(st.sampled_from(mutable))]
+        else:
+            config[data.draw(st.sampled_from(mutable))] = data.draw(JSON_VALUES)
+        with tempfile.TemporaryDirectory() as tmp:
+            code = run_in(Path(tmp), command, config)
+        event(f"{op}: exit {code}")
+        assert code == 2 if op == "add-unknown" else code in EXIT_CODES

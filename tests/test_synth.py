@@ -293,11 +293,12 @@ JSON_VALUES = st.recursive(
 class TestStudyConfigJson:
     def test_empty_object_gives_the_kind_defaults(self):
         for kind in StudyKind:
-            assert CaseStudyConfig.from_json(kind, {"kind": "ignored"}) == CaseStudyConfig.for_kind(kind)
+            assert CaseStudyConfig.from_json(kind, {}) == CaseStudyConfig.for_kind(kind)
+            assert CaseStudyConfig.from_json(kind, {"kind": kind.value}) == CaseStudyConfig.for_kind(kind)
 
     def test_reads_fields_and_nested_specs(self):
         obj = {"replicates": 3, "levels": [0, 10], "depth": 2, "noise": {"dark_mean": 70},
-               "illumination": {"center": [1, 2]}, "n_times": 4}
+               "illumination": {"center": [1, 2]}}
         config = CaseStudyConfig.from_json(StudyKind.COCONUT_OIL, obj)
         assert config == CaseStudyConfig.for_kind(
             StudyKind.COCONUT_OIL,
@@ -307,6 +308,13 @@ class TestStudyConfigJson:
             noise=NoiseSpec(dark_mean=70.0),
             illumination=IlluminationProfile(center=(1.0, 2.0)),
         )
+
+    @pytest.mark.parametrize(
+        "obj", [{"n_times": 4}, {"kind": "ignored"}, {"kind": "coconut_oil"}, {"kind": 1}]
+    )
+    def test_unknown_keys_and_other_kinds_are_validation_errors(self, obj):
+        with pytest.raises(ValidationError):
+            CaseStudyConfig.from_json(StudyKind.TURMERIC, obj)
 
     @pytest.mark.parametrize(
         "obj",
