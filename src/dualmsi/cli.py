@@ -7,8 +7,8 @@ One binary with subcommands; global flags ``--config`` (JSON file),
 A handler's keyword parameters are its config schema: ``main`` reads each
 key of the config object as the parameter it names, typed by its
 annotation (``core.json_call``), and a key that names none exits 2.  The
-study-reading handlers pass their ``**study`` keys on to
-``CaseStudyConfig.from_json``, which rejects any that is not a field.
+study-reading handlers also take the ``CaseStudyConfig`` fields as
+``**study`` and pass them on to ``CaseStudyConfig.from_json``.
 """
 
 from __future__ import annotations
@@ -84,7 +84,9 @@ def _require_out(args) -> Path:
     return out
 
 
-def cmd_synth(args, out: Path, kind: StudyKind | None = None, **study) -> int:
+def cmd_synth(
+    args, out: Path, kind: StudyKind | None = None, **study: CaseStudyConfig
+) -> int:
     """Generate a case-study dataset (plus white references) on disk."""
     kind = kind or StudyKind(args.kind or "turmeric")
     study_config = CaseStudyConfig.from_json(kind, study)
@@ -124,7 +126,12 @@ def cmd_matrix(
     args, out: Path, input: str | None = None, mode: Mode | None = None,
     reflectance: str | None = None, transmittance: str | None = None, name: str = "matrix.csv",
 ) -> int:
-    """Build a data matrix CSV from one or two (paired) dataset directories."""
+    """Build a data matrix CSV from one or two (paired) dataset directories.
+
+    ``name`` is the CSV's file name inside ``--out``.
+    """
+    if name in ("", ".", "..") or Path(name).name != name or "\0" in name:
+        raise ValidationError(f"matrix name must be a plain file name, got {name!r}")
     if input is None and mode is None and None not in (reflectance, transmittance):
         r = build_matrix(load_dataset(reflectance), Mode.REFLECTANCE)
         t = build_matrix(load_dataset(transmittance), Mode.TRANSMITTANCE)
@@ -190,7 +197,7 @@ def cmd_kl_regress(
     return EXIT_OK
 
 
-def cmd_study(args, out: Path, kind: StudyKind, /, **study) -> int:
+def cmd_study(args, out: Path, kind: StudyKind, /, **study: CaseStudyConfig) -> int:
     study_config = CaseStudyConfig.from_json(kind, study)
     bundle = run_case_study(kind, study_config, args.seed)
     write_study_bundle(bundle, out)
@@ -200,7 +207,7 @@ def cmd_study(args, out: Path, kind: StudyKind, /, **study) -> int:
 
 def cmd_consistency(
     args, out: Path, white: str | None = None, kind: StudyKind = StudyKind.TURMERIC,
-    mode: Mode = Mode.REFLECTANCE, band: int | None = None, **study,
+    mode: Mode = Mode.REFLECTANCE, band: int | None = None, **study: CaseStudyConfig,
 ) -> int:
     """Spatial consistency report from a white dataset (or a synthetic one)."""
     study_config = CaseStudyConfig.from_json(kind, study)
@@ -219,7 +226,7 @@ def cmd_consistency(
 
 def cmd_repeatability(
     args, out: Path, kind: StudyKind = StudyKind.TURMERIC, mode: Mode = Mode.REFLECTANCE,
-    n_times: int = 10, drift_amplitude: float | None = None, **study,
+    n_times: int = 10, drift_amplitude: float | None = None, **study: CaseStudyConfig,
 ) -> int:
     study_config = CaseStudyConfig.from_json(kind, study)
     scene = SceneConfig(

@@ -296,17 +296,23 @@ def json_value(hint, value, what: str):
 def _readable(fn, n_args: int):
     """The type hints of the keyword parameters of ``fn`` that ``n_args``
     positional arguments leave unfilled, the required ones among them, the
-    names of all its keyword parameters, and whether it takes ``**kwargs``.
-    Cached: resolving string annotations is slow."""
+    names of all its keyword parameters, and the keys its ``**rest`` takes:
+    none without one, the fields of the dataclass it is annotated with, or
+    None for any key.  Cached: resolving string annotations is slow."""
     params = list(inspect.signature(fn).parameters.values())
     hints = get_type_hints(fn.__init__ if isinstance(fn, type) else fn)
     keyword = {p.name for p in params if p.kind in (p.POSITIONAL_OR_KEYWORD, p.KEYWORD_ONLY)}
     named = [p for p in params[n_args:] if p.name in keyword]
+    rest = [hints.get(p.name) for p in params if p.kind is p.VAR_KEYWORD]
+    if not rest:
+        passed_on = frozenset()
+    else:
+        passed_on = frozenset(_readable(rest[0], 0)[2]) if is_dataclass(rest[0]) else None
     return (
         {p.name: hints[p.name] for p in named},
         [p.name for p in named if p.default is p.empty],
         keyword,
-        any(p.kind is p.VAR_KEYWORD for p in params),
+        passed_on,
     )
 
 
@@ -314,15 +320,20 @@ def json_call(fn, obj: dict, what: str, *args):
     """``fn(*args, **kwargs)`` with every keyword read from the JSON object ``obj``.
 
     A key naming a parameter of ``fn`` that ``args`` left unfilled is read
-    by :func:`json_value` as that parameter's annotated type.  A key that
-    names no parameter is passed on unread if ``fn`` takes ``**kwargs``.
-    Any other key raises ValidationError, as does a missing required
-    parameter.
+    by :func:`json_value` as that parameter's annotated type.  Other keys
+    go to ``fn``'s ``**rest`` unread: any key, or only the field names if
+    ``**rest`` is annotated with a dataclass.  Any other key raises
+    ValidationError, naming every key ``fn`` takes, as does a missing
+    required parameter.
     """
-    hints, required, keyword, takes_rest = _readable(fn, len(args))
-    unknown = sorted(k for k in obj if k not in hints and (k in keyword or not takes_rest))
+    hints, required, keyword, passed_on = _readable(fn, len(args))
+    unknown = sorted(
+        k for k in obj
+        if k not in hints and (k in keyword or passed_on is not None and k not in passed_on)
+    )
     if unknown:
-        raise ValidationError(f"unknown {what} keys {unknown} (choose from {sorted(hints)})")
+        choices = sorted({*hints, *(passed_on or ())})
+        raise ValidationError(f"unknown {what} keys {unknown} (choose from {choices})")
     missing = [name for name in required if name not in obj]
     if missing:
         raise ValidationError(f"{what} is missing keys {missing}")

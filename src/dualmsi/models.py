@@ -637,22 +637,6 @@ class LinearSVM:
         self.weights = None
         self.bias = None
 
-    def _grads_multiclass(self, x, y_idx, weights, bias, reg):
-        n = x.shape[0]
-        scores = x @ weights.T + bias
-        true_scores = scores[np.arange(n), y_idx]
-        rival = scores.copy()
-        rival[np.arange(n), y_idx] = -np.inf
-        rival_idx = np.argmax(rival, axis=1)
-        violating = 1.0 + rival[np.arange(n), rival_idx] - true_scores > 0.0
-        push = np.zeros_like(scores)
-        rows = np.nonzero(violating)[0]
-        push[rows, rival_idx[rows]] += 1.0
-        push[rows, y_idx[rows]] -= 1.0
-        grad_w = reg * weights + push.T @ x / n
-        grad_b = push.sum(axis=0) / n
-        return grad_w, grad_b
-
     def fit(self, x: np.ndarray, y: np.ndarray) -> "LinearSVM":
         x = np.asarray(x, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
@@ -660,11 +644,28 @@ class LinearSVM:
         n, d = x.shape
         c_count = self.classes_.size
         y_idx = np.searchsorted(self.classes_, y)
+        # flat indices into a C-ordered (n, c_count) array
+        row_start = np.arange(n) * c_count
+        true_at = row_start + y_idx
         weights = np.zeros((c_count, d))
         bias = np.zeros(c_count)
+        push = np.empty((n, c_count))
         reg = 1.0 / (self.c * n)
         for epoch in range(self.epochs):
-            grad_w, grad_b = self._grads_multiclass(x, y_idx, weights, bias, reg)
+            # hinge subgradient: a row whose strongest rival scores within
+            # one margin of its true class pushes the two apart
+            scores = x @ weights.T
+            scores += bias
+            flat = scores.ravel()
+            true_scores = flat[true_at]
+            flat[true_at] = -np.inf
+            rival_at = row_start + np.argmax(scores, axis=1)
+            violating = 1.0 + flat[rival_at] - true_scores > 0.0
+            push.fill(0.0)
+            push.ravel()[rival_at[violating]] = 1.0
+            push.ravel()[true_at[violating]] = -1.0
+            grad_w = reg * weights + push.T @ x / n
+            grad_b = push.sum(axis=0) / n
             lr = self.lr / (1.0 + self.lr_decay * epoch)
             weights -= lr * grad_w
             bias -= lr * grad_b

@@ -150,37 +150,96 @@ def apply_spectral_gain(cube: SpectralCube, gain: SpectralGain) -> SpectralCube:
     return replace(cube, values=np.minimum(scaled, 1.0))
 
 
+# Pixels per filtering pass: a chunk of this many band pixels keeps the
+# per-offset buffers of one pass in cache.
+_BILATERAL_CHUNK_PIXELS = 12_000
+
+
 def bilateral_filter(
     values: np.ndarray, sigma_s: float = 2.0, sigma_r: float = 0.1, window: int = 5
 ) -> np.ndarray:
-    """Edge-preserving smoothing of one frame.
+    """Edge-preserving smoothing of one ``(h, w)`` frame or each frame of a
+    ``(B, h, w)`` stack.
 
     Each output pixel is the weighted mean of its window, with weights
     the product of a spatial Gaussian (sigma_s, in pixels) and a range
     Gaussian on intensity difference (sigma_r).  Edges are replicated.
     Output values stay inside the local input window's [min, max].
+
+    A stack is filtered a chunk of bands at a time, sized to stay in
+    cache.  The range weight of offset o at pixel p equals that of -o at
+    p + o, so each mirror pair of offsets gets its weight and weighted
+    difference computed once, on the padded grid.  The sums still run in
+    row-major offset order, so every frame gets the bits it would get on
+    its own.
     """
     if window < 1 or window % 2 == 0:
         raise ValidationError(f"bilateral window must be odd and >= 1: {window}")
     if sigma_s <= 0 or sigma_r <= 0:
         raise ValidationError("bilateral sigmas must be positive")
-    frame = np.asarray(values, dtype=np.float64)
-    half = window // 2
-    padded = np.pad(frame, half, mode="edge")
+    values = np.asarray(values, dtype=np.float64)
+    if values.ndim not in (2, 3):
+        raise ValidationError(f"bilateral filter needs a frame or a stack, got {values.ndim} dims")
+    stack = values.reshape(-1, *values.shape[-2:])
+    step = max(1, _BILATERAL_CHUNK_PIXELS // max(1, stack.shape[1] * stack.shape[2]))
+    out = np.empty_like(stack)
+    for start in range(0, len(stack), step):
+        out[start : start + step] = _bilateral_chunk(
+            stack[start : start + step], sigma_s, sigma_r, window // 2
+        )
+    return out.reshape(values.shape)
+
+
+def _bilateral_chunk(
+    frames: np.ndarray, sigma_s: float, sigma_r: float, half: int
+) -> np.ndarray:
+    """:func:`bilateral_filter` of a ``(b, h, w)`` float stack in one pass.
+
+    Works on the flattened padded stack, where offset (dy, dx) is a shift
+    by dy * width + dx, so every array operation is contiguous.  Each sum
+    covers the span from the first to the last frame pixel; the padding
+    inside it is computed and dropped.
+    """
+    padded = np.pad(frames, ((0, 0), (half, half), (half, half)), mode="edge")
+    _, h, w = frames.shape
+    width = w + 2 * half
+    flat = padded.ravel()
+    lead = half * width + half
+    span = slice(lead, flat.size - lead)
+    center = flat[span]
     # accumulate weighted differences from the center pixel: the result is
     # frame + num/den, which leaves a constant frame bit-exactly unchanged
-    num = np.zeros_like(frame)
-    den = np.zeros_like(frame)
-    h, w = frame.shape
-    for dy in range(-half, half + 1):
-        for dx in range(-half, half + 1):
-            shifted = padded[half + dy : half + dy + h, half + dx : half + dx + w]
-            spatial = np.exp(-(dx * dx + dy * dy) / (2.0 * sigma_s**2))
-            delta = shifted - frame
-            weight = spatial * np.exp(-(delta**2) / (2.0 * sigma_r**2))
-            num += weight * delta
-            den += weight
-    return frame + num / den
+    num = np.zeros_like(center)
+    den = np.zeros_like(center)
+    offsets = [(dy, dx) for dy in range(-half, half + 1) for dx in range(-half, half + 1)]
+    # one allocation for every pair: two dozen separate ones, all freed at
+    # the end of a chunk, go back to the system and fault in again
+    work = np.empty((len(offsets) // 2, 2, center.size + lead))
+    pairs = []
+    for (dy, dx), buffers in zip(offsets, work):
+        # offset o = (dy, dx) now, its mirror -o after the center: at
+        # index j, diff is the difference of o at span pixel j and minus
+        # that of -o at span pixel j - shift.  The square, and so the
+        # range weight, is the same for both.
+        shift = -(dy * width + dx)
+        diff = np.subtract(flat[lead - shift : span.stop], flat[lead : span.stop + shift],
+                           out=buffers[0, : center.size + shift])
+        weight = np.square(diff, out=buffers[1, : diff.size])
+        np.divide(weight, -2.0 * sigma_r**2, out=weight)
+        np.exp(weight, out=weight)
+        np.multiply(weight, np.exp(-(dx * dx + dy * dy) / (2.0 * sigma_s**2)), out=weight)
+        np.multiply(diff, weight, out=diff)
+        num += diff[: center.size]
+        den += weight[: center.size]
+        pairs.append((diff[shift:], weight[shift:]))
+    # the center offset adds a zero difference with weight exp(0) * exp(0)
+    den += 1.0
+    for weighted_diff, weight in reversed(pairs):
+        num -= weighted_diff
+        den += weight
+    out = np.empty_like(flat)
+    out[span] = center + num / den
+    return out.reshape(padded.shape)[:, half : half + h, half : half + w]
 
 
 @dataclass(frozen=True)
@@ -292,10 +351,8 @@ def preprocess_pipeline(
 
     if options.bilateral is not None:
         opts = options.bilateral
-        filtered = [
-            bilateral_filter(v, opts.sigma_s, opts.sigma_r, opts.window) for v in cube.values
-        ]
-        cube = replace(cube, values=np.stack(filtered))
+        filtered = bilateral_filter(cube.values, opts.sigma_s, opts.sigma_r, opts.window)
+        cube = replace(cube, values=filtered)
         applied.append(f"bilateral(w={opts.window},ss={opts.sigma_s},sr={opts.sigma_r})")
 
     return Sample(

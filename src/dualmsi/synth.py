@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
-from scipy.integrate import trapezoid
 
 from .core import (
     BandSet,
@@ -172,6 +171,15 @@ class MixtureSpec:
         return cls(((base, 1.0 - fraction), (adulterant, fraction)), depth=depth)
 
 
+def _trapezoid(y: np.ndarray, x: np.ndarray) -> float:
+    """The trapezoid rule, in the arithmetic of ``scipy.integrate.trapezoid``.
+
+    Importing ``scipy.integrate`` also loads ``scipy.optimize`` and
+    ``scipy.sparse.linalg``, which every CLI process would pay for.
+    """
+    return ((x[1:] - x[:-1]) * (y[1:] + y[:-1]) / 2.0).sum()
+
+
 def effective_band_response(mixture: MixtureSpec, led: LedSpec, mode: Mode) -> float:
     """Emission-weighted specimen response for one band, in [0, 1].
 
@@ -186,7 +194,7 @@ def effective_band_response(mixture: MixtureSpec, led: LedSpec, mode: Mode) -> f
         signal = mixture.albedo(lam)
     else:
         signal = mixture.transmission(lam)
-    return float(trapezoid(weights * signal, lam) / trapezoid(weights, lam))
+    return float(_trapezoid(weights * signal, lam) / _trapezoid(weights, lam))
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,18 @@
 import inspect
 import json
+import os
+import subprocess
+import sys
 from dataclasses import fields, is_dataclass
 from enum import Enum
+from pathlib import Path
 from types import UnionType
 from typing import Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 import pytest
 
+import dualmsi
 from dualmsi.cli import COMMANDS, main
 from dualmsi.core import Label, Mode, Sample, json_value, load_dataset, save_dataset
 from dualmsi.models import MODEL_KINDS
@@ -484,6 +489,23 @@ class TestConsistencyWithWhite:
         assert (tmp_path / "o" / "consistency.json").exists() == (code == 0)
 
 
+class TestMatrixName:
+    @pytest.mark.parametrize("name", ["../escaped.csv", "", ".", "..", "sub/m.csv", "/tmp/m.csv",
+                                      "m\0.csv"])
+    def test_name_that_is_not_a_plain_file_name_exits_2(self, synth_dirs, tmp_path, name):
+        cfg = tmp_path / "m.json"
+        cfg.write_text(json.dumps({"input": str(synth_dirs / "reflectance"), "name": name}))
+        out = tmp_path / "o" / "m"
+        assert run(["--config", cfg, "--out", out, "matrix"]) == 2
+        assert [p for p in tmp_path.rglob("*") if p.is_file()] == [cfg]
+
+    def test_plain_name_is_written_inside_out(self, synth_dirs, tmp_path):
+        cfg = tmp_path / "m.json"
+        cfg.write_text(json.dumps({"input": str(synth_dirs / "reflectance"), "name": "..m.csv"}))
+        assert run(["--config", cfg, "--out", tmp_path / "o", "matrix"]) == 0
+        assert (tmp_path / "o" / "..m.csv").is_file()
+
+
 class TestUnknownKeys:
     @pytest.mark.parametrize("key", ["bogus", "args"])
     @pytest.mark.parametrize("command", sorted(COMMANDS))
@@ -494,6 +516,17 @@ class TestUnknownKeys:
         assert run(["--config", cfg, "--out", out, command]) == 2
         assert f"config keys ['{key}']" in capsys.readouterr().err
         assert not any(out.rglob("*"))
+
+    @pytest.mark.parametrize("command, own", [("synth", "kind"), ("consistency", "band"),
+                                              ("consistency", "white"), ("repeatability", "mode")])
+    def test_unknown_key_lists_the_command_keys_and_study_fields(
+        self, tmp_path, capsys, command, own
+    ):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"bnad": 530}))
+        assert run(["--config", cfg, "--out", tmp_path / "o", command]) == 2
+        choices = capsys.readouterr().err.split("choose from")[1]
+        assert f"'{own}'" in choices and "'replicates'" in choices
 
     @pytest.mark.parametrize("command, kind", [("turmeric", "coconut_oil"),
                                                ("coconut-oil", "color_chart"),
@@ -540,3 +573,13 @@ class TestReadableParameters:
             if param.kind is not param.VAR_KEYWORD:
                 assert param.name in hints, f"{name}: {param.name} has no type hint"
                 assert_json_type(hints[param.name], f"{name}: {param.name}")
+
+
+def test_cli_import_leaves_scipy_integrate_and_optimize_unloaded():
+    # both are slow to import, and the CLI's band response needs neither
+    code = ("import sys, dualmsi.cli; "
+            "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules))")
+    src = str(Path(dualmsi.__file__).parents[1])
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            check=True, env={**os.environ, "PYTHONPATH": src})
+    assert result.stdout.strip() == "[]"

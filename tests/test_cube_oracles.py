@@ -3,7 +3,9 @@
 Each reference below applies a stage one band frame at a time, with the
 float expressions of the per-frame code the single-array cube replaced.
 The library must reproduce them bit for bit on arbitrary cubes, and emit
-the same warnings.
+the same warnings.  The bilateral filter, the linear SVM's training loop
+and the trapezoid rule of the band response are held to the plain code
+they replaced in the same way.
 """
 
 import json
@@ -15,8 +17,10 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy.integrate import trapezoid
 from scipy.ndimage import uniform_filter
 
+from dualmsi import materials
 from dualmsi.core import (
     RAW_MAX,
     BandSet,
@@ -31,6 +35,7 @@ from dualmsi.core import (
 from dualmsi.errors import DegenerateReferenceError
 from dualmsi.features import superpixels
 from dualmsi.harness import repeatability_report
+from dualmsi.models import LinearSVM
 from dualmsi.pgm import read_pgm16
 from dualmsi.preprocess import (
     BilateralOptions,
@@ -48,6 +53,7 @@ from dualmsi.preprocess import (
     quantize_sample,
     subtract_dark,
 )
+from dualmsi.synth import LedSpec, MixtureSpec, effective_band_response, led_emission
 
 WAVELENGTHS = (405, 530, 660, 770, 850)
 
@@ -101,6 +107,60 @@ def ref_superpixels(frames, block):
     return blocks.reshape(len(frames), ny * nx).T
 
 
+def ref_bilateral(frame, sigma_s, sigma_r, window):
+    """One frame, one offset at a time, in row-major offset order."""
+    half = window // 2
+    padded = np.pad(frame, half, mode="edge")
+    num = np.zeros_like(frame)
+    den = np.zeros_like(frame)
+    h, w = frame.shape
+    for dy in range(-half, half + 1):
+        for dx in range(-half, half + 1):
+            shifted = padded[half + dy : half + dy + h, half + dx : half + dx + w]
+            spatial = np.exp(-(dx * dx + dy * dy) / (2.0 * sigma_s**2))
+            delta = shifted - frame
+            weight = spatial * np.exp(-(delta**2) / (2.0 * sigma_r**2))
+            num += weight * delta
+            den += weight
+    return frame + num / den
+
+
+def ref_svm_fit(x, y, c, lr, lr_decay, epochs):
+    """``LinearSVM.fit``'s subgradient descent with one fresh gradient per
+    epoch; returns (weights, bias)."""
+    classes = np.unique(y)
+    n, d = x.shape
+    y_idx = np.searchsorted(classes, y)
+    weights = np.zeros((classes.size, d))
+    bias = np.zeros(classes.size)
+    reg = 1.0 / (c * n)
+    for epoch in range(epochs):
+        scores = x @ weights.T + bias
+        true_scores = scores[np.arange(n), y_idx]
+        rival = scores.copy()
+        rival[np.arange(n), y_idx] = -np.inf
+        rival_idx = np.argmax(rival, axis=1)
+        violating = 1.0 + rival[np.arange(n), rival_idx] - true_scores > 0.0
+        push = np.zeros_like(scores)
+        rows = np.nonzero(violating)[0]
+        push[rows, rival_idx[rows]] += 1.0
+        push[rows, y_idx[rows]] -= 1.0
+        grad_w = reg * weights + push.T @ x / n
+        grad_b = push.sum(axis=0) / n
+        step = lr / (1.0 + lr_decay * epoch)
+        weights -= step * grad_w
+        bias -= step * grad_b
+    return weights, bias
+
+
+def ref_band_response(mixture, led, mode):
+    half = 3.0 * led.fwhm_nm
+    lam = np.arange(led.peak_nm - half, led.peak_nm + half + 0.5)
+    weights = led_emission(led, lam)
+    signal = mixture.albedo(lam) if mode is Mode.REFLECTANCE else mixture.transmission(lam)
+    return float(trapezoid(weights * signal, lam) / trapezoid(weights, lam))
+
+
 def ref_pipeline(frames, dark, corrections, options, mode):
     """The stage chain of ``preprocess_pipeline`` on frames; returns
     (frames, provenance, spectral-gain warning messages)."""
@@ -123,7 +183,7 @@ def ref_pipeline(frames, dark, corrections, options, mode):
         applied.append("spectral")
     if options.bilateral is not None:
         b = options.bilateral
-        frames = [bilateral_filter(f, b.sigma_s, b.sigma_r, b.window) for f in frames]
+        frames = [ref_bilateral(f, b.sigma_s, b.sigma_r, b.window) for f in frames]
         applied.append(f"bilateral(w={b.window},ss={b.sigma_s},sr={b.sigma_r})")
     return frames, tuple(applied), messages
 
@@ -331,6 +391,78 @@ class TestPipelineMatchesPerFrameReference:
         assert same_bits(out.cube.dark, np.zeros(size))
         assert out.provenance == provenance
         assert messages == want_messages
+
+
+# --------------------------------------------------------------------------
+# Bilateral filter, SVM training, band response
+# --------------------------------------------------------------------------
+
+bilateral_args = st.tuples(
+    st.floats(0.3, 5.0), st.floats(0.01, 2.0), st.sampled_from([1, 3, 5, 7])
+)
+
+
+class TestKernelsMatchPlainReference:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        stack=st.tuples(st.integers(1, 20), st.integers(1, 40), st.integers(1, 40)).flatmap(
+            lambda shape: hnp.arrays(
+                np.float64, shape, elements=st.just(0.0) | st.just(1.0) | st.floats(0.0, 1.0)
+            )
+        ),
+        args=bilateral_args,
+    )
+    def test_bilateral_stack_and_frames(self, stack, args):
+        want = [ref_bilateral(f, *args) for f in stack]
+        assert same_bits(bilateral_filter(stack, *args), want)
+        for frame, frame_want in zip(stack, want):
+            assert same_bits(bilateral_filter(frame, *args), frame_want)
+
+    @pytest.mark.parametrize("shape", [(13, 40, 40), (5, 100, 100), (1, 1, 1), (3, 1, 1)])
+    @pytest.mark.parametrize("window", [1, 5, 7])
+    def test_bilateral_chunked_stack_and_one_pixel(self, shape, window):
+        # 13 bands of 40x40 and 5 of 100x100 take several chunks
+        stack = np.random.default_rng(7).random(shape)
+        want = [ref_bilateral(f, 2.0, 0.1, window) for f in stack]
+        assert same_bits(bilateral_filter(stack, 2.0, 0.1, window), want)
+        assert same_bits(bilateral_filter(stack[-1], 2.0, 0.1, window), want[-1])
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        problem=st.tuples(st.integers(1, 40), st.integers(1, 6)).flatmap(
+            lambda nd: st.tuples(
+                hnp.arrays(np.float64, nd, elements=st.floats(-10.0, 10.0)),
+                hnp.arrays(np.float64, nd[0], elements=st.sampled_from([0.0, 1.5, 2.0, 7.0])),
+            )
+        ),
+        c=st.floats(0.05, 10.0),
+        lr=st.floats(0.01, 20.0),
+        lr_decay=st.floats(0.0, 0.1),
+        epochs=st.integers(0, 40),
+    )
+    def test_svm_weights_and_bias(self, problem, c, lr, lr_decay, epochs):
+        x, y = problem
+        model = LinearSVM(c=c, lr=lr, lr_decay=lr_decay, epochs=epochs).fit(x, y)
+        weights, bias = ref_svm_fit(x, y, c, lr, lr_decay, epochs)
+        assert same_bits(model.weights, weights)
+        assert same_bits(model.bias, bias)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        base=st.sampled_from([materials.TURMERIC, materials.COCONUT_OIL, materials.WHITE_REFERENCE]),
+        adulterant=st.sampled_from([materials.RICE_FLOUR, materials.PALM_OIL])
+        | st.integers(0, materials.PALETTE_SIZE - 1).map(materials.color_chart_material),
+        fraction=st.floats(0.0, 1.0),
+        depth=st.floats(0.01, 5.0),
+        led=st.builds(
+            LedSpec, st.integers(350, 1000), st.floats(0.5, 80.0), st.floats(0.05, 5.0)
+        ),
+        mode=st.sampled_from(Mode),
+    )
+    def test_band_response_trapezoid(self, base, adulterant, fraction, depth, led, mode):
+        mixture = MixtureSpec.binary(base, adulterant, fraction, depth)
+        got = effective_band_response(mixture, led, mode)
+        assert same_bits(np.float64(got), np.float64(ref_band_response(mixture, led, mode)))
 
 
 # --------------------------------------------------------------------------

@@ -250,6 +250,11 @@ class TestBilateral:
         with pytest.raises(ValidationError):
             bilateral_filter(np.zeros((4, 4)), sigma_s=0.0)
 
+    @pytest.mark.parametrize("shape", [(4,), (2, 3, 4, 4)])
+    def test_rejects_arrays_that_are_not_frames_or_stacks(self, shape):
+        with pytest.raises(ValidationError):
+            bilateral_filter(np.zeros(shape))
+
 
 class TestPipeline:
     @pytest.fixture()
