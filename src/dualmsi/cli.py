@@ -66,10 +66,9 @@ EXIT_IO = 3
 def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
-    text = Path(path).read_text()
     try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # undecodable bytes or malformed JSON
         raise ValidationError(f"malformed config {path}: {exc}") from exc
     if not isinstance(obj, dict):
         raise ValidationError("config must be a JSON object")

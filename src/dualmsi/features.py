@@ -16,7 +16,6 @@ from enum import Enum
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .core import Label, Mode, Sample, SpectralCube
 from .errors import (
@@ -104,30 +103,34 @@ class DataMatrix:
         (a class label must be an integer) raises ValidationError naming the
         file and line."""
         make = Label.adulteration if label_kind is LabelKind.ADULTERATION else Label.color
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if not header or len(header) < 3 or header[:2] != ["sample_id", "label"]:
-                raise ValidationError(f"unexpected matrix CSV header in {path}")
-            cols = tuple(header[2:])
-            meta, rows = [], []
-            for record in reader:
-                where = f"{path} line {reader.line_num}"
-                if len(record) != len(header):
-                    raise ValidationError(f"{where}: {len(record)} fields, the header has {len(header)}")
-                try:
-                    numbers = [float(v) for v in record[1:]]
-                except ValueError:
-                    numbers = [math.nan]
-                if not all(map(math.isfinite, numbers)):
-                    raise ValidationError(f"{where}: label and cells must be finite numbers")
-                raw, *vals = numbers
-                try:
-                    label = make(raw)
-                except ValidationError as exc:
-                    raise ValidationError(f"{where}: {exc}") from None
-                meta.append((record[0], label))
-                rows.append(vals)
+        try:
+            with open(path, newline="", encoding="utf-8") as fh:
+                lines = list(fh)
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"matrix CSV {path} is not UTF-8: {exc}") from None
+        reader = csv.reader(lines)
+        header = next(reader, None)
+        if not header or len(header) < 3 or header[:2] != ["sample_id", "label"]:
+            raise ValidationError(f"unexpected matrix CSV header in {path}")
+        cols = tuple(header[2:])
+        meta, rows = [], []
+        for record in reader:
+            where = f"{path} line {reader.line_num}"
+            if len(record) != len(header):
+                raise ValidationError(f"{where}: {len(record)} fields, the header has {len(header)}")
+            try:
+                numbers = [float(v) for v in record[1:]]
+            except ValueError:
+                numbers = [math.nan]
+            if not all(map(math.isfinite, numbers)):
+                raise ValidationError(f"{where}: label and cells must be finite numbers")
+            raw, *vals = numbers
+            try:
+                label = make(raw)
+            except ValidationError as exc:
+                raise ValidationError(f"{where}: {exc}") from None
+            meta.append((record[0], label))
+            rows.append(vals)
         if not rows:
             raise ValidationError(f"empty matrix CSV: {path}")
         return cls(values=np.array(rows), col_labels=cols, row_meta=tuple(meta))
@@ -357,7 +360,13 @@ def lda_fit(
     gamma defaulting to 1e-6 * trace(S_w)/d; merged matrices built from
     correlated superpixels make bare S_w ill-conditioned.  At most C-1
     components exist.
+
+    This is the only user of scipy: ``scipy.linalg`` is imported at the
+    first fit of a process, not with the package, so commands that fit no
+    LDA never load it.
     """
+    import scipy.linalg  # numpy has no generalized symmetric eigensolver
+
     values = matrix.values
     keys = matrix.label_keys()
     classes = np.unique(keys)

@@ -18,7 +18,6 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.ndimage import uniform_filter
 
 from .core import Mode, Sample, SpectralCube
 from .divergence import adulteration_curve, fit_linear, median_curve
@@ -45,7 +44,13 @@ from .models import (
     split_matrix,
     stratified_split,
 )
-from .preprocess import Corrections, PipelineOptions, fit_corrections, preprocess_pipeline
+from .preprocess import (
+    Corrections,
+    PipelineOptions,
+    _box_mean,
+    fit_corrections,
+    preprocess_pipeline,
+)
 from .studies import (
     CaseStudyConfig,
     StudyKind,
@@ -86,7 +91,7 @@ class SpatialConsistencyReport:
 def _spatial_variant(sample: Sample) -> SpatialVariant:
     cube = sample.cube
     total = cube.values.sum(axis=0)
-    smoothed = uniform_filter(total, size=11, mode="nearest")
+    smoothed = _box_mean(total, 11)
     flat_index = int(np.argmax(smoothed))
     cy, cx = np.unravel_index(flat_index, smoothed.shape)
     center_vec = cube.values[:, cy, cx]

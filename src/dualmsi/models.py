@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
@@ -135,6 +136,30 @@ def split_matrix(matrix: DataMatrix, split: Split) -> tuple[DataMatrix, DataMatr
 # --------------------------------------------------------------------------
 
 
+def _check_param(name: str, value, low: float, strict: bool = False, optional: bool = False) -> None:
+    """Raise ValidationError naming ``name`` unless ``value`` is a finite
+    number >= ``low`` (> ``low`` when ``strict``), or None when ``optional``."""
+    if value is None and optional:
+        return
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, numbers.Real)
+        # an int is finite, and too large for math.isfinite when huge
+        or not (isinstance(value, numbers.Integral) or math.isfinite(value))
+        or (value <= low if strict else value < low)
+    ):
+        rule = f"{'null or ' if optional else ''}a finite number {'>' if strict else '>='} {low}"
+        raise ValidationError(f"{name} must be {rule}, got {value!r}")
+
+
+def _classes(values) -> np.ndarray:
+    """A saved model's class labels, which must be a list of finite numbers."""
+    classes = np.array(values, dtype=np.float64)
+    if classes.ndim != 1 or not classes.size or not np.isfinite(classes).all():
+        raise ValidationError("model classes must be a non-empty list of finite numbers")
+    return classes
+
+
 def _rows(x, width: int) -> np.ndarray:
     """``x`` as a float matrix of rows, which must have ``width`` columns."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
@@ -147,6 +172,7 @@ class KNearestNeighbors:
     """Euclidean k-nearest-neighbor majority vote."""
 
     def __init__(self, k: int = 5):
+        _check_param("k", k, 1)
         self.k = k
         self.train_x = None
         self.train_y = None
@@ -207,7 +233,10 @@ class KNearestNeighbors:
     @classmethod
     def from_json(cls, obj: dict) -> "KNearestNeighbors":
         model = cls(k=obj["k"])
-        return model.fit(np.array(obj["train_x"]), np.array(obj["train_y"]))
+        x, y = np.array(obj["train_x"], dtype=np.float64), np.array(obj["train_y"], dtype=np.float64)
+        if x.ndim != 2 or y.shape != x.shape[:1]:
+            raise ValidationError("knn model JSON needs train_x rows and one train_y label per row")
+        return model.fit(x, y)
 
 
 def _gini(counts: np.ndarray, total: int) -> float:
@@ -347,6 +376,8 @@ class DecisionTree:
     """CART-style binary tree with Gini impurity and pinned tie-breaks."""
 
     def __init__(self, max_depth: int | None = None, min_leaf: int = 1):
+        _check_param("max_depth", max_depth, 1, optional=True)
+        _check_param("min_leaf", min_leaf, 1)
         self.max_depth = max_depth
         self.min_leaf = min_leaf
         self.classes_ = None
@@ -441,7 +472,7 @@ class DecisionTree:
     @classmethod
     def from_json(cls, obj: dict) -> "DecisionTree":
         model = cls(max_depth=obj["max_depth"], min_leaf=obj["min_leaf"])
-        model.classes_ = np.array(obj["classes"], dtype=np.float64)
+        model.classes_ = _classes(obj["classes"])
         model.nodes = TreeNodes.from_nested(obj["root"], model.classes_.size)
         return model
 
@@ -458,6 +489,10 @@ class RandomForest:
         max_depth: int | None = None,
         min_leaf: int = 1,
     ):
+        _check_param("n_trees", n_trees, 1)
+        _check_param("mtry", mtry, 1, optional=True)
+        _check_param("max_depth", max_depth, 1, optional=True)
+        _check_param("min_leaf", min_leaf, 1)
         self.n_trees = n_trees
         self.mtry = mtry
         self.bootstrap = bootstrap
@@ -521,7 +556,7 @@ class RandomForest:
             max_depth=obj["max_depth"],
             min_leaf=obj["min_leaf"],
         )
-        model.classes_ = np.array(obj["classes"], dtype=np.float64)
+        model.classes_ = _classes(obj["classes"])
         model.trees = [DecisionTree.from_json(t) for t in obj["trees"]]
         return model
 
@@ -543,6 +578,11 @@ class LogisticRegressionGD:
         epochs: int = 5000,
         tol: float = 1e-6,
     ):
+        _check_param("l2", l2, 0.0)
+        _check_param("lr", lr, 0.0, strict=True)
+        _check_param("lr_decay", lr_decay, 0.0)
+        _check_param("epochs", epochs, 1)
+        _check_param("tol", tol, 0.0)
         self.l2 = l2
         self.lr = lr
         self.lr_decay = lr_decay
@@ -605,11 +645,7 @@ class LogisticRegressionGD:
 
     @classmethod
     def from_json(cls, obj: dict) -> "LogisticRegressionGD":
-        model = cls(l2=obj["l2"])
-        model.classes_ = np.array(obj["classes"], dtype=np.float64)
-        model.weights = np.array(obj["weights"])
-        model.bias = np.array(obj["bias"])
-        return model
+        return _linear_from_json(cls(l2=obj["l2"]), obj)
 
 
 class LinearSVM:
@@ -629,6 +665,10 @@ class LinearSVM:
         lr_decay: float = 1e-2,
         epochs: int = 1500,
     ):
+        _check_param("c", c, 0.0, strict=True)
+        _check_param("lr", lr, 0.0, strict=True)
+        _check_param("lr_decay", lr_decay, 0.0)
+        _check_param("epochs", epochs, 1)
         self.c = c
         self.lr = lr
         self.lr_decay = lr_decay
@@ -692,11 +732,19 @@ class LinearSVM:
     def from_json(cls, obj: dict) -> "LinearSVM":
         if obj.get("loss", "multiclass") != "multiclass":
             raise ValidationError(f"unknown SVM loss {obj['loss']!r}")
-        model = cls(c=obj["c"])
-        model.classes_ = np.array(obj["classes"], dtype=np.float64)
-        model.weights = np.array(obj["weights"])
-        model.bias = np.array(obj["bias"])
-        return model
+        return _linear_from_json(cls(c=obj["c"]), obj)
+
+
+def _linear_from_json(model, obj: dict):
+    """``model`` with the classes, weights and bias of its saved JSON."""
+    model.classes_ = _classes(obj["classes"])
+    model.weights = np.array(obj["weights"], dtype=np.float64)
+    model.bias = np.array(obj["bias"], dtype=np.float64)
+    if model.weights.ndim != 2 or model.weights.shape[0] != model.classes_.size or (
+        model.bias.shape != model.classes_.shape
+    ):
+        raise ValidationError("model weights and bias need one row per class")
+    return model
 
 
 MODEL_KINDS = {
@@ -712,7 +760,7 @@ def model_from_json(obj: dict):
     if not isinstance(obj, dict):
         raise ValidationError("model JSON must be an object")
     kind = obj.get("kind")
-    if kind not in MODEL_KINDS:
+    if not isinstance(kind, str) or kind not in MODEL_KINDS:
         raise ValidationError(f"unknown model kind {kind!r}")
     try:
         return MODEL_KINDS[kind].from_json(obj)
@@ -729,10 +777,10 @@ def save_model(model, path) -> None:
 
 
 def load_model(path):
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # undecodable bytes or malformed JSON
             raise ValidationError(f"malformed model JSON {path}: {exc}") from None
     return model_from_json(obj)
 

@@ -13,7 +13,6 @@ from dataclasses import dataclass, replace
 from typing import Mapping
 
 import numpy as np
-from scipy.ndimage import uniform_filter
 
 from .core import RAW_MAX, Sample, SpectralCube, crop
 from .errors import DegenerateReferenceError, DimensionMismatchError, ValidationError
@@ -67,6 +66,32 @@ class SpectralGain:
         object.__setattr__(self, "scale", scale)
 
 
+def _box_mean(values: np.ndarray, window: int) -> np.ndarray:
+    """Edge-replicated ``window`` x ``window`` box mean over the last two axes.
+
+    Bit-identical to ``scipy.ndimage.uniform_filter`` with
+    ``mode="nearest"`` and size 1 on any leading axis, because it repeats
+    that filter's arithmetic: rows first, then columns, each as a running
+    sum that starts at the sequential sum of the first ``window`` values,
+    adds (entering - leaving) at each step and is divided by ``window`` on
+    output.  ``cumsum`` adds in sequence, so it runs that loop exactly.
+    """
+    out = np.array(values, dtype=np.float64)
+    if window == 1:
+        return out
+    before = window // 2
+    for axis in (-2, -1):
+        pad = [(0, 0)] * out.ndim
+        pad[axis] = (before, window - before - 1)
+        padded = np.moveaxis(np.pad(out, pad, mode="edge"), axis, 0)
+        steps = np.zeros((padded.shape[0] - window + 1, *padded.shape[1:]))
+        for entering in padded[:window]:
+            steps[0] += entering
+        np.subtract(padded[window:], padded[:-window], out=steps[1:])
+        out = np.moveaxis(np.cumsum(steps, axis=0, out=steps) / window, 0, axis)
+    return out
+
+
 def fit_spatial_gain(white_cube: SpectralCube, window: int = 11, floor: float = 0.05) -> SpatialGain:
     """Fit flat-field gain maps from a dark-subtracted white capture.
 
@@ -79,8 +104,8 @@ def fit_spatial_gain(white_cube: SpectralCube, window: int = 11, floor: float = 
         raise ValidationError("fit_spatial_gain expects a dark-subtracted float cube")
     if window < 1 or window % 2 == 0:
         raise ValidationError(f"smoothing window must be odd and >= 1: {window}")
-    # size 1 along the band axis: each band is smoothed on its own
-    smooth = uniform_filter(white_cube.values, size=(1, window, window), mode="nearest")
+    # each band is smoothed on its own
+    smooth = _box_mean(white_cube.values, window)
     peak = smooth.max(axis=(1, 2), keepdims=True)
     for wl, band_peak in zip(white_cube.band_set, peak.ravel()):
         if band_peak <= 0.0:

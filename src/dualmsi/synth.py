@@ -379,11 +379,17 @@ def render(scene: SceneConfig, sample_id: str | None = None, intensity_scale: fl
             texture = texture + noise.texture_band_sd * texture_field(
                 stream(scene.rng_seed, "band-texture", index, wl)
             )
-        signal = RAW_MAX * led.relative_power * response * gain * illum
-        signal = signal * (1.0 + texture) * (1.0 + noise.shot_sd_fraction * shot)
-        frames.append(np.rint(signal).astype(np.int64))
+        with np.errstate(over="ignore", invalid="ignore"):  # rejected below
+            signal = RAW_MAX * led.relative_power * response * gain * illum
+            signal = signal * (1.0 + texture) * (1.0 + noise.shot_sd_fraction * shot)
+        frames.append(np.rint(signal))
 
-    counts = np.clip(np.stack(frames) + dark, 0, RAW_MAX)
+    signal = np.stack(frames)
+    if not np.isfinite(signal).all():
+        raise ValidationError("the rendered signal is not finite")
+    # whole counts add exactly in float64 below 2**53, and a sum beyond
+    # that saturates either way: no integer cast, so nothing wraps
+    counts = np.clip(signal + dark, 0, RAW_MAX)
     cube = SpectralCube(
         values=counts.astype(np.uint16),
         dark=dark.astype(np.uint16),

@@ -583,3 +583,26 @@ def test_cli_import_leaves_scipy_integrate_and_optimize_unloaded():
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                             check=True, env={**os.environ, "PYTHONPATH": src})
     assert result.stdout.strip() == "[]"
+
+
+def loaded_scipy_modules(code: str, cwd: Path) -> list[str]:
+    """The scipy modules loaded after running ``code`` in a fresh interpreter."""
+    code += "\nimport json, sys; print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))"
+    src = str(Path(dualmsi.__file__).parents[1])
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, cwd=cwd,
+                            check=True, env={**os.environ, "PYTHONPATH": src})
+    return json.loads(result.stdout.strip().splitlines()[-1])
+
+
+def test_cli_import_leaves_scipy_unloaded(tmp_path):
+    # only an LDA fit needs scipy, and it imports scipy.linalg itself
+    assert loaded_scipy_modules("import dualmsi.cli", tmp_path) == []
+
+
+def test_synth_run_leaves_scipy_unloaded(tmp_path):
+    config = {"kind": "coconut_oil", "replicates": 1, "levels": [0, 40], "width": 10, "height": 10}
+    (tmp_path / "c.json").write_text(json.dumps(config))
+    code = ("from dualmsi.cli import main\n"
+            "assert main(['--config', 'c.json', '--out', 'o', 'synth']) == 0")
+    assert loaded_scipy_modules(code, tmp_path) == []
+    assert (tmp_path / "o" / "transmittance").is_dir()

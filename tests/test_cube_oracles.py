@@ -3,9 +3,9 @@
 Each reference below applies a stage one band frame at a time, with the
 float expressions of the per-frame code the single-array cube replaced.
 The library must reproduce them bit for bit on arbitrary cubes, and emit
-the same warnings.  The bilateral filter, the linear SVM's training loop
-and the trapezoid rule of the band response are held to the plain code
-they replaced in the same way.
+the same warnings.  The bilateral filter, the linear SVM's training loop,
+the trapezoid rule of the band response and the box mean are held to the
+plain or scipy code they replaced in the same way.
 """
 
 import json
@@ -34,7 +34,7 @@ from dualmsi.core import (
 )
 from dualmsi.errors import DegenerateReferenceError
 from dualmsi.features import superpixels
-from dualmsi.harness import repeatability_report
+from dualmsi.harness import repeatability_report, spatial_consistency_report
 from dualmsi.models import LinearSVM
 from dualmsi.pgm import read_pgm16
 from dualmsi.preprocess import (
@@ -44,6 +44,7 @@ from dualmsi.preprocess import (
     SaturationClipWarning,
     SpatialGain,
     SpectralGain,
+    _box_mean,
     apply_spatial_gain,
     apply_spectral_gain,
     bilateral_filter,
@@ -53,6 +54,7 @@ from dualmsi.preprocess import (
     quantize_sample,
     subtract_dark,
 )
+from dualmsi.studies import CaseStudyConfig, StudyKind, render_white_reference
 from dualmsi.synth import LedSpec, MixtureSpec, effective_band_response, led_emission
 
 WAVELENGTHS = (405, 530, 660, 770, 850)
@@ -427,6 +429,40 @@ class TestKernelsMatchPlainReference:
         assert same_bits(bilateral_filter(stack, 2.0, 0.1, window), want)
         assert same_bits(bilateral_filter(stack[-1], 2.0, 0.1, window), want[-1])
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        stack=st.tuples(st.integers(1, 4), st.integers(1, 40), st.integers(1, 40)).flatmap(
+            lambda shape: hnp.arrays(
+                np.float64,
+                shape,
+                # mixed magnitudes and signs, so a reordered sum shows in the bits
+                elements=st.just(0.0) | st.just(-0.0) | st.floats(0.0, 1.0)
+                | st.floats(-1e300, 1e300) | st.floats(-1e-300, 1e-300),
+            )
+        ),
+        window=st.integers(0, 15).map(lambda k: 2 * k + 1),
+    )
+    def test_box_mean_stack_and_frames(self, stack, window):
+        # windows up to 31 are wider than most drawn frames
+        assert same_bits(_box_mean(stack, window),
+                         uniform_filter(stack, size=(1, window, window), mode="nearest"))
+        assert same_bits(_box_mean(stack[0], window),
+                         uniform_filter(stack[0], size=window, mode="nearest"))
+
+    @pytest.mark.parametrize("window", [1, 2, 11, 31])
+    def test_box_mean_one_pixel(self, window):
+        frame = np.array([[0.7]])
+        assert same_bits(_box_mean(frame, window), uniform_filter(frame, size=window, mode="nearest"))
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32), width=st.integers(1, 30), height=st.integers(1, 30))
+    def test_consistency_report_smoothed_intensity(self, seed, width, height):
+        config = CaseStudyConfig.for_kind(StudyKind.TURMERIC, width=width, height=height)
+        report = spatial_consistency_report(render_white_reference(config, Mode.REFLECTANCE, seed))
+        for variant in (report.before, report.after):
+            want = uniform_filter(variant.cube.values.sum(axis=0), size=11, mode="nearest")
+            assert same_bits(variant.smoothed_intensity, want)
+
     @settings(max_examples=60, deadline=None)
     @given(
         problem=st.tuples(st.integers(1, 40), st.integers(1, 6)).flatmap(
@@ -438,7 +474,7 @@ class TestKernelsMatchPlainReference:
         c=st.floats(0.05, 10.0),
         lr=st.floats(0.01, 20.0),
         lr_decay=st.floats(0.0, 0.1),
-        epochs=st.integers(0, 40),
+        epochs=st.integers(1, 40),  # the constructor rejects epochs < 1
     )
     def test_svm_weights_and_bias(self, problem, c, lr, lr_decay, epochs):
         x, y = problem

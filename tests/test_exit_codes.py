@@ -1,6 +1,7 @@
 """Fuzz the CLI's input boundaries: whatever a config, a matrix CSV, a
-manifest or a PGM header holds, ``main()`` returns 0, 2 or 3 and raises
-nothing.
+model JSON, a manifest or a PGM header holds, ``main()`` returns 0, 2 or 3
+and raises nothing.  The text files also get byte-level mutations, which
+can leave them undecodable as UTF-8.
 
 Frame sizes and sample counts are never mutated, so every run stays tiny.
 """
@@ -18,6 +19,7 @@ from hypothesis import HealthCheck, event, given, settings, strategies as st
 
 from dualmsi.cli import COMMANDS, main
 from dualmsi.core import Label, Mode, Sample, save_dataset
+from dualmsi.models import MODEL_KINDS
 from dualmsi.studies import CaseStudyConfig
 
 from conftest import random_raw_sample
@@ -39,15 +41,17 @@ JSON_VALUES = st.recursive(
 )
 
 
-def run_in(root: Path, command: str, config: dict) -> int:
+def run_in(root: Path, command: str, config: dict | bytes) -> int:
+    """Run ``command`` with ``config``, an object or the config file's bytes."""
     cfg = root / f"{command}.json"
-    cfg.write_text(json.dumps(config))
+    cfg.write_bytes(config if isinstance(config, bytes) else json.dumps(config).encode())
     return main(["--config", str(cfg), "--seed", "1", "--out", str(root / "out"), command])
 
 
 @pytest.fixture(scope="module")
 def seeds(tmp_path_factory):
-    """A valid matrix CSV, a tree trained on it and a four-sample dataset."""
+    """A valid matrix CSV, a model of each kind trained on it and a
+    four-sample dataset."""
     root = tmp_path_factory.mktemp("fuzz")
     labels = [lv for lv in (0.0, 5.0) for _ in range(6)]
     rows = np.random.default_rng(0).normal(size=(12, 2)).tolist()
@@ -55,8 +59,9 @@ def seeds(tmp_path_factory):
         f"s{i},{label!r},{a!r},{b!r}" for i, (label, (a, b)) in enumerate(zip(labels, rows))
     ]
     (root / "m.csv").write_text("\n".join(lines) + "\n")
-    assert run_in(root, "train", {"matrix": str(root / "m.csv")}) == 0
-    shutil.copy(root / "out" / "model.json", root / "model.json")
+    for kind in MODEL_KINDS:
+        assert run_in(root, "train", {"matrix": str(root / "m.csv"), "model": kind}) == 0
+        shutil.copy(root / "out" / "model.json", root / f"model-{kind}.json")
     rng = np.random.default_rng(1)
     samples = []
     for i in range(4):
@@ -70,7 +75,25 @@ def seeds(tmp_path_factory):
 
 
 @st.composite
+def byte_mutations(draw, data: bytes) -> bytes:
+    """``data`` with one to three single bytes replaced by zero to two
+    drawn bytes, or with a UTF-16 byte-order mark in front."""
+    if draw(st.integers(0, 9)) == 0:
+        return b"\xff\xfe" + data
+    raw = bytearray(data)
+    for _ in range(draw(st.integers(1, 3))):
+        if not raw:
+            break
+        at = draw(st.integers(0, len(raw) - 1))
+        raw[at:at + 1] = draw(st.binary(min_size=0, max_size=2))
+    return bytes(raw)
+
+
+@st.composite
 def csv_mutations(draw, lines):
+    """Field- and line-level edits of the CSV, or byte-level ones."""
+    if draw(st.booleans()):
+        return draw(byte_mutations(("\n".join(lines) + "\n").encode()))
     lines = list(lines)
     for _ in range(draw(st.integers(1, 3))):
         if not lines:
@@ -95,7 +118,8 @@ def csv_mutations(draw, lines):
             at = draw(st.integers(0, len(text)))
             fields = [text[:at] + draw(TOKENS) + text[at:]]
         lines[i] = ",".join(fields)
-    return "\n".join(lines) + draw(st.sampled_from(["\n", "", "\n\n"]))
+    text = "\n".join(lines) + draw(st.sampled_from(["\n", "", "\n\n"]))
+    return text.encode()
 
 
 class TestMatrixCsvFuzz:
@@ -103,14 +127,54 @@ class TestMatrixCsvFuzz:
     @given(data=st.data(), command=st.sampled_from(["train", "eval"]))
     def test_train_and_eval_exit_cleanly(self, seeds, data, command):
         lines = (seeds / "m.csv").read_text().splitlines()
-        text = data.draw(csv_mutations(lines))
+        payload = data.draw(csv_mutations(lines))
         with tempfile.TemporaryDirectory() as tmp:
             root = Path(tmp)
-            (root / "m.csv").write_text(text)
+            (root / "m.csv").write_bytes(payload)
             config = {"matrix": str(root / "m.csv")}
             if command == "eval":
-                config["model"] = str(seeds / "model.json")
+                config["model"] = str(seeds / "model-decision_tree.json")
             assert run_in(root, command, config) in EXIT_CODES
+
+
+@st.composite
+def model_json_mutations(draw, model: dict):
+    """Top-level key edits of a saved model's JSON, or byte-level ones."""
+    text = json.dumps(model)
+    if draw(st.booleans()):
+        return draw(byte_mutations(text.encode()))
+    keys = sorted(model)
+    for _ in range(draw(st.integers(1, 3))):
+        key = draw(st.sampled_from(keys))
+        if draw(st.booleans()):
+            model[key] = draw(JSON_VALUES)
+        else:
+            model.pop(key, None)
+    return json.dumps(model).encode()
+
+
+class TestModelJsonFuzz:
+    @FUZZ
+    @given(data=st.data(), kind=st.sampled_from(sorted(MODEL_KINDS)))
+    def test_eval_exits_cleanly(self, seeds, data, kind):
+        model = json.loads((seeds / f"model-{kind}.json").read_text())
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            (root / "model.json").write_bytes(data.draw(model_json_mutations(model)))
+            config = {"model": str(root / "model.json"), "matrix": str(seeds / "m.csv")}
+            assert run_in(root, "eval", config) in EXIT_CODES
+
+
+@pytest.mark.parametrize("target", ["config", "matrix", "model"])
+def test_utf16_byte_order_mark_exits_2(seeds, tmp_path, capsys, target):
+    config = {"model": str(seeds / "model-decision_tree.json"), "matrix": str(seeds / "m.csv")}
+    if target != "config":
+        original = Path(config[target])
+        config[target] = str(tmp_path / original.name)
+        Path(config[target]).write_bytes(b"\xff\xfe" + original.read_bytes())
+    raw = json.dumps(config).encode()
+    assert run_in(tmp_path, "eval", b"\xff\xfe" + raw if target == "config" else raw) == 2
+    assert "utf-8" in capsys.readouterr().err
 
 
 MANIFEST_KEYS = ["id", "mode", "label", "bit_depth", "dark", "bands"]  # width/height stay
@@ -120,11 +184,7 @@ MANIFEST_KEYS = ["id", "mode", "label", "bit_depth", "dark", "bands"]  # width/h
 def manifest_mutations(draw, manifest: dict):
     text = json.dumps(manifest)
     if draw(st.booleans()):
-        raw = bytearray(text.encode())
-        for _ in range(draw(st.integers(1, 3))):
-            at = draw(st.integers(0, len(raw) - 1))
-            raw[at:at + 1] = draw(st.binary(min_size=0, max_size=2))
-        return bytes(raw)
+        return draw(byte_mutations(text.encode()))
     manifest = json.loads(text)
     for _ in range(draw(st.integers(1, 3))):
         op = draw(st.sampled_from(["set", "drop", "band-set", "band-drop", "extra"]))
@@ -201,7 +261,7 @@ def tiny_config(command: str, seeds: Path) -> dict:
                        "options": {"bilateral": None}},
         "matrix": {"input": str(seeds / "data"), "mode": "transmittance", "name": "m.csv"},
         "train": {"matrix": str(seeds / "m.csv"), "model": "decision_tree", "fraction": 0.75},
-        "eval": {"model": str(seeds / "model.json"), "matrix": str(seeds / "m.csv"),
+        "eval": {"model": str(seeds / "model-decision_tree.json"), "matrix": str(seeds / "m.csv"),
                  "label_kind": "adulteration"},
         "kl-regress": {"input": str(seeds / "synth" / "out" / "transmittance"), "n_bins": 8,
                        "reference_label": 0},
@@ -216,6 +276,18 @@ def tiny_config(command: str, seeds: Path) -> dict:
         "protocol-sim": {"n_bands": 3, "timeout_steps": 4, "exposure_steps": 1, "fail": False,
                          "sequential": True, "band": 0},
     }[command]
+
+
+PARAM_VALUES = st.none() | st.booleans() | st.integers(-3, 40) | st.floats() | st.sampled_from(["", "x"])
+
+
+@st.composite
+def classifier_params(draw) -> dict:
+    """A ``train`` config's ``model``, and ``params`` keyed by that model's
+    constructor parameters."""
+    model = draw(st.sampled_from(sorted(MODEL_KINDS)))
+    names = list(inspect.signature(MODEL_KINDS[model]).parameters)
+    return {"model": model, "params": draw(st.dictionaries(st.sampled_from(names), PARAM_VALUES, max_size=3))}
 
 
 def config_keys(command: str) -> set[str]:
@@ -242,8 +314,10 @@ class TestConfigFuzz:
         keys = config_keys(command)
         mutable = sorted(set(config) - SIZE_KEYS)
         addable = sorted(keys - SIZE_KEYS - set(config))
-        op = data.draw(st.sampled_from(["add-unknown", "drop", "replace"] + ["add"] * bool(addable)))
-        if op == "add-unknown":
+        op = data.draw(st.sampled_from(["add-unknown", "drop", "replace", "bytes"] + ["add"] * bool(addable)))
+        if op == "bytes":
+            config = data.draw(byte_mutations(json.dumps(config).encode()))
+        elif op == "add-unknown":
             config[data.draw(st.text(max_size=6).filter(lambda k: k not in keys))] = data.draw(JSON_VALUES)
         elif op == "add":
             config[data.draw(st.sampled_from(addable))] = data.draw(JSON_VALUES)
@@ -255,3 +329,15 @@ class TestConfigFuzz:
             code = run_in(Path(tmp), command, config)
         event(f"{op}: exit {code}")
         assert code == 2 if op == "add-unknown" else code in EXIT_CODES
+
+    @FUZZ
+    @given(params=classifier_params())
+    def test_drawn_classifier_params_exit_cleanly(self, seeds, params):
+        # a parameter out of range exits 2 before any artifact is written
+        config = {**tiny_config("train", seeds), **params}
+        with tempfile.TemporaryDirectory() as tmp:
+            code = run_in(Path(tmp), "train", config)
+            written = sorted(p.name for p in (Path(tmp) / "out").iterdir())
+        event(f"{params['model']}: exit {code}")
+        assert code in {0, 2}
+        assert written == ([] if code == 2 else ["model.json", "split.json", "train_eval.json"])

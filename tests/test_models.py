@@ -690,3 +690,39 @@ class TestMalformedModelJson:
         model.fit(np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([0.0, 5.0]))
         with pytest.raises(ValidationError):
             model.predict(np.zeros((2, 3)))
+
+
+class TestParameterRanges:
+    OUT_OF_RANGE = [
+        (KNearestNeighbors, "k", 0),
+        (DecisionTree, "max_depth", 0),
+        (DecisionTree, "min_leaf", 0),
+        (RandomForest, "n_trees", 0),
+        (RandomForest, "mtry", -2),
+        (RandomForest, "mtry", 0),
+        (RandomForest, "max_depth", -1),
+        (LogisticRegressionGD, "l2", -1e-9),
+        (LogisticRegressionGD, "lr", 0.0),
+        (LogisticRegressionGD, "lr_decay", -1.0),
+        (LogisticRegressionGD, "epochs", 0),
+        (LogisticRegressionGD, "tol", math.nan),
+        (LinearSVM, "c", 0.0),
+        (LinearSVM, "c", math.inf),
+        (LinearSVM, "lr", -math.inf),
+        (LinearSVM, "epochs", -1),
+        (LinearSVM, "lr_decay", math.nan),
+    ]
+
+    @pytest.mark.parametrize("cls, name, value", OUT_OF_RANGE)
+    def test_constructor_names_the_parameter(self, cls, name, value):
+        with pytest.raises(ValidationError, match=f"^{name} must be"):
+            cls(**{name: value})
+
+    @pytest.mark.parametrize("name", ["mtry", "max_depth"])
+    def test_forest_takes_null_for_unbounded(self, name):
+        assert getattr(RandomForest(**{name: None}), name) is None
+
+    def test_saved_model_with_a_bad_parameter_is_validation_error(self):
+        obj = json.loads(SEED_TREE_JSON)
+        with pytest.raises(ValidationError, match="min_leaf"):
+            model_from_json({**obj, "min_leaf": -1})

@@ -219,6 +219,30 @@ class TestRender:
             v = sample.cube.frame(wl)
             assert v.min() >= 0 and v.max() <= 65535
 
+    @settings(max_examples=40, deadline=None)
+    @given(gain=st.floats(4.0, 1e300), dark_mean=st.floats(0.0, 500.0))
+    def test_bright_signal_saturates(self, gain, dark_mean):
+        # gain 4 puts the flat scene at full scale; far above, the count
+        # must stay there and not wrap through the integer cast
+        noise = NoiseSpec(dark_mean=dark_mean, dark_sd=0.0, shot_sd_fraction=0.0,
+                          texture_shared_sd=0.0, texture_band_sd=0.0)
+        sample = render(quiet_scene(noise=noise, band_gains={405: gain, 530: gain}))
+        assert np.all(sample.cube.values == 65535)
+
+    @settings(max_examples=40, deadline=None)
+    @given(gains=st.lists(st.floats(0.0, 1e300), min_size=2, max_size=2).map(sorted),
+           shot=st.floats(0.0, 0.05))
+    def test_counts_are_monotone_in_gain(self, gains, shot):
+        noise = NoiseSpec(shot_sd_fraction=shot)
+        low, high = (render(quiet_scene(noise=noise, rng_seed=5, band_gains={405: g, 530: g}))
+                     for g in gains)
+        assert np.all(high.cube.values >= low.cube.values)
+
+    def test_non_finite_signal_is_validation_error(self):
+        noise = NoiseSpec(shot_sd_fraction=1e300)
+        with pytest.raises(ValidationError, match="not finite"):
+            render(quiet_scene(noise=noise, band_gains={405: 1e300, 530: 1.0}))
+
     def test_band_gains_scale_signal(self):
         base = render(quiet_scene())
         gained = render(quiet_scene(band_gains={405: 2.0, 530: 1.0}))
