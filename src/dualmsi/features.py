@@ -349,6 +349,28 @@ def pca_fit(
     )
 
 
+def _fisher_eigh(s_b: np.ndarray, s_w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (ascending) and eigenvectors of S_b v = w S_w v.
+
+    The reduction LAPACK's ``dsygvd`` performs: S_w = L L^T, then the
+    symmetric eigenproblem of L^-1 S_b L^-T, whose eigenvectors U give
+    V = L^-T U.  A pivot of L at the rounding level of S_w means S_w is
+    singular in floating point, and V would be noise.
+    """
+    if not (np.isfinite(s_b).all() and np.isfinite(s_w).all()):
+        raise ValidationError("LDA scatter matrices are not finite")
+    try:
+        chol = np.linalg.cholesky(s_w)
+    except np.linalg.LinAlgError:
+        chol = None
+    rounding = len(s_w) * np.finfo(float).eps * s_w.diagonal().max()
+    if chol is None or np.diagonal(chol).min() ** 2 <= rounding:
+        raise ValidationError("the shrunk within-class scatter is not positive definite; raise the shrinkage")
+    inv = np.linalg.inv(chol)
+    eigvals, u = np.linalg.eigh(inv @ s_b @ inv.T)
+    return eigvals, inv.T @ u
+
+
 def lda_fit(
     matrix: DataMatrix,
     k: int | None = None,
@@ -361,12 +383,11 @@ def lda_fit(
     correlated superpixels make bare S_w ill-conditioned.  At most C-1
     components exist.
 
-    This is the only user of scipy: ``scipy.linalg`` is imported at the
-    first fit of a process, not with the package, so commands that fit no
-    LDA never load it.
+    The eigensolve is ``_fisher_eigh``, on numpy's LAPACK.  Non-finite
+    values, or a shrunk S_w that is not numerically positive definite
+    (say an explicit ``shrinkage`` near 0 on rank-deficient S_w), raise
+    ValidationError.
     """
-    import scipy.linalg  # numpy has no generalized symmetric eigensolver
-
     values = matrix.values
     keys = matrix.label_keys()
     classes = np.unique(keys)
@@ -395,7 +416,7 @@ def lda_fit(
     gamma = shrinkage if shrinkage is not None else 1e-6 * np.trace(s_w) / d
     if gamma <= 0:
         gamma = 1e-12
-    eigvals, eigvecs = scipy.linalg.eigh(s_b, s_w + gamma * np.eye(d))
+    eigvals, eigvecs = _fisher_eigh(s_b, s_w + gamma * np.eye(d))
     order = np.argsort(eigvals)[::-1][:k]
     eigvals = np.maximum(eigvals[order], 0.0)
     components = eigvecs[:, order].T

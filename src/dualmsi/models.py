@@ -345,8 +345,10 @@ class TreeNodes(NamedTuple):
             threshold = node["threshold"]
             if not is_index(node["feature"]):
                 raise ValidationError(f"tree node {i}: feature {node['feature']!r} is not an index")
-            if not isinstance(threshold, (int, float)) or isinstance(threshold, bool):
-                raise ValidationError(f"tree node {i}: threshold {threshold!r} is not a number")
+            if not isinstance(threshold, (int, float)) or isinstance(threshold, bool) or (
+                not math.isfinite(threshold)
+            ):
+                raise ValidationError(f"tree node {i}: threshold {threshold!r} is not a finite number")
             for column, value in zip(columns, (node["feature"], float(threshold), -1, -1, -1)):
                 column.append(value)
             columns[2][i] = visit(node["left"])
@@ -625,8 +627,7 @@ class LogisticRegressionGD:
             lr = self.lr / (1.0 + self.lr_decay * epoch)
             weights -= lr * grad_w
             bias -= lr * grad_b
-        self.weights, self.bias = weights, bias
-        return self
+        return _store_linear_fit(self, weights, bias)
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         if self.weights is None:
@@ -709,8 +710,7 @@ class LinearSVM:
             lr = self.lr / (1.0 + self.lr_decay * epoch)
             weights -= lr * grad_w
             bias -= lr * grad_b
-        self.weights, self.bias = weights, bias
-        return self
+        return _store_linear_fit(self, weights, bias)
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         if self.weights is None:
@@ -735,6 +735,15 @@ class LinearSVM:
         return _linear_from_json(cls(c=obj["c"]), obj)
 
 
+def _store_linear_fit(model, weights: np.ndarray, bias: np.ndarray):
+    """``model`` holding its fitted ``weights`` and ``bias``, which a too
+    large learning rate drives to inf or NaN: that fit raises instead."""
+    if not (np.isfinite(weights).all() and np.isfinite(bias).all()):
+        raise ValidationError(f"the fit diverged to non-finite weights: lower lr (got {model.lr!r})")
+    model.weights, model.bias = weights, bias
+    return model
+
+
 def _linear_from_json(model, obj: dict):
     """``model`` with the classes, weights and bias of its saved JSON."""
     model.classes_ = _classes(obj["classes"])
@@ -744,6 +753,8 @@ def _linear_from_json(model, obj: dict):
         model.bias.shape != model.classes_.shape
     ):
         raise ValidationError("model weights and bias need one row per class")
+    if not (np.isfinite(model.weights).all() and np.isfinite(model.bias).all()):
+        raise ValidationError("model weights and bias must be finite")
     return model
 
 
@@ -766,14 +777,14 @@ def model_from_json(obj: dict):
         return MODEL_KINDS[kind].from_json(obj)
     except KeyError as exc:
         raise ValidationError(f"{kind} model JSON lacks key {exc}") from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed {kind} model JSON: {exc}") from None
 
 
 def save_model(model, path) -> None:
+    text = json.dumps(model.to_json(), indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w") as fh:
-        json.dump(model.to_json(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def load_model(path):

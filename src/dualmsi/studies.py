@@ -14,7 +14,7 @@ These magnitudes are fixture calibration, not measured device values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 
 import numpy as np
@@ -28,6 +28,7 @@ from .synth import (
     NoiseSpec,
     SceneConfig,
     render,
+    require_nonnegative,
     stream,
 )
 
@@ -72,6 +73,7 @@ class CaseStudyConfig:
     texture_adulteration_gain: float = 0.0
 
     def __post_init__(self):
+        require_nonnegative(self, *(f.name for f in fields(self) if f.name.endswith("_jitter_sd")))
         if self.replicates < 1:
             raise ValidationError("replicates must be >= 1")
         if self.kind is not StudyKind.COLOR_CHART and len(self.levels) < 2:

@@ -33,6 +33,17 @@ from .errors import ValidationError
 LN2 = float(np.log(2.0))
 
 
+def require_nonnegative(obj, *names: str) -> None:
+    """Check that each named field of the dataclass ``obj`` is finite and
+    >= 0, and store a -0.0 as 0.0: ``Generator.normal`` tests the sign bit
+    of its ``scale`` and rejects -0.0."""
+    for name in names:
+        value = getattr(obj, name)
+        if not 0.0 <= value < float("inf"):
+            raise ValidationError(f"{name} must be finite and >= 0, got {value!r}")
+        object.__setattr__(obj, name, value + 0.0)
+
+
 def stream(*key_parts) -> np.random.Generator:
     """Independent RNG stream keyed by a stable hash of the arguments.
 
@@ -267,16 +278,15 @@ class NoiseSpec:
     texture_block: int = 10
 
     def __post_init__(self):
-        for name in (
+        require_nonnegative(
+            self,
             "dark_mean",
             "dark_sd",
             "shot_sd_fraction",
             "drift_amplitude",
             "texture_shared_sd",
             "texture_band_sd",
-        ):
-            if getattr(self, name) < 0:
-                raise ValidationError(f"{name} must be >= 0")
+        )
         if self.texture_block < 1:
             raise ValidationError("texture_block must be >= 1")
 

@@ -255,8 +255,12 @@ class TestMalformedModelAndTrainConfigs:
             lambda o: o["root"].pop("threshold"),
             lambda o: o["root"].pop("left"),
             lambda o: o["root"].pop("right"),
+            lambda o: o["root"].update(threshold=float("inf")),
+            lambda o: o["root"].update(threshold=float("nan")),
+            lambda o: o["root"].update(threshold=10**400),
         ],
-        ids=["no-root", "no-leaf", "no-feature", "no-threshold", "no-left", "no-right"],
+        ids=["no-root", "no-leaf", "no-feature", "no-threshold", "no-left", "no-right",
+             "inf-threshold", "nan-threshold", "huge-int-threshold"],
     )
     def test_eval_of_malformed_tree_exits_2(self, tmp_path, matrix_csv, mutate):
         model = self.tree_json(tmp_path, matrix_csv)
@@ -265,6 +269,21 @@ class TestMalformedModelAndTrainConfigs:
         path.write_text(json.dumps(model))
         config = {"model": str(path), "matrix": str(matrix_csv)}
         assert self.run_with(tmp_path, "eval", config) == 2
+
+    @pytest.mark.parametrize("model", ["logistic", "linear_svm"])
+    @pytest.mark.parametrize("key, value", [("weights", float("nan")), ("bias", float("-inf")),
+                                            ("weights", 10**400)],
+                             ids=["nan-weight", "inf-bias", "huge-int-weight"])
+    def test_eval_of_non_finite_linear_model_exits_2(self, tmp_path, matrix_csv, model, key, value):
+        assert self.run_with(tmp_path, "train", {"matrix": str(matrix_csv), "model": model}) == 0
+        saved = json.loads((tmp_path / "o" / "model.json").read_text())
+        if key == "weights":
+            saved["weights"][0][0] = value
+        else:
+            saved["bias"][0] = value
+        path = tmp_path / "bad_model.json"
+        path.write_text(json.dumps(saved))
+        assert self.run_with(tmp_path, "eval", {"model": str(path), "matrix": str(matrix_csv)}) == 2
 
     def test_eval_of_unparsable_model_exits_2(self, tmp_path, matrix_csv):
         path = tmp_path / "bad_model.json"
@@ -595,8 +614,40 @@ def loaded_scipy_modules(code: str, cwd: Path) -> list[str]:
 
 
 def test_cli_import_leaves_scipy_unloaded(tmp_path):
-    # only an LDA fit needs scipy, and it imports scipy.linalg itself
+    # no command needs scipy: the LDA eigensolve runs on numpy's LAPACK
     assert loaded_scipy_modules("import dualmsi.cli", tmp_path) == []
+
+
+def write_lda_configs(root: Path) -> None:
+    """Configs for a tiny turmeric study and a synth for ``kl-regress``."""
+    study = {"replicates": 3, "levels": [0, 40], "width": 10, "height": 20}
+    (root / "t.json").write_text(json.dumps(study))
+    (root / "s.json").write_text(json.dumps({"kind": "coconut_oil", **study}))
+    (root / "k.json").write_text(json.dumps({"input": "d/transmittance", "n_bins": 8}))
+
+
+# the commands that fit an LDA projection, as code run in a fresh interpreter
+LDA_RUNS = {
+    "turmeric": "assert main(['--config', 't.json', '--out', 'o', 'turmeric']) == 0",
+    "kl-regress": ("assert main(['--config', 's.json', '--out', 'd', 'synth']) == 0\n"
+                   "assert main(['--config', 'k.json', '--out', 'k', 'kl-regress']) == 0"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(LDA_RUNS))
+def test_lda_commands_leave_scipy_unloaded(tmp_path, command):
+    write_lda_configs(tmp_path)
+    code = "from dualmsi.cli import main\n" + LDA_RUNS[command]
+    assert loaded_scipy_modules(code, tmp_path) == []
+
+
+@pytest.mark.parametrize("command", sorted(LDA_RUNS))
+def test_lda_commands_run_with_scipy_blocked(tmp_path, command):
+    # a None entry in sys.modules makes every scipy import raise ImportError,
+    # as for an install with numpy alone
+    write_lda_configs(tmp_path)
+    code = "import sys\nsys.modules['scipy'] = None\nfrom dualmsi.cli import main\n" + LDA_RUNS[command]
+    assert loaded_scipy_modules(code, tmp_path) == ["scipy"]
 
 
 def test_synth_run_leaves_scipy_unloaded(tmp_path):

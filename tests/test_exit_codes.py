@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, event, given, settings, strategies as st
+from hypothesis import HealthCheck, event, example, given, settings, strategies as st
 
 from dualmsi.cli import COMMANDS, main
 from dualmsi.core import Label, Mode, Sample, save_dataset
@@ -332,12 +332,51 @@ class TestConfigFuzz:
 
     @FUZZ
     @given(params=classifier_params())
+    @example(params={"model": "logistic", "params": {"lr": 1e300}})
+    @example(params={"model": "linear_svm", "params": {"lr": 1e300}})
     def test_drawn_classifier_params_exit_cleanly(self, seeds, params):
-        # a parameter out of range exits 2 before any artifact is written
+        # a parameter out of range, or a fit it makes diverge, exits 2
+        # before any artifact is written; a saved model is strict JSON
         config = {**tiny_config("train", seeds), **params}
         with tempfile.TemporaryDirectory() as tmp:
             code = run_in(Path(tmp), "train", config)
             written = sorted(p.name for p in (Path(tmp) / "out").iterdir())
+            if code == 0:
+                json.loads((Path(tmp) / "out" / "model.json").read_text(),
+                           parse_constant=lambda token: pytest.fail(f"model.json holds {token}"))
         event(f"{params['model']}: exit {code}")
         assert code in {0, 2}
         assert written == ([] if code == 2 else ["model.json", "split.json", "train_eval.json"])
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("model", ["logistic", "linear_svm"])
+    def test_diverging_fit_exits_2_without_a_model(self, seeds, tmp_path, model):
+        config = {**tiny_config("train", seeds), "model": model, "params": {"lr": 1e300}}
+        assert run_in(tmp_path, "train", config) == 2
+        assert not (tmp_path / "out" / "model.json").exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("depth_jitter_sd", -1.0),
+        ("fraction_jitter_sd", -1e-300),
+        ("trans_band_jitter_sd", -1.0),
+        ("noise", {"dark_sd": -1.0}),
+        ("noise", {"dark_sd": 1e999}),
+    ])
+    def test_negative_noise_scale_exits_2(self, seeds, tmp_path, key, value):
+        config = {**tiny_config("coconut-oil", seeds), key: value}
+        assert run_in(tmp_path, "coconut-oil", config) == 2
+
+    @pytest.mark.parametrize("key, zero", [
+        ("depth_jitter_sd", -0.0),  # the fuzz draw that once exited 1
+        ("fraction_jitter_sd", -0.0),
+        ("noise", {"dark_sd": -0.0}),
+    ])
+    def test_negative_zero_noise_scale_runs_as_zero(self, seeds, tmp_path, key, zero):
+        # Generator.normal rejects a scale whose sign bit is set
+        outputs = []
+        for i, value in enumerate([zero, json.loads(json.dumps(zero).replace("-0.0", "0.0"))]):
+            root = tmp_path / str(i)
+            root.mkdir()
+            assert run_in(root, "coconut-oil", {**tiny_config("coconut-oil", seeds), key: value}) == 0
+            outputs.append({p.name: p.read_bytes() for p in sorted((root / "out").iterdir())})
+        assert outputs[0] == outputs[1]

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 from dualmsi.core import Label, Mode
 from dualmsi.errors import ModeMismatchError, UnpairedSampleError, ValidationError
 from dualmsi.features import (
     DataMatrix,
+    _fisher_eigh,
     apply_normalizer,
     band_normalize,
     build_matrix,
@@ -321,3 +324,69 @@ class TestLda:
         assert loadings.shape == (4,)
         assert np.all(loadings >= 0)
         assert proj.col_labels == ("R:405", "R:530", "T:405", "T:530")
+
+    @pytest.mark.parametrize("values", [
+        [[0.0], [1.0], [np.nan], [2.0]],
+        [[0.0], [np.inf], [1.0], [2.0]],
+        [[1e300], [-1e300], [1e300], [-1e300]],  # the scatter overflows
+    ], ids=["nan", "inf", "overflow"])
+    def test_non_finite_values_raise(self, values):
+        matrix = matrix_from(values, labels=[0, 0, 1, 1])
+        with pytest.raises(ValidationError, match="not finite"):
+            lda_fit(matrix)
+
+    @pytest.mark.parametrize("columns", [
+        lambda x: np.column_stack([x, x]),  # rank-deficient scatter
+        lambda x: np.column_stack([x, np.ones_like(x)]),  # a column without scatter
+    ], ids=["duplicate-column", "constant-column"])
+    def test_near_zero_explicit_shrinkage_raises(self, columns):
+        rng = np.random.default_rng(16)
+        matrix = matrix_from(columns(rng.normal(size=40)), labels=[0.0, 1.0] * 20)
+        assert lda_fit(matrix).k == 1  # the default shrinkage makes it definite
+        with pytest.raises(ValidationError, match="not positive definite"):
+            lda_fit(matrix, shrinkage=1e-300)
+
+
+@st.composite
+def definite_pencils(draw):
+    """A between-class scatter ``a`` (PSD, rank at most C-1) and a symmetric
+    positive definite ``b``: either a random one with a condition number
+    up to 1e8, or the shrinkage form s_w + gamma I of a rank-deficient s_w
+    with lda_fit's default gamma."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d, c = draw(st.integers(1, 26)), draw(st.integers(2, 12))
+    means = rng.normal(size=(c - 1, d)) * 10.0 ** draw(st.floats(-3, 3))
+    a = means.T @ means
+    scale = 10.0 ** draw(st.floats(-3, 3))
+    if draw(st.booleans()):
+        q, _ = np.linalg.qr(rng.normal(size=(d, d)))
+        b = (q * np.logspace(0, -draw(st.floats(0, 8)), d)) @ q.T * scale
+    else:
+        rows = rng.normal(size=(draw(st.integers(1, d)), d)) * scale
+        s_w = rows.T @ rows
+        b = s_w + 1e-6 * np.trace(s_w) / d * np.eye(d)
+    return a, b
+
+
+class TestFisherEigh:
+    @settings(max_examples=150, deadline=None)
+    @given(pencil=definite_pencils())
+    def test_matches_scipy_generalized_eigh(self, pencil):
+        a, b = pencil
+        got_w, got_v = _fisher_eigh(a, b)
+        want_w, want_v = scipy.linalg.eigh(a, b)
+        top = np.abs(want_w).max()
+        np.testing.assert_allclose(got_w, want_w, rtol=0, atol=1e-7 * top)
+        # eigenvectors are defined up to scale and sign, and only where
+        # the eigenvalue is apart from its neighbours
+        got_v = got_v / np.linalg.norm(got_v, axis=0)
+        want_v = want_v / np.linalg.norm(want_v, axis=0)
+        got_v *= np.where((got_v * want_v).sum(axis=0) < 0, -1.0, 1.0)
+        padded = np.concatenate([[-np.inf], want_w, [np.inf]])
+        gap = np.minimum(np.diff(padded)[:-1], np.diff(padded)[1:])
+        clear = gap > 1e-3 * top
+        np.testing.assert_allclose(got_v[:, clear], want_v[:, clear], rtol=0, atol=1e-6)
+
+    def test_singular_b_raises(self):
+        with pytest.raises(ValidationError, match="not positive definite"):
+            _fisher_eigh(np.eye(2), np.ones((2, 2)))
