@@ -13,7 +13,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -160,23 +160,29 @@ def superpixels(cube: SpectralCube, block: int = 10) -> np.ndarray:
     return blocks.reshape(len(cube.band_set), ny * nx).T
 
 
-def build_matrix(samples: Sequence[Sample], mode: Mode, block: int = 10) -> DataMatrix:
-    """Stack per-sample superpixel matrices vertically into one DataMatrix."""
-    samples = list(samples)
-    if not samples:
-        raise ValidationError("no samples to build a matrix from")
-    band_set = samples[0].cube.band_set
+def build_matrix(samples: Iterable[Sample], mode: Mode, block: int = 10) -> DataMatrix:
+    """Stack per-sample superpixel matrices vertically into one DataMatrix.
+
+    ``samples`` may be any iterable, a generator included: each sample is
+    checked (mode, and the first sample's band set) and reduced to its
+    superpixel rows as it arrives, and only those rows are kept, so a
+    generator of preprocessed samples holds one cube at a time.
+    """
+    blocks, meta = [], []
+    band_set = None
     for sample in samples:
         if sample.cube.mode is not mode:
             raise ModeMismatchError(
                 f"sample {sample.id} is {sample.cube.mode.value}, expected {mode.value}"
             )
-        if sample.cube.band_set != band_set:
+        if band_set is None:
+            band_set = sample.cube.band_set
+        elif sample.cube.band_set != band_set:
             raise ValidationError(f"sample {sample.id} has a different band set")
-    blocks = [superpixels(s.cube, block=block) for s in samples]
-    meta = []
-    for sample, rows in zip(samples, blocks):
-        meta.extend([(sample.id, sample.label)] * rows.shape[0])
+        blocks.append(superpixels(sample.cube, block=block))
+        meta.extend([(sample.id, sample.label)] * blocks[-1].shape[0])
+    if not blocks:
+        raise ValidationError("no samples to build a matrix from")
     cols = tuple(f"{mode.tag}:{wl}" for wl in band_set)
     return DataMatrix(values=np.vstack(blocks), col_labels=cols, row_meta=tuple(meta))
 

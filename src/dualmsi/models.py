@@ -168,6 +168,23 @@ def _rows(x, width: int) -> np.ndarray:
     return x
 
 
+# Bytes of working memory one block of KNearestNeighbors.predict may use.
+KNN_WORKING_MEMORY = 32 * 2**20
+# Rows per BLAS product in KNearestNeighbors.predict.  BLAS may round a row
+# of a product differently with the number of rows in the call, so the
+# products run over fixed chunks of the test rows and a block is a whole
+# number of chunks: no distance depends on the block size, and up to this
+# many test rows take one product, as before blocking.
+KNN_PRODUCT_ROWS = 128
+
+
+def _knn_row_bytes(n_train: int, k: int, n_labels: int) -> int:
+    """Working memory of one test row in a predict block: its distance and
+    partition-index rows, its k candidate votes and distances, and its
+    per-label counts, sums and masks, 8 bytes each."""
+    return 8 * (2 * n_train + 2 * k + 4 * n_labels)
+
+
 class KNearestNeighbors:
     """Euclidean k-nearest-neighbor majority vote."""
 
@@ -186,30 +203,48 @@ class KNearestNeighbors:
         return self
 
     def predict(self, x: np.ndarray) -> np.ndarray:
+        """Labels of the rows of ``x``, computed in row blocks whose working
+        memory stays within ``KNN_WORKING_MEMORY``.  A block is a whole
+        number of ``KNN_PRODUCT_ROWS``-row chunks, at least one."""
         if self.train_x is None:
             raise ValidationError("predict before fit")
         x = _rows(x, self.train_x.shape[1])
-        # squared distances via |x|^2 + |t|^2 - 2 x.t, clipped at zero
-        d2 = (
-            (x**2).sum(axis=1)[:, None]
-            + (self.train_x**2).sum(axis=1)[None, :]
-            - 2.0 * (x @ self.train_x.T)
-        )
-        np.maximum(d2, 0.0, out=d2)
-        if self.k < self.train_x.shape[0]:
+        labels, train_idx = np.unique(self.train_y, return_inverse=True)
+        train_sq = (self.train_x**2).sum(axis=1)
+        chunk_bytes = _knn_row_bytes(train_sq.size, self.k, labels.size) * KNN_PRODUCT_ROWS
+        step = max(1, KNN_WORKING_MEMORY // chunk_bytes) * KNN_PRODUCT_ROWS
+        out = np.empty(x.shape[0])
+        for start in range(0, x.shape[0], step):
+            block = slice(start, start + step)
+            out[block] = labels[self._vote(x[block], train_sq, train_idx, labels.size)]
+        return out
+
+    def _squared_distances(self, x, train_sq) -> np.ndarray:
+        """|x|^2 + |t|^2 - 2 x.t for every row pair, clipped at zero; the
+        products run over the fixed ``KNN_PRODUCT_ROWS`` chunks of ``x``."""
+        product = np.empty((x.shape[0], train_sq.size))
+        for start in range(0, x.shape[0], KNN_PRODUCT_ROWS):
+            chunk = slice(start, start + KNN_PRODUCT_ROWS)
+            np.matmul(x[chunk], self.train_x.T, out=product[chunk])
+        product *= 2.0
+        d2 = (x**2).sum(axis=1)[:, None] + train_sq[None, :]
+        d2 -= product
+        return np.maximum(d2, 0.0, out=d2)
+
+    def _vote(self, x, train_sq, train_idx, n_labels) -> np.ndarray:
+        """Index into the sorted labels of each row's majority vote."""
+        d2 = self._squared_distances(x, train_sq)
+        if self.k < train_sq.size:
             candidates = np.argpartition(d2, self.k - 1, axis=1)[:, : self.k]
         else:
-            candidates = np.broadcast_to(
-                np.arange(self.train_x.shape[0]), (x.shape[0], self.train_x.shape[0])
-            )
-        labels, train_idx = np.unique(self.train_y, return_inverse=True)
+            candidates = np.broadcast_to(np.arange(train_sq.size), d2.shape)
         votes = train_idx[candidates]
         dists = np.take_along_axis(d2, candidates, axis=1)
         rows = np.arange(x.shape[0])
-        counts = np.zeros((x.shape[0], labels.size), dtype=np.int64)
-        sums = np.zeros((x.shape[0], labels.size))
+        counts = np.zeros((x.shape[0], n_labels), dtype=np.int64)
+        sums = np.zeros((x.shape[0], n_labels))
         # summed left to right in candidate order, as numpy sums under 8 terms
-        for j in range(candidates.shape[1]):
+        for j in range(votes.shape[1]):
             counts[rows, votes[:, j]] += 1
             sums[rows, votes[:, j]] += dists[:, j]
         tied = counts == counts.max(axis=1, keepdims=True)
@@ -220,7 +255,7 @@ class KNearestNeighbors:
         # ties: smallest summed distance, then smallest label
         tied_sums = np.where(tied, sums, np.inf)
         best = tied & (tied_sums == tied_sums.min(axis=1, keepdims=True))
-        return labels[np.argmax(best, axis=1)]
+        return np.argmax(best, axis=1)
 
     def to_json(self) -> dict:
         return {
@@ -236,6 +271,8 @@ class KNearestNeighbors:
         x, y = np.array(obj["train_x"], dtype=np.float64), np.array(obj["train_y"], dtype=np.float64)
         if x.ndim != 2 or y.shape != x.shape[:1]:
             raise ValidationError("knn model JSON needs train_x rows and one train_y label per row")
+        if not (np.isfinite(x).all() and np.isfinite(y).all()):
+            raise ValidationError("knn model train_x and train_y must be finite")
         return model.fit(x, y)
 
 

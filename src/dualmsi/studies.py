@@ -14,6 +14,7 @@ These magnitudes are fixture calibration, not measured device values.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 from enum import Enum
 
@@ -73,7 +74,13 @@ class CaseStudyConfig:
     texture_adulteration_gain: float = 0.0
 
     def __post_init__(self):
-        require_nonnegative(self, *(f.name for f in fields(self) if f.name.endswith("_jitter_sd")))
+        require_nonnegative(
+            self,
+            "texture_adulteration_gain",
+            *(f.name for f in fields(self) if f.name.endswith("_jitter_sd")),
+        )
+        if not all(math.isfinite(level) for level in self.levels):
+            raise ValidationError(f"levels must be finite, got {list(self.levels)}")
         if self.replicates < 1:
             raise ValidationError("replicates must be >= 1")
         if self.kind is not StudyKind.COLOR_CHART and len(self.levels) < 2:

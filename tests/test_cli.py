@@ -285,6 +285,21 @@ class TestMalformedModelAndTrainConfigs:
         path.write_text(json.dumps(saved))
         assert self.run_with(tmp_path, "eval", {"model": str(path), "matrix": str(matrix_csv)}) == 2
 
+    @pytest.mark.parametrize("key, value", [("train_x", float("nan")), ("train_y", float("-inf")),
+                                            ("train_x", 10**400)],
+                             ids=["nan-train-x", "inf-train-y", "huge-int-train-x"])
+    def test_eval_of_non_finite_knn_model_exits_2(self, tmp_path, matrix_csv, key, value):
+        config = {"matrix": str(matrix_csv), "model": "knn", "params": {"k": 1}}
+        assert self.run_with(tmp_path, "train", config) == 0
+        saved = json.loads((tmp_path / "o" / "model.json").read_text())
+        if key == "train_x":
+            saved["train_x"][0] = [value] * len(saved["train_x"][0])
+        else:
+            saved["train_y"][0] = value
+        path = tmp_path / "bad_model.json"
+        path.write_text(json.dumps(saved))
+        assert self.run_with(tmp_path, "eval", {"model": str(path), "matrix": str(matrix_csv)}) == 2
+
     def test_eval_of_unparsable_model_exits_2(self, tmp_path, matrix_csv):
         path = tmp_path / "bad_model.json"
         path.write_text("{not json")
@@ -354,6 +369,23 @@ class TestOilStudyBandSet:
         cfg.write_text(json.dumps({"band_set": {"wavelengths_nm": [405, 530, 660]},
                                    "replicates": 2, "width": 20, "height": 20}))
         assert run(["--config", cfg, "--out", tmp_path / "o", "coconut-oil"]) == 2
+        assert not (tmp_path / "o" / "report.json").exists()
+
+
+class TestNonFiniteStudyConfig:
+    @pytest.mark.parametrize("command", ["coconut-oil", "turmeric"])
+    @pytest.mark.parametrize(
+        "extra",
+        [{"levels": [0, float("nan")]}, {"levels": [float("-inf"), 40]},
+         {"texture_adulteration_gain": float("nan")}, {"texture_adulteration_gain": float("inf")},
+         {"texture_adulteration_gain": -0.5}],
+        ids=["nan-level", "inf-level", "nan-gain", "inf-gain", "negative-gain"],
+    )
+    def test_study_config_exits_2(self, tmp_path, command, extra):
+        cfg = tmp_path / "c.json"
+        # json.dumps writes NaN/Infinity tokens, which the config reader parses
+        cfg.write_text(json.dumps({"replicates": 3, "levels": [0, 40], "width": 10, "height": 20, **extra}))
+        assert run(["--config", cfg, "--out", tmp_path / "o", command]) == 2
         assert not (tmp_path / "o" / "report.json").exists()
 
 

@@ -101,6 +101,34 @@ class TestBuildAndMerge:
         with pytest.raises(ModeMismatchError):
             build_matrix([refl], Mode.TRANSMITTANCE)
 
+    @pytest.mark.parametrize("n_samples", [1, 2, 5])
+    def test_generator_equals_list(self, n_samples):
+        rng = np.random.default_rng(5)
+        samples = [random_raw_sample(rng, f"s{i}", n_bands=4, size=20 + 10 * (i % 2))
+                   for i in range(n_samples)]
+        want = build_matrix(samples, Mode.REFLECTANCE)
+        got = build_matrix((s for s in samples), Mode.REFLECTANCE)
+        assert got.values.tobytes() == want.values.tobytes()
+        assert got.col_labels == want.col_labels and got.row_meta == want.row_meta
+
+    @pytest.mark.parametrize(
+        "bad, error",
+        [(None, ValidationError), ("mode", ModeMismatchError), ("bands", ValidationError)],
+        ids=["empty", "mode", "band-set"],
+    )
+    def test_generator_raises_the_list_errors(self, bad, error):
+        rng = np.random.default_rng(6)
+        samples = [random_raw_sample(rng, f"s{i}", n_bands=3, size=10) for i in range(3)]
+        if bad is None:
+            samples = []
+        elif bad == "mode":
+            samples[2] = random_raw_sample(rng, "t", n_bands=3, size=10, mode=Mode.TRANSMITTANCE)
+        else:
+            samples[2] = random_raw_sample(rng, "b", n_bands=4, size=10)
+        for given_samples in (samples, (s for s in samples)):
+            with pytest.raises(error):
+                build_matrix(given_samples, Mode.REFLECTANCE)
+
     def test_merge_concatenates_columns(self):
         r = matrix_from([[1.0, 2.0]], cols=("R:405", "R:530"), sample_ids=["s"])
         t = matrix_from([[3.0, 4.0]], cols=("T:405", "T:530"), sample_ids=["s"])

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from dualmsi.core import Mode
 from dualmsi.errors import ValidationError
 from dualmsi.harness import (
+    _variant_matrices,
     repeatability_report,
     run_case_study,
     run_pipeline_on_matrix,
@@ -18,7 +20,7 @@ from dualmsi.harness import (
     write_study_bundle,
 )
 from dualmsi.preprocess import fit_corrections
-from dualmsi.studies import CaseStudyConfig, StudyKind, render_white_reference
+from dualmsi.studies import CaseStudyConfig, StudyKind, generate_case_study, render_white_reference
 from dualmsi.synth import (
     Curve,
     IlluminationProfile,
@@ -187,3 +189,32 @@ class TestWriters:
         path = tmp_path / "r.json"
         write_json({"b": 1, "a": 2}, path)
         assert path.read_text() == '{\n  "a": 2,\n  "b": 1\n}\n'
+
+
+class TestVariantMatricesMemory:
+    """``_variant_matrices`` keeps one preprocessed cube alive at a time."""
+
+    @staticmethod
+    def traced_peak(replicates: int) -> tuple[int, int]:
+        config = CaseStudyConfig.for_kind(
+            StudyKind.COCONUT_OIL, replicates=replicates, levels=(0.0, 40.0), width=30, height=30
+        )
+        data = generate_case_study(StudyKind.COCONUT_OIL, config, master_seed=0)
+        corrections = {Mode.TRANSMITTANCE: fit_corrections(
+            render_white_reference(config, Mode.TRANSMITTANCE, 0))}
+        sides = {Mode.TRANSMITTANCE: data.transmittance}
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            matrices = _variant_matrices(sides, corrections)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert matrices["transmittance"].n_rows == len(data.transmittance) * 9
+        # one preprocessed cube: float64 bands
+        return peak, len(config.band_set) * 30 * 30 * 8
+
+    def test_peak_does_not_grow_with_the_sample_count(self):
+        small, cube_bytes = self.traced_peak(replicates=2)  # 4 samples
+        large, _ = self.traced_peak(replicates=8)  # 16 samples
+        assert large - small < cube_bytes

@@ -1,10 +1,13 @@
 import json
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dualmsi import models
 from dualmsi.core import Label
 from dualmsi.errors import ValidationError
 from dualmsi.features import DataMatrix
@@ -594,6 +597,116 @@ class TestEquivalenceWithReference:
         q = np.zeros((1, 1))
         got = KNearestNeighbors(k=16).fit(x, y).predict(q)
         assert got[0] == oracle_knn_predict(x, y, 16, q)[0] == 2.0
+
+
+def budget_for(block_rows, n_train, k, n_labels):
+    """A ``KNN_WORKING_MEMORY`` whose predict blocks hold ``block_rows`` rows
+    (a multiple of ``KNN_PRODUCT_ROWS``)."""
+    return block_rows * models._knn_row_bytes(n_train, k, n_labels)
+
+
+class TestBlockedKnn:
+    """``predict`` in row blocks must give the bytes of one block over all
+    rows, whatever the block size, including a last block of one row."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        data=labelled_matrices(max_rows=30),
+        k=st.integers(1, 40),
+        chunks=st.integers(1, 3),
+        full_blocks=st.integers(0, 2),
+        last_rows=st.one_of(st.just(1), st.integers(1, 3 * models.KNN_PRODUCT_ROWS)),
+        diagonal=st.booleans(),
+        mirrored=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_blocked_predict_equals_one_block(self, data, k, chunks, full_blocks, last_rows,
+                                              diagonal, mirrored, seed):
+        x, y = data
+        if mirrored:
+            # a diagonal query is equally far from a row and its reversal, so
+            # the rounding of the product decides between the two labels
+            x, y = np.vstack([x, x[:, ::-1]]), np.concatenate([y, y + 1.0])
+        k = min(k, x.shape[0])  # k == n_train votes with every training row
+        block = chunks * models.KNN_PRODUCT_ROWS
+        n_test = full_blocks * block + min(last_rows, block)
+        # queries on the training grid: many exactly tied distances
+        rng = np.random.default_rng(seed)
+        grid = rng.integers(-4, 5, size=(n_test, 1 if diagonal else x.shape[1]))
+        q = np.broadcast_to(grid / rng.choice([1.0, 3.0, 7.0]), (n_test, x.shape[1]))
+        q = np.vstack([q, x])[:n_test]
+        model = KNearestNeighbors(k=k).fit(x, y)
+        budget = budget_for(block, x.shape[0], k, np.unique(y).size)
+        with mock.patch.object(models, "KNN_WORKING_MEMORY", budget):
+            blocked = model.predict(q)
+        with mock.patch.object(models, "KNN_WORKING_MEMORY", 2**62):
+            whole = model.predict(q)
+        assert blocked.tobytes() == whole.tobytes()
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        n_train=st.integers(1000, 2500),
+        d=st.integers(4, 24),
+        chunks=st.integers(1, 3),
+        full_blocks=st.integers(1, 2),
+        last_rows=st.one_of(st.just(1), st.integers(1, 3 * models.KNN_PRODUCT_ROWS)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_block_distances_equal_one_product(self, n_train, d, chunks, full_blocks, last_rows, seed):
+        # At these sizes BLAS rounds a row of one product over all rows and
+        # of a product over one block differently; the chunked products agree.
+        rng = np.random.default_rng(seed)
+        model = KNearestNeighbors(k=1).fit(rng.normal(size=(n_train, d)), np.zeros(n_train))
+        block = chunks * models.KNN_PRODUCT_ROWS
+        x = rng.normal(size=(full_blocks * block + min(last_rows, block), d))
+        train_sq = (model.train_x**2).sum(axis=1)
+        whole = model._squared_distances(x, train_sq)
+        for start in range(0, x.shape[0], block):
+            rows = slice(start, start + block)
+            assert model._squared_distances(x[rows], train_sq).tobytes() == whole[rows].tobytes()
+
+    def test_block_size_follows_the_budget(self):
+        rng = np.random.default_rng(3)
+        x, y = rng.normal(size=(50, 3)), rng.integers(0, 3, 50) * 5.0
+        model = KNearestNeighbors(k=4).fit(x, y)
+        sizes = []
+        real = KNearestNeighbors._vote
+
+        def spy(self, rows, *args):
+            sizes.append(rows.shape[0])
+            return real(self, rows, *args)
+
+        chunk = models.KNN_PRODUCT_ROWS
+        with mock.patch.object(KNearestNeighbors, "_vote", spy):
+            for budget, want in [
+                (budget_for(2 * chunk, 50, 4, 3), [2 * chunk, 2 * chunk, 1]),
+                (budget_for(2 * chunk, 50, 4, 3) - 1, [chunk] * 4 + [1]),
+                (1, [chunk] * 4 + [1]),  # a block is never smaller than one chunk
+            ]:
+                sizes.clear()
+                with mock.patch.object(models, "KNN_WORKING_MEMORY", budget):
+                    model.predict(rng.normal(size=(4 * chunk + 1, 3)))
+                assert sizes == want
+
+    def test_blocks_stay_within_the_working_memory_budget(self):
+        rng = np.random.default_rng(4)
+        n_train, n_test, k = 3000, 2000, 5
+        x, y = rng.normal(size=(n_train, 8)), rng.integers(0, 9, n_train) * 5.0
+        q = rng.normal(size=(n_test, 8))
+        model = KNearestNeighbors(k=k).fit(x, y)
+        budget = budget_for(2 * models.KNN_PRODUCT_ROWS, n_train, k, 9)
+        with mock.patch.object(models, "KNN_WORKING_MEMORY", budget):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                model.predict(q)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        # outside its blocks predict holds the labels, the training indices
+        # and squared norms, the output, and np.unique's transient sort
+        outside = 8 * (8 * n_train + n_test)
+        assert peak - base <= budget + outside
 
 
 # Written by the recursive-grower release: the nested tree form must keep
