@@ -14,12 +14,11 @@ study-reading handlers also take the ``CaseStudyConfig`` fields as
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
 from . import __version__
-from .core import Mode, json_call, load_dataset, save_dataset
+from .core import Mode, json_call, load_dataset, read_json, save_dataset, write_json
 from .devicelink import (
     FirmwareConfig,
     SimCamera,
@@ -35,7 +34,6 @@ from .harness import (
     run_case_study,
     spatial_consistency_report,
     write_consistency_report,
-    write_json,
     write_kl_curve_csv,
     write_study_bundle,
 )
@@ -43,8 +41,7 @@ from .models import (
     Granularity,
     MODEL_KINDS,
     evaluate,
-    load_model,
-    save_model,
+    model_from_json,
     split_matrix,
     stratified_split,
 )
@@ -55,7 +52,7 @@ from .preprocess import (
     quantize_sample,
 )
 from .studies import CaseStudyConfig, StudyKind, generate_case_study, render_white_reference
-from .synth import MixtureSpec, SceneConfig, render_repeat_series
+from .synth import MixtureSpec, render_repeat_series
 from . import materials
 
 EXIT_OK = 0
@@ -66,10 +63,7 @@ EXIT_IO = 3
 def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
-    try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:  # undecodable bytes or malformed JSON
-        raise ValidationError(f"malformed config {path}: {exc}") from exc
+    obj = read_json(path, "config")
     if not isinstance(obj, dict):
         raise ValidationError("config must be a JSON object")
     return obj
@@ -159,7 +153,7 @@ def cmd_train(
     split = stratified_split(data, fraction, args.seed, granularity)
     train, test = split_matrix(data, split)
     classifier.fit(train.values, train.label_keys())
-    save_model(classifier, out / "model.json")
+    write_json(classifier.to_json(), out / "model.json")
     write_json(split.to_json(), out / "split.json")
     cm = evaluate(classifier, test)
     write_json(cm.to_json(), out / "train_eval.json")
@@ -171,7 +165,7 @@ def cmd_eval(
     args, out: Path, model: str, matrix: str, label_kind: LabelKind = LabelKind.ADULTERATION
 ) -> int:
     """Evaluate a saved model against a matrix CSV."""
-    classifier = load_model(model)
+    classifier = model_from_json(read_json(model, "model JSON"))
     cm = evaluate(classifier, DataMatrix.from_csv(matrix, label_kind))
     write_json(cm.to_json(), out / "eval.json")
     print(f"accuracy {cm.accuracy:.4f} over {cm.total} rows")
@@ -228,16 +222,7 @@ def cmd_repeatability(
     n_times: int = 10, drift_amplitude: float | None = None, **study: CaseStudyConfig,
 ) -> int:
     study_config = CaseStudyConfig.from_json(kind, study)
-    scene = SceneConfig(
-        band_set=study_config.band_set,
-        mode=mode,
-        mixture=MixtureSpec.pure(materials.TURMERIC),
-        illumination=study_config.illumination,
-        noise=study_config.noise,
-        width=study_config.width,
-        height=study_config.height,
-        rng_seed=args.seed,
-    )
+    scene = study_config.scene(mode, MixtureSpec.pure(materials.TURMERIC), args.seed)
     series = render_repeat_series(scene, n_times, drift_amplitude)
     report = repeatability_report(series)
     report["per_band_deviation_pct"] = {

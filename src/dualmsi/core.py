@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import inspect
 import json
+import math
 from dataclasses import dataclass, field, is_dataclass, replace
 from enum import Enum
 from pathlib import Path
@@ -254,6 +255,43 @@ def crop(cube: SpectralCube, x: int, y: int, w: int, h: int) -> SpectralCube:
     return replace(cube, values=cube.values[:, rows, cols], dark=cube.dark[rows, cols])
 
 
+def _reject_non_finite(token: str):
+    raise ValueError(f"{token} is not a finite number")
+
+
+def _finite_float(token: str) -> float:
+    value = float(token)
+    if not math.isfinite(value):  # a literal such as 1e400 overflows to inf
+        _reject_non_finite(token)
+    return value
+
+
+def read_json(path, what: str):
+    """The JSON value held by the UTF-8 file ``path``.
+
+    ``NaN``, ``Infinity``, ``-Infinity`` and a number that overflows to inf
+    are refused, as :func:`write_json` never writes them.  Bytes that are
+    not UTF-8, malformed JSON and a refused number raise ValidationError
+    naming ``what`` and the file; a file that cannot be read raises OSError.
+    """
+    raw = Path(path).read_bytes()
+    try:
+        return json.loads(
+            raw.decode("utf-8"), parse_constant=_reject_non_finite, parse_float=_finite_float
+        )
+    except (ValueError, RecursionError) as exc:  # RecursionError: nested too deeply
+        raise ValidationError(f"malformed {what} {path}: {exc}") from None
+
+
+def write_json(obj, path) -> None:
+    """Write ``obj`` to ``path`` as strict JSON with sorted keys; a
+    non-finite float raises ValueError, so :func:`read_json` reads back
+    everything written here."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n")
+
+
 def json_value(hint, value, what: str):
     """``value`` parsed from JSON as the annotated type ``hint``.
 
@@ -401,6 +439,7 @@ def save_sample(sample: Sample, dir_path) -> None:
             {"wavelength_nm": wl, "file": _band_filename(wl)} for wl in cube.band_set
         ],
     }
+    # in schema order, not sorted as write_json would
     payload = json.dumps(manifest, indent=2).encode("utf-8") + b"\n"
     (directory / MANIFEST_NAME).write_bytes(payload)
     write_pgm16(directory / DARK_NAME, cube.dark)
@@ -414,11 +453,7 @@ def load_sample(dir_path) -> Sample:
     manifest_path = directory / MANIFEST_NAME
     if not manifest_path.is_file():
         raise ValidationError(f"no {MANIFEST_NAME} in {directory}")
-    try:
-        obj = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except ValueError as exc:  # undecodable bytes or malformed JSON
-        raise ValidationError(f"malformed manifest in {directory}: {exc}") from exc
-    manifest = json_value(_Manifest, obj, f"manifest in {directory}")
+    manifest = json_value(_Manifest, read_json(manifest_path, "manifest"), f"manifest in {directory}")
     if manifest.bit_depth != BIT_DEPTH:
         raise ValidationError(f"unsupported bit depth {manifest.bit_depth}")
 

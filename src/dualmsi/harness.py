@@ -12,14 +12,13 @@ library.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import Mode, Sample, SpectralCube
+from .core import Mode, Sample, SpectralCube, write_json
 from .divergence import adulteration_curve, fit_linear, median_curve
 from .errors import ValidationError
 from .features import (
@@ -209,7 +208,6 @@ def run_pipeline_on_matrix(
     classifiers: Mapping[str, callable],
     split_seed: int,
     projection: str = "LDA",
-    variance_target: float = 0.99,
 ) -> dict:
     """Split, normalize, project, train and evaluate one matrix.
 
@@ -221,12 +219,10 @@ def run_pipeline_on_matrix(
     normalizer, train_n = band_normalize(train)
     test_n = apply_normalizer(normalizer, test)
 
-    if projection == "LDA":
-        proj = lda_fit(train_n)
-    elif projection == "PCA":
-        proj = pca_fit(train_n, variance_target=variance_target)
-    else:
+    fits = {"LDA": lda_fit, "PCA": pca_fit}  # built per call, so a patched fit is the one used
+    if projection not in fits:
         raise ValidationError(f"unknown projection {projection!r}")
+    proj = fits[projection](train_n)
     train_p = project(proj, train_n)
     test_p = project(proj, test_n)
     train_p, test_p = _standardize(train_p, [test_p], proj.eigenvalues)
@@ -420,12 +416,6 @@ def run_case_study(
 # --------------------------------------------------------------------------
 # Report writers (deterministic bytes)
 # --------------------------------------------------------------------------
-
-
-def write_json(obj, path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def write_grid(values: np.ndarray, path) -> None:

@@ -25,7 +25,6 @@ to mimic pixel-level protocols, but it warns.
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 import warnings
@@ -153,10 +152,10 @@ def _check_param(name: str, value, low: float, strict: bool = False, optional: b
 
 
 def _classes(values) -> np.ndarray:
-    """A saved model's class labels, which must be a list of finite numbers."""
+    """A saved model's class labels, which must be a non-empty list of numbers."""
     classes = np.array(values, dtype=np.float64)
-    if classes.ndim != 1 or not classes.size or not np.isfinite(classes).all():
-        raise ValidationError("model classes must be a non-empty list of finite numbers")
+    if classes.ndim != 1 or not classes.size:
+        raise ValidationError("model classes must be a non-empty list of numbers")
     return classes
 
 
@@ -271,8 +270,6 @@ class KNearestNeighbors:
         x, y = np.array(obj["train_x"], dtype=np.float64), np.array(obj["train_y"], dtype=np.float64)
         if x.ndim != 2 or y.shape != x.shape[:1]:
             raise ValidationError("knn model JSON needs train_x rows and one train_y label per row")
-        if not (np.isfinite(x).all() and np.isfinite(y).all()):
-            raise ValidationError("knn model train_x and train_y must be finite")
         return model.fit(x, y)
 
 
@@ -382,10 +379,8 @@ class TreeNodes(NamedTuple):
             threshold = node["threshold"]
             if not is_index(node["feature"]):
                 raise ValidationError(f"tree node {i}: feature {node['feature']!r} is not an index")
-            if not isinstance(threshold, (int, float)) or isinstance(threshold, bool) or (
-                not math.isfinite(threshold)
-            ):
-                raise ValidationError(f"tree node {i}: threshold {threshold!r} is not a finite number")
+            if not isinstance(threshold, (int, float)) or isinstance(threshold, bool):
+                raise ValidationError(f"tree node {i}: threshold {threshold!r} is not a number")
             for column, value in zip(columns, (node["feature"], float(threshold), -1, -1, -1)):
                 column.append(value)
             columns[2][i] = visit(node["left"])
@@ -790,8 +785,6 @@ def _linear_from_json(model, obj: dict):
         model.bias.shape != model.classes_.shape
     ):
         raise ValidationError("model weights and bias need one row per class")
-    if not (np.isfinite(model.weights).all() and np.isfinite(model.bias).all()):
-        raise ValidationError("model weights and bias must be finite")
     return model
 
 
@@ -805,6 +798,10 @@ MODEL_KINDS = {
 
 
 def model_from_json(obj: dict):
+    """The model that ``obj``, a ``to_json`` object, describes; a missing
+    key, a wrong shape or type, or a number too large for a float raises
+    ValidationError.  ``core.read_json`` refuses non-finite numbers before
+    a saved model gets here."""
     if not isinstance(obj, dict):
         raise ValidationError("model JSON must be an object")
     kind = obj.get("kind")
@@ -816,21 +813,6 @@ def model_from_json(obj: dict):
         raise ValidationError(f"{kind} model JSON lacks key {exc}") from None
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed {kind} model JSON: {exc}") from None
-
-
-def save_model(model, path) -> None:
-    text = json.dumps(model.to_json(), indent=2, sort_keys=True, allow_nan=False)
-    with open(path, "w") as fh:
-        fh.write(text + "\n")
-
-
-def load_model(path):
-    with open(path, encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except ValueError as exc:  # undecodable bytes or malformed JSON
-            raise ValidationError(f"malformed model JSON {path}: {exc}") from None
-    return model_from_json(obj)
 
 
 # --------------------------------------------------------------------------

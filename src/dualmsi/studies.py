@@ -14,7 +14,6 @@ These magnitudes are fixture calibration, not measured device values.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields, replace
 from enum import Enum
 
@@ -79,8 +78,11 @@ class CaseStudyConfig:
             "texture_adulteration_gain",
             *(f.name for f in fields(self) if f.name.endswith("_jitter_sd")),
         )
-        if not all(math.isfinite(level) for level in self.levels):
-            raise ValidationError(f"levels must be finite, got {list(self.levels)}")
+        if not all(0.0 <= level <= 100.0 for level in self.levels):
+            raise ValidationError(f"levels must lie in [0, 100], got {list(self.levels)}")
+        if len({int(level) for level in self.levels}) != len(self.levels):
+            # a sample id holds int(level), so two such levels would share ids
+            raise ValidationError(f"no two levels may share a whole percent, got {list(self.levels)}")
         if self.replicates < 1:
             raise ValidationError("replicates must be >= 1")
         if self.kind is not StudyKind.COLOR_CHART and len(self.levels) < 2:
@@ -89,6 +91,14 @@ class CaseStudyConfig:
             raise ValidationError(
                 f"n_classes must lie in [1, {materials.PALETTE_SIZE}], got {self.n_classes}"
             )
+
+    def scene(self, mode: Mode, mixture: MixtureSpec, rng_seed: int, **overrides) -> SceneConfig:
+        """One capture's scene under the study's band set, illumination,
+        noise and frame size; ``overrides`` sets other ``SceneConfig``
+        fields or replaces these."""
+        device = dict(band_set=self.band_set, illumination=self.illumination, noise=self.noise,
+                      width=self.width, height=self.height)
+        return SceneConfig(mode=mode, mixture=mixture, rng_seed=rng_seed, **{**device, **overrides})
 
     @classmethod
     def for_kind(cls, kind: StudyKind, **overrides) -> "CaseStudyConfig":
@@ -182,31 +192,21 @@ def _adulteration_samples(config: CaseStudyConfig, master_seed: int, base, adult
             )
 
             if paired:
-                mixture = MixtureSpec.binary(base, adulterant, fraction)
-                scene = SceneConfig(
-                    band_set=config.band_set,
-                    mode=Mode.REFLECTANCE,
-                    mixture=mixture,
-                    illumination=config.illumination,
+                scene = config.scene(
+                    Mode.REFLECTANCE,
+                    MixtureSpec.binary(base, adulterant, fraction),
+                    _seed(master_seed, sid, "R"),
                     noise=noise,
-                    width=config.width,
-                    height=config.height,
-                    rng_seed=_seed(master_seed, sid, "R"),
                     band_gains=refl_gains,
                     label=label,
                 )
                 refl.append(render(scene, sample_id=sid))
 
-            mixture_t = MixtureSpec.binary(base, adulterant, fraction, depth=max(depth, 1e-6))
-            scene_t = SceneConfig(
-                band_set=config.band_set,
-                mode=Mode.TRANSMITTANCE,
-                mixture=mixture_t,
-                illumination=config.illumination,
+            scene_t = config.scene(
+                Mode.TRANSMITTANCE,
+                MixtureSpec.binary(base, adulterant, fraction, depth=max(depth, 1e-6)),
+                _seed(master_seed, sid, "T"),
                 noise=noise,
-                width=config.width,
-                height=config.height,
-                rng_seed=_seed(master_seed, sid, "T"),
                 band_gains=trans_gains,
                 label=label,
             )
@@ -228,15 +228,10 @@ def _color_chart_samples(config: CaseStudyConfig, master_seed: int):
                 config.refl_tilt_jitter_sd,
                 config.refl_band_jitter_sd,
             )
-            scene = SceneConfig(
-                band_set=config.band_set,
-                mode=Mode.REFLECTANCE,
-                mixture=MixtureSpec.pure(material),
-                illumination=config.illumination,
-                noise=config.noise,
-                width=config.width,
-                height=config.height,
-                rng_seed=_seed(master_seed, sid),
+            scene = config.scene(
+                Mode.REFLECTANCE,
+                MixtureSpec.pure(material),
+                _seed(master_seed, sid),
                 band_gains=gains,
                 label=Label.color(class_id),
             )
@@ -278,15 +273,10 @@ def render_white_reference(
     This is the reference the correction pipeline is fitted on; it shares
     the study's illumination profile, noise model and band set.
     """
-    scene = SceneConfig(
-        band_set=config.band_set,
-        mode=mode,
-        mixture=MixtureSpec.pure(materials.WHITE_REFERENCE),
-        illumination=config.illumination,
-        noise=config.noise,
-        width=config.width,
-        height=config.height,
-        rng_seed=_seed(master_seed, "white", mode.value),
+    scene = config.scene(
+        mode,
+        MixtureSpec.pure(materials.WHITE_REFERENCE),
+        _seed(master_seed, "white", mode.value),
         label=Label.adulteration(0.0),
     )
     return render(scene, sample_id=f"white-{mode.value}")

@@ -378,12 +378,15 @@ class TestNonFiniteStudyConfig:
         "extra",
         [{"levels": [0, float("nan")]}, {"levels": [float("-inf"), 40]},
          {"texture_adulteration_gain": float("nan")}, {"texture_adulteration_gain": float("inf")},
-         {"texture_adulteration_gain": -0.5}],
-        ids=["nan-level", "inf-level", "nan-gain", "inf-gain", "negative-gain"],
+         {"texture_adulteration_gain": -0.5}, {"levels": [0, 0, 40]}, {"levels": [0, 0.5, 40]},
+         {"levels": [0, 101]}, {"levels": [-1, 40]}],
+        ids=["nan-level", "inf-level", "nan-gain", "inf-gain", "negative-gain", "repeated-level",
+             "levels-sharing-a-sample-id", "level-above-100", "negative-level"],
     )
     def test_study_config_exits_2(self, tmp_path, command, extra):
         cfg = tmp_path / "c.json"
-        # json.dumps writes NaN/Infinity tokens, which the config reader parses
+        # json.dumps writes NaN/Infinity tokens, which the config reader refuses;
+        # out-of-range and colliding levels are refused by CaseStudyConfig
         cfg.write_text(json.dumps({"replicates": 3, "levels": [0, 40], "width": 10, "height": 20, **extra}))
         assert run(["--config", cfg, "--out", tmp_path / "o", command]) == 2
         assert not (tmp_path / "o" / "report.json").exists()

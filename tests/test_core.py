@@ -16,8 +16,10 @@ from dualmsi.core import (
     json_value,
     load_dataset,
     load_sample,
+    read_json,
     save_dataset,
     save_sample,
+    write_json,
 )
 from dualmsi.errors import (
     DimensionMismatchError,
@@ -320,6 +322,42 @@ class TestSampleFormat:
         target = tmp_path_factory.mktemp("rt") / sample.id
         save_sample(sample, target)
         assert load_sample(target) == sample
+
+
+class TestJsonFiles:
+    @pytest.mark.parametrize(
+        "text",
+        ['{"a": NaN}', '[Infinity]', '{"a": [1, -Infinity]}', '{"a": 1e400}', '-1e400', '[1.5e308, 2e308]'],
+    )
+    def test_non_finite_numbers_raise_naming_the_file(self, tmp_path, text):
+        path = tmp_path / "x.json"
+        path.write_text(text)
+        with pytest.raises(ValidationError, match="x.json"):
+            read_json(path, "config")
+
+    @pytest.mark.parametrize(
+        "payload", [b"\xff\xfe{}", b"{not json", b"[" * 100_000, b'"\xe9"'],
+        ids=["utf16-bom", "malformed", "nested-too-deeply", "latin-1"],
+    )
+    def test_undecodable_or_malformed_bytes_raise_naming_the_file(self, tmp_path, payload):
+        path = tmp_path / "x.json"
+        path.write_bytes(payload)
+        with pytest.raises(ValidationError, match="x.json"):
+            read_json(path, "config")
+
+    def test_finite_numbers_are_read(self, tmp_path):
+        path = tmp_path / "x.json"
+        path.write_text('{"tiny": 1e-400, "big": 1.5e308, "huge_int": 1%s, "s": "NaN"}' % ("0" * 400))
+        assert read_json(path, "config") == {"tiny": 0.0, "big": 1.5e308, "huge_int": 10**400, "s": "NaN"}
+
+    def test_write_then_read_round_trips_and_refuses_non_finite(self, tmp_path):
+        obj = {"b": [1.0, -0.0, 5e-324], "a": {"z": None, "y": "\u00e9"}}
+        write_json(obj, tmp_path / "sub" / "x.json")
+        assert (tmp_path / "sub" / "x.json").read_text().startswith('{\n  "a"')
+        assert read_json(tmp_path / "sub" / "x.json", "report") == obj
+        with pytest.raises(ValueError):
+            write_json({"a": float("nan")}, tmp_path / "nan.json")
+        assert not (tmp_path / "nan.json").exists()
 
 
 class TestPgm:

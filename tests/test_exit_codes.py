@@ -1,13 +1,16 @@
 """Fuzz the CLI's input boundaries: whatever a config, a matrix CSV, a
 model JSON, a manifest or a PGM header holds, ``main()`` returns 0, 2 or 3
 and raises nothing.  The text files also get byte-level mutations, which
-can leave them undecodable as UTF-8.
+can leave them undecodable as UTF-8.  A config, model JSON or manifest
+that holds NaN, Infinity, -Infinity or a number overflowing to inf exits
+2 and leaves nothing under ``--out``.
 
 Frame sizes and sample counts are never mutated, so every run stays tiny.
 """
 
 import inspect
 import json
+import math
 import shutil
 import tempfile
 from dataclasses import fields
@@ -31,9 +34,11 @@ TOKENS = st.sampled_from(
     ["", " ", "0", "-1", "5", "150", "0.5", "1e999", "nan", "inf", "-inf", "abc", '"', ",", "\n",
      "s0", "x0", "label", "sample_id"]
 )
+OVERFLOW = "<1e400>"  # a drawn value that dumps() writes as the bare literal 1e400
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 2000) | st.floats(allow_nan=False, allow_infinity=False)
-    | st.sampled_from(["", "dark.pgm", "band_405.pgm", "transmittance", "reflectance", "../x"]),
+    | st.sampled_from(["", "dark.pgm", "band_405.pgm", "transmittance", "reflectance", "../x"])
+    | st.sampled_from([math.nan, math.inf, -math.inf, OVERFLOW]),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
         st.sampled_from(["wavelength_nm", "file", "adulteration_pct", "class_id", "extra"]), inner, max_size=3
     ),
@@ -41,10 +46,40 @@ JSON_VALUES = st.recursive(
 )
 
 
+def dumps(obj) -> bytes:
+    """``obj`` as JSON, with each ``OVERFLOW`` string written as 1e400."""
+    return json.dumps(obj).replace(json.dumps(OVERFLOW), "1e400").encode()
+
+
+def holds_non_finite(payload: bytes) -> bool:
+    """Whether ``payload`` is JSON that holds NaN, Infinity, -Infinity or a
+    number that overflows to inf."""
+    found = []
+
+    def number(token):
+        found.append(not math.isfinite(float(token)))
+        return 0.0
+
+    try:
+        json.loads(payload.decode("utf-8"), parse_constant=lambda token: found.append(True),
+                   parse_float=number)
+    except (ValueError, RecursionError):
+        return False
+    return any(found)
+
+
+def check_non_finite_refused(payload: bytes, code: int, out: Path) -> None:
+    """A ``payload`` holding a non-finite number exited 2 with nothing written."""
+    if holds_non_finite(payload):
+        event("non-finite number")
+        assert code == 2
+        assert not list(out.rglob("*"))
+
+
 def run_in(root: Path, command: str, config: dict | bytes) -> int:
     """Run ``command`` with ``config``, an object or the config file's bytes."""
     cfg = root / f"{command}.json"
-    cfg.write_bytes(config if isinstance(config, bytes) else json.dumps(config).encode())
+    cfg.write_bytes(config if isinstance(config, bytes) else dumps(config))
     return main(["--config", str(cfg), "--seed", "1", "--out", str(root / "out"), command])
 
 
@@ -150,7 +185,7 @@ def model_json_mutations(draw, model: dict):
             model[key] = draw(JSON_VALUES)
         else:
             model.pop(key, None)
-    return json.dumps(model).encode()
+    return dumps(model)
 
 
 class TestModelJsonFuzz:
@@ -160,9 +195,12 @@ class TestModelJsonFuzz:
         model = json.loads((seeds / f"model-{kind}.json").read_text())
         with tempfile.TemporaryDirectory() as tmp:
             root = Path(tmp)
-            (root / "model.json").write_bytes(data.draw(model_json_mutations(model)))
+            payload = data.draw(model_json_mutations(model))
+            (root / "model.json").write_bytes(payload)
             config = {"model": str(root / "model.json"), "matrix": str(seeds / "m.csv")}
-            assert run_in(root, "eval", config) in EXIT_CODES
+            code = run_in(root, "eval", config)
+            assert code in EXIT_CODES
+            check_non_finite_refused(payload, code, root / "out")
 
 
 @pytest.mark.parametrize("target", ["config", "matrix", "model"])
@@ -202,7 +240,7 @@ def manifest_mutations(draw, manifest: dict):
                     entry[key] = draw(JSON_VALUES)
                 else:
                     entry.pop(key, None)
-    return json.dumps(manifest).encode()
+    return dumps(manifest)
 
 
 @st.composite
@@ -234,8 +272,11 @@ class TestDatasetFuzz:
         with tempfile.TemporaryDirectory() as tmp:
             root = Path(tmp)
             path = self.dataset_copy(seeds, root) / "s1" / "manifest.json"
-            path.write_bytes(data.draw(manifest_mutations(json.loads(path.read_text()))))
-            assert run_in(root, "matrix", {"input": str(root / "data"), "mode": "transmittance"}) in EXIT_CODES
+            payload = data.draw(manifest_mutations(json.loads(path.read_text())))
+            path.write_bytes(payload)
+            code = run_in(root, "matrix", {"input": str(root / "data"), "mode": "transmittance"})
+            assert code in EXIT_CODES
+            check_non_finite_refused(payload, code, root / "out")
 
     @FUZZ
     @given(data=st.data(), name=st.sampled_from(["dark.pgm", "band_405.pgm", "band_530.pgm"]))
@@ -325,10 +366,25 @@ class TestConfigFuzz:
             del config[data.draw(st.sampled_from(mutable))]
         else:
             config[data.draw(st.sampled_from(mutable))] = data.draw(JSON_VALUES)
+        payload = config if isinstance(config, bytes) else dumps(config)
         with tempfile.TemporaryDirectory() as tmp:
-            code = run_in(Path(tmp), command, config)
+            code = run_in(Path(tmp), command, payload)
+            check_non_finite_refused(payload, code, Path(tmp) / "out")
         event(f"{op}: exit {code}")
         assert code == 2 if op == "add-unknown" else code in EXIT_CODES
+
+    @pytest.mark.parametrize(
+        "command, key, token",
+        [("synth", "depth", "Infinity"), ("synth", "depth", "1e400"),
+         ("preprocess", "options", '{"bilateral": {"sigma_r": Infinity}}')],
+        ids=["synth-infinite-depth", "synth-overflowing-depth", "preprocess-infinite-sigma-r"],
+    )
+    def test_non_finite_token_exits_2_naming_the_config(self, seeds, tmp_path, capsys, command, key, token):
+        # each of these ran to exit 0 while the config reader accepted the token
+        payload = json.dumps({**tiny_config(command, seeds), key: "@"}).replace('"@"', token)
+        assert run_in(tmp_path, command, payload.encode()) == 2
+        assert str(tmp_path / f"{command}.json") in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @FUZZ
     @given(params=classifier_params())
@@ -340,7 +396,9 @@ class TestConfigFuzz:
         config = {**tiny_config("train", seeds), **params}
         with tempfile.TemporaryDirectory() as tmp:
             code = run_in(Path(tmp), "train", config)
-            written = sorted(p.name for p in (Path(tmp) / "out").iterdir())
+            # glob, not iterdir: a config the reader refuses (NaN, Infinity)
+            # exits before --out is made
+            written = sorted(p.name for p in (Path(tmp) / "out").glob("*"))
             if code == 0:
                 json.loads((Path(tmp) / "out" / "model.json").read_text(),
                            parse_constant=lambda token: pytest.fail(f"model.json holds {token}"))

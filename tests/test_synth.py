@@ -362,3 +362,42 @@ class TestStudyConfigJson:
         except ValidationError:
             return
         assert config.kind is kind
+
+
+class TestStudyConfigChecks:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        levels=st.lists(
+            st.floats(-5.0, 105.0) | st.sampled_from([0.0, 0.5, 5.0, 40.0, 100.0]), min_size=2, max_size=5
+        ),
+    )
+    def test_levels_in_range_with_distinct_sample_ids_are_accepted(self, levels):
+        ids = [f"coconut_oil-{int(level):02d}-r00" for level in levels if 0.0 <= level <= 100.0]
+        valid = len(ids) == len(levels) and len(set(ids)) == len(ids)
+        if valid:
+            assert CaseStudyConfig.for_kind(StudyKind.COCONUT_OIL, levels=tuple(levels)).levels == tuple(levels)
+        else:
+            with pytest.raises(ValidationError):
+                CaseStudyConfig.for_kind(StudyKind.COCONUT_OIL, levels=tuple(levels))
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"levels": (0.0, math.nan)}, {"levels": (-math.inf, 40.0)}, {"levels": (0.0, math.inf)},
+         {"texture_adulteration_gain": math.nan}, {"texture_adulteration_gain": math.inf},
+         {"texture_adulteration_gain": -0.5}],
+        ids=["nan-level", "minus-inf-level", "inf-level", "nan-gain", "inf-gain", "negative-gain"],
+    )
+    def test_non_finite_or_negative_values_raise(self, overrides):
+        # the CLI's reader refuses NaN and Infinity first; library callers stop here
+        with pytest.raises(ValidationError):
+            CaseStudyConfig.for_kind(StudyKind.TURMERIC, **overrides)
+
+    def test_scene_takes_the_study_device_settings(self):
+        config = CaseStudyConfig.for_kind(StudyKind.TURMERIC, width=12, height=8, noise=NoiseSpec(dark_sd=2.0))
+        mixture = MixtureSpec.pure(flat_material())
+        scene = config.scene(Mode.TRANSMITTANCE, mixture, 7, width=6, band_gains={405: 1.0})
+        assert scene == SceneConfig(
+            band_set=config.band_set, mode=Mode.TRANSMITTANCE, mixture=mixture,
+            illumination=config.illumination, noise=config.noise, width=6, height=8, rng_seed=7,
+            band_gains={405: 1.0},
+        )
