@@ -50,9 +50,11 @@ from .synth import (
 )
 from .studies import (
     CaseStudyConfig,
+    Capture,
     StudyDataset,
     StudyKind,
     generate_case_study,
+    plan_case_study,
     render_white_reference,
 )
 from .preprocess import (

@@ -13,7 +13,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -185,6 +185,24 @@ def build_matrix(samples: Iterable[Sample], mode: Mode, block: int = 10) -> Data
         raise ValidationError("no samples to build a matrix from")
     cols = tuple(f"{mode.tag}:{wl}" for wl in band_set)
     return DataMatrix(values=np.vstack(blocks), col_labels=cols, row_meta=tuple(meta))
+
+
+def stack(matrices: Sequence[DataMatrix]) -> DataMatrix:
+    """Vertically join matrices with the same columns, rows in order.
+
+    Stacking the per-sample matrices of :func:`build_matrix` gives the
+    bytes of one ``build_matrix`` call over all those samples.
+    """
+    if not matrices:
+        raise ValidationError("no matrices to stack")
+    cols = matrices[0].col_labels
+    if any(m.col_labels != cols for m in matrices):
+        raise ValidationError("stacked matrices must share their columns")
+    return DataMatrix(
+        values=np.vstack([m.values for m in matrices]),
+        col_labels=cols,
+        row_meta=tuple(meta for m in matrices for meta in m.row_meta),
+    )
 
 
 def merge(r: DataMatrix, t: DataMatrix) -> DataMatrix:

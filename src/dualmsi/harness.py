@@ -12,6 +12,7 @@ library.
 from __future__ import annotations
 
 import csv
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -31,6 +32,7 @@ from .features import (
     pca_fit,
     project,
     spectral_signature,
+    stack,
 )
 from .models import (
     DecisionTree,
@@ -52,9 +54,10 @@ from .preprocess import (
 )
 from .studies import (
     CaseStudyConfig,
+    Capture,
     StudyKind,
     _seed,
-    generate_case_study,
+    plan_case_study,
     render_white_reference,
 )
 
@@ -287,26 +290,40 @@ STUDIES: dict[StudyKind, StudySpec] = {
 }
 
 
-def _variant_matrices(
-    sides: Mapping[Mode, Sequence[Sample]], corrections: Mapping[Mode, Corrections] | None
-) -> dict[str, DataMatrix]:
-    """One matrix per mode, plus their merge when there are two.
+# Preprocessing of each correction variant.  "uncorrected" turns the
+# fitted spatial and spectral gains off; both run dark subtraction and
+# bilateral.
+VARIANT_OPTIONS = {
+    "corrected": PipelineOptions(),  # dark + spatial + mode-default spectral + bilateral
+    "uncorrected": PipelineOptions(spatial=False, spectral=False),
+}
 
-    ``build_matrix`` reads a generator of preprocessed samples, so each
-    preprocessed cube is reduced to its superpixel rows and dropped before
-    the next raw sample is preprocessed: at most one is alive at a time.
+
+def _variant_matrices(
+    plan: Sequence[Capture], corrections: Mapping[Mode, Corrections], variants: Sequence[str]
+) -> dict[str, dict[str, DataMatrix]]:
+    """Each variant's matrices: one per mode, plus their merge when there
+    are two.
+
+    One pass over the plan builds them all.  Each capture is rendered
+    once, run through every variant's pipeline and reduced to superpixel
+    rows, and its cubes are dropped before the next capture renders: one
+    raw and one preprocessed cube are alive at a time.
     """
-    if corrections:
-        options = PipelineOptions()  # dark + spatial + mode-default spectral + bilateral
-    else:
-        options = PipelineOptions(spatial=False, spectral=False)
-    matrices: dict[str, DataMatrix] = {}
-    for mode, raw in sides.items():
-        correction = corrections[mode] if corrections else None
-        matrices[mode.value] = build_matrix((preprocess_pipeline(s, correction, options) for s in raw), mode)
-    if len(matrices) == 2:
-        matrices["merged"] = merge(*matrices.values())
-    return matrices
+    parts: dict[str, dict[Mode, list[DataMatrix]]] = {v: {} for v in variants}
+    for capture in plan:
+        raw, mode = capture.render(), capture.scene.mode
+        for v in variants:
+            rows = build_matrix([preprocess_pipeline(raw, corrections[mode], VARIANT_OPTIONS[v])], mode)
+            parts[v].setdefault(mode, []).append(rows)
+        del raw  # before the next capture renders
+    out = {}
+    for v, by_mode in parts.items():
+        matrices = {mode.value: stack(rows) for mode, rows in by_mode.items()}
+        if len(matrices) == 2:
+            matrices["merged"] = merge(matrices["reflectance"], matrices["transmittance"])
+        out[v] = matrices
+    return out
 
 
 def _nest(cells: Mapping[tuple[str, ...], object]):
@@ -343,37 +360,36 @@ def run_case_study(
 ) -> dict:
     """Run one case study as its ``STUDIES`` spec lays out.
 
-    Each correction variant preprocesses every mode the dataset holds and
-    runs each of its matrices through every projection of the spec.  The
-    report holds the accuracy tables, the corrected transmittance
-    signatures, the spec's scatter/loadings/KL extras, and the best
-    accuracy per matrix when the study merges modes.
+    The study's captures are planned, not rendered up front: one pass
+    renders each capture once, feeds it to every correction variant of
+    the spec and keeps only its superpixel rows, so one raw cube is alive
+    at a time (``_variant_matrices``).  Each variant's matrices then run
+    through every projection of the spec.  The report holds the accuracy
+    tables, the corrected transmittance signatures, the spec's
+    scatter/loadings/KL extras, and the best accuracy per matrix when the
+    study merges modes.
     """
     spec = STUDIES[kind]
     config = config or CaseStudyConfig.for_kind(kind)
     if spec.kl_band is not None and spec.kl_band not in config.band_set:
         raise ValidationError(f"the {kind.value} study needs band {spec.kl_band} nm in its band set")
-    data = generate_case_study(kind, config, master_seed)
-    sides = {
-        mode: samples
-        for mode, samples in ((Mode.REFLECTANCE, data.reflectance), (Mode.TRANSMITTANCE, data.transmittance))
-        if samples
-    }
-    corrections = {mode: fit_corrections(render_white_reference(config, mode, master_seed)) for mode in sides}
+    plan = plan_case_study(kind, config, master_seed)
+    counts = Counter(capture.scene.mode for capture in plan)
+    corrections = {mode: fit_corrections(render_white_reference(config, mode, master_seed)) for mode in counts}
     classifiers = study_classifiers(
         master_seed, spec.classifiers if classifier_kinds is None else classifier_kinds
     )
     split_seed = _seed(master_seed, spec.split_tag)
+    variant_matrices = _variant_matrices(plan, corrections, spec.variants)
 
     bundle: dict = {
         "kind": kind.value,
         "master_seed": master_seed,
-        "counts": {mode.value: len(samples) for mode, samples in sides.items()},
+        "counts": {mode.value: n for mode, n in counts.items()},
     }
     tables = {}
-    for variant in spec.variants:
+    for variant, matrices in variant_matrices.items():
         corrected = variant == "corrected"
-        matrices = _variant_matrices(sides, corrections if corrected else None)
         for name, matrix in matrices.items():
             for projection in spec.projections:
                 run = run_pipeline_on_matrix(matrix, classifiers, split_seed, projection=projection)
@@ -408,7 +424,7 @@ def run_case_study(
             bundle["functional_map"] = fit_linear(points).to_json()
             bundle["functional_map_medians"] = fit_linear(medians).to_json()
     bundle["accuracy"] = _nest(tables)
-    if len(sides) == 2:
+    if len(counts) == 2:
         bundle["best"] = _nest({key: max(table.values()) for key, table in tables.items()})
     return bundle
 

@@ -168,7 +168,7 @@ def _rows(x, width: int) -> np.ndarray:
 
 
 # Bytes of working memory one block of KNearestNeighbors.predict may use.
-KNN_WORKING_MEMORY = 32 * 2**20
+KNN_WORKING_MEMORY = 8 * 2**20
 # Rows per BLAS product in KNearestNeighbors.predict.  BLAS may round a row
 # of a product differently with the number of rows in the call, so the
 # products run over fixed chunks of the test rows and a block is a whole

@@ -10,6 +10,13 @@ fraction errors from sample preparation, pour-depth variation for
 dissolved/liquid specimens, packing-density scale changes for powders,
 and per-capture LED drive drift (each band is a separate exposure).
 These magnitudes are fixture calibration, not measured device values.
+
+A study is first planned: :func:`plan_case_study` lists every capture's
+sample id and scene (label and mode included) without rendering, which
+costs next to nothing.  :func:`generate_case_study` renders the whole
+plan and holds every raw cube; a caller that needs one sample at a time,
+as ``harness.run_case_study`` does, renders the captures in turn and
+drops each cube before rendering the next, with the same bytes.
 """
 
 from __future__ import annotations
@@ -159,8 +166,20 @@ def _band_gains(
     return {wl: float(g) for wl, g in zip(band_set, scale * tilt * white)}
 
 
-def _adulteration_samples(config: CaseStudyConfig, master_seed: int, base, adulterant):
-    refl, trans = [], []
+@dataclass(frozen=True)
+class Capture:
+    """One planned capture of a study: the scene to render and the sample
+    id to render it under.  The scene carries the label and mode."""
+
+    sample_id: str
+    scene: SceneConfig
+
+    def render(self) -> Sample:
+        return render(self.scene, sample_id=self.sample_id)
+
+
+def _adulteration_captures(config: CaseStudyConfig, master_seed: int, base, adulterant) -> list[Capture]:
+    captures = []
     paired = config.kind is StudyKind.TURMERIC
     for li, level in enumerate(config.levels):
         for rep in range(config.replicates):
@@ -200,7 +219,7 @@ def _adulteration_samples(config: CaseStudyConfig, master_seed: int, base, adult
                     band_gains=refl_gains,
                     label=label,
                 )
-                refl.append(render(scene, sample_id=sid))
+                captures.append(Capture(sid, scene))
 
             scene_t = config.scene(
                 Mode.TRANSMITTANCE,
@@ -210,12 +229,12 @@ def _adulteration_samples(config: CaseStudyConfig, master_seed: int, base, adult
                 band_gains=trans_gains,
                 label=label,
             )
-            trans.append(render(scene_t, sample_id=sid))
-    return tuple(refl), tuple(trans)
+            captures.append(Capture(sid, scene_t))
+    return captures
 
 
-def _color_chart_samples(config: CaseStudyConfig, master_seed: int):
-    samples = []
+def _color_chart_captures(config: CaseStudyConfig, master_seed: int) -> list[Capture]:
+    captures = []
     for class_id in range(config.n_classes):
         material = materials.color_chart_material(class_id)
         for rep in range(config.replicates):
@@ -235,34 +254,46 @@ def _color_chart_samples(config: CaseStudyConfig, master_seed: int):
                 band_gains=gains,
                 label=Label.color(class_id),
             )
-            samples.append(render(scene, sample_id=sid))
-    return tuple(samples)
+            captures.append(Capture(sid, scene))
+    return captures
+
+
+# Base material and adulterant of each adulteration study.
+_MIXTURES = {
+    StudyKind.TURMERIC: (materials.TURMERIC, materials.RICE_FLOUR),
+    StudyKind.COCONUT_OIL: (materials.COCONUT_OIL, materials.PALM_OIL),
+}
+
+
+def plan_case_study(
+    kind: StudyKind, config: CaseStudyConfig | None = None, master_seed: int = 0
+) -> tuple[Capture, ...]:
+    """Every capture of one case study, in render order, without rendering.
+
+    Turmeric plans a reflectance and a transmittance capture per replicate
+    (same preparation, so the same jittered mixture feeds both modes);
+    coconut oil plans transmittance only; the color chart reflectance
+    only.  Each capture renders the same sample whenever it is rendered,
+    so a caller may render them one at a time and drop each in turn.
+    """
+    config = CaseStudyConfig.for_kind(kind) if config is None else config
+    if config.kind is not kind:
+        raise ValidationError(f"config is for {config.kind}, requested {kind}")
+    if kind is StudyKind.COLOR_CHART:
+        return tuple(_color_chart_captures(config, master_seed))
+    return tuple(_adulteration_captures(config, master_seed, *_MIXTURES[kind]))
 
 
 def generate_case_study(
     kind: StudyKind, config: CaseStudyConfig | None = None, master_seed: int = 0
 ) -> StudyDataset:
-    """Generate one case-study dataset deterministically from the master seed.
-
-    Turmeric yields paired reflectance+transmittance samples per replicate
-    (same preparation, so the same jittered mixture feeds both modes);
-    coconut oil is transmittance-only; the color chart reflectance-only.
-    """
-    config = CaseStudyConfig.for_kind(kind) if config is None else config
-    if config.kind is not kind:
-        raise ValidationError(f"config is for {config.kind}, requested {kind}")
-    if kind is StudyKind.TURMERIC:
-        refl, trans = _adulteration_samples(
-            config, master_seed, materials.TURMERIC, materials.RICE_FLOUR
-        )
-        return StudyDataset(kind=kind, reflectance=refl, transmittance=trans)
-    if kind is StudyKind.COCONUT_OIL:
-        _, trans = _adulteration_samples(
-            config, master_seed, materials.COCONUT_OIL, materials.PALM_OIL
-        )
-        return StudyDataset(kind=kind, transmittance=trans)
-    samples = _color_chart_samples(config, master_seed)
-    return StudyDataset(kind=kind, reflectance=samples)
+    """Render the whole plan of one case study (:func:`plan_case_study`)
+    deterministically from the master seed; paired studies share sample
+    ids across modes."""
+    samples = [capture.render() for capture in plan_case_study(kind, config, master_seed)]
+    return StudyDataset(
+        kind=kind, **{mode.value: tuple(s for s in samples if s.cube.mode is mode) for mode in Mode}
+    )
 
 
 def render_white_reference(

@@ -16,6 +16,7 @@ from dualmsi.features import (
     pca_fit,
     project,
     spectral_signature,
+    stack,
     superpixels,
 )
 
@@ -107,9 +108,12 @@ class TestBuildAndMerge:
         samples = [random_raw_sample(rng, f"s{i}", n_bands=4, size=20 + 10 * (i % 2))
                    for i in range(n_samples)]
         want = build_matrix(samples, Mode.REFLECTANCE)
-        got = build_matrix((s for s in samples), Mode.REFLECTANCE)
-        assert got.values.tobytes() == want.values.tobytes()
-        assert got.col_labels == want.col_labels and got.row_meta == want.row_meta
+        for got in (
+            build_matrix((s for s in samples), Mode.REFLECTANCE),
+            stack([build_matrix([s], Mode.REFLECTANCE) for s in samples]),  # one sample at a time
+        ):
+            assert got.values.tobytes() == want.values.tobytes()
+            assert got.col_labels == want.col_labels and got.row_meta == want.row_meta
 
     @pytest.mark.parametrize(
         "bad, error",
@@ -128,6 +132,8 @@ class TestBuildAndMerge:
         for given_samples in (samples, (s for s in samples)):
             with pytest.raises(error):
                 build_matrix(given_samples, Mode.REFLECTANCE)
+        with pytest.raises(error):  # one sample at a time, then stacked
+            stack([build_matrix([s], Mode.REFLECTANCE) for s in samples])
 
     def test_merge_concatenates_columns(self):
         r = matrix_from([[1.0, 2.0]], cols=("R:405", "R:530"), sample_ids=["s"])

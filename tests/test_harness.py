@@ -1,13 +1,14 @@
 import json
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from dualmsi.core import Mode
 from dualmsi.errors import ValidationError
+from dualmsi import harness
 from dualmsi.harness import (
-    _variant_matrices,
     repeatability_report,
     run_case_study,
     run_pipeline_on_matrix,
@@ -20,7 +21,7 @@ from dualmsi.harness import (
     write_study_bundle,
 )
 from dualmsi.preprocess import fit_corrections
-from dualmsi.studies import CaseStudyConfig, StudyKind, generate_case_study, render_white_reference
+from dualmsi.studies import CaseStudyConfig, StudyKind, render_white_reference
 from dualmsi.synth import (
     Curve,
     IlluminationProfile,
@@ -191,30 +192,51 @@ class TestWriters:
         assert path.read_text() == '{\n  "a": 2,\n  "b": 1\n}\n'
 
 
-class TestVariantMatricesMemory:
-    """``_variant_matrices`` keeps one preprocessed cube alive at a time."""
+class _FirstRun(Exception):
+    pass
 
-    @staticmethod
-    def traced_peak(replicates: int) -> tuple[int, int]:
+
+class TestMatrixStageMemory:
+    """``run_case_study`` renders each sample when its rows are built and
+    drops it before the next: the matrix stage holds one raw cube at a
+    time, not the study's raw data."""
+
+    SIZE = 60
+
+    @classmethod
+    def traced_peak(cls, replicates: int) -> tuple[int, int]:
+        """Traced peak from the start of a turmeric study to its first
+        ``run_pipeline_on_matrix`` call, when every matrix is built, and
+        the row count of the matrix that call receives."""
         config = CaseStudyConfig.for_kind(
-            StudyKind.COCONUT_OIL, replicates=replicates, levels=(0.0, 40.0), width=30, height=30
+            StudyKind.TURMERIC, replicates=replicates, levels=(0.0, 40.0), width=cls.SIZE, height=cls.SIZE
         )
-        data = generate_case_study(StudyKind.COCONUT_OIL, config, master_seed=0)
-        corrections = {Mode.TRANSMITTANCE: fit_corrections(
-            render_white_reference(config, Mode.TRANSMITTANCE, 0))}
-        sides = {Mode.TRANSMITTANCE: data.transmittance}
+        seen = []
+
+        def first_run(matrix, *args, **kwargs):
+            seen.append((tracemalloc.get_traced_memory()[1], matrix.n_rows))
+            raise _FirstRun
+
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            matrices = _variant_matrices(sides, corrections)
-            peak = tracemalloc.get_traced_memory()[1] - base
+            with mock.patch.object(harness, "run_pipeline_on_matrix", first_run):
+                with pytest.raises(_FirstRun):
+                    run_case_study(StudyKind.TURMERIC, config, 0)
         finally:
             tracemalloc.stop()
-        assert matrices["transmittance"].n_rows == len(data.transmittance) * 9
-        # one preprocessed cube: float64 bands
-        return peak, len(config.band_set) * 30 * 30 * 8
+        peak, rows = seen[0]
+        return peak - base, rows
 
-    def test_peak_does_not_grow_with_the_sample_count(self):
-        small, cube_bytes = self.traced_peak(replicates=2)  # 4 samples
-        large, _ = self.traced_peak(replicates=8)  # 16 samples
-        assert large - small < cube_bytes
+    def test_peak_does_not_grow_with_the_replicate_count(self):
+        cells = (self.SIZE // 10) ** 2
+        _, warm_rows = self.traced_peak(replicates=2)  # first calls fill lazy caches
+        assert warm_rows == 2 * 2 * cells
+        small, _ = self.traced_peak(replicates=2)  # 8 captures
+        large, rows = self.traced_peak(replicates=6)  # 24 captures
+        assert rows == 6 * 2 * cells
+        raw_cube = (13 + 1) * self.SIZE * self.SIZE * 2  # uint16 band frames and dark frame
+        # the 8 more samples per mode add rows to R (13 columns), T (13) and
+        # merged (26) matrices of both correction variants
+        extra_rows = 2 * (6 - 2) * 2 * cells * (13 + 13 + 26) * 8
+        assert large - small < raw_cube + extra_rows

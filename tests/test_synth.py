@@ -25,6 +25,7 @@ from dualmsi.studies import (
     CaseStudyConfig,
     StudyKind,
     generate_case_study,
+    plan_case_study,
 )
 
 TWO_BANDS = BandSet((405, 530))
@@ -302,6 +303,41 @@ class TestCaseStudies:
         config = CaseStudyConfig.for_kind(StudyKind.TURMERIC)
         with pytest.raises(ValidationError):
             generate_case_study(StudyKind.COCONUT_OIL, config, master_seed=0)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        kind=st.sampled_from(StudyKind),
+        master_seed=st.integers(0, 2**64 - 1),
+        replicates=st.integers(1, 2),
+        levels=st.lists(st.integers(0, 100), min_size=2, max_size=3, unique=True),
+        n_classes=st.integers(1, 4),
+        width=st.integers(10, 16),
+        height=st.integers(10, 16),
+    )
+    def test_rendering_the_plan_one_capture_at_a_time_equals_generate(
+        self, kind, master_seed, replicates, levels, n_classes, width, height
+    ):
+        config = CaseStudyConfig.for_kind(
+            kind, replicates=replicates, levels=tuple(map(float, levels)), n_classes=n_classes,
+            width=width, height=height,
+        )
+        data = generate_case_study(kind, config, master_seed)
+        generated = [*data.reflectance, *data.transmittance]
+        plan = plan_case_study(kind, config, master_seed)
+        assert sorted(c.sample_id for c in plan) == sorted(s.id for s in generated)
+        by_key = {(s.id, s.cube.mode): s for s in generated}
+        # last capture first, each rendered alone: no render depends on another
+        for capture in reversed(plan):
+            sample = capture.render()
+            want = by_key.pop((capture.sample_id, capture.scene.mode))
+            assert sample.id == want.id == capture.sample_id
+            assert sample.label == want.label == capture.scene.label
+            assert sample.cube.mode is want.cube.mode
+            assert sample.cube.band_set == want.cube.band_set
+            assert sample.cube.values.dtype == want.cube.values.dtype
+            assert sample.cube.values.tobytes() == want.cube.values.tobytes()
+            assert sample.cube.dark.tobytes() == want.cube.dark.tobytes()
+        assert not by_key
 
 
 CONFIG_FIELDS = [f.name for f in fields(CaseStudyConfig)]
