@@ -51,7 +51,7 @@ from .preprocess import (
     preprocess_pipeline,
     quantize_sample,
 )
-from .studies import CaseStudyConfig, StudyKind, generate_case_study, render_white_reference
+from .studies import CaseStudyConfig, StudyKind, plan_case_study, render_white_reference
 from .synth import MixtureSpec, render_repeat_series
 from . import materials
 
@@ -80,19 +80,20 @@ def _require_out(args) -> Path:
 def cmd_synth(
     args, out: Path, kind: StudyKind | None = None, **study: CaseStudyConfig
 ) -> int:
-    """Generate a case-study dataset (plus white references) on disk."""
+    """Generate a case-study dataset (plus white references) on disk.
+
+    Each mode's captures are rendered and written one at a time."""
     kind = kind or StudyKind(args.kind or "turmeric")
     study_config = CaseStudyConfig.from_json(kind, study)
-    data = generate_case_study(kind, study_config, args.seed)
-    for mode, samples in (
-        (Mode.REFLECTANCE, data.reflectance),
-        (Mode.TRANSMITTANCE, data.transmittance),
-    ):
-        if samples:
-            save_dataset(samples, out / mode.value)
+    plan = plan_case_study(kind, study_config, args.seed)
+    written = dict.fromkeys(Mode, 0)
+    for mode in Mode:
+        captures = [capture for capture in plan if capture.scene.mode is mode]
+        if captures:
+            written[mode] = save_dataset((c.render() for c in captures), out / mode.value)
             white = render_white_reference(study_config, mode, args.seed)
             save_dataset([white], out / f"white_{mode.value}")
-    print(f"wrote {len(data.reflectance)} reflectance + {len(data.transmittance)} "
+    print(f"wrote {written[Mode.REFLECTANCE]} reflectance + {written[Mode.TRANSMITTANCE]} "
           f"transmittance samples to {out}")
     return EXIT_OK
 
@@ -101,17 +102,17 @@ def cmd_preprocess(
     args, out: Path, input: str, white: str | None = None,
     options: PipelineOptions = PipelineOptions(),
 ) -> int:
-    """Apply the correction pipeline to a dataset directory.
+    """Apply the correction pipeline to a dataset directory, one sample at
+    a time.
 
     Output frames are re-quantized to 16-bit for storage.
     """
     samples = load_dataset(input)
-    corrections = fit_corrections(load_dataset(white)[0]) if white else None
-    quantized = [
-        quantize_sample(preprocess_pipeline(s, corrections, options)) for s in samples
-    ]
-    save_dataset(quantized, out)
-    print(f"preprocessed {len(quantized)} samples -> {out}")
+    corrections = fit_corrections(next(load_dataset(white))) if white else None
+    written = save_dataset(
+        (quantize_sample(preprocess_pipeline(s, corrections, options)) for s in samples), out
+    )
+    print(f"preprocessed {written} samples -> {out}")
     return EXIT_OK
 
 
@@ -207,7 +208,7 @@ def cmd_consistency(
     if white is None:
         white_sample = render_white_reference(study_config, mode, args.seed)
     else:
-        white_sample = load_dataset(white)[0]
+        white_sample = next(load_dataset(white))
     report = spatial_consistency_report(white_sample)
     write_consistency_report(report, out, band=band)
     print(

@@ -447,21 +447,24 @@ def save_sample(sample: Sample, dir_path) -> None:
         write_pgm16(directory / _band_filename(wl), values)
 
 
-def load_sample(dir_path) -> Sample:
-    """Load a sample directory written by :func:`save_sample`, bit-exactly."""
-    directory = Path(dir_path)
+def _read_manifest(directory: Path) -> tuple[_Manifest, BandSet]:
+    """The checked manifest of the sample directory ``directory`` and the
+    band set it lists; reads no frame."""
     manifest_path = directory / MANIFEST_NAME
     if not manifest_path.is_file():
         raise ValidationError(f"no {MANIFEST_NAME} in {directory}")
     manifest = json_value(_Manifest, read_json(manifest_path, "manifest"), f"manifest in {directory}")
     if manifest.bit_depth != BIT_DEPTH:
         raise ValidationError(f"unsupported bit depth {manifest.bit_depth}")
-
-    files = {entry.wavelength_nm: entry.file for entry in manifest.bands}
-    if len(files) != len(manifest.bands):
-        wavelengths = sorted(entry.wavelength_nm for entry in manifest.bands)
+    wavelengths = sorted(entry.wavelength_nm for entry in manifest.bands)
+    if len(set(wavelengths)) != len(wavelengths):
         raise ValidationError(f"duplicate wavelength in manifest: {wavelengths}")
-    band_set = BandSet(tuple(sorted(files)))
+    return manifest, BandSet(tuple(wavelengths))
+
+
+def _read_sample(directory: Path, manifest: _Manifest, band_set: BandSet) -> Sample:
+    """The sample whose manifest :func:`_read_manifest` read from ``directory``."""
+    files = {entry.wavelength_nm: entry.file for entry in manifest.bands}
 
     def read_frame(file_name: str, wavelength_nm: int | None) -> np.ndarray:
         path = directory / file_name
@@ -472,7 +475,7 @@ def load_sample(dir_path) -> Sample:
         values = read_pgm16(path)
         if values.shape != (manifest.height, manifest.width):
             raise DimensionMismatchError(
-                f"{file_name} is {values.shape[1]}x{values.shape[0]}, "
+                f"{path} is {values.shape[1]}x{values.shape[0]}, "
                 f"manifest says {manifest.width}x{manifest.height}"
             )
         return values
@@ -483,30 +486,51 @@ def load_sample(dir_path) -> Sample:
     return Sample(id=manifest.id, cube=cube, label=manifest.label)
 
 
-def save_dataset(samples, dir_path) -> None:
-    """Write a dataset directory: one subdirectory per sample, named by id."""
-    samples = list(samples)
-    ids = [s.id for s in samples]
-    if len(set(ids)) != len(ids):
-        raise ValidationError("sample ids must be unique within a dataset")
+def load_sample(dir_path) -> Sample:
+    """Load a sample directory written by :func:`save_sample`, bit-exactly."""
+    directory = Path(dir_path)
+    return _read_sample(directory, *_read_manifest(directory))
+
+
+def save_dataset(samples, dir_path) -> int:
+    """Write a dataset directory: one subdirectory per sample, named by id.
+
+    ``samples`` may be any iterable, a generator included: each sample is
+    written as it arrives, so a generator holds one sample at a time.  A
+    repeated id raises ValidationError before that sample is written; the
+    samples before it stay written.  Returns the number of samples written.
+    """
     directory = Path(dir_path)
     directory.mkdir(parents=True, exist_ok=True)
+    seen = set()
     for sample in samples:
+        if sample.id in seen:
+            raise ValidationError(f"sample id {sample.id!r} repeats; ids must be unique in a dataset")
+        seen.add(sample.id)
         save_sample(sample, directory / sample.id)
+    return len(seen)
 
 
-def load_dataset(dir_path) -> list[Sample]:
-    """Load every sample subdirectory of ``dir_path`` in name order."""
+def load_dataset(dir_path) -> Iterator[Sample]:
+    """Every sample subdirectory of ``dir_path`` in name order, read lazily.
+
+    Every manifest is read and checked, and the ids too, before this
+    returns, so a malformed manifest anywhere raises before any frame is
+    read.  The iterator returned reads each sample's frames when it is
+    asked for that sample, so a consumer that takes one sample at a time
+    holds one cube at a time; a frame error raises at that sample.
+    """
     directory = Path(dir_path)
     if not directory.is_dir():
         raise ValidationError(f"not a dataset directory: {directory}")
-    samples = []
-    for sub in sorted(p for p in directory.iterdir() if p.is_dir()):
-        if (sub / MANIFEST_NAME).is_file():
-            samples.append(load_sample(sub))
-    if not samples:
+    entries = [
+        (sub, *_read_manifest(sub))
+        for sub in sorted(p for p in directory.iterdir() if p.is_dir())
+        if (sub / MANIFEST_NAME).is_file()
+    ]
+    if not entries:
         raise ValidationError(f"no samples found under {directory}")
-    ids = [s.id for s in samples]
+    ids = [manifest.id for _, manifest, _ in entries]
     if len(set(ids)) != len(ids):
         raise ValidationError(f"duplicate sample ids in dataset {directory}")
-    return samples
+    return (_read_sample(*entry) for entry in entries)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import math
 import warnings
+from array import array
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
@@ -103,37 +104,41 @@ class DataMatrix:
         (a class label must be an integer) raises ValidationError naming the
         file and line."""
         make = Label.adulteration if label_kind is LabelKind.ADULTERATION else Label.color
+        values = array("d")  # the cells, row after row, parsed line by line
+        meta, labels = [], {}  # one Label per distinct label field
         try:
             with open(path, newline="", encoding="utf-8") as fh:
-                lines = list(fh)
+                reader = csv.reader(fh)
+                header = next(reader, None)
+                if not header or len(header) < 3 or header[:2] != ["sample_id", "label"]:
+                    raise ValidationError(f"unexpected matrix CSV header in {path}")
+                for record in reader:
+                    where = f"{path} line {reader.line_num}"
+                    if len(record) != len(header):
+                        raise ValidationError(
+                            f"{where}: {len(record)} fields, the header has {len(header)}"
+                        )
+                    try:
+                        numbers = [float(v) for v in record[1:]]
+                    except ValueError:
+                        numbers = [math.nan]
+                    if not all(map(math.isfinite, numbers)):
+                        raise ValidationError(f"{where}: label and cells must be finite numbers")
+                    raw, *vals = numbers
+                    if record[1] not in labels:
+                        try:
+                            labels[record[1]] = make(raw)
+                        except ValidationError as exc:
+                            raise ValidationError(f"{where}: {exc}") from None
+                    meta.append((record[0], labels[record[1]]))
+                    values.extend(vals)
         except UnicodeDecodeError as exc:
             raise ValidationError(f"matrix CSV {path} is not UTF-8: {exc}") from None
-        reader = csv.reader(lines)
-        header = next(reader, None)
-        if not header or len(header) < 3 or header[:2] != ["sample_id", "label"]:
-            raise ValidationError(f"unexpected matrix CSV header in {path}")
-        cols = tuple(header[2:])
-        meta, rows = [], []
-        for record in reader:
-            where = f"{path} line {reader.line_num}"
-            if len(record) != len(header):
-                raise ValidationError(f"{where}: {len(record)} fields, the header has {len(header)}")
-            try:
-                numbers = [float(v) for v in record[1:]]
-            except ValueError:
-                numbers = [math.nan]
-            if not all(map(math.isfinite, numbers)):
-                raise ValidationError(f"{where}: label and cells must be finite numbers")
-            raw, *vals = numbers
-            try:
-                label = make(raw)
-            except ValidationError as exc:
-                raise ValidationError(f"{where}: {exc}") from None
-            meta.append((record[0], label))
-            rows.append(vals)
-        if not rows:
+        if not meta:
             raise ValidationError(f"empty matrix CSV: {path}")
-        return cls(values=np.array(rows), col_labels=cols, row_meta=tuple(meta))
+        cols = tuple(header[2:])
+        rows = np.frombuffer(values).reshape(len(meta), len(cols))
+        return cls(values=rows, col_labels=cols, row_meta=tuple(meta))
 
 
 def superpixels(cube: SpectralCube, block: int = 10) -> np.ndarray:

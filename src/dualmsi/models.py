@@ -167,8 +167,9 @@ def _rows(x, width: int) -> np.ndarray:
     return x
 
 
-# Bytes of working memory one block of KNearestNeighbors.predict may use.
-KNN_WORKING_MEMORY = 8 * 2**20
+# Bytes of working memory one block of KNearestNeighbors.predict, or one
+# block of candidate features in a tree node's split search, may use.
+WORKING_MEMORY = 8 * 2**20
 # Rows per BLAS product in KNearestNeighbors.predict.  BLAS may round a row
 # of a product differently with the number of rows in the call, so the
 # products run over fixed chunks of the test rows and a block is a whole
@@ -203,7 +204,7 @@ class KNearestNeighbors:
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Labels of the rows of ``x``, computed in row blocks whose working
-        memory stays within ``KNN_WORKING_MEMORY``.  A block is a whole
+        memory stays within ``WORKING_MEMORY``.  A block is a whole
         number of ``KNN_PRODUCT_ROWS``-row chunks, at least one."""
         if self.train_x is None:
             raise ValidationError("predict before fit")
@@ -211,7 +212,7 @@ class KNearestNeighbors:
         labels, train_idx = np.unique(self.train_y, return_inverse=True)
         train_sq = (self.train_x**2).sum(axis=1)
         chunk_bytes = _knn_row_bytes(train_sq.size, self.k, labels.size) * KNN_PRODUCT_ROWS
-        step = max(1, KNN_WORKING_MEMORY // chunk_bytes) * KNN_PRODUCT_ROWS
+        step = max(1, WORKING_MEMORY // chunk_bytes) * KNN_PRODUCT_ROWS
         out = np.empty(x.shape[0])
         for start in range(0, x.shape[0], step):
             block = slice(start, start + step)
@@ -278,17 +279,27 @@ def _gini(counts: np.ndarray, total: int) -> float:
     return float(1.0 - (p * p).sum())
 
 
+def _split_feature_bytes(n_rows: int, n_classes: int) -> int:
+    """Working memory of one candidate feature in a :func:`_best_split`
+    block: its left and right class counts and a squared copy of either,
+    (n_classes, n_rows) each, and up to six rows of n_rows (ginis, gains,
+    the gap mask, the block's side sizes), 8 bytes each."""
+    return 8 * n_rows * (3 * n_classes + 6)
+
+
 def _best_split(xs, ys, total_counts, min_leaf, class_ids):
     """Best (candidate, gap) position over the candidate features, or None.
 
     Row i of ``xs`` holds the node's values of candidate feature i sorted
     ascending, and the same row of ``ys`` the class index of each sorted
     value; ``class_ids`` is ``arange(n_classes)`` as a column.  Gap j lies
-    between sorted positions j and j + 1.  All gaps of all candidates are
-    scored at once; a gap between equal values, or one leaving fewer than
-    ``min_leaf`` rows on a side, is no candidate.  The first maximum in
-    feature-major order realizes the documented tie-break: lowest feature,
-    then lowest threshold.
+    between sorted positions j and j + 1.  A gap between equal values, or
+    one leaving fewer than ``min_leaf`` rows on a side, is no candidate.
+    The candidates are scored in blocks of features whose temporaries fit
+    ``WORKING_MEMORY`` (one block for every node of a small matrix), and a
+    block's maximum replaces the running one only when strictly greater:
+    the first maximum in feature-major order realizes the documented
+    tie-break, lowest feature, then lowest threshold.
     """
     m, n = xs.shape
     edge = max(math.ceil(min_leaf), 1)  # fewest rows a side may keep
@@ -296,20 +307,32 @@ def _best_split(xs, ys, total_counts, min_leaf, class_ids):
     if m == 0 or hi <= lo:
         return None
     parent = _gini(total_counts, n)
+    step = max(1, WORKING_MEMORY // _split_feature_bytes(n, class_ids.shape[0]))
+    best, found = -np.inf, None
+    for start in range(0, m, step):
+        block = slice(start, start + step)
+        gain = _gap_gains(xs[block], ys[block], total_counts, parent, lo, hi, class_ids)
+        pick = int(np.argmax(gain))
+        if gain.flat[pick] > best:
+            best = gain.flat[pick]
+            pos, gap = divmod(pick, hi - lo)
+            found = start + pos, gap + lo
+    return found
+
+
+def _gap_gains(xs, ys, total_counts, parent, lo, hi, class_ids):
+    """Gini gain of gaps ``lo .. hi - 1`` of each feature row of ``xs``,
+    -inf at a gap between equal values."""
+    n = xs.shape[1]
     left_counts = np.cumsum(ys[:, None, :hi] == class_ids, axis=2, dtype=np.float64)[:, :, lo:]
     right_counts = total_counts[:, None] - left_counts
-    n_left = np.arange(edge, hi + 1)
+    n_left = np.arange(lo + 1, hi + 1)
     n_right = n - n_left
     # class counts are exact integers, so these sums do not depend on order
     gini_left = 1.0 - np.add.reduce(left_counts**2, axis=1) / n_left**2
     gini_right = 1.0 - np.add.reduce(right_counts**2, axis=1) / n_right**2
     gain = parent - (n_left * gini_left + n_right * gini_right) / n
-    gain = np.where(xs[:, lo:hi] < xs[:, lo + 1 : hi + 1], gain, -np.inf)
-    pick = int(np.argmax(gain))
-    if gain.flat[pick] == -np.inf:
-        return None
-    pos, gap = divmod(pick, hi - lo)
-    return pos, gap + lo
+    return np.where(xs[:, lo:hi] < xs[:, lo + 1 : hi + 1], gain, -np.inf)
 
 
 class TreeNodes(NamedTuple):

@@ -15,8 +15,9 @@ A study is first planned: :func:`plan_case_study` lists every capture's
 sample id and scene (label and mode included) without rendering, which
 costs next to nothing.  :func:`generate_case_study` renders the whole
 plan and holds every raw cube; a caller that needs one sample at a time,
-as ``harness.run_case_study`` does, renders the captures in turn and
-drops each cube before rendering the next, with the same bytes.
+as ``harness.run_case_study`` and the ``synth`` command do, renders the
+captures in turn and drops each cube before rendering the next, with the
+same bytes.
 """
 
 from __future__ import annotations

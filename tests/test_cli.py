@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import fields, is_dataclass
 from enum import Enum
 from pathlib import Path
@@ -11,11 +12,13 @@ from typing import Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import dualmsi
 from dualmsi.cli import COMMANDS, main
 from dualmsi.core import Label, Mode, Sample, json_value, load_dataset, save_dataset
 from dualmsi.models import MODEL_KINDS
+from dualmsi.studies import CaseStudyConfig, StudyKind, generate_case_study, render_white_reference
 
 from conftest import random_raw_sample
 from test_features import matrix_from
@@ -38,8 +41,8 @@ def synth_dirs(tmp_path_factory):
 
 class TestSynthCommand:
     def test_writes_both_modes_and_whites(self, synth_dirs):
-        refl = load_dataset(synth_dirs / "reflectance")
-        trans = load_dataset(synth_dirs / "transmittance")
+        refl = list(load_dataset(synth_dirs / "reflectance"))
+        trans = list(load_dataset(synth_dirs / "transmittance"))
         assert len(refl) == 18 and len(trans) == 18
         assert (synth_dirs / "white_reflectance").is_dir()
 
@@ -77,7 +80,7 @@ class TestPreprocessMatrixTrainEval(object):
         }))
         pre_out = tmp_path / "pre"
         assert run(["--config", pre_cfg, "--out", pre_out, "preprocess"]) == 0
-        assert len(load_dataset(pre_out)) == 18
+        assert len(list(load_dataset(pre_out))) == 18
 
         mat_cfg = tmp_path / "mat.json"
         mat_cfg.write_text(json.dumps({"input": str(pre_out), "mode": "transmittance"}))
@@ -423,6 +426,16 @@ class TestMatrixCsvRows:
         assert run(["--config", cfg, "--out", tmp_path / "o", "train"]) == 2
         assert f"{path} line 4" in capsys.readouterr().err
 
+    def test_bytes_that_are_not_utf8_after_valid_rows_exit_2(self, tmp_path, capsys):
+        # over 8 KB of valid rows: the reader parses some before it decodes the bad byte
+        header, *rows = matrix_csv_lines()
+        path = tmp_path / "m.csv"
+        path.write_bytes(("\n".join([header, *rows * 20]) + "\n").encode() + b"s12,0.0,\xff,1.0\n")
+        cfg = tmp_path / "t.json"
+        cfg.write_text(json.dumps({"matrix": str(path)}))
+        assert run(["--config", cfg, "--out", tmp_path / "o", "train"]) == 2
+        assert f"matrix CSV {path} is not UTF-8" in capsys.readouterr().err
+
     def test_valid_csv_trains(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("\n".join(matrix_csv_lines()) + "\n")
@@ -473,6 +486,102 @@ class TestManifestValidation:
         cfg.write_text(json.dumps({"input": str(data)}))
         assert run(["--config", cfg, "--out", tmp_path / "o", "kl-regress"]) == 2
         assert not (tmp_path / "o" / "kl_curve.csv").exists()
+
+
+def file_bytes(root: Path) -> dict[str, bytes]:
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+class TestStreamingChain:
+    """``synth`` and ``preprocess`` write each sample as it is made, with the
+    bytes of the eager path, and refuse a bad manifest before writing."""
+
+    @settings(max_examples=9, deadline=None)
+    @given(
+        kind=st.sampled_from(list(StudyKind)),
+        seed=st.integers(0, 2**32 - 1),
+        replicates=st.integers(1, 2),
+        size=st.integers(10, 16),
+        levels=st.lists(st.integers(0, 100), min_size=2, max_size=3, unique=True),
+        n_classes=st.integers(1, 4),
+    )
+    def test_synth_equals_generate_and_an_eager_save(
+        self, tmp_path_factory, kind, seed, replicates, size, levels, n_classes
+    ):
+        study = {"replicates": replicates, "width": size, "height": size}
+        study.update({"n_classes": n_classes} if kind is StudyKind.COLOR_CHART else {"levels": levels})
+        root = tmp_path_factory.mktemp("synth")
+        cfg = root / "synth.json"
+        cfg.write_text(json.dumps({"kind": kind.value, **study}))
+        assert run(["--config", cfg, "--seed", seed, "--out", root / "cli", "synth"]) == 0
+        config = CaseStudyConfig.from_json(kind, study)
+        data = generate_case_study(kind, config, seed)
+        for mode in Mode:
+            samples = getattr(data, mode.value)
+            if samples:
+                save_dataset(list(samples), root / "eager" / mode.value)
+                white = render_white_reference(config, mode, seed)
+                save_dataset([white], root / "eager" / f"white_{mode.value}")
+        assert file_bytes(root / "cli") == file_bytes(root / "eager")
+
+    SIZE = 60
+
+    def preprocess_peak(self, root: Path, replicates: int) -> int:
+        """Traced peak of a default ``preprocess`` of the transmittance
+        captures of a two-level turmeric study."""
+        root.mkdir(exist_ok=True)
+        data = root / f"data{replicates}"
+        cfg = root / f"synth{replicates}.json"
+        cfg.write_text(json.dumps({"kind": "turmeric", "replicates": replicates, "levels": [0, 40],
+                                   "width": self.SIZE, "height": self.SIZE}))
+        assert run(["--config", cfg, "--out", data, "synth"]) == 0
+        cfg = root / f"pre{replicates}.json"
+        cfg.write_text(json.dumps({"input": str(data / "transmittance"),
+                                   "white": str(data / "white_transmittance")}))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            assert run(["--config", cfg, "--out", root / f"pre{replicates}", "preprocess"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak - base
+
+    def test_preprocess_peak_does_not_grow_with_the_sample_count(self, tmp_path):
+        self.preprocess_peak(tmp_path / "warm", 2)  # first calls fill lazy caches
+        small = self.preprocess_peak(tmp_path, 2)  # 4 samples
+        large = self.preprocess_peak(tmp_path, 6)  # 12 samples
+        float_cube = (13 + 1) * self.SIZE * self.SIZE * 8  # band frames and dark frame
+        assert large - small < float_cube
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [lambda m: m["label"].update(adulteration_pct=float("nan")),
+         lambda m: m.update(height="20")],
+        ids=["nan-label", "string-height"],
+    )
+    def test_bad_last_manifest_exits_2_with_nothing_written(self, tmp_path, capsys, mutate):
+        data = tiny_dataset(tmp_path / "d")
+        manifest_path = data / "s3" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        mutate(manifest)
+        manifest_path.write_text(json.dumps(manifest))
+        cfg = tmp_path / "p.json"
+        cfg.write_text(json.dumps({"input": str(data)}))
+        assert run(["--config", cfg, "--out", tmp_path / "o", "preprocess"]) == 2
+        assert str(data / "s3") in capsys.readouterr().err
+        assert not any((tmp_path / "o").iterdir())
+
+    def test_truncated_frame_in_a_middle_sample_exits_2_naming_it(self, tmp_path, capsys):
+        data = tiny_dataset(tmp_path / "d")
+        frame = next((data / "s1").glob("band_*.pgm"))
+        frame.write_bytes(frame.read_bytes()[:-7])
+        cfg = tmp_path / "p.json"
+        cfg.write_text(json.dumps({"input": str(data), "options": {"spatial": False}}))
+        assert run(["--config", cfg, "--out", tmp_path / "o", "preprocess"]) == 2
+        assert str(frame) in capsys.readouterr().err
+        # the samples before it are written, none after it
+        assert sorted(p.name for p in (tmp_path / "o").iterdir()) == ["s0"]
 
 
 def write_csv(path, lines):

@@ -304,7 +304,7 @@ class TestSampleFormat:
         rng = np.random.default_rng(7)
         samples = [random_raw_sample(rng, f"s{i}") for i in range(3)]
         save_dataset(samples, tmp_path / "ds")
-        loaded = load_dataset(tmp_path / "ds")
+        loaded = list(load_dataset(tmp_path / "ds"))
         assert [s.id for s in loaded] == ["s0", "s1", "s2"]
         assert all(a == b for a, b in zip(loaded, samples))
 

@@ -600,7 +600,7 @@ class TestEquivalenceWithReference:
 
 
 def budget_for(block_rows, n_train, k, n_labels):
-    """A ``KNN_WORKING_MEMORY`` whose predict blocks hold ``block_rows`` rows
+    """A ``WORKING_MEMORY`` whose predict blocks hold ``block_rows`` rows
     (a multiple of ``KNN_PRODUCT_ROWS``)."""
     return block_rows * models._knn_row_bytes(n_train, k, n_labels)
 
@@ -637,9 +637,9 @@ class TestBlockedKnn:
         q = np.vstack([q, x])[:n_test]
         model = KNearestNeighbors(k=k).fit(x, y)
         budget = budget_for(block, x.shape[0], k, np.unique(y).size)
-        with mock.patch.object(models, "KNN_WORKING_MEMORY", budget):
+        with mock.patch.object(models, "WORKING_MEMORY", budget):
             blocked = model.predict(q)
-        with mock.patch.object(models, "KNN_WORKING_MEMORY", 2**62):
+        with mock.patch.object(models, "WORKING_MEMORY", 2**62):
             whole = model.predict(q)
         assert blocked.tobytes() == whole.tobytes()
 
@@ -684,7 +684,7 @@ class TestBlockedKnn:
                 (1, [chunk] * 4 + [1]),  # a block is never smaller than one chunk
             ]:
                 sizes.clear()
-                with mock.patch.object(models, "KNN_WORKING_MEMORY", budget):
+                with mock.patch.object(models, "WORKING_MEMORY", budget):
                     model.predict(rng.normal(size=(4 * chunk + 1, 3)))
                 assert sizes == want
 
@@ -695,7 +695,7 @@ class TestBlockedKnn:
         q = rng.normal(size=(n_test, 8))
         model = KNearestNeighbors(k=k).fit(x, y)
         budget = budget_for(2 * models.KNN_PRODUCT_ROWS, n_train, k, 9)
-        with mock.patch.object(models, "KNN_WORKING_MEMORY", budget):
+        with mock.patch.object(models, "WORKING_MEMORY", budget):
             tracemalloc.start()
             try:
                 base = tracemalloc.get_traced_memory()[0]
@@ -707,6 +707,80 @@ class TestBlockedKnn:
         # and squared norms, the output, and np.unique's transient sort
         outside = 8 * (8 * n_train + n_test)
         assert peak - base <= budget + outside
+
+
+def tree_bytes(tree: DecisionTree) -> list[bytes]:
+    return [tree.classes_.tobytes(), *(column.tobytes() for column in tree.nodes)]
+
+
+def one_feature_blocks():
+    """A ``WORKING_MEMORY`` so small that every split block holds one feature."""
+    return mock.patch.object(models, "WORKING_MEMORY", 1)
+
+
+class TestBlockedSplit:
+    """Scoring a node's candidate features in blocks must pick the split
+    that one block over all of them picks, ties included."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=labelled_matrices(max_rows=40, max_cols=12), min_leaf=st.integers(1, 5),
+           seed=st.integers(0, 2**32 - 1))
+    def test_best_split_equals_one_block(self, data, min_leaf, seed):
+        x, y = data
+        classes = np.unique(y)
+        y_idx = np.searchsorted(classes, y)
+        rng = np.random.default_rng(seed)
+        size = rng.integers(1, x.shape[1] + 1)
+        features = np.sort(rng.choice(x.shape[1], size=size, replace=False))
+        order = np.argsort(x, axis=0, kind="stable").T[features]
+        xs, ys = x.T[features[:, None], order], y_idx[order]
+        args = (xs, ys, np.bincount(y_idx, minlength=classes.size), min_leaf,
+                np.arange(classes.size)[:, None])
+        whole = models._best_split(*args)
+        with one_feature_blocks():
+            assert models._best_split(*args) == whole
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=labelled_matrices(max_rows=40, max_cols=12), min_leaf=st.integers(1, 5),
+           max_depth=st.one_of(st.none(), st.integers(1, 4)))
+    def test_tree_equals_one_block(self, data, min_leaf, max_depth):
+        x, y = data
+        whole = DecisionTree(max_depth=max_depth, min_leaf=min_leaf).fit(x, y)
+        with one_feature_blocks():
+            blocked = DecisionTree(max_depth=max_depth, min_leaf=min_leaf).fit(x, y)
+        assert tree_bytes(blocked) == tree_bytes(whole)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=labelled_matrices(max_rows=40, max_cols=12),
+           mtry=st.one_of(st.none(), st.integers(1, 12)), bootstrap=st.booleans(),
+           seed=st.integers(0, 2**32 - 1), min_leaf=st.integers(1, 5))
+    def test_forest_equals_one_block(self, data, mtry, bootstrap, seed, min_leaf):
+        x, y = data
+        params = dict(n_trees=3, mtry=mtry, bootstrap=bootstrap, seed=seed, min_leaf=min_leaf)
+        whole = RandomForest(**params).fit(x, y)
+        with one_feature_blocks():
+            blocked = RandomForest(**params).fit(x, y)
+        assert [tree_bytes(t) for t in blocked.trees] == [tree_bytes(t) for t in whole.trees]
+
+    def test_tall_fit_stays_within_the_working_memory_budget(self):
+        # 4,000 rows of 26 features and 9 classes: one block of every root
+        # candidate would hold about 3 x 26 x 9 x 4,000 x 8 bytes = 22 MB
+        n, d = 4000, 26
+        rng = np.random.default_rng(5)
+        y = rng.integers(0, 9, n) * 5.0
+        x = rng.normal(size=(n, d)) + y[:, None] / 40
+        DecisionTree(max_depth=1).fit(x[:50], y[:50])  # first calls fill lazy caches
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            DecisionTree().fit(x, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # besides its split blocks a fit holds six (d, n) 8-byte arrays: the
+        # transposed rows, their sorted order, a node's candidate order,
+        # values and classes, and its children's orders
+        assert peak - base <= models.WORKING_MEMORY + 6 * 8 * n * d
 
 
 # Written by the recursive-grower release: the nested tree form must keep
