@@ -334,18 +334,19 @@ def json_value(hint, value, what: str):
 def _readable(fn, n_args: int):
     """The type hints of the keyword parameters of ``fn`` that ``n_args``
     positional arguments leave unfilled, the required ones among them, the
-    names of all its keyword parameters, and the keys its ``**rest`` takes:
-    none without one, the fields of the dataclass it is annotated with, or
-    None for any key.  Cached: resolving string annotations is slow."""
+    names of all its keyword parameters, and the keys its ``**rest`` takes
+    with their type hints: none without one, the fields of the dataclass it
+    is annotated with, or None for any key.  Cached: resolving string
+    annotations is slow."""
     params = list(inspect.signature(fn).parameters.values())
     hints = get_type_hints(fn.__init__ if isinstance(fn, type) else fn)
     keyword = {p.name for p in params if p.kind in (p.POSITIONAL_OR_KEYWORD, p.KEYWORD_ONLY)}
     named = [p for p in params[n_args:] if p.name in keyword]
     rest = [hints.get(p.name) for p in params if p.kind is p.VAR_KEYWORD]
     if not rest:
-        passed_on = frozenset()
+        passed_on = {}
     else:
-        passed_on = frozenset(_readable(rest[0], 0)[2]) if is_dataclass(rest[0]) else None
+        passed_on = _readable(rest[0], 0)[0] if is_dataclass(rest[0]) else None
     return (
         {p.name: hints[p.name] for p in named},
         [p.name for p in named if p.default is p.empty],
@@ -354,17 +355,19 @@ def _readable(fn, n_args: int):
     )
 
 
-def json_call(fn, obj: dict, what: str, *args):
-    """``fn(*args, **kwargs)`` with every keyword read from the JSON object ``obj``.
+def json_kwargs(fn, obj: dict, what: str, n_args: int) -> dict:
+    """The keyword arguments read from the JSON object ``obj`` for ``fn``
+    called with ``n_args`` positional arguments first.
 
-    A key naming a parameter of ``fn`` that ``args`` left unfilled is read
-    by :func:`json_value` as that parameter's annotated type.  Other keys
-    go to ``fn``'s ``**rest`` unread: any key, or only the field names if
-    ``**rest`` is annotated with a dataclass.  Any other key raises
+    A key naming a parameter of ``fn`` that those arguments leave unfilled
+    is read by :func:`json_value` as that parameter's annotated type.
+    Other keys go to ``fn``'s ``**rest``: any key, unread, or only the
+    field names if ``**rest`` is annotated with a dataclass, each
+    type-checked here and passed on as given.  Any other key raises
     ValidationError, naming every key ``fn`` takes, as does a missing
     required parameter.
     """
-    hints, required, keyword, passed_on = _readable(fn, len(args))
+    hints, required, keyword, passed_on = _readable(fn, n_args)
     unknown = sorted(
         k for k in obj
         if k not in hints and (k in keyword or passed_on is not None and k not in passed_on)
@@ -375,8 +378,20 @@ def json_call(fn, obj: dict, what: str, *args):
     missing = [name for name in required if name not in obj]
     if missing:
         raise ValidationError(f"{what} is missing keys {missing}")
-    kwargs = {k: json_value(hints[k], v, f"{what}.{k}") if k in hints else v for k, v in obj.items()}
-    return fn(*args, **kwargs)
+    kwargs = {}
+    for k, v in obj.items():
+        if k in hints:
+            v = json_value(hints[k], v, f"{what}.{k}")
+        elif passed_on:
+            json_value(passed_on[k], v, f"{what}.{k}")
+        kwargs[k] = v
+    return kwargs
+
+
+def json_call(fn, obj: dict, what: str, *args):
+    """``fn(*args, **kwargs)`` with every keyword read from the JSON object
+    ``obj`` by :func:`json_kwargs`."""
+    return fn(*args, **json_kwargs(fn, obj, what, len(args)))
 
 
 # --------------------------------------------------------------------------

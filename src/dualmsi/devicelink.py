@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
+from pathlib import Path
 from typing import Iterable
 
 from .errors import HandshakeTimeoutError, ValidationError
@@ -331,3 +332,23 @@ def run_sequential_capture(
 
 def render_transcript(events: Iterable[Event]) -> str:
     return "\n".join(e.render() for e in events) + "\n"
+
+
+# --------------------------------------------------------------------------
+# Command handler (``dualmsi protocol-sim``, listed in ``cli.COMMANDS``)
+# --------------------------------------------------------------------------
+
+
+def cmd_protocol_sim(
+    args, out: Path, n_bands: int = 13, timeout_steps: int = 16, exposure_steps: int = 1,
+    fail: bool = False, sequential: bool = True, band: int = 0,
+) -> None:
+    """Run the capture handshake simulation and write the transcript."""
+    fw = FirmwareConfig(n_bands=n_bands, timeout_steps=timeout_steps)
+    camera = SimCamera(exposure_steps=exposure_steps, fail=fail)
+    if sequential:
+        transcript = run_sequential_capture(fw, camera)
+    else:
+        transcript = capture_handshake(band, fw, camera)
+    (out / "transcript.log").write_text(render_transcript(transcript))
+    print(f"{len(transcript)} events -> {out / 'transcript.log'}")

@@ -15,13 +15,16 @@ documented deviation from the bare formula.
 
 from __future__ import annotations
 
+import csv
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
+from .core import Mode, load_dataset, write_json
 from .errors import EmptyDataError, ValidationError
-from .features import DataMatrix, lda_fit, project
+from .features import DataMatrix, build_matrix, lda_fit, project
 
 
 @dataclass(frozen=True)
@@ -173,6 +176,20 @@ def median_curve(points: Sequence[tuple[float, float]]) -> list[tuple[float, flo
     ]
 
 
+def write_kl_curve_csv(points: Sequence[Sequence[float]], path) -> None:
+    """Curve export: ``level_pct,replicate,kl`` with replicate per level."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    counters: dict[float, int] = {}
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["level_pct", "replicate", "kl"])
+        for level, kl in points:
+            rep = counters.get(level, 0)
+            counters[level] = rep + 1
+            writer.writerow([level, rep, repr(float(kl))])
+
+
 #: Frozen reference curve for the coconut-oil functional map: 9 levels x 8
 #: replicates of (adulteration %, KL divergence).  fit_linear over these
 #: points reproduces slope 1.0497, intercept -1.001, R^2 0.9558; they
@@ -197,3 +214,25 @@ REFERENCE_OIL_POINTS: tuple[tuple[float, float], ...] = (
     (40.0, 37.969747), (40.0, 36.862865), (40.0, 48.389965), (40.0, 45.173570),
     (40.0, 43.469042), (40.0, 44.188085), (40.0, 35.957859), (40.0, 39.324867),
 )
+
+
+# --------------------------------------------------------------------------
+# Command handler (``dualmsi kl-regress``, listed in ``cli.COMMANDS``)
+# --------------------------------------------------------------------------
+
+
+def cmd_kl_regress(
+    args, out: Path, input: str, reference_label: float = 0.0, n_bins: int = 24
+) -> None:
+    """KL adulteration curve + linear functional map from a dataset directory."""
+    matrix = build_matrix(load_dataset(input), Mode.TRANSMITTANCE)
+    points = adulteration_curve(
+        matrix, lda_feature_extractor(matrix), reference_label=reference_label, n_bins=n_bins
+    )
+    medians = median_curve(points)
+    fmap = fit_linear(points)
+    write_kl_curve_csv(points, out / "kl_curve.csv")
+    write_json(fmap.to_json(), out / "functional_map.json")
+    write_json(fit_linear(medians).to_json(), out / "functional_map_medians.json")
+    print(f"functional map: slope {fmap.slope:.4f}, intercept {fmap.intercept:.4f}, "
+          f"R^2 {fmap.r_squared:.4f}")

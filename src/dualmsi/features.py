@@ -14,11 +14,12 @@ import warnings
 from array import array
 from dataclasses import dataclass
 from enum import Enum
+from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import Label, Mode, Sample, SpectralCube
+from .core import Label, Mode, Sample, SpectralCube, load_dataset
 from .errors import (
     ModeMismatchError,
     UnpairedSampleError,
@@ -471,3 +472,32 @@ def project(proj: Projection, matrix: DataMatrix) -> DataMatrix:
     return matrix.with_values(
         transformed, col_labels=tuple(f"{prefix}{i + 1}" for i in range(proj.k))
     )
+
+
+# --------------------------------------------------------------------------
+# Command handler (``dualmsi matrix``, listed in ``cli.COMMANDS``)
+# --------------------------------------------------------------------------
+
+
+def cmd_matrix(
+    args, out: Path, input: str | None = None, mode: Mode | None = None,
+    reflectance: str | None = None, transmittance: str | None = None, name: str = "matrix.csv",
+) -> None:
+    """Build a data matrix CSV from one or two (paired) dataset directories.
+
+    ``name`` is the CSV's file name inside ``--out``.
+    """
+    if name in ("", ".", "..") or Path(name).name != name or "\0" in name:
+        raise ValidationError(f"matrix name must be a plain file name, got {name!r}")
+    if input is None and mode is None and None not in (reflectance, transmittance):
+        r = build_matrix(load_dataset(reflectance), Mode.REFLECTANCE)
+        t = build_matrix(load_dataset(transmittance), Mode.TRANSMITTANCE)
+        matrix = merge(r, t)
+    elif input is not None and reflectance is None and transmittance is None:
+        matrix = build_matrix(load_dataset(input), mode or Mode.REFLECTANCE)
+    else:
+        raise ValidationError("config needs 'input' (and optionally 'mode') or else both "
+                              "'reflectance' and 'transmittance'")
+    path = out / name
+    matrix.to_csv(path)
+    print(f"wrote {matrix.n_rows}x{matrix.n_cols} matrix to {path}")

@@ -19,8 +19,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import Mode, Sample, SpectralCube, write_json
-from .divergence import adulteration_curve, fit_linear, median_curve
+from . import materials
+from .core import Mode, Sample, SpectralCube, load_dataset, write_json
+from .divergence import adulteration_curve, fit_linear, median_curve, write_kl_curve_csv
 from .errors import ValidationError
 from .features import (
     DataMatrix,
@@ -60,6 +61,7 @@ from .studies import (
     plan_case_study,
     render_white_reference,
 )
+from .synth import MixtureSpec, render_repeat_series
 
 
 # --------------------------------------------------------------------------
@@ -446,20 +448,6 @@ def write_grid(values: np.ndarray, path) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def write_kl_curve_csv(points: Sequence[Sequence[float]], path) -> None:
-    """Curve export: ``level_pct,replicate,kl`` with replicate per level."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    counters: dict[float, int] = {}
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["level_pct", "replicate", "kl"])
-        for level, kl in points:
-            rep = counters.get(level, 0)
-            counters[level] = rep + 1
-            writer.writerow([level, rep, repr(float(kl))])
-
-
 def write_accuracy_csv(tables: Mapping[str, Mapping[str, float]], path) -> None:
     """Accuracy CSV: one row per classifier, one column per table."""
     path = Path(path)
@@ -521,3 +509,51 @@ def write_consistency_report(report: SpatialConsistencyReport, out_dir, band: in
     write_grid(report.before.heatmap, out / "heatmap_before.dat")
     write_grid(report.after.heatmap, out / "heatmap_after.dat")
     write_grid(report.recommended_region.astype(float), out / "recommended_region.dat")
+
+
+# --------------------------------------------------------------------------
+# Command handlers (the three studies, ``dualmsi consistency`` and
+# ``dualmsi repeatability``, listed in ``cli.COMMANDS``)
+# --------------------------------------------------------------------------
+
+
+def cmd_study(args, out: Path, kind: str, /, **study: CaseStudyConfig) -> None:
+    """Run one case study (``kind`` is a ``StudyKind`` value) and write its bundle."""
+    kind = StudyKind(kind)
+    study_config = CaseStudyConfig.from_json(kind, study)
+    bundle = run_case_study(kind, study_config, args.seed)
+    write_study_bundle(bundle, out)
+    print(f"{kind.value} study -> {out / 'report.json'}")
+
+
+def cmd_consistency(
+    args, out: Path, white: str | None = None, kind: StudyKind = StudyKind.TURMERIC,
+    mode: Mode = Mode.REFLECTANCE, band: int | None = None, **study: CaseStudyConfig,
+) -> None:
+    """Spatial consistency report from a white dataset (or a synthetic one)."""
+    study_config = CaseStudyConfig.from_json(kind, study)
+    if white is None:
+        white_sample = render_white_reference(study_config, mode, args.seed)
+    else:
+        white_sample = next(load_dataset(white))
+    report = spatial_consistency_report(white_sample)
+    write_consistency_report(report, out, band=band)
+    print(
+        f"mean spectral distance {report.before.mean_distance:.5f} -> "
+        f"{report.after.mean_distance:.5f}; recommended region {report.region_size} px"
+    )
+
+
+def cmd_repeatability(
+    args, out: Path, kind: StudyKind = StudyKind.TURMERIC, mode: Mode = Mode.REFLECTANCE,
+    n_times: int = 10, drift_amplitude: float | None = None, **study: CaseStudyConfig,
+) -> None:
+    study_config = CaseStudyConfig.from_json(kind, study)
+    scene = study_config.scene(mode, MixtureSpec.pure(materials.TURMERIC), args.seed)
+    series = render_repeat_series(scene, n_times, drift_amplitude)
+    report = repeatability_report(series)
+    report["per_band_deviation_pct"] = {
+        str(k): v for k, v in report["per_band_deviation_pct"].items()
+    }
+    write_json(report, out / "repeatability.json")
+    print(f"max deviation {report['max_deviation_pct']:.3f}% over {report['n_captures']} captures")

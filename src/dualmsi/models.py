@@ -30,12 +30,14 @@ import numbers
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
+from .core import json_call, read_json, write_json
 from .errors import ValidationError
-from .features import DataMatrix
+from .features import DataMatrix, LabelKind
 from .synth import stream
 
 
@@ -890,3 +892,38 @@ def evaluate(model, test: DataMatrix) -> ConfusionMatrix:
     cells = np.searchsorted(keys, truth) * len(labels) + np.searchsorted(keys, predicted)
     counts = np.bincount(cells, minlength=len(labels) ** 2).reshape(len(labels), len(labels))
     return ConfusionMatrix(labels=labels, counts=counts)
+
+
+# --------------------------------------------------------------------------
+# Command handlers (``dualmsi train``, ``dualmsi eval``, listed in ``cli.COMMANDS``)
+# --------------------------------------------------------------------------
+
+
+def cmd_train(
+    args, out: Path, matrix: str, model: str = "decision_tree", params: dict | None = None,
+    fraction: float = 0.75, granularity: Granularity = Granularity.SAMPLE,
+    label_kind: LabelKind = LabelKind.ADULTERATION,
+) -> None:
+    """Split a matrix CSV, train one classifier, save model + split."""
+    data = DataMatrix.from_csv(matrix, label_kind)
+    if model not in MODEL_KINDS:
+        raise ValidationError(f"unknown model {model!r} (choose from {sorted(MODEL_KINDS)})")
+    classifier = json_call(MODEL_KINDS[model], params or {}, f"{model} params")
+    split = stratified_split(data, fraction, args.seed, granularity)
+    train, test = split_matrix(data, split)
+    classifier.fit(train.values, train.label_keys())
+    write_json(classifier.to_json(), out / "model.json")
+    write_json(split.to_json(), out / "split.json")
+    cm = evaluate(classifier, test)
+    write_json(cm.to_json(), out / "train_eval.json")
+    print(f"{model}: test accuracy {cm.accuracy:.4f} ({len(split.test_ids)} test units)")
+
+
+def cmd_eval(
+    args, out: Path, model: str, matrix: str, label_kind: LabelKind = LabelKind.ADULTERATION
+) -> None:
+    """Evaluate a saved model against a matrix CSV."""
+    classifier = model_from_json(read_json(model, "model JSON"))
+    cm = evaluate(classifier, DataMatrix.from_csv(matrix, label_kind))
+    write_json(cm.to_json(), out / "eval.json")
+    print(f"accuracy {cm.accuracy:.4f} over {cm.total} rows")

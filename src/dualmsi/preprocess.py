@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
+from pathlib import Path
 from typing import Mapping
 
 import numpy as np
 
-from .core import RAW_MAX, Sample, SpectralCube, crop
+from .core import RAW_MAX, Sample, SpectralCube, crop, load_dataset, save_dataset
 from .errors import DegenerateReferenceError, DimensionMismatchError, ValidationError
 
 
@@ -386,3 +387,25 @@ def preprocess_pipeline(
         label=sample.label,
         provenance=sample.provenance + tuple(applied),
     )
+
+
+# --------------------------------------------------------------------------
+# Command handler (``dualmsi preprocess``, listed in ``cli.COMMANDS``)
+# --------------------------------------------------------------------------
+
+
+def cmd_preprocess(
+    args, out: Path, input: str, white: str | None = None,
+    options: PipelineOptions = PipelineOptions(),
+) -> None:
+    """Apply the correction pipeline to a dataset directory, one sample at
+    a time.
+
+    Output frames are re-quantized to 16-bit for storage.
+    """
+    samples = load_dataset(input)
+    corrections = fit_corrections(next(load_dataset(white))) if white else None
+    written = save_dataset(
+        (quantize_sample(preprocess_pipeline(s, corrections, options)) for s in samples), out
+    )
+    print(f"preprocessed {written} samples -> {out}")

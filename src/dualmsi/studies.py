@@ -24,11 +24,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
 from enum import Enum
+from pathlib import Path
 
 import numpy as np
 
 from . import materials
-from .core import BandSet, Label, Mode, Sample, json_call, json_value
+from .core import BandSet, Label, Mode, Sample, json_call, json_value, save_dataset
 from .errors import ValidationError
 from .synth import (
     IlluminationProfile,
@@ -312,3 +313,28 @@ def render_white_reference(
         label=Label.adulteration(0.0),
     )
     return render(scene, sample_id=f"white-{mode.value}")
+
+
+# --------------------------------------------------------------------------
+# Command handler (``dualmsi synth``, listed in ``cli.COMMANDS``)
+# --------------------------------------------------------------------------
+
+
+def cmd_synth(
+    args, out: Path, kind: StudyKind | None = None, **study: CaseStudyConfig
+) -> None:
+    """Generate a case-study dataset (plus white references) on disk.
+
+    Each mode's captures are rendered and written one at a time."""
+    kind = kind or StudyKind(args.kind or "turmeric")
+    study_config = CaseStudyConfig.from_json(kind, study)
+    plan = plan_case_study(kind, study_config, args.seed)
+    written = dict.fromkeys(Mode, 0)
+    for mode in Mode:
+        captures = [capture for capture in plan if capture.scene.mode is mode]
+        if captures:
+            written[mode] = save_dataset((c.render() for c in captures), out / mode.value)
+            white = render_white_reference(study_config, mode, args.seed)
+            save_dataset([white], out / f"white_{mode.value}")
+    print(f"wrote {written[Mode.REFLECTANCE]} reflectance + {written[Mode.TRANSMITTANCE]} "
+          f"transmittance samples to {out}")

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dualmsi
-from dualmsi.cli import COMMANDS, main
+from dualmsi.cli import COMMANDS, STUDY_KINDS, command_handler, main
 from dualmsi.core import Label, Mode, Sample, json_value, load_dataset, save_dataset
 from dualmsi.models import MODEL_KINDS
 from dualmsi.studies import CaseStudyConfig, StudyKind, generate_case_study, render_white_reference
@@ -51,8 +51,9 @@ class TestSynthCommand:
         config.write_text(json.dumps({"kind": "chocolate"}))
         assert run(["--config", config, "--out", tmp_path / "o", "synth"]) == 2
 
-    def test_missing_out_is_validation_error(self, tmp_path):
+    def test_missing_out_is_validation_error(self, tmp_path, capsys):
         assert run(["synth", "--kind", "turmeric"]) == 2
+        assert capsys.readouterr().err == "error: this command needs --out\n"
 
     @pytest.mark.parametrize(
         "extra",
@@ -130,7 +131,7 @@ class TestPreprocessMatrixTrainEval(object):
             "options": options,
         }))
         assert run(["--config", cfg, "--out", tmp_path / "o", "preprocess"]) == 2
-        assert not list((tmp_path / "o").iterdir())
+        assert not (tmp_path / "o").exists()
 
     def test_missing_input_dir_fails_cleanly(self, tmp_path):
         cfg = tmp_path / "x.json"
@@ -678,7 +679,7 @@ class TestUnknownKeys:
         out = tmp_path / "o"
         assert run(["--config", cfg, "--out", out, command]) == 2
         assert f"config keys ['{key}']" in capsys.readouterr().err
-        assert not any(out.rglob("*"))
+        assert not out.exists()
 
     @pytest.mark.parametrize("command, own", [("synth", "kind"), ("consistency", "band"),
                                               ("consistency", "white"), ("repeatability", "mode")])
@@ -724,7 +725,8 @@ def assert_json_type(hint, what):
         assert json_value(hint, JSON_SCALARS[hint], what) == JSON_SCALARS[hint]
 
 
-READERS = [(f"command {name}", handler, 2 + len(extra)) for name, (handler, *extra) in COMMANDS.items()]
+HANDLERS = {name: command_handler(name) for name in COMMANDS}
+READERS = [(f"command {name}", handler, 2 + len(extra)) for name, (handler, extra) in HANDLERS.items()]
 READERS += [(f"model {name}", cls, 0) for name, cls in MODEL_KINDS.items()]
 
 
@@ -748,9 +750,10 @@ def test_cli_import_leaves_scipy_integrate_and_optimize_unloaded():
     assert result.stdout.strip() == "[]"
 
 
-def loaded_scipy_modules(code: str, cwd: Path) -> list[str]:
-    """The scipy modules loaded after running ``code`` in a fresh interpreter."""
-    code += "\nimport json, sys; print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))"
+def loaded_modules(package: str, code: str, cwd: Path) -> list[str]:
+    """The modules of ``package`` loaded after running ``code`` in a fresh interpreter."""
+    code += ("\nimport json, sys; "
+             f"print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == {package!r})))")
     src = str(Path(dualmsi.__file__).parents[1])
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, cwd=cwd,
                             check=True, env={**os.environ, "PYTHONPATH": src})
@@ -759,7 +762,7 @@ def loaded_scipy_modules(code: str, cwd: Path) -> list[str]:
 
 def test_cli_import_leaves_scipy_unloaded(tmp_path):
     # no command needs scipy: the LDA eigensolve runs on numpy's LAPACK
-    assert loaded_scipy_modules("import dualmsi.cli", tmp_path) == []
+    assert loaded_modules("scipy", "import dualmsi.cli", tmp_path) == []
 
 
 def write_lda_configs(root: Path) -> None:
@@ -782,7 +785,7 @@ LDA_RUNS = {
 def test_lda_commands_leave_scipy_unloaded(tmp_path, command):
     write_lda_configs(tmp_path)
     code = "from dualmsi.cli import main\n" + LDA_RUNS[command]
-    assert loaded_scipy_modules(code, tmp_path) == []
+    assert loaded_modules("scipy", code, tmp_path) == []
 
 
 @pytest.mark.parametrize("command", sorted(LDA_RUNS))
@@ -791,7 +794,7 @@ def test_lda_commands_run_with_scipy_blocked(tmp_path, command):
     # as for an install with numpy alone
     write_lda_configs(tmp_path)
     code = "import sys\nsys.modules['scipy'] = None\nfrom dualmsi.cli import main\n" + LDA_RUNS[command]
-    assert loaded_scipy_modules(code, tmp_path) == ["scipy"]
+    assert loaded_modules("scipy", code, tmp_path) == ["scipy"]
 
 
 def test_synth_run_leaves_scipy_unloaded(tmp_path):
@@ -799,5 +802,97 @@ def test_synth_run_leaves_scipy_unloaded(tmp_path):
     (tmp_path / "c.json").write_text(json.dumps(config))
     code = ("from dualmsi.cli import main\n"
             "assert main(['--config', 'c.json', '--out', 'o', 'synth']) == 0")
-    assert loaded_scipy_modules(code, tmp_path) == []
+    assert loaded_modules("scipy", code, tmp_path) == []
     assert (tmp_path / "o" / "transmittance").is_dir()
+
+
+
+SHELL = {"dualmsi", "dualmsi.cli", "dualmsi.core", "dualmsi.errors", "dualmsi.pgm"}
+
+
+def test_cli_import_loads_only_the_shell_and_numpy(tmp_path):
+    assert set(loaded_modules("dualmsi", "import dualmsi.cli", tmp_path)) == SHELL
+    assert "numpy" in loaded_modules("numpy", "import dualmsi.cli", tmp_path)
+
+
+@pytest.fixture(scope="module")
+def chain_root(tmp_path_factory):
+    """A tiny turmeric dataset, its merged matrix and a model, through the CLI."""
+    root = tmp_path_factory.mktemp("chain")
+    steps = [("synth", {"kind": "turmeric", "replicates": 3, "levels": [0, 40], "width": 10,
+                        "height": 20}, "d"),
+             ("matrix", {"reflectance": root / "d/reflectance",
+                         "transmittance": root / "d/transmittance"}, "m"),
+             ("train", {"matrix": root / "m/matrix.csv"}, "t")]
+    for command, config, out in steps:
+        (root / f"{command}.json").write_text(json.dumps(config, default=str))
+        assert run(["--config", root / f"{command}.json", "--out", root / out, command]) == 0
+    return root
+
+
+# Each command's config (paths relative to ``chain_root``) and the layer
+# modules it loads beyond the shell.
+CHAIN_RUNS = {
+    "synth": ({"kind": "coconut_oil", "replicates": 1, "levels": [0, 40], "width": 10,
+               "height": 10}, {"studies", "synth", "materials"}),
+    "preprocess": ({"input": "d/transmittance", "white": "d/white_transmittance"}, {"preprocess"}),
+    "matrix": ({"input": "d/reflectance"}, {"features"}),
+    "train": ({"matrix": "m/matrix.csv"}, {"models", "features", "synth"}),
+    "eval": ({"matrix": "m/matrix.csv", "model": "t/model.json"}, {"models", "features", "synth"}),
+    "kl-regress": ({"input": "d/transmittance", "n_bins": 8}, {"divergence", "features"}),
+    "protocol-sim": ({"n_bands": 3}, {"devicelink"}),
+    "consistency": ({"width": 20, "height": 20}, {"harness", "studies", "synth", "materials",
+                                                  "preprocess", "features", "models", "divergence"}),
+}
+
+
+@pytest.mark.parametrize("command", sorted(CHAIN_RUNS))
+def test_command_loads_only_its_layer(chain_root, tmp_path, command):
+    config, layer = CHAIN_RUNS[command]
+    (tmp_path / "c.json").write_text(json.dumps(config))
+    argv = ["--config", str(tmp_path / "c.json"), "--out", str(tmp_path / "o"), command]
+    code = f"from dualmsi.cli import main\nassert main({argv!r}) == 0"
+    loaded = set(loaded_modules("dualmsi", code, chain_root))
+    assert loaded == SHELL | {f"dualmsi.{name}" for name in layer}
+
+
+def test_kind_flag_choices_are_the_study_kinds(tmp_path):
+    assert STUDY_KINDS == tuple(kind.value for kind in StudyKind)
+    with pytest.raises(SystemExit) as exc:
+        run(["--out", tmp_path / "o", "synth", "--kind", "chocolate"])
+    assert exc.value.code == 2
+    assert not (tmp_path / "o").exists()
+
+
+# Configs the config reader refuses (besides unknown keys, in TestUnknownKeys):
+# a missing required key, and a mistyped key (own, nested or study field).
+REFUSED_CONFIGS = [
+    ("preprocess", {}),
+    ("train", {}),
+    ("eval", {"matrix": "m.csv"}),
+    ("kl-regress", {}),
+    ("synth", {"kind": 3}),
+    ("synth", {"replicates": "3"}),
+    ("preprocess", {"input": "d", "options": {"bilateral": {"window": "5"}}}),
+    ("matrix", {"name": 3}),
+    ("train", {"matrix": "m.csv", "fraction": "0.5"}),
+    ("eval", {"model": "m.json", "matrix": "m.csv", "label_kind": 1}),
+    ("kl-regress", {"input": "d", "n_bins": 8.5}),
+    ("colorcheck", {"n_classes": "2"}),
+    ("turmeric", {"levels": "0,40"}),
+    ("coconut-oil", {"noise": {"dark_sd": "x"}}),
+    ("consistency", {"band": "530"}),
+    ("consistency", {"width": 2.5}),
+    ("repeatability", {"n_times": 2.5}),
+    ("protocol-sim", {"fail": "yes"}),
+]
+
+
+@pytest.mark.parametrize("command, config", REFUSED_CONFIGS,
+                         ids=[f"{c}-{json.dumps(k)}" for c, k in REFUSED_CONFIGS])
+def test_refused_config_exits_2_before_out_is_created(tmp_path, capsys, command, config):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(config))
+    assert run(["--config", cfg, "--out", tmp_path / "o" / "x", command]) == 2
+    assert f"{command} config" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, event, example, given, settings, strategies as st
 
-from dualmsi.cli import COMMANDS, main
+from dualmsi.cli import COMMANDS, command_handler, main
 from dualmsi.core import Label, Mode, Sample, save_dataset
 from dualmsi.models import MODEL_KINDS
 from dualmsi.studies import CaseStudyConfig
@@ -334,7 +334,7 @@ def classifier_params(draw) -> dict:
 def config_keys(command: str) -> set[str]:
     """Every key ``command`` reads: its handler's keyword parameters, plus
     the study fields for a handler that takes ``**study``."""
-    handler, *extra = COMMANDS[command]
+    handler, extra = command_handler(command)
     params = list(inspect.signature(handler).parameters.values())[2 + len(extra):]
     keys = {p.name for p in params if p.kind is not p.VAR_KEYWORD}
     if any(p.kind is p.VAR_KEYWORD for p in params):

@@ -17,9 +17,9 @@ from dualmsi.harness import (
     write_accuracy_csv,
     write_grid,
     write_json,
-    write_kl_curve_csv,
     write_study_bundle,
 )
+from dualmsi.divergence import write_kl_curve_csv
 from dualmsi.preprocess import fit_corrections
 from dualmsi.studies import CaseStudyConfig, StudyKind, render_white_reference
 from dualmsi.synth import (
