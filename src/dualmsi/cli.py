@@ -10,8 +10,8 @@ layer loaded and not the rest of the package.
 
 A handler's keyword parameters are its config schema: ``main`` reads each
 key of the config object as the parameter it names, typed by its
-annotation (``core.json_kwargs``), and only then creates ``--out``; a key
-that names none, or a value of the wrong type, exits 2.  The
+annotation (``core.json_kwargs``); a key that names none, or a value of
+the wrong type, exits 2.  ``--out`` appears at a handler's first write.  The
 study-reading handlers also take the ``CaseStudyConfig`` fields as
 ``**study`` and pass them on to ``CaseStudyConfig.from_json``.
 """
@@ -106,9 +106,7 @@ def main(argv=None) -> int:
             raise ValidationError("this command needs --out")
         handler, extra = command_handler(args.command)
         kwargs = json_kwargs(handler, config, f"{args.command} config", 2 + len(extra))
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        handler(args, out, *extra, **kwargs)
+        handler(args, Path(args.out), *extra, **kwargs)
         return EXIT_OK
     except DualMsiError as exc:
         print(f"error: {exc}", file=sys.stderr)

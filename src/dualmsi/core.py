@@ -465,10 +465,12 @@ def save_sample(sample: Sample, dir_path) -> None:
 def _read_manifest(directory: Path) -> tuple[_Manifest, BandSet]:
     """The checked manifest of the sample directory ``directory`` and the
     band set it lists; reads no frame."""
-    manifest_path = directory / MANIFEST_NAME
-    if not manifest_path.is_file():
-        raise ValidationError(f"no {MANIFEST_NAME} in {directory}")
-    manifest = json_value(_Manifest, read_json(manifest_path, "manifest"), f"manifest in {directory}")
+    try:
+        obj = read_json(directory / MANIFEST_NAME, "manifest")
+    # nothing there, a directory, a file as a parent, or a NUL in the name
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError, ValueError):
+        raise ValidationError(f"no {MANIFEST_NAME} in {directory}") from None
+    manifest = json_value(_Manifest, obj, f"manifest in {directory}")
     if manifest.bit_depth != BIT_DEPTH:
         raise ValidationError(f"unsupported bit depth {manifest.bit_depth}")
     wavelengths = sorted(entry.wavelength_nm for entry in manifest.bands)
@@ -483,11 +485,11 @@ def _read_sample(directory: Path, manifest: _Manifest, band_set: BandSet) -> Sam
 
     def read_frame(file_name: str, wavelength_nm: int | None) -> np.ndarray:
         path = directory / file_name
-        if not path.is_file():
-            if wavelength_nm is not None:
-                raise MissingFrameError(wavelength_nm, path)
-            raise ValidationError(f"missing dark frame: {path}")
-        values = read_pgm16(path)
+        try:
+            values = read_pgm16(path)
+        except (FileNotFoundError, IsADirectoryError, NotADirectoryError, ValueError):
+            raise (ValidationError(f"missing dark frame: {path}") if wavelength_nm is None
+                   else MissingFrameError(wavelength_nm, path)) from None
         if values.shape != (manifest.height, manifest.width):
             raise DimensionMismatchError(
                 f"{path} is {values.shape[1]}x{values.shape[0]}, "
@@ -511,12 +513,11 @@ def save_dataset(samples, dir_path) -> int:
     """Write a dataset directory: one subdirectory per sample, named by id.
 
     ``samples`` may be any iterable, a generator included: each sample is
-    written as it arrives, so a generator holds one sample at a time.  A
-    repeated id raises ValidationError before that sample is written; the
-    samples before it stay written.  Returns the number of samples written.
+    written as it arrives (the directory with the first), so a generator
+    holds one sample at a time.  A repeated id raises ValidationError before
+    that sample is written; the ones before it stay.  Returns the count.
     """
     directory = Path(dir_path)
-    directory.mkdir(parents=True, exist_ok=True)
     seen = set()
     for sample in samples:
         if sample.id in seen:
@@ -540,7 +541,7 @@ def load_dataset(dir_path) -> Iterator[Sample]:
         raise ValidationError(f"not a dataset directory: {directory}")
     entries = [
         (sub, *_read_manifest(sub))
-        for sub in sorted(p for p in directory.iterdir() if p.is_dir())
+        for sub in sorted(directory.iterdir())
         if (sub / MANIFEST_NAME).is_file()
     ]
     if not entries:

@@ -350,5 +350,6 @@ def cmd_protocol_sim(
         transcript = run_sequential_capture(fw, camera)
     else:
         transcript = capture_handshake(band, fw, camera)
+    out.mkdir(parents=True, exist_ok=True)
     (out / "transcript.log").write_text(render_transcript(transcript))
     print(f"{len(transcript)} events -> {out / 'transcript.log'}")

@@ -92,7 +92,8 @@ class DataMatrix:
         )
 
     def to_csv(self, path) -> None:
-        """Write ``sample_id,label,<col_labels...>`` rows."""
+        """Write ``sample_id,label,<col_labels...>`` rows, parent directory too."""
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["sample_id", "label", *self.col_labels])

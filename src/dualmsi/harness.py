@@ -469,7 +469,6 @@ def write_study_bundle(bundle: dict, out_dir) -> None:
     (a single table becomes the one column of the study's one mode).
     """
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     write_json(bundle, out / "report.json")
     accuracy = bundle["accuracy"]
     first = next(iter(accuracy.values()))
@@ -495,7 +494,6 @@ def write_consistency_report(report: SpatialConsistencyReport, out_dir, band: in
     if shown not in wavelengths:
         raise ValidationError(f"band {shown} nm is not in the band set {wavelengths}")
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     summary = {
         "center_before": list(report.before.center),
         "center_after": list(report.after.center),

@@ -4,7 +4,8 @@ All fits are deterministic given their seed and every predict is pure.
 Tie-breaking rules are pinned everywhere so identical inputs give
 identical models on any platform:
 
-* KNN votes break ties by smallest summed distance, then smallest label.
+* KNN ranks by exact distance, then training row; votes break ties by
+  smallest summed distance (added nearest first), then smallest label.
 * Tree splits maximize Gini decrease; equal gains keep the lowest feature
   index, then the lowest threshold (midpoints of adjacent sorted values).
 * Forest/class votes break ties toward the smallest label.
@@ -172,19 +173,13 @@ def _rows(x, width: int) -> np.ndarray:
 # Bytes of working memory one block of KNearestNeighbors.predict, or one
 # block of candidate features in a tree node's split search, may use.
 WORKING_MEMORY = 8 * 2**20
-# Rows per BLAS product in KNearestNeighbors.predict.  BLAS may round a row
-# of a product differently with the number of rows in the call, so the
-# products run over fixed chunks of the test rows and a block is a whole
-# number of chunks: no distance depends on the block size, and up to this
-# many test rows take one product, as before blocking.
-KNN_PRODUCT_ROWS = 128
 
 
 def _knn_row_bytes(n_train: int, k: int, n_labels: int) -> int:
-    """Working memory of one test row in a predict block: its distance and
-    partition-index rows, its k candidate votes and distances, and its
-    per-label counts, sums and masks, 8 bytes each."""
-    return 8 * (2 * n_train + 2 * k + 4 * n_labels)
+    """Working memory of one test row in a predict block, 8 bytes an entry:
+    up to every training row as a candidate (row and column index, exact
+    distance, two temporaries), k nearest and per-label counts, sums, masks."""
+    return 8 * (5 * n_train + 3 * k + 4 * n_labels)
 
 
 class KNearestNeighbors:
@@ -206,55 +201,59 @@ class KNearestNeighbors:
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Labels of the rows of ``x``, computed in row blocks whose working
-        memory stays within ``WORKING_MEMORY``.  A block is a whole
-        number of ``KNN_PRODUCT_ROWS``-row chunks, at least one."""
+        memory stays within ``WORKING_MEMORY``, at least one row each."""
         if self.train_x is None:
             raise ValidationError("predict before fit")
         x = _rows(x, self.train_x.shape[1])
         labels, train_idx = np.unique(self.train_y, return_inverse=True)
         train_sq = (self.train_x**2).sum(axis=1)
-        chunk_bytes = _knn_row_bytes(train_sq.size, self.k, labels.size) * KNN_PRODUCT_ROWS
-        step = max(1, WORKING_MEMORY // chunk_bytes) * KNN_PRODUCT_ROWS
+        step = max(1, WORKING_MEMORY // _knn_row_bytes(train_sq.size, self.k, labels.size))
         out = np.empty(x.shape[0])
         for start in range(0, x.shape[0], step):
             block = slice(start, start + step)
             out[block] = labels[self._vote(x[block], train_sq, train_idx, labels.size)]
         return out
 
-    def _squared_distances(self, x, train_sq) -> np.ndarray:
-        """|x|^2 + |t|^2 - 2 x.t for every row pair, clipped at zero; the
-        products run over the fixed ``KNN_PRODUCT_ROWS`` chunks of ``x``."""
-        product = np.empty((x.shape[0], train_sq.size))
-        for start in range(0, x.shape[0], KNN_PRODUCT_ROWS):
-            chunk = slice(start, start + KNN_PRODUCT_ROWS)
-            np.matmul(x[chunk], self.train_x.T, out=product[chunk])
-        product *= 2.0
-        d2 = (x**2).sum(axis=1)[:, None] + train_sq[None, :]
-        d2 -= product
-        return np.maximum(d2, 0.0, out=d2)
+    def _candidates(self, x, train_sq) -> np.ndarray:
+        """Ascending flat indices of the (test row, training row) pairs that
+        hold every training row whose exact distance is at most the row's k-th.
+        BLAS and the exact sum each round within 2 gamma_{d+2} (|x|^2 + |t|^2)
+        of the true distance (Higham, Accuracy and Stability of Numerical
+        Algorithms, 3.1), so no row whose BLAS distance exceeds the k-th one's
+        by 2 delta, delta = 4 gamma_{d+2} (|x|^2 + max |t|^2), is nearer."""
+        x_sq = (x**2).sum(axis=1)
+        d2 = x @ self.train_x.T
+        d2 *= -2.0
+        d2 += x_sq[:, None]
+        d2 += train_sq
+        kth = np.partition(d2, self.k - 1, axis=1)[:, self.k - 1]
+        n_rounding = (x.shape[1] + 2) * np.finfo(np.float64).eps / 2
+        delta = 4 * n_rounding / (1 - n_rounding) * (x_sq + train_sq.max())
+        far = d2 > (kth + 2 * delta)[:, None]  # a NaN distance or bound is kept
+        return np.flatnonzero(np.invert(far, out=far))
 
     def _vote(self, x, train_sq, train_idx, n_labels) -> np.ndarray:
         """Index into the sorted labels of each row's majority vote."""
-        d2 = self._squared_distances(x, train_sq)
-        if self.k < train_sq.size:
-            candidates = np.argpartition(d2, self.k - 1, axis=1)[:, : self.k]
-        else:
-            candidates = np.broadcast_to(np.arange(train_sq.size), d2.shape)
-        votes = train_idx[candidates]
-        dists = np.take_along_axis(d2, candidates, axis=1)
-        rows = np.arange(x.shape[0])
+        rows, cols = np.divmod(self._candidates(x, train_sq), train_sq.size)
+        exact = np.zeros(rows.size)
+        for j in range(x.shape[1]):
+            diff = x[:, j].take(rows)
+            diff -= self.train_x[:, j].take(cols)
+            diff *= diff
+            exact += diff
+        order = np.lexsort((cols, exact, rows))  # rows stay grouped, as sorted
+        starts = np.searchsorted(rows, np.arange(x.shape[0]))
+        nearest = order[starts[:, None] + np.arange(self.k)]
+        votes = train_idx[cols[nearest]]
+        dists = exact[nearest]
+        block_rows = np.arange(x.shape[0])
         counts = np.zeros((x.shape[0], n_labels), dtype=np.int64)
         sums = np.zeros((x.shape[0], n_labels))
-        # summed left to right in candidate order, as numpy sums under 8 terms
-        for j in range(votes.shape[1]):
-            counts[rows, votes[:, j]] += 1
-            sums[rows, votes[:, j]] += dists[:, j]
-        tied = counts == counts.max(axis=1, keepdims=True)
-        # numpy sums 8 or more terms pairwise: redo such tied sums its way
-        for i in np.nonzero((tied.sum(axis=1) > 1) & (counts.max(axis=1) >= 8))[0]:
-            for c in np.nonzero(tied[i])[0]:
-                sums[i, c] = dists[i][votes[i] == c].sum()
+        for j in range(self.k):  # nearest first
+            counts[block_rows, votes[:, j]] += 1
+            sums[block_rows, votes[:, j]] += dists[:, j]
         # ties: smallest summed distance, then smallest label
+        tied = counts == counts.max(axis=1, keepdims=True)
         tied_sums = np.where(tied, sums, np.inf)
         best = tied & (tied_sums == tied_sums.min(axis=1, keepdims=True))
         return np.argmax(best, axis=1)

@@ -480,6 +480,18 @@ class TestManifestValidation:
         assert run(["--config", cfg, "--out", tmp_path / "o", "matrix"]) == 2
         assert not (tmp_path / "o" / "matrix.csv").exists()
 
+    @pytest.mark.parametrize("frame", ["dark", "band"])
+    def test_absent_frame_exits_2(self, tmp_path, frame):
+        data = tiny_dataset(tmp_path / "d")
+        path = data / "s1" / "dark.pgm" if frame == "dark" else min((data / "s1").glob("band_*"))
+        path.unlink()
+        if frame == "band":
+            path.mkdir()  # a directory in place of the frame
+        cfg = tmp_path / "m.json"
+        cfg.write_text(json.dumps({"input": str(data), "mode": "transmittance"}))
+        assert run(["--config", cfg, "--out", tmp_path / "o", "matrix"]) == 2
+        assert not (tmp_path / "o").exists()
+
     def test_kl_regress_on_mixed_modes_exits_2(self, tmp_path):
         modes = (Mode.TRANSMITTANCE, Mode.TRANSMITTANCE, Mode.REFLECTANCE, Mode.TRANSMITTANCE)
         data = tiny_dataset(tmp_path / "d", modes)
@@ -571,7 +583,7 @@ class TestStreamingChain:
         cfg.write_text(json.dumps({"input": str(data)}))
         assert run(["--config", cfg, "--out", tmp_path / "o", "preprocess"]) == 2
         assert str(data / "s3") in capsys.readouterr().err
-        assert not any((tmp_path / "o").iterdir())
+        assert not (tmp_path / "o").exists()
 
     def test_truncated_frame_in_a_middle_sample_exits_2_naming_it(self, tmp_path, capsys):
         data = tiny_dataset(tmp_path / "d")
@@ -699,7 +711,7 @@ class TestUnknownKeys:
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"kind": kind}))
         assert run(["--config", cfg, "--out", tmp_path / "o", command]) == 2
-        assert not any((tmp_path / "o").rglob("*"))
+        assert not (tmp_path / "o").exists()
 
 
 JSON_SCALARS = {bool: True, int: 3, float: 0.5, str: "x", dict: {}}
@@ -895,4 +907,24 @@ def test_refused_config_exits_2_before_out_is_created(tmp_path, capsys, command,
     cfg.write_text(json.dumps(config))
     assert run(["--config", cfg, "--out", tmp_path / "o" / "x", command]) == 2
     assert f"{command} config" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+FAILED_COMMANDS = [
+    ("turmeric", {"replicates": 0}, 2),
+    ("train", {"matrix": "m.csv", "model": "knn", "params": {"k": 0}}, 2),
+    ("matrix", {"input": "d", "name": "../m.csv"}, 2),
+    ("train", {"matrix": "missing.csv"}, 3),
+]
+
+
+@pytest.mark.parametrize("command, config, code", FAILED_COMMANDS,
+                         ids=[f"{c}-{json.dumps(k)}" for c, k, _ in FAILED_COMMANDS])
+def test_command_that_fails_before_writing_leaves_no_out(tmp_path, monkeypatch, command, config,
+                                                         code):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "m.csv").write_text("\n".join(matrix_csv_lines()) + "\n")
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(config))
+    assert run(["--config", cfg, "--out", tmp_path / "o" / "x", command]) == code
     assert not (tmp_path / "o").exists()

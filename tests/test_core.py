@@ -270,6 +270,13 @@ class TestSampleFormat:
             load_sample(tmp_path / "mf")
         assert err.value.wavelength_nm == 530
 
+    def test_sample_without_manifest_error(self, tmp_path):
+        rng = np.random.default_rng(3)
+        save_sample(random_raw_sample(rng, "nm", n_bands=2), tmp_path / "nm")
+        (tmp_path / "nm" / "manifest.json").unlink()
+        with pytest.raises(ValidationError, match="no manifest.json in"):
+            load_sample(tmp_path / "nm")
+
     def test_dimension_mismatch_error(self, tmp_path):
         rng = np.random.default_rng(4)
         sample = random_raw_sample(rng, "dm", n_bands=2, size=8)

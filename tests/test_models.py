@@ -1,6 +1,12 @@
+import functools
 import json
 import math
+import operator
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -505,19 +511,21 @@ def oracle_forest_predict(forest_json, x):
 
 
 def oracle_knn_predict(train_x, train_y, k, x):
-    d2 = (x**2).sum(axis=1)[:, None] + (train_x**2).sum(axis=1)[None, :] - 2.0 * (x @ train_x.T)
-    np.maximum(d2, 0.0, out=d2)
-    if k < train_x.shape[0]:
-        candidates = np.argpartition(d2, k - 1, axis=1)[:, :k]
-    else:
-        candidates = np.broadcast_to(np.arange(train_x.shape[0]), (x.shape[0], train_x.shape[0]))
+    """Criterion 08's rule: exact squared distances summed over features in
+    column order, the k nearest in stable (distance, training row) order, and
+    vote ties to the smallest sum of their distances added nearest first,
+    then to the smallest label."""
     out = np.empty(x.shape[0])
-    for i in range(x.shape[0]):
-        votes = train_y[candidates[i]]
-        dists = d2[i, candidates[i]]
+    for i, row in enumerate(x):
+        dists = np.zeros(train_x.shape[0])
+        for j in range(train_x.shape[1]):
+            dists += (row[j] - train_x[:, j]) ** 2
+        nearest = np.argsort(dists, kind="stable")[:k]
+        votes = train_y[nearest]
         labels = np.unique(votes)
         counts = np.array([(votes == l).sum() for l in labels])
-        sums = np.array([dists[votes == l].sum() for l in labels])
+        sums = np.array([functools.reduce(operator.add, dists[nearest][votes == l], 0.0)
+                         for l in labels])
         best = counts == counts.max()
         out[i] = labels[best][np.argmin(sums[best])]
     return out
@@ -589,9 +597,10 @@ class TestEquivalenceWithReference:
         got = KNearestNeighbors(k=k).fit(x, y).predict(q)
         assert np.array_equal(got, oracle_knn_predict(x, y, k, q))
 
-    def test_knn_tie_of_eight_or_more_uses_numpy_sums(self):
-        # 8 votes each: numpy sums class 1's squared distances 2**54 + 1 * 7
-        # pairwise to 2**54 + 4, where an in-order sum gives 2**54 and a tie
+    def test_knn_vote_sums_add_nearest_first(self):
+        # 8 votes each: nearest first, class 1's squared distances sum 1 * 7
+        # + 2**54 to 2**54 + 8 and class 2's to 2**54, where adding in
+        # training-row order gives 2**54 for both and a tie
         x = np.array([2.0**27] + [1.0] * 7 + [-(2.0**27)] + [0.0] * 7)[:, None]
         y = np.array([1.0] * 8 + [2.0] * 8)
         q = np.zeros((1, 1))
@@ -600,70 +609,75 @@ class TestEquivalenceWithReference:
 
 
 def budget_for(block_rows, n_train, k, n_labels):
-    """A ``WORKING_MEMORY`` whose predict blocks hold ``block_rows`` rows
-    (a multiple of ``KNN_PRODUCT_ROWS``)."""
+    """A ``WORKING_MEMORY`` whose predict blocks hold ``block_rows`` rows."""
     return block_rows * models._knn_row_bytes(n_train, k, n_labels)
 
 
+# A diagonal query point is exactly as far from a training row near the
+# diagonal as from its mirror; OpenBLAS rounds the products of this grid's
+# mirrored pairs differently with one and with two threads.
+THREADED_PREDICT = """
+import numpy as np
+from dualmsi.models import KNearestNeighbors
+rng = np.random.default_rng(3)
+n, d = 867, 8
+x = (rng.integers(-4, 5, size=(n, 1)) + rng.integers(-1, 2, size=(n, d))) / 7.0
+x, y = np.vstack([x, x[:, ::-1]]), np.repeat([0.0, 1.0], n)
+q = np.repeat(rng.integers(-4, 5, size=(502, 1)) / 7.0, d, axis=1)
+print(KNearestNeighbors(k=1).fit(x, y).predict(q).tobytes().hex())
+"""
+
+
 class TestBlockedKnn:
-    """``predict`` in row blocks must give the bytes of one block over all
-    rows, whatever the block size, including a last block of one row."""
+    """A label depends only on its test row and the training set: not on
+    the other rows of the batch, their order, the block size or the BLAS
+    thread count."""
 
     @settings(max_examples=80, deadline=None)
     @given(
-        data=labelled_matrices(max_rows=30),
+        data=labelled_matrices(max_rows=30, max_cols=12),
         k=st.integers(1, 40),
-        chunks=st.integers(1, 3),
-        full_blocks=st.integers(0, 2),
-        last_rows=st.one_of(st.just(1), st.integers(1, 3 * models.KNN_PRODUCT_ROWS)),
+        n_test=st.integers(1, 40),
+        block_rows=st.integers(1, 80),
         diagonal=st.booleans(),
         mirrored=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_blocked_predict_equals_one_block(self, data, k, chunks, full_blocks, last_rows,
-                                              diagonal, mirrored, seed):
+    def test_label_depends_on_the_row_alone(self, data, k, n_test, block_rows, diagonal,
+                                            mirrored, seed):
         x, y = data
         if mirrored:
             # a diagonal query is equally far from a row and its reversal, so
-            # the rounding of the product decides between the two labels
+            # the rounding of a product could decide between the two labels
             x, y = np.vstack([x, x[:, ::-1]]), np.concatenate([y, y + 1.0])
         k = min(k, x.shape[0])  # k == n_train votes with every training row
-        block = chunks * models.KNN_PRODUCT_ROWS
-        n_test = full_blocks * block + min(last_rows, block)
-        # queries on the training grid: many exactly tied distances
+        # queries on the training grid, and the training rows: many exact ties
         rng = np.random.default_rng(seed)
         grid = rng.integers(-4, 5, size=(n_test, 1 if diagonal else x.shape[1]))
         q = np.broadcast_to(grid / rng.choice([1.0, 3.0, 7.0]), (n_test, x.shape[1]))
-        q = np.vstack([q, x])[:n_test]
+        q = np.vstack([q, x])
         model = KNearestNeighbors(k=k).fit(x, y)
-        budget = budget_for(block, x.shape[0], k, np.unique(y).size)
-        with mock.patch.object(models, "WORKING_MEMORY", budget):
+        whole = model.predict(q)
+        alone = np.concatenate([model.predict(row) for row in q])
+        order = rng.permutation(q.shape[0])
+        shuffled = np.empty_like(whole)
+        shuffled[order] = model.predict(q[order])
+        with mock.patch.object(models, "WORKING_MEMORY",
+                               budget_for(block_rows, x.shape[0], k, np.unique(y).size)):
             blocked = model.predict(q)
-        with mock.patch.object(models, "WORKING_MEMORY", 2**62):
-            whole = model.predict(q)
-        assert blocked.tobytes() == whole.tobytes()
+        assert alone.tobytes() == shuffled.tobytes() == blocked.tobytes() == whole.tobytes()
+        assert np.array_equal(whole, oracle_knn_predict(x, y, k, q))
 
-    @settings(max_examples=12, deadline=None)
-    @given(
-        n_train=st.integers(1000, 2500),
-        d=st.integers(4, 24),
-        chunks=st.integers(1, 3),
-        full_blocks=st.integers(1, 2),
-        last_rows=st.one_of(st.just(1), st.integers(1, 3 * models.KNN_PRODUCT_ROWS)),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    def test_block_distances_equal_one_product(self, n_train, d, chunks, full_blocks, last_rows, seed):
-        # At these sizes BLAS rounds a row of one product over all rows and
-        # of a product over one block differently; the chunked products agree.
-        rng = np.random.default_rng(seed)
-        model = KNearestNeighbors(k=1).fit(rng.normal(size=(n_train, d)), np.zeros(n_train))
-        block = chunks * models.KNN_PRODUCT_ROWS
-        x = rng.normal(size=(full_blocks * block + min(last_rows, block), d))
-        train_sq = (model.train_x**2).sum(axis=1)
-        whole = model._squared_distances(x, train_sq)
-        for start in range(0, x.shape[0], block):
-            rows = slice(start, start + block)
-            assert model._squared_distances(x[rows], train_sq).tobytes() == whole[rows].tobytes()
+    def test_labels_do_not_depend_on_the_blas_thread_count(self):
+        src = str(Path(models.__file__).parents[1])
+        labels = [
+            subprocess.run([sys.executable, "-c", THREADED_PREDICT], capture_output=True,
+                           text=True, check=True,
+                           env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads})
+            .stdout
+            for threads in ("1", "2")
+        ]
+        assert labels[0] and labels[0] == labels[1]
 
     def test_block_size_follows_the_budget(self):
         rng = np.random.default_rng(3)
@@ -676,37 +690,39 @@ class TestBlockedKnn:
             sizes.append(rows.shape[0])
             return real(self, rows, *args)
 
-        chunk = models.KNN_PRODUCT_ROWS
         with mock.patch.object(KNearestNeighbors, "_vote", spy):
             for budget, want in [
-                (budget_for(2 * chunk, 50, 4, 3), [2 * chunk, 2 * chunk, 1]),
-                (budget_for(2 * chunk, 50, 4, 3) - 1, [chunk] * 4 + [1]),
-                (1, [chunk] * 4 + [1]),  # a block is never smaller than one chunk
+                (budget_for(3, 50, 4, 3), [3, 3, 1]),
+                (budget_for(3, 50, 4, 3) - 1, [2, 2, 2, 1]),
+                (1, [1] * 7),  # a block is never smaller than one row
             ]:
                 sizes.clear()
                 with mock.patch.object(models, "WORKING_MEMORY", budget):
-                    model.predict(rng.normal(size=(4 * chunk + 1, 3)))
+                    model.predict(rng.normal(size=(7, 3)))
                 assert sizes == want
 
     def test_blocks_stay_within_the_working_memory_budget(self):
         rng = np.random.default_rng(4)
         n_train, n_test, k = 3000, 2000, 5
-        x, y = rng.normal(size=(n_train, 8)), rng.integers(0, 9, n_train) * 5.0
-        q = rng.normal(size=(n_test, 8))
-        model = KNearestNeighbors(k=k).fit(x, y)
-        budget = budget_for(2 * models.KNN_PRODUCT_ROWS, n_train, k, 9)
-        with mock.patch.object(models, "WORKING_MEMORY", budget):
-            tracemalloc.start()
-            try:
-                base = tracemalloc.get_traced_memory()[0]
-                model.predict(q)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-        # outside its blocks predict holds the labels, the training indices
-        # and squared norms, the output, and np.unique's transient sort
-        outside = 8 * (8 * n_train + n_test)
-        assert peak - base <= budget + outside
+        y = rng.integers(0, 9, n_train) * 5.0
+        # spread rows, and rows on two points where every one is a candidate
+        tied = np.repeat(rng.integers(0, 2, size=(n_train, 1)), 8, axis=1).astype(float)
+        for x, q in [(rng.normal(size=(n_train, 8)), rng.normal(size=(n_test, 8))),
+                     (tied, np.full((n_test, 8), 0.5))]:
+            model = KNearestNeighbors(k=k).fit(x, y)
+            budget = budget_for(256, n_train, k, 9)
+            with mock.patch.object(models, "WORKING_MEMORY", budget):
+                tracemalloc.start()
+                try:
+                    base = tracemalloc.get_traced_memory()[0]
+                    model.predict(q)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+            # outside its blocks predict holds the labels, the training indices
+            # and squared norms, the output, and np.unique's transient sort
+            outside = 8 * (8 * n_train + n_test)
+            assert peak - base <= budget + outside
 
 
 def tree_bytes(tree: DecisionTree) -> list[bytes]:
