@@ -286,10 +286,16 @@ def read_json(path, what: str):
 def write_json(obj, path) -> None:
     """Write ``obj`` to ``path`` as strict JSON with sorted keys; a
     non-finite float raises ValueError, so :func:`read_json` reads back
-    everything written here."""
+    everything written here.  ``obj`` is encoded before the parent
+    directory is made: one nested too deeply to encode raises
+    ValidationError, as :func:`read_json` does, and leaves nothing behind."""
+    try:
+        text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except RecursionError:
+        raise ValidationError(f"cannot write {path}: JSON nested too deeply") from None
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n")
+    path.write_text(text)
 
 
 def json_value(hint, value, what: str):

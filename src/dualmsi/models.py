@@ -16,7 +16,13 @@ scoring all candidate features of a node in one vectorized pass.  Growth
 stays depth-first in preorder: a forest's per-split feature picker draws
 from each tree's random stream in that order, so growing level by level
 would change every forest.  Fitted trees are held as flat node arrays and
-predict by a vectorized descent; model JSON keeps the nested ``root`` form.
+predict by a vectorized descent; model JSON keeps the nested ``root`` form,
+converted both ways without recursion.
+
+Every model is saved in one layout, ``{"kind", <saved hyperparameters>,
+<fitted state>}`` (``_Model.to_json``), and read back by one reader,
+:func:`model_from_json`: the saved hyperparameters are constructor keywords
+typed by ``core.json_call``, exactly as ``train`` reads its ``params``.
 
 The default split granularity keeps all superpixel rows of a sample on
 one side: rows of one sample are near-duplicates, and splitting them
@@ -138,19 +144,21 @@ def split_matrix(matrix: DataMatrix, split: Split) -> tuple[DataMatrix, DataMatr
 # --------------------------------------------------------------------------
 
 
-def _check_param(name: str, value, low: float, strict: bool = False, optional: bool = False) -> None:
+def _check_param(name: str, value, low: float, strict=False, optional=False, integer=False) -> None:
     """Raise ValidationError naming ``name`` unless ``value`` is a finite
-    number >= ``low`` (> ``low`` when ``strict``), or None when ``optional``."""
+    number (an integer when ``integer``) >= ``low`` (> ``low`` when
+    ``strict``), or None when ``optional``."""
     if value is None and optional:
         return
     if (
         isinstance(value, bool)
-        or not isinstance(value, numbers.Real)
+        or not isinstance(value, numbers.Integral if integer else numbers.Real)
         # an int is finite, and too large for math.isfinite when huge
         or not (isinstance(value, numbers.Integral) or math.isfinite(value))
         or (value <= low if strict else value < low)
     ):
-        rule = f"{'null or ' if optional else ''}a finite number {'>' if strict else '>='} {low}"
+        number = "an integer" if integer else "a finite number"
+        rule = f"{'null or ' if optional else ''}{number} {'>' if strict else '>='} {low}"
         raise ValidationError(f"{name} must be {rule}, got {value!r}")
 
 
@@ -170,6 +178,22 @@ def _rows(x, width: int) -> np.ndarray:
     return x
 
 
+class _Model:
+    """The model JSON layout, ``{"kind": KIND, <PARAMS>, <fitted state>}``.
+
+    ``PARAMS`` names the saved hyperparameters, constructor keywords that
+    :func:`model_from_json` reads back with ``core.json_call``, typed as
+    ``train`` reads its ``params``; ``_state`` and ``_restore`` write and
+    read the fitted state.
+    """
+
+    KIND: str
+    PARAMS: tuple[str, ...]
+
+    def to_json(self) -> dict:
+        return {"kind": self.KIND, **{p: getattr(self, p) for p in self.PARAMS}, **self._state()}
+
+
 # Bytes of working memory one block of KNearestNeighbors.predict, or one
 # block of candidate features in a tree node's split search, may use.
 WORKING_MEMORY = 8 * 2**20
@@ -182,11 +206,13 @@ def _knn_row_bytes(n_train: int, k: int, n_labels: int) -> int:
     return 8 * (5 * n_train + 3 * k + 4 * n_labels)
 
 
-class KNearestNeighbors:
+class KNearestNeighbors(_Model):
     """Euclidean k-nearest-neighbor majority vote."""
 
+    KIND, PARAMS = "knn", ("k",)
+
     def __init__(self, k: int = 5):
-        _check_param("k", k, 1)
+        _check_param("k", k, 1, integer=True)
         self.k = k
         self.train_x = None
         self.train_y = None
@@ -258,21 +284,14 @@ class KNearestNeighbors:
         best = tied & (tied_sums == tied_sums.min(axis=1, keepdims=True))
         return np.argmax(best, axis=1)
 
-    def to_json(self) -> dict:
-        return {
-            "kind": "knn",
-            "k": self.k,
-            "train_x": self.train_x.tolist(),
-            "train_y": self.train_y.tolist(),
-        }
+    def _state(self) -> dict:
+        return {"train_x": self.train_x.tolist(), "train_y": self.train_y.tolist()}
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "KNearestNeighbors":
-        model = cls(k=obj["k"])
+    def _restore(self, obj: dict) -> None:
         x, y = np.array(obj["train_x"], dtype=np.float64), np.array(obj["train_y"], dtype=np.float64)
         if x.ndim != 2 or y.shape != x.shape[:1]:
             raise ValidationError("knn model JSON needs train_x rows and one train_y label per row")
-        return model.fit(x, y)
+        self.fit(x, y)
 
 
 def _gini(counts: np.ndarray, total: int) -> float:
@@ -303,8 +322,7 @@ def _best_split(xs, ys, total_counts, min_leaf, class_ids):
     tie-break, lowest feature, then lowest threshold.
     """
     m, n = xs.shape
-    edge = max(math.ceil(min_leaf), 1)  # fewest rows a side may keep
-    lo, hi = edge - 1, n - edge  # the gaps that keep them: lo .. hi - 1
+    lo, hi = min_leaf - 1, n - min_leaf  # the gaps that keep min_leaf rows a side: lo .. hi - 1
     if m == 0 or hi <= lo:
         return None
     parent = _gini(total_counts, n)
@@ -361,32 +379,33 @@ class TreeNodes(NamedTuple):
         )
 
     def nested(self) -> dict:
-        """The nested-dict form that model JSON stores."""
+        """The nested-dict form that model JSON stores, linked without
+        recursion, so a tree of any depth converts."""
         feature, threshold = self.feature.tolist(), self.threshold.tolist()
-        left, right, leaf = self.left.tolist(), self.right.tolist(), self.leaf.tolist()
-
-        def node(i):
-            if feature[i] < 0:
-                return {"leaf": leaf[i]}
-            return {
-                "feature": feature[i],
-                "threshold": threshold[i],
-                "left": node(left[i]),
-                "right": node(right[i]),
-            }
-
-        return node(0)
+        nodes = [
+            {"leaf": leaf} if f < 0 else {"feature": f, "threshold": t}
+            for f, t, leaf in zip(feature, threshold, self.leaf.tolist())
+        ]
+        for node, left, right in zip(nodes, self.left.tolist(), self.right.tolist()):
+            if "feature" in node:
+                node["left"], node["right"] = nodes[left], nodes[right]
+        return nodes[0]
 
     @classmethod
     def from_nested(cls, root, n_classes: int) -> "TreeNodes":
-        """Flatten and validate the nested-dict form."""
+        """Flatten and validate the nested-dict form, walking it in preorder
+        without recursion."""
         columns = ([], [], [], [], [])
 
         def is_index(value):
             return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
-        def visit(node) -> int:
+        stack = [(root, -1)]  # (node, parent of a right child or -1)
+        while stack:
+            node, parent = stack.pop()
             i = len(columns[0])
+            if parent >= 0:
+                columns[3][parent] = i
             if not isinstance(node, dict):
                 raise ValidationError(f"tree node {i} is not an object")
             if "leaf" in node:
@@ -396,7 +415,7 @@ class TreeNodes(NamedTuple):
                     )
                 for column, value in zip(columns, (-1, 0.0, -1, -1, node["leaf"])):
                     column.append(value)
-                return i
+                continue
             missing = [key for key in ("feature", "threshold", "left", "right") if key not in node]
             if missing:
                 raise ValidationError(f"tree node {i} has no 'leaf' and lacks {missing}")
@@ -405,13 +424,10 @@ class TreeNodes(NamedTuple):
                 raise ValidationError(f"tree node {i}: feature {node['feature']!r} is not an index")
             if not isinstance(threshold, (int, float)) or isinstance(threshold, bool):
                 raise ValidationError(f"tree node {i}: threshold {threshold!r} is not a number")
-            for column, value in zip(columns, (node["feature"], float(threshold), -1, -1, -1)):
+            for column, value in zip(columns, (node["feature"], float(threshold), i + 1, -1, -1)):
                 column.append(value)
-            columns[2][i] = visit(node["left"])
-            columns[3][i] = visit(node["right"])
-            return i
-
-        visit(root)
+            stack.append((node["right"], i))
+            stack.append((node["left"], -1))
         return cls.from_columns(*columns)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
@@ -430,12 +446,14 @@ class TreeNodes(NamedTuple):
         return self.leaf[node]
 
 
-class DecisionTree:
+class DecisionTree(_Model):
     """CART-style binary tree with Gini impurity and pinned tie-breaks."""
 
+    KIND, PARAMS = "decision_tree", ("max_depth", "min_leaf")
+
     def __init__(self, max_depth: int | None = None, min_leaf: int = 1):
-        _check_param("max_depth", max_depth, 1, optional=True)
-        _check_param("min_leaf", min_leaf, 1)
+        _check_param("max_depth", max_depth, 1, optional=True, integer=True)
+        _check_param("min_leaf", min_leaf, 1, integer=True)
         self.max_depth = max_depth
         self.min_leaf = min_leaf
         self.classes_ = None
@@ -518,25 +536,19 @@ class DecisionTree:
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         return self.classes_[self.nodes.apply(x)]
 
-    def to_json(self) -> dict:
-        return {
-            "kind": "decision_tree",
-            "max_depth": self.max_depth,
-            "min_leaf": self.min_leaf,
-            "classes": self.classes_.tolist(),
-            "root": self.root,
-        }
+    def _state(self) -> dict:
+        return {"classes": self.classes_.tolist(), "root": self.root}
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "DecisionTree":
-        model = cls(max_depth=obj["max_depth"], min_leaf=obj["min_leaf"])
-        model.classes_ = _classes(obj["classes"])
-        model.nodes = TreeNodes.from_nested(obj["root"], model.classes_.size)
-        return model
+    def _restore(self, obj: dict) -> None:
+        self.classes_ = _classes(obj["classes"])
+        self.nodes = TreeNodes.from_nested(obj["root"], self.classes_.size)
 
 
-class RandomForest:
+class RandomForest(_Model):
     """Bagged trees with per-split feature subsampling and majority vote."""
+
+    KIND = "random_forest"
+    PARAMS = ("n_trees", "mtry", "bootstrap", "seed", "max_depth", "min_leaf")
 
     def __init__(
         self,
@@ -547,10 +559,10 @@ class RandomForest:
         max_depth: int | None = None,
         min_leaf: int = 1,
     ):
-        _check_param("n_trees", n_trees, 1)
-        _check_param("mtry", mtry, 1, optional=True)
-        _check_param("max_depth", max_depth, 1, optional=True)
-        _check_param("min_leaf", min_leaf, 1)
+        _check_param("n_trees", n_trees, 1, integer=True)
+        _check_param("mtry", mtry, 1, optional=True, integer=True)
+        _check_param("max_depth", max_depth, 1, optional=True, integer=True)
+        _check_param("min_leaf", min_leaf, 1, integer=True)
         self.n_trees = n_trees
         self.mtry = mtry
         self.bootstrap = bootstrap
@@ -591,32 +603,12 @@ class RandomForest:
         # argmax takes the smallest label on ties
         return labels[np.argmax(counts.reshape(x.shape[0], labels.size), axis=1)]
 
-    def to_json(self) -> dict:
-        return {
-            "kind": "random_forest",
-            "n_trees": self.n_trees,
-            "mtry": self.mtry,
-            "bootstrap": self.bootstrap,
-            "seed": self.seed,
-            "max_depth": self.max_depth,
-            "min_leaf": self.min_leaf,
-            "classes": self.classes_.tolist(),
-            "trees": [t.to_json() for t in self.trees],
-        }
+    def _state(self) -> dict:
+        return {"classes": self.classes_.tolist(), "trees": [t.to_json() for t in self.trees]}
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "RandomForest":
-        model = cls(
-            n_trees=obj["n_trees"],
-            mtry=obj["mtry"],
-            bootstrap=obj["bootstrap"],
-            seed=obj["seed"],
-            max_depth=obj["max_depth"],
-            min_leaf=obj["min_leaf"],
-        )
-        model.classes_ = _classes(obj["classes"])
-        model.trees = [DecisionTree.from_json(t) for t in obj["trees"]]
-        return model
+    def _restore(self, obj: dict) -> None:
+        self.classes_ = _classes(obj["classes"])
+        self.trees = [_load(DecisionTree, tree) for tree in obj["trees"]]
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
@@ -625,8 +617,41 @@ def softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-class LogisticRegressionGD:
+class _Linear(_Model):
+    """Fitted state of a linear model: the sorted class labels, one row of
+    ``weights`` and one ``bias`` per class, all None before fit."""
+
+    classes_ = weights = bias = None
+
+    def _fitted(self, weights: np.ndarray, bias: np.ndarray):
+        """``self`` holding its fitted ``weights`` and ``bias``, which a too
+        large learning rate drives to inf or NaN: that fit raises instead."""
+        if not (np.isfinite(weights).all() and np.isfinite(bias).all()):
+            raise ValidationError(f"the fit diverged to non-finite weights: lower lr (got {self.lr!r})")
+        self.weights, self.bias = weights, bias
+        return self
+
+    def _state(self) -> dict:
+        return {
+            "classes": self.classes_.tolist(),
+            "weights": self.weights.tolist(),
+            "bias": self.bias.tolist(),
+        }
+
+    def _restore(self, obj: dict) -> None:
+        self.classes_ = _classes(obj["classes"])
+        self.weights = np.array(obj["weights"], dtype=np.float64)
+        self.bias = np.array(obj["bias"], dtype=np.float64)
+        if self.weights.ndim != 2 or self.weights.shape[0] != self.classes_.size or (
+            self.bias.shape != self.classes_.shape
+        ):
+            raise ValidationError("model weights and bias need one row per class")
+
+
+class LogisticRegressionGD(_Linear):
     """Multinomial softmax regression by full-batch gradient descent."""
+
+    KIND, PARAMS = "logistic", ("l2",)
 
     def __init__(
         self,
@@ -639,16 +664,13 @@ class LogisticRegressionGD:
         _check_param("l2", l2, 0.0)
         _check_param("lr", lr, 0.0, strict=True)
         _check_param("lr_decay", lr_decay, 0.0)
-        _check_param("epochs", epochs, 1)
+        _check_param("epochs", epochs, 1, integer=True)
         _check_param("tol", tol, 0.0)
         self.l2 = l2
         self.lr = lr
         self.lr_decay = lr_decay
         self.epochs = epochs
         self.tol = tol
-        self.classes_ = None
-        self.weights = None
-        self.bias = None
 
     def loss_and_grads(self, x, y_onehot, weights, bias):
         """Mean cross-entropy plus L2 on weights, with analytic gradients."""
@@ -683,7 +705,7 @@ class LogisticRegressionGD:
             lr = self.lr / (1.0 + self.lr_decay * epoch)
             weights -= lr * grad_w
             bias -= lr * grad_b
-        return _store_linear_fit(self, weights, bias)
+        return self._fitted(weights, bias)
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         if self.weights is None:
@@ -691,21 +713,8 @@ class LogisticRegressionGD:
         scores = _rows(x, self.weights.shape[1]) @ self.weights.T + self.bias
         return self.classes_[np.argmax(scores, axis=1)]
 
-    def to_json(self) -> dict:
-        return {
-            "kind": "logistic",
-            "l2": self.l2,
-            "classes": self.classes_.tolist(),
-            "weights": self.weights.tolist(),
-            "bias": self.bias.tolist(),
-        }
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "LogisticRegressionGD":
-        return _linear_from_json(cls(l2=obj["l2"]), obj)
-
-
-class LinearSVM:
+class LinearSVM(_Linear):
     """Linear SVM: per-class margins, argmax prediction, subgradient descent.
 
     The training objective is the multiclass (Crammer-Singer) hinge: each
@@ -714,6 +723,8 @@ class LinearSVM:
     the middle classes are not one-vs-rest separable and their scores
     collapse.
     """
+
+    KIND, PARAMS = "linear_svm", ("c",)
 
     def __init__(
         self,
@@ -725,14 +736,11 @@ class LinearSVM:
         _check_param("c", c, 0.0, strict=True)
         _check_param("lr", lr, 0.0, strict=True)
         _check_param("lr_decay", lr_decay, 0.0)
-        _check_param("epochs", epochs, 1)
+        _check_param("epochs", epochs, 1, integer=True)
         self.c = c
         self.lr = lr
         self.lr_decay = lr_decay
         self.epochs = epochs
-        self.classes_ = None
-        self.weights = None
-        self.bias = None
 
     def fit(self, x: np.ndarray, y: np.ndarray) -> "LinearSVM":
         x = np.asarray(x, dtype=np.float64)
@@ -766,7 +774,7 @@ class LinearSVM:
             lr = self.lr / (1.0 + self.lr_decay * epoch)
             weights -= lr * grad_w
             bias -= lr * grad_b
-        return _store_linear_fit(self, weights, bias)
+        return self._fitted(weights, bias)
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         if self.weights is None:
@@ -774,51 +782,27 @@ class LinearSVM:
         scores = _rows(x, self.weights.shape[1]) @ self.weights.T + self.bias
         return self.classes_[np.argmax(scores, axis=1)]
 
-    def to_json(self) -> dict:
-        return {
-            "kind": "linear_svm",
-            "c": self.c,
-            "loss": "multiclass",
-            "classes": self.classes_.tolist(),
-            "weights": self.weights.tolist(),
-            "bias": self.bias.tolist(),
-        }
+    def _state(self) -> dict:
+        return {**super()._state(), "loss": "multiclass"}
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "LinearSVM":
+    def _restore(self, obj: dict) -> None:
         if obj.get("loss", "multiclass") != "multiclass":
             raise ValidationError(f"unknown SVM loss {obj['loss']!r}")
-        return _linear_from_json(cls(c=obj["c"]), obj)
-
-
-def _store_linear_fit(model, weights: np.ndarray, bias: np.ndarray):
-    """``model`` holding its fitted ``weights`` and ``bias``, which a too
-    large learning rate drives to inf or NaN: that fit raises instead."""
-    if not (np.isfinite(weights).all() and np.isfinite(bias).all()):
-        raise ValidationError(f"the fit diverged to non-finite weights: lower lr (got {model.lr!r})")
-    model.weights, model.bias = weights, bias
-    return model
-
-
-def _linear_from_json(model, obj: dict):
-    """``model`` with the classes, weights and bias of its saved JSON."""
-    model.classes_ = _classes(obj["classes"])
-    model.weights = np.array(obj["weights"], dtype=np.float64)
-    model.bias = np.array(obj["bias"], dtype=np.float64)
-    if model.weights.ndim != 2 or model.weights.shape[0] != model.classes_.size or (
-        model.bias.shape != model.classes_.shape
-    ):
-        raise ValidationError("model weights and bias need one row per class")
-    return model
+        super()._restore(obj)
 
 
 MODEL_KINDS = {
-    "knn": KNearestNeighbors,
-    "decision_tree": DecisionTree,
-    "random_forest": RandomForest,
-    "logistic": LogisticRegressionGD,
-    "linear_svm": LinearSVM,
+    cls.KIND: cls
+    for cls in (KNearestNeighbors, DecisionTree, RandomForest, LogisticRegressionGD, LinearSVM)
 }
+
+
+def _load(cls, obj: dict):
+    """A ``cls`` model built from the saved hyperparameters of ``obj`` and
+    holding the fitted state ``obj`` describes."""
+    model = json_call(cls, {p: obj[p] for p in cls.PARAMS}, f"{cls.KIND} model JSON")
+    model._restore(obj)
+    return model
 
 
 def model_from_json(obj: dict):
@@ -832,7 +816,7 @@ def model_from_json(obj: dict):
     if not isinstance(kind, str) or kind not in MODEL_KINDS:
         raise ValidationError(f"unknown model kind {kind!r}")
     try:
-        return MODEL_KINDS[kind].from_json(obj)
+        return _load(MODEL_KINDS[kind], obj)
     except KeyError as exc:
         raise ValidationError(f"{kind} model JSON lacks key {exc}") from None
     except (TypeError, ValueError, OverflowError) as exc:

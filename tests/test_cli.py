@@ -304,6 +304,21 @@ class TestMalformedModelAndTrainConfigs:
         path.write_text(json.dumps(saved))
         assert self.run_with(tmp_path, "eval", {"model": str(path), "matrix": str(matrix_csv)}) == 2
 
+    @pytest.mark.parametrize("model, key, value", [("knn", "k", 5.0), ("random_forest", "n_trees", 2.0),
+                                                   ("random_forest", "bootstrap", "yes"),
+                                                   ("random_forest", "seed", 1.5)])
+    def test_eval_of_mistyped_saved_parameter_exits_2(self, tmp_path, capsys, matrix_csv, model, key,
+                                                      value):
+        params = {"k": 1} if model == "knn" else {"n_trees": 2}
+        config = {"matrix": str(matrix_csv), "model": model, "params": params}
+        assert self.run_with(tmp_path, "train", config) == 0
+        saved = json.loads((tmp_path / "o" / "model.json").read_text())
+        path = tmp_path / "bad_model.json"
+        path.write_text(json.dumps({**saved, key: value}))
+        capsys.readouterr()
+        assert self.run_with(tmp_path, "eval", {"model": str(path), "matrix": str(matrix_csv)}) == 2
+        assert f"{model} model JSON.{key} must be" in capsys.readouterr().err
+
     def test_eval_of_unparsable_model_exits_2(self, tmp_path, matrix_csv):
         path = tmp_path / "bad_model.json"
         path.write_text("{not json")
@@ -916,6 +931,23 @@ FAILED_COMMANDS = [
     ("matrix", {"input": "d", "name": "../m.csv"}, 2),
     ("train", {"matrix": "missing.csv"}, 3),
 ]
+
+
+def test_tree_too_deep_for_model_json_exits_2_and_leaves_no_out(tmp_path, capsys):
+    # two samples a label, x interleaved so that the training rows alternate
+    # labels: every split peels one row off, and the tree is as deep as the
+    # training rows are many, beyond the depth JSON can nest
+    n = sys.getrecursionlimit()
+    offsets = [(0.0, 0), (0.0, 2), (5.0, 1), (5.0, 3)]
+    rows = [f"s{s},{label!r},{4.0 * i + offset!r}" for s, (label, offset) in enumerate(offsets)
+            for i in range(n // 2 + 100)]
+    write_csv(tmp_path / "m.csv", ["sample_id,label,x", *rows])
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"matrix": str(tmp_path / "m.csv")}))
+    assert run(["--config", cfg, "--out", tmp_path / "o" / "x", "train"]) == 2
+    err = capsys.readouterr().err
+    assert "nested too deeply" in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("command, config, code", FAILED_COMMANDS,

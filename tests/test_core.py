@@ -366,6 +366,14 @@ class TestJsonFiles:
             write_json({"a": float("nan")}, tmp_path / "nan.json")
         assert not (tmp_path / "nan.json").exists()
 
+    def test_too_deeply_nested_raises_before_making_the_directory(self, tmp_path):
+        obj = {}
+        for _ in range(5_000):
+            obj = {"left": obj}
+        with pytest.raises(ValidationError, match="nested too deeply"):
+            write_json(obj, tmp_path / "sub" / "x.json")
+        assert not (tmp_path / "sub").exists()
+
 
 class TestPgm:
     def test_byte_layout_big_endian(self, tmp_path):

@@ -879,6 +879,19 @@ class TestMalformedModelJson:
         with pytest.raises(ValidationError):
             model_from_json([SEED_TREE_JSON])
 
+    def test_tree_deeper_than_the_recursion_limit_converts_both_ways(self):
+        # internal node 2i keeps leaf 2i + 1 on its left and the chain on its right
+        columns = ([], [], [], [], [])  # feature, threshold, left, right, leaf
+        for i in range(3 * sys.getrecursionlimit()):
+            node, leaf = (0, float(i), 2 * i + 1, 2 * i + 2, -1), (-1, 0.0, -1, -1, i % 2)
+            for column, values in zip(columns, zip(node, leaf)):
+                column.extend(values)
+        for column, value in zip(columns, (-1, 0.0, -1, -1, 0)):
+            column.append(value)
+        nodes = models.TreeNodes.from_columns(*columns)
+        again = models.TreeNodes.from_nested(nodes.nested(), 2)
+        assert all(np.array_equal(a, b) for a, b in zip(again, nodes))
+
     def test_feature_beyond_matrix_columns(self):
         model = model_from_json(json.loads(SEED_TREE_JSON))
         with pytest.raises(ValidationError):
@@ -914,6 +927,13 @@ class TestParameterRanges:
         (LinearSVM, "lr", -math.inf),
         (LinearSVM, "epochs", -1),
         (LinearSVM, "lr_decay", math.nan),
+        (KNearestNeighbors, "k", 5.0),
+        (DecisionTree, "max_depth", 2.5),
+        (DecisionTree, "min_leaf", 1.5),
+        (RandomForest, "n_trees", 2.0),
+        (RandomForest, "mtry", 1.0),
+        (LogisticRegressionGD, "epochs", 5.0),
+        (LinearSVM, "epochs", 5.0),
     ]
 
     @pytest.mark.parametrize("cls, name, value", OUT_OF_RANGE)
@@ -925,7 +945,47 @@ class TestParameterRanges:
     def test_forest_takes_null_for_unbounded(self, name):
         assert getattr(RandomForest(**{name: None}), name) is None
 
+    @pytest.mark.parametrize(
+        "cls, name",
+        [(KNearestNeighbors, "k"), (DecisionTree, "max_depth"), (DecisionTree, "min_leaf"),
+         (RandomForest, "n_trees"), (RandomForest, "mtry"), (LogisticRegressionGD, "epochs"),
+         (LinearSVM, "epochs")],
+    )
+    def test_numpy_integers_are_accepted(self, cls, name):
+        assert getattr(cls(**{name: np.int64(2)}), name) == 2
+
     def test_saved_model_with_a_bad_parameter_is_validation_error(self):
         obj = json.loads(SEED_TREE_JSON)
         with pytest.raises(ValidationError, match="min_leaf"):
             model_from_json({**obj, "min_leaf": -1})
+
+    # every saved hyperparameter of every kind, each with values of a wrong
+    # JSON type: a float for an int, a string, a bool for a number
+    MISTYPED = [
+        (KNearestNeighbors(k=1), "k", [5.0, "5", True]),
+        (DecisionTree(), "max_depth", [2.0, "2", True]),
+        (DecisionTree(), "min_leaf", [1.0, "1", False]),
+        (RandomForest(n_trees=2, seed=3), "n_trees", [2.0, "2", True]),
+        (RandomForest(n_trees=2, seed=3), "mtry", [1.0, "1", True]),
+        (RandomForest(n_trees=2, seed=3), "bootstrap", ["yes", 1, None]),
+        (RandomForest(n_trees=2, seed=3), "seed", [1.5, "3", True]),
+        (RandomForest(n_trees=2, seed=3), "max_depth", [2.0, "2", False]),
+        (RandomForest(n_trees=2, seed=3), "min_leaf", [1.0, "1", True]),
+        (LogisticRegressionGD(epochs=5), "l2", ["0.1", True, None]),
+        (LinearSVM(epochs=5), "c", ["1", True, None]),
+    ]
+
+    def test_mistyped_cases_cover_every_saved_parameter(self):
+        covered = {(model.KIND, name) for model, name, _ in self.MISTYPED}
+        assert covered == {(cls.KIND, name) for cls in models.MODEL_KINDS.values() for name in cls.PARAMS}
+
+    @pytest.mark.parametrize(
+        "model, name, value",
+        [(model, name, value) for model, name, values in MISTYPED for value in values],
+        ids=[f"{model.KIND}-{name}-{value!r}" for model, name, values in MISTYPED for value in values],
+    )
+    def test_saved_model_with_a_mistyped_parameter_is_validation_error(self, model, name, value):
+        obj = model.fit(*SEED_TRAIN).to_json()
+        assert model_from_json(obj).to_json() == obj
+        with pytest.raises(ValidationError, match=rf"^{model.KIND} model JSON\.{name} must be"):
+            model_from_json({**obj, name: value})
