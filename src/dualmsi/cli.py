@@ -31,10 +31,6 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_IO = 3
 
-# The values of ``studies.StudyKind``, spelled out so that building the
-# parser imports no layer module.
-STUDY_KINDS = ("turmeric", "coconut_oil", "color_chart")
-
 
 def _load_config(path: str | None) -> dict:
     if path is None:
@@ -56,8 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", help="output directory", default=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    synth = sub.add_parser("synth", help="generate a synthetic case-study dataset")
-    synth.add_argument("--kind", choices=STUDY_KINDS, default=None)
+    sub.add_parser("synth", help="generate a synthetic case-study dataset")
     sub.add_parser("preprocess", help="apply the correction pipeline to a dataset")
     sub.add_parser("matrix", help="build a superpixel data matrix CSV")
     sub.add_parser("train", help="train one classifier on a matrix CSV")

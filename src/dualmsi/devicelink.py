@@ -13,6 +13,12 @@ Wire grammar (invented for this simulation, one table, little else):
                          0x44 'D'            camera finished exposing (relayed)
     controller -> camera 0x52 'R'            LEDs stable, ready to expose
 
+The firmware is a Mealy machine: each input byte or tick yields a new
+state and a tuple of :class:`Action` records, whose names are the words
+of the transcript.  ``LED_ON``, ``LED_OFF``, ``READY`` and ``TIMEOUT``
+each write a controller line (``ControllerLink.TRANSCRIBED``); ``COMPLETE``
+and ``IGNORED`` write none.
+
 Timeouts are counted in simulation steps (delivered as ticks), never wall
 clock, so every run is deterministic.  The fail-safe on timeout turns the
 LEDs off before returning to waiting.
@@ -23,14 +29,13 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import HandshakeTimeoutError, ValidationError
 
 OP_CAPTURE_ALL = 0x41  # 'A'
 OP_CAPTURE_BAND = 0x42  # 'B'
 OP_DONE = 0x44  # 'D'
-OP_READY = 0x52  # 'R'
 
 #: Tick input: one step of simulated time with no byte on the wire.
 TICK = None
@@ -48,14 +53,14 @@ class Phase(Enum):
 class FirmwareState:
     """Snapshot of the controller firmware.
 
-    ``pending_opcode`` holds a two-byte command awaiting its argument
-    (still functionally waiting).  ``waited`` counts ticks spent waiting
-    for the camera in a capture state.
+    ``band`` is the band whose LEDs are lit in either capture phase, and
+    None while waiting.  ``pending_opcode`` holds a two-byte command
+    awaiting its argument (still functionally waiting).  ``waited`` counts
+    ticks spent waiting for the camera in a capture state.
     """
 
     phase: Phase = Phase.WAITING
     band: int | None = None
-    progress: int | None = None
     pwm: tuple[int, ...] = (0,) * N_PWM_CHANNELS
     pending_opcode: int | None = None
     waited: int = 0
@@ -66,45 +71,13 @@ class FirmwareState:
         if any(not 0 <= v <= 255 for v in self.pwm):
             raise ValidationError("pwm levels must lie in [0, 255]")
 
-    @property
-    def active_band(self) -> int | None:
-        """Index of the band whose LEDs are on, or None in waiting."""
-        if self.phase is Phase.SEQUENTIAL:
-            return self.progress
-        if self.phase is Phase.SINGLE:
-            return self.band
-        return None
 
+class Action(NamedTuple):
+    """One firmware output: ``name`` is its transcript word and ``arg`` the
+    band it concerns, or the ignored byte for ``IGNORED``."""
 
-# Firmware output actions, consumed by the event loop / transcript.
-@dataclass(frozen=True)
-class LedOn:
-    band: int
-
-
-@dataclass(frozen=True)
-class LedOff:
-    band: int
-
-
-@dataclass(frozen=True)
-class SendReady:
-    band: int
-
-
-@dataclass(frozen=True)
-class CaptureComplete:
-    pass
-
-
-@dataclass(frozen=True)
-class TimedOut:
-    band: int
-
-
-@dataclass(frozen=True)
-class Ignored:
-    byte: int
+    name: str
+    arg: int
 
 
 @dataclass(frozen=True)
@@ -126,6 +99,14 @@ def _latch(pots: Iterable[int]) -> tuple[int, ...]:
     return pwm
 
 
+def _light(phase: Phase, band: int, pwm: tuple[int, ...]):
+    """Capture state ``phase`` with ``band`` lit, and the actions that light it."""
+    return FirmwareState(phase=phase, band=band, pwm=pwm), (
+        Action("LED_ON", band),
+        Action("READY", band),
+    )
+
+
 def firmware_step(
     state: FirmwareState,
     inp: int | None,
@@ -144,49 +125,31 @@ def firmware_step(
         if state.pending_opcode == OP_CAPTURE_BAND and inp is not TICK:
             band = int(inp)
             if 0 <= band < config.n_bands:
-                new = FirmwareState(
-                    phase=Phase.SINGLE, band=band, pwm=pots, waited=0
-                )
-                return new, (LedOn(band), SendReady(band))
+                return _light(Phase.SINGLE, band, pots)
             # out-of-range band aborts the frame, stays waiting
-            return replace(state, pending_opcode=None, pwm=pots), (Ignored(band),)
+            return replace(state, pending_opcode=None, pwm=pots), (Action("IGNORED", band),)
         if inp is TICK:
             return replace(state, pwm=pots), ()
         if inp == OP_CAPTURE_ALL:
-            new = FirmwareState(phase=Phase.SEQUENTIAL, progress=0, pwm=pots, waited=0)
-            return new, (LedOn(0), SendReady(0))
+            return _light(Phase.SEQUENTIAL, 0, pots)
         if inp == OP_CAPTURE_BAND:
             return replace(state, pending_opcode=OP_CAPTURE_BAND, pwm=pots), ()
-        return replace(state, pwm=pots), (Ignored(int(inp)),)
+        return replace(state, pwm=pots), (Action("IGNORED", int(inp)),)
 
     # Capture states: only DONE and time advance matter; PWM is frozen.
-    active = state.active_band
+    band = state.band
     if inp is TICK:
         waited = state.waited + 1
         if waited >= config.timeout_steps:
-            return FirmwareState(phase=Phase.WAITING, pwm=state.pwm), (
-                LedOff(active),
-                TimedOut(active),
-            )
+            return FirmwareState(pwm=state.pwm), (Action("LED_OFF", band), Action("TIMEOUT", band))
         return replace(state, waited=waited), ()
     if inp == OP_DONE:
-        if state.phase is Phase.SINGLE:
-            return FirmwareState(phase=Phase.WAITING, pwm=state.pwm), (
-                LedOff(active),
-                CaptureComplete(),
-            )
-        nxt = state.progress + 1
-        if nxt >= config.n_bands:
-            return FirmwareState(phase=Phase.WAITING, pwm=state.pwm), (
-                LedOff(active),
-                CaptureComplete(),
-            )
-        return replace(state, progress=nxt, waited=0), (
-            LedOff(active),
-            LedOn(nxt),
-            SendReady(nxt),
-        )
-    return state, (Ignored(int(inp)),)
+        off = Action("LED_OFF", band)
+        if state.phase is Phase.SEQUENTIAL and band + 1 < config.n_bands:
+            new, lit = _light(Phase.SEQUENTIAL, band + 1, state.pwm)
+            return new, (off, *lit)
+        return FirmwareState(pwm=state.pwm), (off, Action("COMPLETE", band))
+    return state, (Action("IGNORED", int(inp)),)
 
 
 # --------------------------------------------------------------------------
@@ -227,12 +190,12 @@ class SimCamera:
         self._band = band
 
     def tick(self):
-        """Returns ('capture', band), ('done', band) or None this step."""
+        """Returns ("CAPTURE", band), ("DONE", band) or None this step."""
         if self._remaining is None:
             return None
         if self._remaining == self.exposure_steps:
             self._remaining -= 1
-            return ("capture", self._band)
+            return ("CAPTURE", self._band)
         if self._remaining > 0:
             self._remaining -= 1
             return None
@@ -241,11 +204,14 @@ class SimCamera:
         band = self._band
         self._remaining = None
         self._band = None
-        return ("done", band)
+        return ("DONE", band)
 
 
 class ControllerLink:
     """Event loop binding firmware, camera and transcript together."""
+
+    #: The action names that write a controller line to the transcript.
+    TRANSCRIBED = frozenset({"LED_ON", "LED_OFF", "READY", "TIMEOUT"})
 
     def __init__(
         self,
@@ -260,19 +226,13 @@ class ControllerLink:
         self.t = 0
         self.transcript: list[Event] = []
 
-    def _apply(self, inp) -> tuple:
+    def _apply(self, inp) -> None:
         self.state, actions = firmware_step(self.state, inp, self.pots, self.config)
-        for action in actions:
-            if isinstance(action, LedOn):
-                self.transcript.append(Event(self.t, "controller", "LED_ON", action.band))
-            elif isinstance(action, LedOff):
-                self.transcript.append(Event(self.t, "controller", "LED_OFF", action.band))
-            elif isinstance(action, SendReady):
-                self.transcript.append(Event(self.t, "controller", "READY", action.band))
-                self.camera.on_ready(action.band)
-            elif isinstance(action, TimedOut):
-                self.transcript.append(Event(self.t, "controller", "TIMEOUT", action.band))
-        return actions
+        for name, band in actions:
+            if name in self.TRANSCRIBED:
+                self.transcript.append(Event(self.t, "controller", name, band))
+            if name == "READY":
+                self.camera.on_ready(band)
 
     def _run_capture(self, first_byte: int, band: int | None = None) -> None:
         self._apply(first_byte)
@@ -280,17 +240,10 @@ class ControllerLink:
             self._apply(band)
         while self.state.phase is not Phase.WAITING:
             self.t += 1
-            emitted = self.camera.tick()
-            if emitted is not None:
-                kind, cam_band = emitted
-                if kind == "capture":
-                    self.transcript.append(Event(self.t, "camera", "CAPTURE", cam_band))
-                    self._apply(TICK)
-                else:
-                    self.transcript.append(Event(self.t, "camera", "DONE", cam_band))
-                    self._apply(OP_DONE)
-            else:
-                self._apply(TICK)
+            name, cam_band = self.camera.tick() or (None, None)
+            if name is not None:
+                self.transcript.append(Event(self.t, "camera", name, cam_band))
+            self._apply(OP_DONE if name == "DONE" else TICK)
 
     def _raise_if_timed_out(self) -> None:
         if any(e.name == "TIMEOUT" for e in self.transcript):
@@ -341,12 +294,13 @@ def render_transcript(events: Iterable[Event]) -> str:
 
 def cmd_protocol_sim(
     args, out: Path, n_bands: int = 13, timeout_steps: int = 16, exposure_steps: int = 1,
-    fail: bool = False, sequential: bool = True, band: int = 0,
+    band: int | None = None, fail: bool = False,
 ) -> None:
-    """Run the capture handshake simulation and write the transcript."""
+    """Run the capture handshake simulation and write the transcript: every
+    band in sequence, or the single-band handshake of ``band``."""
     fw = FirmwareConfig(n_bands=n_bands, timeout_steps=timeout_steps)
     camera = SimCamera(exposure_steps=exposure_steps, fail=fail)
-    if sequential:
+    if band is None:
         transcript = run_sequential_capture(fw, camera)
     else:
         transcript = capture_handshake(band, fw, camera)

@@ -608,7 +608,15 @@ class RandomForest(_Model):
 
     def _restore(self, obj: dict) -> None:
         self.classes_ = _classes(obj["classes"])
-        self.trees = [_load(DecisionTree, tree) for tree in obj["trees"]]
+        trees = obj["trees"]
+        if not isinstance(trees, list) or len(trees) != self.n_trees or any(
+            not isinstance(tree, dict) or tree.get("kind") != DecisionTree.KIND for tree in trees
+        ):
+            raise ValidationError(
+                f"random_forest model JSON needs a list of n_trees ({self.n_trees}) "
+                f"{DecisionTree.KIND!r} trees"
+            )
+        self.trees = [_load(DecisionTree, tree) for tree in trees]
 
 
 def softmax(z: np.ndarray) -> np.ndarray:

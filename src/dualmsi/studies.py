@@ -321,12 +321,11 @@ def render_white_reference(
 
 
 def cmd_synth(
-    args, out: Path, kind: StudyKind | None = None, **study: CaseStudyConfig
+    args, out: Path, kind: StudyKind = StudyKind.TURMERIC, **study: CaseStudyConfig
 ) -> None:
     """Generate a case-study dataset (plus white references) on disk.
 
     Each mode's captures are rendered and written one at a time."""
-    kind = kind or StudyKind(args.kind or "turmeric")
     study_config = CaseStudyConfig.from_json(kind, study)
     plan = plan_case_study(kind, study_config, args.seed)
     written = dict.fromkeys(Mode, 0)

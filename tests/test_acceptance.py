@@ -284,8 +284,6 @@ def test_criterion_10_protocol_conformance():
         from dualmsi.devicelink import (
             FirmwareConfig,
             FirmwareState,
-            LedOff,
-            LedOn,
             OP_CAPTURE_ALL,
             OP_CAPTURE_BAND,
             OP_DONE,
@@ -311,17 +309,17 @@ def test_criterion_10_protocol_conformance():
             pots = tuple(int(v) for v in rng.integers(0, 256, 8))
             state, actions = firmware_step(state, inp, pots, config)
             for action in actions:
-                if isinstance(action, LedOn):
+                if action.name == "LED_ON":
                     assert not lit  # at most one band lit
-                    lit.add(action.band)
-                elif isinstance(action, LedOff):
-                    assert action.band in lit  # every on has its off
-                    lit.remove(action.band)
+                    lit.add(action.arg)
+                elif action.name == "LED_OFF":
+                    assert action.arg in lit  # every on has its off
+                    lit.remove(action.arg)
         for _ in range(config.timeout_steps + 1):  # drain to waiting
             state, actions = firmware_step(state, TICK, (0,) * 8, config)
             for action in actions:
-                if isinstance(action, LedOff):
-                    lit.remove(action.band)
+                if action.name == "LED_OFF":
+                    lit.remove(action.arg)
         assert state.phase is Phase.WAITING and not lit
 
         transcript = render_transcript(capture_handshake(2, FirmwareConfig(n_bands=13)))

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dualmsi
-from dualmsi.cli import COMMANDS, STUDY_KINDS, command_handler, main
+from dualmsi.cli import COMMANDS, command_handler, main
 from dualmsi.core import Label, Mode, Sample, json_value, load_dataset, save_dataset
 from dualmsi.models import MODEL_KINDS
 from dualmsi.studies import CaseStudyConfig, StudyKind, generate_case_study, render_white_reference
@@ -52,7 +52,7 @@ class TestSynthCommand:
         assert run(["--config", config, "--out", tmp_path / "o", "synth"]) == 2
 
     def test_missing_out_is_validation_error(self, tmp_path, capsys):
-        assert run(["synth", "--kind", "turmeric"]) == 2
+        assert run(["synth"]) == 2
         assert capsys.readouterr().err == "error: this command needs --out\n"
 
     @pytest.mark.parametrize(
@@ -162,10 +162,11 @@ class TestCommandKeyTypes:
         "command, config, artifact",
         [("repeatability", {"width": 20, "height": 20, "n_times": "4"}, "repeatability.json"),
          ("protocol-sim", {"n_bands": "13"}, "transcript.log"),
+         ("protocol-sim", {"band": 7, "n_bands": 3}, "transcript.log"),
          ("consistency", {"width": 20, "height": 20, "band": 999}, "consistency.json"),
          ("consistency", {"width": 20, "height": 20, "band": "530"}, "consistency.json")],
-        ids=["repeatability-n-times", "protocol-sim-n-bands", "consistency-band-outside-set",
-             "consistency-string-band"],
+        ids=["repeatability-n-times", "protocol-sim-n-bands", "protocol-sim-band-outside-n-bands",
+             "consistency-band-outside-set", "consistency-string-band"],
     )
     def test_synthetic_commands_exit_2(self, tmp_path, command, config, artifact):
         cfg = tmp_path / "c.json"
@@ -195,8 +196,23 @@ class TestOtherCommands:
 
     def test_protocol_sim_timeout_path(self, tmp_path):
         cfg = tmp_path / "p.json"
-        cfg.write_text(json.dumps({"fail": True, "sequential": False, "band": 1}))
+        cfg.write_text(json.dumps({"fail": True, "band": 1}))
         assert run(["--config", cfg, "--out", tmp_path / "o", "protocol-sim"]) == 2
+
+    def test_protocol_sim_single_band(self, tmp_path):
+        cfg = tmp_path / "p.json"
+        cfg.write_text(json.dumps({"band": 1, "n_bands": 3}))
+        assert run(["--config", cfg, "--out", tmp_path / "o", "protocol-sim"]) == 0
+        lines = (tmp_path / "o" / "transcript.log").read_text().splitlines()
+        assert [line.split(" ", 2)[2] for line in lines] == [
+            "LED_ON 1", "READY 1", "CAPTURE 1", "DONE 1", "LED_OFF 1"]
+
+    def test_protocol_sim_sequential_key_exits_2_naming_it(self, tmp_path, capsys):
+        cfg = tmp_path / "p.json"
+        cfg.write_text(json.dumps({"sequential": True, "band": 7}))
+        assert run(["--config", cfg, "--out", tmp_path / "o", "protocol-sim"]) == 2
+        assert "keys ['sequential']" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_repeatability(self, tmp_path):
         cfg = tmp_path / "r.json"
@@ -318,6 +334,17 @@ class TestMalformedModelAndTrainConfigs:
         capsys.readouterr()
         assert self.run_with(tmp_path, "eval", {"model": str(path), "matrix": str(matrix_csv)}) == 2
         assert f"{model} model JSON.{key} must be" in capsys.readouterr().err
+
+    def test_eval_of_forest_with_too_many_trees_exits_2(self, tmp_path, capsys, matrix_csv):
+        config = {"matrix": str(matrix_csv), "model": "random_forest", "params": {"n_trees": 2}}
+        assert self.run_with(tmp_path, "train", config) == 0
+        saved = json.loads((tmp_path / "o" / "model.json").read_text())
+        saved["trees"].append(saved["trees"][0])
+        path = tmp_path / "bad_model.json"
+        path.write_text(json.dumps(saved))
+        capsys.readouterr()
+        assert self.run_with(tmp_path, "eval", {"model": str(path), "matrix": str(matrix_csv)}) == 2
+        assert "random_forest model JSON needs" in capsys.readouterr().err
 
     def test_eval_of_unparsable_model_exits_2(self, tmp_path, matrix_csv):
         path = tmp_path / "bad_model.json"
@@ -881,14 +908,6 @@ def test_command_loads_only_its_layer(chain_root, tmp_path, command):
     code = f"from dualmsi.cli import main\nassert main({argv!r}) == 0"
     loaded = set(loaded_modules("dualmsi", code, chain_root))
     assert loaded == SHELL | {f"dualmsi.{name}" for name in layer}
-
-
-def test_kind_flag_choices_are_the_study_kinds(tmp_path):
-    assert STUDY_KINDS == tuple(kind.value for kind in StudyKind)
-    with pytest.raises(SystemExit) as exc:
-        run(["--out", tmp_path / "o", "synth", "--kind", "chocolate"])
-    assert exc.value.code == 2
-    assert not (tmp_path / "o").exists()
 
 
 # Configs the config reader refuses (besides unknown keys, in TestUnknownKeys):

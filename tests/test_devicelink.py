@@ -1,21 +1,21 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dualmsi.devicelink import (
+    N_PWM_CHANNELS,
     OP_CAPTURE_ALL,
     OP_CAPTURE_BAND,
     OP_DONE,
     TICK,
-    CaptureComplete,
+    Action,
+    ControllerLink,
     FirmwareConfig,
     FirmwareState,
-    Ignored,
-    LedOff,
-    LedOn,
     Phase,
-    SendReady,
     SimCamera,
-    TimedOut,
     capture_handshake,
     firmware_step,
     render_transcript,
@@ -32,9 +32,9 @@ class TestFirmwareStep:
     def test_capture_all_latches_pwm(self):
         state, actions = firmware_step(FirmwareState(), OP_CAPTURE_ALL, POTS, CONFIG)
         assert state.phase is Phase.SEQUENTIAL
-        assert state.progress == 0
+        assert state.band == 0
         assert state.pwm == POTS
-        assert actions == (LedOn(0), SendReady(0))
+        assert actions == (Action("LED_ON", 0), Action("READY", 0))
 
     def test_pwm_tracks_pots_while_waiting(self):
         state, _ = firmware_step(FirmwareState(), TICK, POTS, CONFIG)
@@ -47,7 +47,7 @@ class TestFirmwareStep:
         state, actions = firmware_step(state, 0x99, OTHER_POTS, CONFIG)
         assert state.pwm == POTS  # pot changes ignored mid-capture
         assert state.phase is Phase.SEQUENTIAL
-        assert actions == (Ignored(0x99),)
+        assert actions == (Action("IGNORED", 0x99),)
 
     def test_single_band_two_byte_frame(self):
         state, actions = firmware_step(FirmwareState(), OP_CAPTURE_BAND, POTS, CONFIG)
@@ -55,25 +55,26 @@ class TestFirmwareStep:
         assert actions == ()
         state, actions = firmware_step(state, 2, POTS, CONFIG)
         assert state.phase is Phase.SINGLE and state.band == 2
-        assert actions == (LedOn(2), SendReady(2))
+        assert actions == (Action("LED_ON", 2), Action("READY", 2))
 
     def test_single_band_completion(self):
         state, _ = firmware_step(FirmwareState(), OP_CAPTURE_BAND, POTS, CONFIG)
         state, _ = firmware_step(state, 2, POTS, CONFIG)
         state, actions = firmware_step(state, OP_DONE, POTS, CONFIG)
         assert state.phase is Phase.WAITING
-        assert actions == (LedOff(2), CaptureComplete())
+        assert actions == (Action("LED_OFF", 2), Action("COMPLETE", 2))
 
     def test_sequential_advances_through_bands(self):
         state, _ = firmware_step(FirmwareState(), OP_CAPTURE_ALL, POTS, CONFIG)
         seen = [0]
         for _ in range(CONFIG.n_bands - 1):
             state, actions = firmware_step(state, OP_DONE, POTS, CONFIG)
-            assert actions[0] == LedOff(seen[-1])
-            seen.append(state.progress)
+            assert actions[0] == Action("LED_OFF", seen[-1])
+            seen.append(state.band)
         state, actions = firmware_step(state, OP_DONE, POTS, CONFIG)
         assert state.phase is Phase.WAITING
-        assert actions == (LedOff(CONFIG.n_bands - 1), CaptureComplete())
+        last = CONFIG.n_bands - 1
+        assert actions == (Action("LED_OFF", last), Action("COMPLETE", last))
         assert seen == [0, 1, 2, 3]
 
     def test_unknown_bytes_never_change_state(self):
@@ -81,14 +82,14 @@ class TestFirmwareStep:
         for b in (0x00, 0x7F, 0xFF, 0x52):
             new, actions = firmware_step(state, b, POTS, CONFIG)
             assert new.phase is Phase.WAITING and new.pending_opcode is None
-            assert actions == (Ignored(b),)
+            assert actions == (Action("IGNORED", b),)
             state = new
 
     def test_out_of_range_band_aborts(self):
         state, _ = firmware_step(FirmwareState(), OP_CAPTURE_BAND, POTS, CONFIG)
         state, actions = firmware_step(state, 200, POTS, CONFIG)
         assert state.phase is Phase.WAITING and state.pending_opcode is None
-        assert actions == (Ignored(200),)
+        assert actions == (Action("IGNORED", 200),)
 
     def test_timeout_failsafe(self):
         state, _ = firmware_step(FirmwareState(), OP_CAPTURE_ALL, POTS, CONFIG)
@@ -97,7 +98,7 @@ class TestFirmwareStep:
             assert state.phase is Phase.SEQUENTIAL
         state, actions = firmware_step(state, TICK, POTS, CONFIG)
         assert state.phase is Phase.WAITING
-        assert actions == (LedOff(0), TimedOut(0))
+        assert actions == (Action("LED_OFF", 0), Action("TIMEOUT", 0))
 
     def test_pwm_validation(self):
         with pytest.raises(ValidationError):
@@ -172,19 +173,19 @@ class TestFuzz:
             pots = tuple(int(v) for v in rng.integers(0, 256, 8))
             state, actions = firmware_step(state, inp, pots, config)
             for action in actions:
-                if isinstance(action, LedOn):
+                if action.name == "LED_ON":
                     assert not lit, f"second LED on at step {step}"
-                    lit.add(action.band)
-                elif isinstance(action, LedOff):
-                    assert action.band in lit
-                    lit.remove(action.band)
-            assert (state.active_band is None) == (not lit)
+                    lit.add(action.arg)
+                elif action.name == "LED_OFF":
+                    assert action.arg in lit
+                    lit.remove(action.arg)
+            assert (state.band is None) == (not lit)
         # drain: ticking must always come back to waiting with LEDs off
         for _ in range(config.timeout_steps + 1):
             state, actions = firmware_step(state, TICK, POTS, config)
             for action in actions:
-                if isinstance(action, LedOff):
-                    lit.remove(action.band)
+                if action.name == "LED_OFF":
+                    lit.remove(action.arg)
         assert state.phase is Phase.WAITING
         assert not lit
 
@@ -202,3 +203,51 @@ class TestFuzz:
             for _ in range(config.timeout_steps + 1):
                 state, _ = firmware_step(state, TICK, POTS, config)
             assert state.phase is Phase.WAITING
+
+
+# Inputs weighted toward the opcodes, so that captures start and finish.
+INPUTS = st.none() | st.integers(0, 255) | st.sampled_from([OP_CAPTURE_ALL, OP_CAPTURE_BAND, OP_DONE])
+POT_READINGS = st.tuples(*[st.integers(0, 255)] * N_PWM_CHANNELS)
+
+
+class TestVocabulary:
+    @settings(max_examples=200, deadline=None)
+    @given(steps=st.lists(st.tuples(INPUTS, POT_READINGS), max_size=60),
+           n_bands=st.integers(1, 5), timeout_steps=st.integers(1, 6))
+    def test_firmware_speaks_only_the_vocabulary(self, steps, n_bands, timeout_steps):
+        config = FirmwareConfig(n_bands=n_bands, timeout_steps=timeout_steps)
+        state, lit = FirmwareState(), None
+        for inp, pots in steps:
+            state, actions = firmware_step(state, inp, pots, config)
+            for name, arg in actions:
+                assert name in ControllerLink.TRANSCRIBED | {"COMPLETE", "IGNORED"}
+                if name == "LED_ON":
+                    assert lit is None, "two bands lit at once"
+                    lit = arg
+                elif name == "LED_OFF":
+                    assert arg == lit, "LED_OFF of a band that is not lit"
+                    lit = None
+            assert state.band == lit  # None exactly when no LED is lit
+
+    @settings(max_examples=50, deadline=None)
+    @given(n_bands=st.integers(1, 5), exposure_steps=st.integers(1, 4), fail=st.booleans(),
+           band=st.none() | st.integers(0, 4))
+    def test_controller_lines_are_the_transcribed_actions(self, n_bands, exposure_steps, fail,
+                                                          band):
+        link = ControllerLink(FirmwareConfig(n_bands=n_bands, timeout_steps=6),
+                              SimCamera(exposure_steps, fail))
+        transcribed = []
+
+        def recording_step(*args):
+            state, actions = firmware_step(*args)
+            transcribed.extend(a for a in actions if a.name in ControllerLink.TRANSCRIBED)
+            return state, actions
+
+        with mock.patch("dualmsi.devicelink.firmware_step", recording_step):
+            if band is None:
+                link._run_capture(OP_CAPTURE_ALL)
+            else:
+                link._run_capture(OP_CAPTURE_BAND, band % n_bands)
+        lines = [Action(e.name, e.band) for e in link.transcript if e.party == "controller"]
+        assert lines == transcribed
+        assert lines[-1].name == ("TIMEOUT" if fail else "LED_OFF")

@@ -315,7 +315,7 @@ def tiny_config(command: str, seeds: Path) -> dict:
         "repeatability": {"mode": "reflectance", "width": 10, "height": 10, "n_times": 2,
                           "drift_amplitude": 0.01},
         "protocol-sim": {"n_bands": 3, "timeout_steps": 4, "exposure_steps": 1, "fail": False,
-                         "sequential": True, "band": 0},
+                         "band": 0},
     }[command]
 
 

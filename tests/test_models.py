@@ -879,6 +879,21 @@ class TestMalformedModelJson:
         with pytest.raises(ValidationError):
             model_from_json([SEED_TREE_JSON])
 
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda o: o["trees"].append(o["trees"][0]),
+            lambda o: o["trees"][1].update(kind="knn"),
+            lambda o: o.update(trees=[]),
+        ],
+        ids=["more-trees-than-n-trees", "tree-of-another-kind", "no-trees"],
+    )
+    def test_forest_trees_must_match_its_header(self, mutate):
+        obj = json.loads(SEED_FOREST_JSON)
+        mutate(obj)
+        with pytest.raises(ValidationError, match="random_forest"):
+            model_from_json(obj)
+
     def test_tree_deeper_than_the_recursion_limit_converts_both_ways(self):
         # internal node 2i keeps leaf 2i + 1 on its left and the chain on its right
         columns = ([], [], [], [], [])  # feature, threshold, left, right, leaf
