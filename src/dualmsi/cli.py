@@ -51,45 +51,34 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=0, help="master seed (u64)")
     parser.add_argument("--out", help="output directory", default=None)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sub.add_parser("synth", help="generate a synthetic case-study dataset")
-    sub.add_parser("preprocess", help="apply the correction pipeline to a dataset")
-    sub.add_parser("matrix", help="build a superpixel data matrix CSV")
-    sub.add_parser("train", help="train one classifier on a matrix CSV")
-    sub.add_parser("eval", help="evaluate a saved model on a matrix CSV")
-    sub.add_parser("kl-regress", help="KL curve + functional map for a dataset")
-    sub.add_parser("colorcheck", help="run the 24-color palette study")
-    sub.add_parser("turmeric", help="run the powder adulteration study")
-    sub.add_parser("coconut-oil", help="run the liquid adulteration study")
-    sub.add_parser("consistency", help="spatial consistency report")
-    sub.add_parser("repeatability", help="temporal repeatability report")
-    sub.add_parser("protocol-sim", help="controller/camera handshake simulation")
+    for command, (help_text, *_) in COMMANDS.items():
+        sub.add_parser(command, help=help_text)
     return parser
 
 
-# Each command's handler: the module it lives in, its name there, and the
-# positional arguments it takes after ``args`` and ``out``.  Its keyword
-# parameters are read from the config.
+# Each command's help text, the module its handler lives in, the handler's
+# name there, and the positional arguments it takes after ``args`` and
+# ``out``.  Its keyword parameters are read from the config.
 COMMANDS = {
-    "synth": ("studies", "cmd_synth"),
-    "preprocess": ("preprocess", "cmd_preprocess"),
-    "matrix": ("features", "cmd_matrix"),
-    "train": ("models", "cmd_train"),
-    "eval": ("models", "cmd_eval"),
-    "kl-regress": ("divergence", "cmd_kl_regress"),
-    "colorcheck": ("harness", "cmd_study", "color_chart"),
-    "turmeric": ("harness", "cmd_study", "turmeric"),
-    "coconut-oil": ("harness", "cmd_study", "coconut_oil"),
-    "consistency": ("harness", "cmd_consistency"),
-    "repeatability": ("harness", "cmd_repeatability"),
-    "protocol-sim": ("devicelink", "cmd_protocol_sim"),
+    "synth": ("generate a synthetic case-study dataset", "studies", "cmd_synth"),
+    "preprocess": ("apply the correction pipeline to a dataset", "preprocess", "cmd_preprocess"),
+    "matrix": ("build a superpixel data matrix CSV", "features", "cmd_matrix"),
+    "train": ("train one classifier on a matrix CSV", "models", "cmd_train"),
+    "eval": ("evaluate a saved model on a matrix CSV", "models", "cmd_eval"),
+    "kl-regress": ("KL curve + functional map for a dataset", "divergence", "cmd_kl_regress"),
+    "colorcheck": ("run the 24-color palette study", "harness", "cmd_study", "color_chart"),
+    "turmeric": ("run the powder adulteration study", "harness", "cmd_study", "turmeric"),
+    "coconut-oil": ("run the liquid adulteration study", "harness", "cmd_study", "coconut_oil"),
+    "consistency": ("spatial consistency report", "harness", "cmd_consistency"),
+    "repeatability": ("temporal repeatability report", "harness", "cmd_repeatability"),
+    "protocol-sim": ("controller/camera handshake simulation", "devicelink", "cmd_protocol_sim"),
 }
 
 
 def command_handler(command: str):
     """The handler of ``command``, imported from its module, and the
     positional arguments it takes after ``args`` and ``out``."""
-    module, name, *extra = COMMANDS[command]
+    _, module, name, *extra = COMMANDS[command]
     return getattr(import_module(f"{__package__}.{module}"), name), extra
 
 

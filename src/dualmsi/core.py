@@ -22,11 +22,7 @@ from typing import Iterator, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    MissingFrameError,
-    ValidationError,
-)
+from .errors import DimensionMismatchError, MissingFrameError, ValidationError, check_number
 from .pgm import read_pgm16, write_pgm16
 
 #: The fourteen dominant LED wavelengths of the imaging head, in nm.
@@ -185,10 +181,8 @@ class Label:
         if (self.adulteration_pct is None) == (self.class_id is None):
             raise ValidationError("label must set exactly one of adulteration_pct/class_id")
         if self.adulteration_pct is not None:
-            pct = float(self.adulteration_pct)
-            if not 0.0 <= pct <= 100.0:
-                raise ValidationError(f"adulteration_pct outside [0, 100]: {pct}")
-            object.__setattr__(self, "adulteration_pct", pct)
+            pct = check_number("adulteration_pct", self.adulteration_pct, 0, 100)
+            object.__setattr__(self, "adulteration_pct", float(pct))
         else:
             cid = int(self.class_id)
             if cid != self.class_id or cid < 0:
@@ -245,12 +239,10 @@ def crop(cube: SpectralCube, x: int, y: int, w: int, h: int) -> SpectralCube:
     Output pixel (i, j) of each band equals input pixel (x+i, y+j); x runs
     along width, y along height.
     """
-    if w <= 0 or h <= 0:
-        raise ValidationError(f"crop size must be positive, got {w}x{h}")
-    if x < 0 or y < 0 or x + w > cube.width or y + h > cube.height:
-        raise ValidationError(
-            f"crop rectangle ({x},{y},{w},{h}) exceeds frame {cube.width}x{cube.height}"
-        )
+    check_number("x", x, 0, cube.width - 1, integer=True)
+    check_number("y", y, 0, cube.height - 1, integer=True)
+    check_number("w", w, 1, cube.width - x, integer=True)
+    check_number("h", h, 1, cube.height - y, integer=True)
     rows, cols = slice(y, y + h), slice(x, x + w)
     return replace(cube, values=cube.values[:, rows, cols], dark=cube.dark[rows, cols])
 

@@ -31,7 +31,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
-from .errors import HandshakeTimeoutError, ValidationError
+from .errors import HandshakeTimeoutError, ValidationError, check_number
 
 OP_CAPTURE_ALL = 0x41  # 'A'
 OP_CAPTURE_BAND = 0x42  # 'B'
@@ -68,8 +68,8 @@ class FirmwareState:
     def __post_init__(self):
         if len(self.pwm) != N_PWM_CHANNELS:
             raise ValidationError(f"pwm must have {N_PWM_CHANNELS} channels")
-        if any(not 0 <= v <= 255 for v in self.pwm):
-            raise ValidationError("pwm levels must lie in [0, 255]")
+        for level in self.pwm:
+            check_number("pwm", level, 0, 255, integer=True)
 
 
 class Action(NamedTuple):
@@ -86,16 +86,14 @@ class FirmwareConfig:
     timeout_steps: int = 16
 
     def __post_init__(self):
-        if self.n_bands < 1:
-            raise ValidationError("need at least one band")
-        if self.timeout_steps < 1:
-            raise ValidationError("timeout budget must be >= 1 step")
+        check_number("n_bands", self.n_bands, 1, integer=True)
+        check_number("timeout_steps", self.timeout_steps, 1, integer=True)
 
 
 def _latch(pots: Iterable[int]) -> tuple[int, ...]:
-    pwm = tuple(int(v) for v in pots)
-    if len(pwm) != N_PWM_CHANNELS or any(not 0 <= v <= 255 for v in pwm):
-        raise ValidationError("potentiometer readings must be 8 values in [0, 255]")
+    pwm = tuple(int(check_number("pots", v, 0, 255, integer=True)) for v in pots)
+    if len(pwm) != N_PWM_CHANNELS:
+        raise ValidationError(f"pots must have {N_PWM_CHANNELS} readings")
     return pwm
 
 
@@ -178,9 +176,7 @@ class SimCamera:
     """
 
     def __init__(self, exposure_steps: int = 1, fail: bool = False):
-        if exposure_steps < 1:
-            raise ValidationError("exposure must take at least one step")
-        self.exposure_steps = exposure_steps
+        self.exposure_steps = check_number("exposure_steps", exposure_steps, 1, integer=True)
         self.fail = fail
         self._remaining = None
         self._band = None
@@ -212,22 +208,18 @@ class ControllerLink:
 
     #: The action names that write a controller line to the transcript.
     TRANSCRIBED = frozenset({"LED_ON", "LED_OFF", "READY", "TIMEOUT"})
+    #: The potentiometer readings the firmware latches.
+    POTS = (128,) * N_PWM_CHANNELS
 
-    def __init__(
-        self,
-        config: FirmwareConfig = FirmwareConfig(),
-        camera: SimCamera | None = None,
-        pots: Iterable[int] = (128,) * N_PWM_CHANNELS,
-    ):
+    def __init__(self, config: FirmwareConfig = FirmwareConfig(), camera: SimCamera | None = None):
         self.config = config
         self.camera = camera if camera is not None else SimCamera()
-        self.pots = tuple(pots)
         self.state = FirmwareState()
         self.t = 0
         self.transcript: list[Event] = []
 
     def _apply(self, inp) -> None:
-        self.state, actions = firmware_step(self.state, inp, self.pots, self.config)
+        self.state, actions = firmware_step(self.state, inp, self.POTS, self.config)
         for name, band in actions:
             if name in self.TRANSCRIBED:
                 self.transcript.append(Event(self.t, "controller", name, band))
@@ -264,8 +256,7 @@ def capture_handshake(
     timeout the LED is still turned off (fail-safe) before the error is
     raised; the partial transcript rides on the exception.
     """
-    if not 0 <= band < config.n_bands:
-        raise ValidationError(f"band {band} outside [0, {config.n_bands})")
+    check_number("band", band, 0, config.n_bands - 1, integer=True)
     link = ControllerLink(config=config, camera=camera)
     link._run_capture(OP_CAPTURE_BAND, band)
     link._raise_if_timed_out()

@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import Mode, load_dataset, write_json
-from .errors import EmptyDataError, ValidationError
+from .errors import EmptyDataError, ValidationError, check_number
 from .features import DataMatrix, build_matrix, lda_fit, project
 
 
@@ -65,10 +65,8 @@ def histogram(
     lo, hi = float(value_range[0]), float(value_range[1])
     if not hi > lo:
         raise ValidationError(f"bad histogram range ({lo}, {hi})")
-    if n_bins < 1:
-        raise ValidationError("n_bins must be >= 1")
-    if epsilon <= 0:
-        raise ValidationError("epsilon must be positive (smoothing keeps KL finite)")
+    check_number("n_bins", n_bins, 1, integer=True)
+    check_number("epsilon", epsilon, 0, strict=True)  # smoothing keeps KL finite
     clipped = np.clip(arr, lo, hi)
     counts, edges = np.histogram(clipped, bins=n_bins, range=(lo, hi))
     smoothed = counts.astype(np.float64) + epsilon

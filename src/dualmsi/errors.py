@@ -4,7 +4,14 @@ Everything user-facing derives from :class:`DualMsiError`.  Contract
 violations (bad inputs, malformed files, mismatched shapes) derive from
 :class:`ValidationError` so the CLI can map them to exit code 2, keeping
 exit code 3 for plain IO failures.
+
+:func:`check_number` is the one check of a numeric parameter: every
+range rule on a number the toolkit is given goes through it, so every
+such error reads ``<name> must be <rule>, got <value>``.
 """
+
+import math
+import numbers
 
 
 class DualMsiError(Exception):
@@ -13,6 +20,39 @@ class DualMsiError(Exception):
 
 class ValidationError(DualMsiError):
     """Input violates a documented precondition or invariant."""
+
+
+def check_number(name: str, value, low=None, high=None, *, strict=False, optional=False,
+                 integer=False):
+    """``value``, or -0.0 as 0.0 (``Generator.normal`` refuses a
+    negative-zero scale), if it is a real number, never a bool, that is
+    finite as a float, an integer when ``integer`` (numpy integers too),
+    >= ``low`` (> ``low`` when ``strict``) and <= ``high``; a bound of None
+    is no bound, and None itself passes when ``optional``.  Anything else
+    raises ValidationError reading ``<name> must be <rule>, got <value>``.
+    """
+    if value is None and optional:
+        return None
+    try:
+        valid = (
+            isinstance(value, numbers.Integral if integer else numbers.Real)
+            and not isinstance(value, bool)
+            and math.isfinite(value)
+            and (low is None or (value > low if strict else value >= low))
+            and (high is None or value <= high)
+        )
+    except OverflowError:  # an int beyond the float range, such as 10**400
+        valid = False
+    if valid:
+        return value + 0
+    rule = "an integer" if integer else "a finite number"
+    if low is not None and high is not None:
+        rule += f" in {'(' if strict else '['}{low}, {high}]"
+    elif low is not None:
+        rule += f" {'>' if strict else '>='} {low}"
+    elif high is not None:
+        rule += f" <= {high}"
+    raise ValidationError(f"{name} must be {'null or ' if optional else ''}{rule}, got {value!r}")
 
 
 class MissingFrameError(ValidationError):

@@ -20,11 +20,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .core import Label, Mode, Sample, SpectralCube, load_dataset
-from .errors import (
-    ModeMismatchError,
-    UnpairedSampleError,
-    ValidationError,
-)
+from .errors import ModeMismatchError, UnpairedSampleError, ValidationError, check_number
 
 
 class LabelKind(Enum):
@@ -150,12 +146,7 @@ def superpixels(cube: SpectralCube, block: int = 10) -> np.ndarray:
     rows.  Trailing pixels of a non-divisible frame are dropped with a
     warning.
     """
-    if block < 1:
-        raise ValidationError("block size must be >= 1")
-    if block > cube.width or block > cube.height:
-        raise ValidationError(
-            f"block {block} exceeds frame {cube.width}x{cube.height}"
-        )
+    check_number("block", block, 1, min(cube.width, cube.height), integer=True)
     ny, nx = cube.height // block, cube.width // block
     if ny * block != cube.height or nx * block != cube.width:
         warnings.warn(
@@ -353,8 +344,7 @@ def pca_fit(
     n, d = values.shape
     if n < 2:
         raise ValidationError("PCA needs at least 2 rows")
-    if k is not None and not 1 <= k <= d:
-        raise ValidationError(f"k must lie in [1, {d}], got {k}")
+    check_number("k", k, 1, d, optional=True, integer=True)
     mean = values.mean(axis=0)
     centered = values - mean
     cov = centered.T @ centered / (n - 1)
@@ -426,10 +416,7 @@ def lda_fit(
     if classes.size < 2:
         raise ValidationError("LDA needs at least 2 classes")
     max_k = int(classes.size - 1)
-    if k is None:
-        k = min(max_k, d)
-    if not 1 <= k <= max_k:
-        raise ValidationError(f"k must lie in [1, C-1={max_k}], got {k}")
+    k = check_number("k", min(max_k, d) if k is None else k, 1, max_k, integer=True)
 
     mean = values.mean(axis=0)
     s_w = np.zeros((d, d))

@@ -109,9 +109,7 @@ def _spatial_variant(sample: Sample) -> SpatialVariant:
     )
 
 
-def spatial_consistency_report(
-    white_sample: Sample, corrections: Corrections | None = None
-) -> SpatialConsistencyReport:
+def spatial_consistency_report(white_sample: Sample) -> SpatialConsistencyReport:
     """Before/after-correction intensity surfaces and spectral-distance heatmap.
 
     The heatmap is the Euclidean distance of each pixel's spectral vector
@@ -119,7 +117,7 @@ def spatial_consistency_report(
     recommended acquisition region is the intersection of top-quartile
     intensity and bottom-quartile distance of the corrected variant.
     """
-    corrections = corrections or fit_corrections(white_sample)
+    corrections = fit_corrections(white_sample)
     plain = PipelineOptions(spatial=False, spectral=False, bilateral=None)
     full = PipelineOptions(spectral=True, bilateral=None)
     before = _spatial_variant(preprocess_pipeline(white_sample, None, plain))
@@ -216,8 +214,8 @@ def run_pipeline_on_matrix(
 ) -> dict:
     """Split, normalize, project, train and evaluate one matrix.
 
-    Returns accuracies plus the fitted projection and the projected test
-    matrix (for loadings and scatter reports).
+    Returns each classifier's accuracy plus the fitted projection and the
+    projected test matrix (for loadings and scatter reports).
     """
     split = stratified_split(matrix, TRAIN_FRACTION, seed=split_seed, granularity=Granularity.SAMPLE)
     train, test = split_matrix(matrix, split)
@@ -232,20 +230,11 @@ def run_pipeline_on_matrix(
     test_p = project(proj, test_n)
     train_p, test_p = _standardize(train_p, [test_p], proj.eigenvalues)
 
-    results = {}
-    for name, make in classifiers.items():
-        model = make().fit(train_p.values, train_p.label_keys())
-        cm = evaluate(model, test_p)
-        results[name] = {
-            "accuracy": cm.accuracy,
-            "per_class_recall": {str(k): v for k, v in cm.per_class_recall().items()},
-        }
-    return {
-        "split": split,
-        "projection": proj,
-        "test_projected": test_p,
-        "results": results,
+    accuracies = {
+        name: evaluate(make().fit(train_p.values, train_p.label_keys()), test_p).accuracy
+        for name, make in classifiers.items()
     }
+    return {"projection": proj, "test_projected": test_p, "accuracies": accuracies}
 
 
 @dataclass(frozen=True)
@@ -396,7 +385,7 @@ def run_case_study(
             for projection in spec.projections:
                 run = run_pipeline_on_matrix(matrix, classifiers, split_seed, projection=projection)
                 tables[variant, name, projection] = {
-                    clf: round(info["accuracy"], 6) for clf, info in run["results"].items()
+                    clf: round(accuracy, 6) for clf, accuracy in run["accuracies"].items()
                 }
                 if corrected and projection == "LDA":
                     lda_run = run  # the last matrix's run is the one reported

@@ -33,7 +33,6 @@ to mimic pixel-level protocols, but it warns.
 from __future__ import annotations
 
 import math
-import numbers
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
@@ -43,7 +42,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import json_call, read_json, write_json
-from .errors import ValidationError
+from .errors import ValidationError, check_number
 from .features import DataMatrix, LabelKind
 from .synth import stream
 
@@ -85,8 +84,7 @@ def stratified_split(
     granularity: Granularity = Granularity.SAMPLE,
 ) -> Split:
     """Per-label split sending ceil(fraction * n) units to the training side."""
-    if not 0.0 < fraction < 1.0:
-        raise ValidationError(f"fraction must lie in (0, 1): {fraction}")
+    check_number("fraction", fraction, 0, math.nextafter(1.0, 0.0), strict=True)  # in (0, 1)
 
     if granularity is Granularity.SAMPLE:
         units: dict[str, float] = {}
@@ -144,24 +142,6 @@ def split_matrix(matrix: DataMatrix, split: Split) -> tuple[DataMatrix, DataMatr
 # --------------------------------------------------------------------------
 
 
-def _check_param(name: str, value, low: float, strict=False, optional=False, integer=False) -> None:
-    """Raise ValidationError naming ``name`` unless ``value`` is a finite
-    number (an integer when ``integer``) >= ``low`` (> ``low`` when
-    ``strict``), or None when ``optional``."""
-    if value is None and optional:
-        return
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, numbers.Integral if integer else numbers.Real)
-        # an int is finite, and too large for math.isfinite when huge
-        or not (isinstance(value, numbers.Integral) or math.isfinite(value))
-        or (value <= low if strict else value < low)
-    ):
-        number = "an integer" if integer else "a finite number"
-        rule = f"{'null or ' if optional else ''}{number} {'>' if strict else '>='} {low}"
-        raise ValidationError(f"{name} must be {rule}, got {value!r}")
-
-
 def _classes(values) -> np.ndarray:
     """A saved model's class labels, which must be a non-empty list of numbers."""
     classes = np.array(values, dtype=np.float64)
@@ -212,16 +192,14 @@ class KNearestNeighbors(_Model):
     KIND, PARAMS = "knn", ("k",)
 
     def __init__(self, k: int = 5):
-        _check_param("k", k, 1, integer=True)
-        self.k = k
+        self.k = check_number("k", k, 1, integer=True)
         self.train_x = None
         self.train_y = None
 
     def fit(self, x: np.ndarray, y: np.ndarray) -> "KNearestNeighbors":
         x = np.asarray(x, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
-        if self.k < 1 or self.k > x.shape[0]:
-            raise ValidationError(f"k={self.k} outside [1, n_train={x.shape[0]}]")
+        check_number("k", self.k, 1, x.shape[0], integer=True)
         self.train_x, self.train_y = x, y
         return self
 
@@ -315,22 +293,25 @@ def _best_split(xs, ys, total_counts, min_leaf, class_ids):
     value; ``class_ids`` is ``arange(n_classes)`` as a column.  Gap j lies
     between sorted positions j and j + 1.  A gap between equal values, or
     one leaving fewer than ``min_leaf`` rows on a side, is no candidate.
-    The candidates are scored in blocks of features whose temporaries fit
-    ``WORKING_MEMORY`` (one block for every node of a small matrix), and a
-    block's maximum replaces the running one only when strictly greater:
-    the first maximum in feature-major order realizes the documented
-    tie-break, lowest feature, then lowest threshold.
+    The candidates are scored in blocks of features, and their class
+    counts in blocks of classes, whose temporaries fit ``WORKING_MEMORY``
+    (one block of each for every node of a small matrix).  A block's
+    maximum replaces the running one only when strictly greater: the first
+    maximum in feature-major order realizes the documented tie-break,
+    lowest feature, then lowest threshold.
     """
     m, n = xs.shape
     lo, hi = min_leaf - 1, n - min_leaf  # the gaps that keep min_leaf rows a side: lo .. hi - 1
     if m == 0 or hi <= lo:
         return None
     parent = _gini(total_counts, n)
-    step = max(1, WORKING_MEMORY // _split_feature_bytes(n, class_ids.shape[0]))
+    # the most classes one feature's temporaries can hold, at least one
+    class_step = max(1, (WORKING_MEMORY // (8 * n) - 6) // 3)
+    step = max(1, WORKING_MEMORY // _split_feature_bytes(n, min(class_ids.shape[0], class_step)))
     best, found = -np.inf, None
     for start in range(0, m, step):
         block = slice(start, start + step)
-        gain = _gap_gains(xs[block], ys[block], total_counts, parent, lo, hi, class_ids)
+        gain = _gap_gains(xs[block], ys[block], total_counts, parent, lo, hi, class_ids, class_step)
         pick = int(np.argmax(gain))
         if gain.flat[pick] > best:
             best = gain.flat[pick]
@@ -339,19 +320,33 @@ def _best_split(xs, ys, total_counts, min_leaf, class_ids):
     return found
 
 
-def _gap_gains(xs, ys, total_counts, parent, lo, hi, class_ids):
+def _gap_gains(xs, ys, total_counts, parent, lo, hi, class_ids, class_step):
     """Gini gain of gaps ``lo .. hi - 1`` of each feature row of ``xs``,
-    -inf at a gap between equal values."""
+    -inf at a gap between equal values, counting ``class_step`` classes at
+    a time."""
     n = xs.shape[1]
-    left_counts = np.cumsum(ys[:, None, :hi] == class_ids, axis=2, dtype=np.float64)[:, :, lo:]
-    right_counts = total_counts[:, None] - left_counts
+    # class counts are exact integers, so these sums do not depend on order
+    # or on the class blocks
+    blocks = (slice(c, c + class_step) for c in range(0, class_ids.shape[0], class_step))
+    sums = (_squared_count_sums(ys, total_counts[b], lo, hi, class_ids[b]) for b in blocks)
+    left_sq, right_sq = next(sums)
+    for left, right in sums:
+        left_sq += left
+        right_sq += right
     n_left = np.arange(lo + 1, hi + 1)
     n_right = n - n_left
-    # class counts are exact integers, so these sums do not depend on order
-    gini_left = 1.0 - np.add.reduce(left_counts**2, axis=1) / n_left**2
-    gini_right = 1.0 - np.add.reduce(right_counts**2, axis=1) / n_right**2
+    gini_left = 1.0 - left_sq / n_left**2
+    gini_right = 1.0 - right_sq / n_right**2
     gain = parent - (n_left * gini_left + n_right * gini_right) / n
     return np.where(xs[:, lo:hi] < xs[:, lo + 1 : hi + 1], gain, -np.inf)
+
+
+def _squared_count_sums(ys, total_counts, lo, hi, class_ids):
+    """Sums over the classes ``class_ids`` of the squared left and right
+    class counts at gaps ``lo .. hi - 1`` of each feature row of ``ys``."""
+    left_counts = np.cumsum(ys[:, None, :hi] == class_ids, axis=2, dtype=np.float64)[:, :, lo:]
+    right_counts = total_counts[:, None] - left_counts
+    return np.add.reduce(left_counts**2, axis=1), np.add.reduce(right_counts**2, axis=1)
 
 
 class TreeNodes(NamedTuple):
@@ -452,10 +447,8 @@ class DecisionTree(_Model):
     KIND, PARAMS = "decision_tree", ("max_depth", "min_leaf")
 
     def __init__(self, max_depth: int | None = None, min_leaf: int = 1):
-        _check_param("max_depth", max_depth, 1, optional=True, integer=True)
-        _check_param("min_leaf", min_leaf, 1, integer=True)
-        self.max_depth = max_depth
-        self.min_leaf = min_leaf
+        self.max_depth = check_number("max_depth", max_depth, 1, optional=True, integer=True)
+        self.min_leaf = check_number("min_leaf", min_leaf, 1, integer=True)
         self.classes_ = None
         self.nodes: TreeNodes | None = None
         self._feature_picker = None
@@ -559,16 +552,12 @@ class RandomForest(_Model):
         max_depth: int | None = None,
         min_leaf: int = 1,
     ):
-        _check_param("n_trees", n_trees, 1, integer=True)
-        _check_param("mtry", mtry, 1, optional=True, integer=True)
-        _check_param("max_depth", max_depth, 1, optional=True, integer=True)
-        _check_param("min_leaf", min_leaf, 1, integer=True)
-        self.n_trees = n_trees
-        self.mtry = mtry
+        self.n_trees = check_number("n_trees", n_trees, 1, integer=True)
+        self.mtry = check_number("mtry", mtry, 1, optional=True, integer=True)
         self.bootstrap = bootstrap
         self.seed = seed
-        self.max_depth = max_depth
-        self.min_leaf = min_leaf
+        self.max_depth = check_number("max_depth", max_depth, 1, optional=True, integer=True)
+        self.min_leaf = check_number("min_leaf", min_leaf, 1, integer=True)
         self.trees: list[DecisionTree] = []
         self.classes_ = None
 
@@ -669,16 +658,11 @@ class LogisticRegressionGD(_Linear):
         epochs: int = 5000,
         tol: float = 1e-6,
     ):
-        _check_param("l2", l2, 0.0)
-        _check_param("lr", lr, 0.0, strict=True)
-        _check_param("lr_decay", lr_decay, 0.0)
-        _check_param("epochs", epochs, 1, integer=True)
-        _check_param("tol", tol, 0.0)
-        self.l2 = l2
-        self.lr = lr
-        self.lr_decay = lr_decay
-        self.epochs = epochs
-        self.tol = tol
+        self.l2 = check_number("l2", l2, 0.0)
+        self.lr = check_number("lr", lr, 0.0, strict=True)
+        self.lr_decay = check_number("lr_decay", lr_decay, 0.0)
+        self.epochs = check_number("epochs", epochs, 1, integer=True)
+        self.tol = check_number("tol", tol, 0.0)
 
     def loss_and_grads(self, x, y_onehot, weights, bias):
         """Mean cross-entropy plus L2 on weights, with analytic gradients."""
@@ -741,14 +725,10 @@ class LinearSVM(_Linear):
         lr_decay: float = 1e-2,
         epochs: int = 1500,
     ):
-        _check_param("c", c, 0.0, strict=True)
-        _check_param("lr", lr, 0.0, strict=True)
-        _check_param("lr_decay", lr_decay, 0.0)
-        _check_param("epochs", epochs, 1, integer=True)
-        self.c = c
-        self.lr = lr
-        self.lr_decay = lr_decay
-        self.epochs = epochs
+        self.c = check_number("c", c, 0.0, strict=True)
+        self.lr = check_number("lr", lr, 0.0, strict=True)
+        self.lr_decay = check_number("lr_decay", lr_decay, 0.0)
+        self.epochs = check_number("epochs", epochs, 1, integer=True)
 
     def fit(self, x: np.ndarray, y: np.ndarray) -> "LinearSVM":
         x = np.asarray(x, dtype=np.float64)

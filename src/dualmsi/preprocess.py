@@ -16,7 +16,7 @@ from typing import Mapping
 import numpy as np
 
 from .core import RAW_MAX, Sample, SpectralCube, crop, load_dataset, save_dataset
-from .errors import DegenerateReferenceError, DimensionMismatchError, ValidationError
+from .errors import DegenerateReferenceError, DimensionMismatchError, ValidationError, check_number
 
 
 class SaturationClipWarning(UserWarning):
@@ -46,8 +46,6 @@ class SpatialGain:
 
     gains: Mapping[int, np.ndarray]
     flags: Mapping[int, np.ndarray]
-    window: int
-    floor: float
 
     def __post_init__(self):
         object.__setattr__(self, "gains", dict(self.gains))
@@ -61,9 +59,9 @@ class SpectralGain:
     scale: Mapping[int, float]
 
     def __post_init__(self):
-        scale = {int(wl): float(c) for wl, c in self.scale.items()}
-        if any(not np.isfinite(c) or c <= 0 for c in scale.values()):
-            raise ValidationError("spectral gains must be positive and finite")
+        scale = {
+            int(wl): float(check_number("scale", c, 0, strict=True)) for wl, c in self.scale.items()
+        }
         object.__setattr__(self, "scale", scale)
 
 
@@ -103,8 +101,10 @@ def fit_spatial_gain(white_cube: SpectralCube, window: int = 11, floor: float = 
     """
     if white_cube.is_raw:
         raise ValidationError("fit_spatial_gain expects a dark-subtracted float cube")
-    if window < 1 or window % 2 == 0:
-        raise ValidationError(f"smoothing window must be odd and >= 1: {window}")
+    check_number("window", window, 1, integer=True)
+    check_number("floor", floor, 0, 1, strict=True)
+    if window % 2 == 0:
+        raise ValidationError(f"window must be odd, got {window}")
     # each band is smoothed on its own
     smooth = _box_mean(white_cube.values, window)
     peak = smooth.max(axis=(1, 2), keepdims=True)
@@ -114,9 +114,7 @@ def fit_spatial_gain(white_cube: SpectralCube, window: int = 11, floor: float = 
     low = smooth < floor * peak
     gain = peak / np.where(low, floor * peak, smooth)
     bands = white_cube.band_set
-    return SpatialGain(
-        gains=dict(zip(bands, gain)), flags=dict(zip(bands, low)), window=window, floor=floor
-    )
+    return SpatialGain(gains=dict(zip(bands, gain)), flags=dict(zip(bands, low)))
 
 
 def _in_band_order(table: Mapping[int, object], cube: SpectralCube, what: str) -> list:
@@ -199,10 +197,12 @@ def bilateral_filter(
     row-major offset order, so every frame gets the bits it would get on
     its own.
     """
-    if window < 1 or window % 2 == 0:
-        raise ValidationError(f"bilateral window must be odd and >= 1: {window}")
-    if sigma_s <= 0 or sigma_r <= 0:
-        raise ValidationError("bilateral sigmas must be positive")
+    check_number("window", window, 1, integer=True)
+    if window % 2 == 0:
+        raise ValidationError(f"window must be odd, got {window}")
+    # 2 sigma**2 is then a normal float: no weight divides by zero or overflows
+    check_number("sigma_s", sigma_s, 1e-150, 1e150)
+    check_number("sigma_r", sigma_r, 1e-150, 1e150)
     values = np.asarray(values, dtype=np.float64)
     if values.ndim not in (2, 3):
         raise ValidationError(f"bilateral filter needs a frame or a stack, got {values.ndim} dims")
@@ -310,12 +310,10 @@ class Corrections:
     spectral: SpectralGain | None = None
 
 
-def fit_corrections(
-    white_sample: Sample, window: int = 11, floor: float = 0.05
-) -> Corrections:
+def fit_corrections(white_sample: Sample) -> Corrections:
     """Fit both gains from one raw white capture (dark-subtract, then fit)."""
     white = subtract_dark(white_sample.cube)
-    spatial = fit_spatial_gain(white, window=window, floor=floor)
+    spatial = fit_spatial_gain(white)
     flattened = apply_spatial_gain(white, spatial)
     spectral = fit_spectral_gain(flattened, spatial)
     return Corrections(spatial=spatial, spectral=spectral)
@@ -401,10 +399,17 @@ def cmd_preprocess(
     """Apply the correction pipeline to a dataset directory, one sample at
     a time.
 
-    Output frames are re-quantized to 16-bit for storage.
+    The gains are fitted on the white capture cropped by ``options.crop``,
+    the window the pipeline crops each sample to.  Output frames are
+    re-quantized to 16-bit for storage.
     """
     samples = load_dataset(input)
-    corrections = fit_corrections(next(load_dataset(white))) if white else None
+    corrections = None
+    if white:
+        white_sample = next(load_dataset(white))
+        if options.crop is not None:
+            white_sample = replace(white_sample, cube=crop(white_sample.cube, *options.crop))
+        corrections = fit_corrections(white_sample)
     written = save_dataset(
         (quantize_sample(preprocess_pipeline(s, corrections, options)) for s in samples), out
     )

@@ -30,16 +30,8 @@ import numpy as np
 
 from . import materials
 from .core import BandSet, Label, Mode, Sample, json_call, json_value, save_dataset
-from .errors import ValidationError
-from .synth import (
-    IlluminationProfile,
-    MixtureSpec,
-    NoiseSpec,
-    SceneConfig,
-    render,
-    require_nonnegative,
-    stream,
-)
+from .errors import ValidationError, check_number
+from .synth import IlluminationProfile, MixtureSpec, NoiseSpec, SceneConfig, render, stream
 
 
 class StudyKind(Enum):
@@ -82,24 +74,20 @@ class CaseStudyConfig:
     texture_adulteration_gain: float = 0.0
 
     def __post_init__(self):
-        require_nonnegative(
-            self,
-            "texture_adulteration_gain",
-            *(f.name for f in fields(self) if f.name.endswith("_jitter_sd")),
-        )
-        if not all(0.0 <= level <= 100.0 for level in self.levels):
-            raise ValidationError(f"levels must lie in [0, 100], got {list(self.levels)}")
+        for name in ("texture_adulteration_gain",
+                     *(f.name for f in fields(self) if f.name.endswith("_jitter_sd"))):
+            object.__setattr__(self, name, check_number(name, getattr(self, name), 0))
+        for level in self.levels:
+            check_number("levels", level, 0, 100)
         if len({int(level) for level in self.levels}) != len(self.levels):
             # a sample id holds int(level), so two such levels would share ids
             raise ValidationError(f"no two levels may share a whole percent, got {list(self.levels)}")
-        if self.replicates < 1:
-            raise ValidationError("replicates must be >= 1")
+        check_number("replicates", self.replicates, 1, integer=True)
+        check_number("depth", self.depth, 0, strict=True)
         if self.kind is not StudyKind.COLOR_CHART and len(self.levels) < 2:
             raise ValidationError("adulteration study needs at least 2 levels")
-        if self.kind is StudyKind.COLOR_CHART and not 1 <= self.n_classes <= materials.PALETTE_SIZE:
-            raise ValidationError(
-                f"n_classes must lie in [1, {materials.PALETTE_SIZE}], got {self.n_classes}"
-            )
+        if self.kind is StudyKind.COLOR_CHART:
+            check_number("n_classes", self.n_classes, 1, materials.PALETTE_SIZE, integer=True)
 
     def scene(self, mode: Mode, mixture: MixtureSpec, rng_seed: int, **overrides) -> SceneConfig:
         """One capture's scene under the study's band set, illumination,

@@ -28,20 +28,9 @@ from .core import (
     SpectralCube,
     RAW_MAX,
 )
-from .errors import ValidationError
+from .errors import ValidationError, check_number
 
 LN2 = float(np.log(2.0))
-
-
-def require_nonnegative(obj, *names: str) -> None:
-    """Check that each named field of the dataclass ``obj`` is finite and
-    >= 0, and store a -0.0 as 0.0: ``Generator.normal`` tests the sign bit
-    of its ``scale`` and rejects -0.0."""
-    for name in names:
-        value = getattr(obj, name)
-        if not 0.0 <= value < float("inf"):
-            raise ValidationError(f"{name} must be finite and >= 0, got {value!r}")
-        object.__setattr__(obj, name, value + 0.0)
 
 
 def stream(*key_parts) -> np.random.Generator:
@@ -66,10 +55,8 @@ class LedSpec:
     relative_power: float = 1.0
 
     def __post_init__(self):
-        if self.fwhm_nm <= 0:
-            raise ValidationError(f"fwhm_nm must be positive: {self.fwhm_nm}")
-        if self.relative_power <= 0:
-            raise ValidationError(f"relative_power must be positive: {self.relative_power}")
+        check_number("fwhm_nm", self.fwhm_nm, 0, strict=True)
+        check_number("relative_power", self.relative_power, 0, strict=True)
 
 
 def led_emission(led: LedSpec, wavelength_nm) -> np.ndarray | float:
@@ -144,16 +131,13 @@ class MixtureSpec:
     depth: float = 1.0
 
     def __post_init__(self):
-        comps = tuple((m, float(f)) for m, f in self.components)
+        comps = tuple((m, float(check_number("fraction", f, 0, 1))) for m, f in self.components)
         if not comps:
             raise ValidationError("mixture needs at least one component")
-        if any(f < 0.0 or f > 1.0 for _, f in comps):
-            raise ValidationError("component fractions must lie in [0, 1]")
         total = sum(f for _, f in comps)
         if abs(total - 1.0) > 1e-9:
             raise ValidationError(f"fractions must sum to 1 (got {total!r})")
-        if self.depth <= 0:
-            raise ValidationError(f"depth must be positive: {self.depth}")
+        check_number("depth", self.depth, 0, strict=True)
         object.__setattr__(self, "components", comps)
 
     def albedo(self, wavelength_nm) -> np.ndarray:
@@ -179,7 +163,7 @@ class MixtureSpec:
         cls, base: MaterialSpec, adulterant: MaterialSpec, fraction: float, depth: float = 1.0
     ) -> "MixtureSpec":
         """Base material adulterated by ``fraction`` (in [0, 1]) of the other."""
-        return cls(((base, 1.0 - fraction), (adulterant, fraction)), depth=depth)
+        return cls(((base, 1 - fraction), (adulterant, fraction)), depth=depth)
 
 
 def _trapezoid(y: np.ndarray, x: np.ndarray) -> float:
@@ -227,10 +211,8 @@ class IlluminationProfile:
     base: float = 0.75
 
     def __post_init__(self):
-        if self.radial_falloff < 0:
-            raise ValidationError("radial_falloff must be >= 0")
-        if not 0.0 < self.base <= 1.0:
-            raise ValidationError(f"base intensity must lie in (0, 1]: {self.base}")
+        check_number("radial_falloff", self.radial_falloff, 0)
+        check_number("base", self.base, 0, 1, strict=True)
 
     def map(self, width: int, height: int) -> np.ndarray:
         cx, cy = self.center if self.center is not None else ((width - 1) / 2.0, (height - 1) / 2.0)
@@ -251,8 +233,7 @@ class IlluminationProfile:
     @classmethod
     def corner_ratio(cls, ratio: float, base: float = 0.75) -> "IlluminationProfile":
         """Pure radial profile whose corner/peak intensity ratio is ``ratio``."""
-        if not 0.0 < ratio <= 1.0:
-            raise ValidationError(f"corner ratio must lie in (0, 1]: {ratio}")
+        check_number("ratio", ratio, 0, 1, strict=True)
         # corner sits at normalized r^2 = 0.5
         return cls(tilt_x=0.0, tilt_y=0.0, radial_falloff=-2.0 * float(np.log(ratio)), base=base)
 
@@ -278,17 +259,10 @@ class NoiseSpec:
     texture_block: int = 10
 
     def __post_init__(self):
-        require_nonnegative(
-            self,
-            "dark_mean",
-            "dark_sd",
-            "shot_sd_fraction",
-            "drift_amplitude",
-            "texture_shared_sd",
-            "texture_band_sd",
-        )
-        if self.texture_block < 1:
-            raise ValidationError("texture_block must be >= 1")
+        for name in ("dark_mean", "dark_sd", "shot_sd_fraction", "drift_amplitude",
+                     "texture_shared_sd", "texture_band_sd"):
+            object.__setattr__(self, name, check_number(name, getattr(self, name), 0))
+        check_number("texture_block", self.texture_block, 1, integer=True)
 
     @classmethod
     def none(cls) -> "NoiseSpec":
@@ -340,8 +314,8 @@ class SceneConfig:
     label: Label | None = None
 
     def __post_init__(self):
-        if self.width <= 0 or self.height <= 0:
-            raise ValidationError("scene dimensions must be positive")
+        check_number("width", self.width, 1, integer=True)
+        check_number("height", self.height, 1, integer=True)
         missing = [wl for wl in self.band_set if wl not in self.leds]
         if missing:
             raise ValidationError(f"no LED spec for bands {missing}")
@@ -420,11 +394,9 @@ def render_repeat_series(
     scene's seeded drift stream; a = ``drift_amplitude`` (defaults to the
     scene's noise spec).
     """
-    if n_times < 2:
-        raise ValidationError(f"repeat series needs at least 2 captures, got {n_times}")
+    check_number("n_times", n_times, 2, integer=True)
+    check_number("drift_amplitude", drift_amplitude, 0, optional=True)
     amplitude = scene.noise.drift_amplitude if drift_amplitude is None else float(drift_amplitude)
-    if amplitude < 0:
-        raise ValidationError("drift_amplitude must be >= 0")
     u = stream(scene.rng_seed, "drift").uniform(-1.0, 1.0, n_times)
     return [
         render(scene, sample_id=f"repeat-{k:03d}", intensity_scale=1.0 + amplitude * u[k])

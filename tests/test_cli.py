@@ -4,7 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import fields, is_dataclass
+from dataclasses import fields, is_dataclass, replace
 from enum import Enum
 from pathlib import Path
 from types import UnionType
@@ -16,8 +16,9 @@ from hypothesis import given, settings, strategies as st
 
 import dualmsi
 from dualmsi.cli import COMMANDS, command_handler, main
-from dualmsi.core import Label, Mode, Sample, json_value, load_dataset, save_dataset
+from dualmsi.core import Label, Mode, Sample, crop, json_value, load_dataset, save_dataset
 from dualmsi.models import MODEL_KINDS
+from dualmsi.preprocess import PipelineOptions, fit_corrections, preprocess_pipeline, quantize_sample
 from dualmsi.studies import CaseStudyConfig, StudyKind, generate_case_study, render_white_reference
 
 from conftest import random_raw_sample
@@ -132,6 +133,22 @@ class TestPreprocessMatrixTrainEval(object):
         }))
         assert run(["--config", cfg, "--out", tmp_path / "o", "preprocess"]) == 2
         assert not (tmp_path / "o").exists()
+
+    def test_crop_also_applies_to_the_white(self, synth_dirs, tmp_path):
+        # the gains are fitted at the window the crop leaves
+        cfg = tmp_path / "pre.json"
+        cfg.write_text(json.dumps({
+            "input": str(synth_dirs / "reflectance"),
+            "white": str(synth_dirs / "white_reflectance"),
+            "options": {"crop": [0, 0, 20, 20]},
+        }))
+        assert run(["--config", cfg, "--out", tmp_path / "o", "preprocess"]) == 0
+        white = next(load_dataset(synth_dirs / "white_reflectance"))
+        corrections = fit_corrections(replace(white, cube=crop(white.cube, 0, 0, 20, 20)))
+        options = PipelineOptions(crop=(0, 0, 20, 20))
+        want = [quantize_sample(preprocess_pipeline(s, corrections, options))
+                for s in load_dataset(synth_dirs / "reflectance")]
+        assert list(load_dataset(tmp_path / "o")) == want
 
     def test_missing_input_dir_fails_cleanly(self, tmp_path):
         cfg = tmp_path / "x.json"
@@ -946,6 +963,9 @@ def test_refused_config_exits_2_before_out_is_created(tmp_path, capsys, command,
 
 FAILED_COMMANDS = [
     ("turmeric", {"replicates": 0}, 2),
+    ("synth", {"depth": 0}, 2),
+    ("synth", {"depth": -5}, 2),
+    ("coconut-oil", {"depth": 0}, 2),
     ("train", {"matrix": "m.csv", "model": "knn", "params": {"k": 0}}, 2),
     ("matrix", {"input": "d", "name": "../m.csv"}, 2),
     ("train", {"matrix": "missing.csv"}, 3),

@@ -280,8 +280,6 @@ class TestStagesMatchPerFrameReference:
         gain = SpatialGain(
             gains={wl: maps[i] for i, wl in reversed(list(enumerate(WAVELENGTHS[: len(frames)])))},
             flags={wl: np.zeros(shape[1:], bool) for wl in WAVELENGTHS[: len(frames)]},
-            window=1,
-            floor=0.05,
         )
         out = apply_spatial_gain(cube_from(frames), gain)
         assert same_bits(out.values, ref_apply_spatial_gain(frames, list(maps)))

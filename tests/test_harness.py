@@ -20,7 +20,6 @@ from dualmsi.harness import (
     write_study_bundle,
 )
 from dualmsi.divergence import write_kl_curve_csv
-from dualmsi.preprocess import fit_corrections
 from dualmsi.studies import CaseStudyConfig, StudyKind, render_white_reference
 from dualmsi.synth import (
     Curve,
@@ -99,7 +98,7 @@ class TestSpatialConsistency:
     def test_corrections_reduce_mean_distance(self):
         config = CaseStudyConfig.for_kind(StudyKind.TURMERIC, width=60, height=60)
         white = render_white_reference(config, Mode.REFLECTANCE, master_seed=2)
-        report = spatial_consistency_report(white, fit_corrections(white))
+        report = spatial_consistency_report(white)
         assert report.after.mean_distance < report.before.mean_distance
 
     def test_recommended_region_nonempty(self):

@@ -798,6 +798,52 @@ class TestBlockedSplit:
         # values and classes, and its children's orders
         assert peak - base <= models.WORKING_MEMORY + 6 * 8 * n * d
 
+    @settings(max_examples=60, deadline=None)
+    @given(data=labelled_matrices(max_rows=40, max_cols=6), labels=st.data(),
+           class_step=st.integers(1, 5), min_leaf=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+    def test_class_blocks_equal_one_block(self, data, labels, class_step, min_leaf, seed):
+        """Up to 12 classes, scored ``class_step`` classes a block at the root
+        and more a block in smaller nodes."""
+        x, _ = data
+        y = np.array(labels.draw(st.lists(st.integers(0, 11), min_size=len(x), max_size=len(x))))
+        y = y * 5.0
+        classes = np.unique(y)
+        y_idx = np.searchsorted(classes, y)
+        order = np.argsort(x, axis=0, kind="stable").T
+        root = (x.T[np.arange(x.shape[1])[:, None], order], y_idx[order],
+                np.bincount(y_idx, minlength=classes.size), min_leaf, np.arange(classes.size)[:, None])
+
+        def fit():
+            return (models._best_split(*root),
+                    tree_bytes(DecisionTree(min_leaf=min_leaf).fit(x, y)),
+                    [tree_bytes(t) for t in RandomForest(n_trees=3, seed=seed, min_leaf=min_leaf)
+                     .fit(x, y).trees])
+
+        whole = fit()
+        budget = models._split_feature_bytes(x.shape[0], class_step)
+        with mock.patch.object(models, "WORKING_MEMORY", budget):
+            assert fit() == whole
+
+    def test_many_class_fit_stays_within_the_working_memory_budget(self):
+        # 600 rows of 300 classes: one feature's split temporaries at the
+        # root take 8 x 600 x (3 x 300 + 6) bytes = 4.3 MB, over a 1 MiB budget
+        n, d, budget = 600, 4, 2**20
+        x = np.random.default_rng(6).normal(size=(n, d))
+        y = np.repeat(np.arange(300.0), 2)
+        with mock.patch.object(models, "WORKING_MEMORY", budget):
+            DecisionTree(max_depth=1).fit(x[:50], y[:50])  # first calls fill lazy caches
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                DecisionTree().fit(x, y)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        # besides its split blocks a fit holds the six (d, n) arrays of the
+        # tall fit above, and rows, class indices and side mask (n each),
+        # labels, class ids, counts and their shares (300 each)
+        assert peak - base <= budget + 6 * 8 * n * d + 8 * (3 * n + 4 * 300)
+
 
 # Written by the recursive-grower release: the nested tree form must keep
 # loading and predicting the same.

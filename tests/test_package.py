@@ -91,3 +91,11 @@ def test_bare_import_loads_no_submodule_and_no_numpy():
                    "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] in "
                    "('dualmsi', 'numpy'))))")
     assert loaded == ["dualmsi"]
+
+
+def test_devicelink_import_loads_no_numpy():
+    # the firmware simulation checks its numbers with errors.check_number alone
+    loaded = fresh("import json, sys, dualmsi.devicelink\n"
+                   "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] in "
+                   "('dualmsi', 'numpy'))))")
+    assert loaded == ["dualmsi", "dualmsi.devicelink", "dualmsi.errors"]

@@ -94,11 +94,9 @@ class TestSpatialGain:
 
     def test_apply_identity_and_mismatch(self):
         cube = make_float({530: np.full((8, 8), 0.25)})
-        unit = SpatialGain(gains={530: np.ones((8, 8))}, flags={530: np.zeros((8, 8), bool)},
-                           window=11, floor=0.05)
+        unit = SpatialGain(gains={530: np.ones((8, 8))}, flags={530: np.zeros((8, 8), bool)})
         assert apply_spatial_gain(cube, unit) == cube
-        small = SpatialGain(gains={530: np.ones((4, 4))}, flags={530: np.zeros((4, 4), bool)},
-                            window=11, floor=0.05)
+        small = SpatialGain(gains={530: np.ones((4, 4))}, flags={530: np.zeros((4, 4), bool)})
         with pytest.raises(DimensionMismatchError):
             apply_spatial_gain(cube, small)
 
