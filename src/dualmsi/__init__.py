@@ -25,6 +25,7 @@ _EXPORTS = {
         "HandshakeTimeoutError", "MissingFrameError", "ModeMismatchError", "UnpairedSampleError",
         "ValidationError",
     ),
+    "jsonio": (),
     "pgm": (),
     "synth": (
         "Curve", "IlluminationProfile", "LedSpec", "MaterialSpec", "MixtureSpec", "NoiseSpec",

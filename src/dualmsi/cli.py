@@ -10,7 +10,7 @@ layer loaded and not the rest of the package.
 
 A handler's keyword parameters are its config schema: ``main`` reads each
 key of the config object as the parameter it names, typed by its
-annotation (``core.json_kwargs``); a key that names none, or a value of
+annotation (``jsonio.json_kwargs``); a key that names none, or a value of
 the wrong type, exits 2.  ``--out`` appears at a handler's first write.  The
 study-reading handlers also take the ``CaseStudyConfig`` fields as
 ``**study`` and pass them on to ``CaseStudyConfig.from_json``.
@@ -24,8 +24,8 @@ from importlib import import_module
 from pathlib import Path
 
 from . import __version__
-from .core import json_kwargs, read_json
 from .errors import DualMsiError, ValidationError
+from .jsonio import json_kwargs, read_json
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2

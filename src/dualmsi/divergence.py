@@ -22,9 +22,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Mode, load_dataset, write_json
+from .core import Mode, load_dataset
 from .errors import EmptyDataError, ValidationError, check_number
 from .features import DataMatrix, build_matrix, lda_fit, project
+from .jsonio import write_json
 
 
 @dataclass(frozen=True)

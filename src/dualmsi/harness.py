@@ -20,7 +20,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import materials
-from .core import Mode, Sample, SpectralCube, load_dataset, write_json
+from .core import Mode, Sample, SpectralCube, load_dataset
 from .divergence import adulteration_curve, fit_linear, median_curve, write_kl_curve_csv
 from .errors import ValidationError
 from .features import (
@@ -35,6 +35,7 @@ from .features import (
     spectral_signature,
     stack,
 )
+from .jsonio import write_json
 from .models import (
     DecisionTree,
     Granularity,
@@ -49,7 +50,7 @@ from .models import (
 from .preprocess import (
     Corrections,
     PipelineOptions,
-    _box_mean,
+    box_mean,
     fit_corrections,
     preprocess_pipeline,
 )
@@ -57,7 +58,7 @@ from .studies import (
     CaseStudyConfig,
     Capture,
     StudyKind,
-    _seed,
+    derive_seed,
     plan_case_study,
     render_white_reference,
 )
@@ -95,7 +96,7 @@ class SpatialConsistencyReport:
 def _spatial_variant(sample: Sample) -> SpatialVariant:
     cube = sample.cube
     total = cube.values.sum(axis=0)
-    smoothed = _box_mean(total, 11)
+    smoothed = box_mean(total, 11)
     flat_index = int(np.argmax(smoothed))
     cy, cx = np.unravel_index(flat_index, smoothed.shape)
     center_vec = cube.values[:, cy, cx]
@@ -179,7 +180,7 @@ def study_classifiers(master_seed: int, kinds: Sequence[str] | None = None) -> d
         "decision_tree": lambda: DecisionTree(),
         "knn": lambda: KNearestNeighbors(k=5),
         "logistic": lambda: LogisticRegressionGD(lr=5.0, lr_decay=1e-3, epochs=800),
-        "random_forest": lambda: RandomForest(n_trees=30, seed=_seed(master_seed, "forest")),
+        "random_forest": lambda: RandomForest(n_trees=30, seed=derive_seed(master_seed, "forest")),
         "svm": lambda: LinearSVM(c=10.0, lr=50.0, lr_decay=5e-2, epochs=1200),
     }
     if kinds is None:
@@ -370,7 +371,7 @@ def run_case_study(
     classifiers = study_classifiers(
         master_seed, spec.classifiers if classifier_kinds is None else classifier_kinds
     )
-    split_seed = _seed(master_seed, spec.split_tag)
+    split_seed = derive_seed(master_seed, spec.split_tag)
     variant_matrices = _variant_matrices(plan, corrections, spec.variants)
 
     bundle: dict = {

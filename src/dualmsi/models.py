@@ -22,7 +22,7 @@ converted both ways without recursion.
 Every model is saved in one layout, ``{"kind", <saved hyperparameters>,
 <fitted state>}`` (``_Model.to_json``), and read back by one reader,
 :func:`model_from_json`: the saved hyperparameters are constructor keywords
-typed by ``core.json_call``, exactly as ``train`` reads its ``params``.
+typed by ``jsonio.json_call``, exactly as ``train`` reads its ``params``.
 
 The default split granularity keeps all superpixel rows of a sample on
 one side: rows of one sample are near-duplicates, and splitting them
@@ -41,9 +41,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import json_call, read_json, write_json
+from .core import WORKING_MEMORY
 from .errors import ValidationError, check_number
 from .features import DataMatrix, LabelKind
+from .jsonio import json_call, read_json, write_json
 from .synth import stream
 
 
@@ -162,7 +163,7 @@ class _Model:
     """The model JSON layout, ``{"kind": KIND, <PARAMS>, <fitted state>}``.
 
     ``PARAMS`` names the saved hyperparameters, constructor keywords that
-    :func:`model_from_json` reads back with ``core.json_call``, typed as
+    :func:`model_from_json` reads back with ``jsonio.json_call``, typed as
     ``train`` reads its ``params``; ``_state`` and ``_restore`` write and
     read the fitted state.
     """
@@ -174,16 +175,21 @@ class _Model:
         return {"kind": self.KIND, **{p: getattr(self, p) for p in self.PARAMS}, **self._state()}
 
 
-# Bytes of working memory one block of KNearestNeighbors.predict, or one
-# block of candidate features in a tree node's split search, may use.
-WORKING_MEMORY = 8 * 2**20
+def _knn_row_bytes(n_train: int) -> int:
+    """Working memory of one test row in a predict block's ranking pass,
+    8 bytes an entry: its BLAS distance to every training row and their
+    partitioned copy, and four per-row values (squared norm, k-th
+    distance, rounding bound, cut)."""
+    return 8 * (2 * n_train + 4)
 
 
-def _knn_row_bytes(n_train: int, k: int, n_labels: int) -> int:
-    """Working memory of one test row in a predict block, 8 bytes an entry:
-    up to every training row as a candidate (row and column index, exact
-    distance, two temporaries), k nearest and per-label counts, sums, masks."""
-    return 8 * (5 * n_train + 3 * k + 4 * n_labels)
+def _knn_refine_bytes(n_candidates: np.ndarray, k: int, n_labels: int) -> np.ndarray:
+    """Working memory of refining each test row with ``n_candidates``
+    candidates, 8 bytes an entry: each candidate's flat, row and column
+    index, exact distance, two temporaries and its sort order, and per
+    row its k nearest (index, vote, distance) and per-label counts, sums
+    and masks."""
+    return 8 * (7 * n_candidates + 3 * k + 4 * n_labels)
 
 
 class KNearestNeighbors(_Model):
@@ -204,41 +210,65 @@ class KNearestNeighbors(_Model):
         return self
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        """Labels of the rows of ``x``, computed in row blocks whose working
-        memory stays within ``WORKING_MEMORY``, at least one row each."""
+        """Labels of the rows of ``x``, ranked in row blocks whose BLAS
+        distances fit half of ``WORKING_MEMORY``, at least one row each;
+        the candidates they leave are refined in the other half."""
         if self.train_x is None:
             raise ValidationError("predict before fit")
         x = _rows(x, self.train_x.shape[1])
         labels, train_idx = np.unique(self.train_y, return_inverse=True)
         train_sq = (self.train_x**2).sum(axis=1)
-        step = max(1, WORKING_MEMORY // _knn_row_bytes(train_sq.size, self.k, labels.size))
+        step = max(1, WORKING_MEMORY // 2 // _knn_row_bytes(train_sq.size))
+        # every block's distances and their partitioned copy, allocated once:
+        # fresh blocks of this size would fault their pages in again
+        buffers = np.empty((2, min(step, x.shape[0]), train_sq.size))
         out = np.empty(x.shape[0])
         for start in range(0, x.shape[0], step):
             block = slice(start, start + step)
-            out[block] = labels[self._vote(x[block], train_sq, train_idx, labels.size)]
+            out[block] = labels[self._vote(x[block], train_sq, train_idx, labels.size, buffers)]
         return out
 
-    def _candidates(self, x, train_sq) -> np.ndarray:
-        """Ascending flat indices of the (test row, training row) pairs that
-        hold every training row whose exact distance is at most the row's k-th.
+    def _candidates(self, x, train_sq, buffers) -> np.ndarray:
+        """Mask of the (test row, training row) pairs that hold every
+        training row whose exact distance is at most the row's k-th.
         BLAS and the exact sum each round within 2 gamma_{d+2} (|x|^2 + |t|^2)
         of the true distance (Higham, Accuracy and Stability of Numerical
         Algorithms, 3.1), so no row whose BLAS distance exceeds the k-th one's
         by 2 delta, delta = 4 gamma_{d+2} (|x|^2 + max |t|^2), is nearer."""
         x_sq = (x**2).sum(axis=1)
-        d2 = x @ self.train_x.T
+        d2, ranked = buffers[:, : x.shape[0]]
+        np.matmul(x, self.train_x.T, out=d2)
         d2 *= -2.0
         d2 += x_sq[:, None]
         d2 += train_sq
-        kth = np.partition(d2, self.k - 1, axis=1)[:, self.k - 1]
         n_rounding = (x.shape[1] + 2) * np.finfo(np.float64).eps / 2
         delta = 4 * n_rounding / (1 - n_rounding) * (x_sq + train_sq.max())
-        far = d2 > (kth + 2 * delta)[:, None]  # a NaN distance or bound is kept
-        return np.flatnonzero(np.invert(far, out=far))
+        ranked[...] = d2
+        ranked.partition(self.k - 1, axis=1)
+        cut = ranked[:, self.k - 1] + 2 * delta
+        far = d2 > cut[:, None]  # a NaN distance or bound is kept
+        return np.invert(far, out=far)
 
-    def _vote(self, x, train_sq, train_idx, n_labels) -> np.ndarray:
-        """Index into the sorted labels of each row's majority vote."""
-        rows, cols = np.divmod(self._candidates(x, train_sq), train_sq.size)
+    def _vote(self, x, train_sq, train_idx, n_labels, buffers) -> np.ndarray:
+        """Index into the sorted labels of each row's majority vote.  The
+        candidates are refined in runs of rows whose refine fits the
+        ``WORKING_MEMORY`` left beside the ranking buffers and the candidate
+        mask, at least one row each."""
+        keep = self._candidates(x, train_sq, buffers)
+        spent = np.cumsum(_knn_refine_bytes(np.count_nonzero(keep, axis=1), self.k, n_labels))
+        budget = WORKING_MEMORY - buffers.nbytes - keep.nbytes
+        out = np.empty(x.shape[0], dtype=np.intp)
+        start = 0
+        while start < x.shape[0]:
+            before = spent[start - 1] if start else 0
+            stop = max(start + 1, int(np.searchsorted(spent, before + budget, side="right")))
+            out[start:stop] = self._refine(x[start:stop], keep[start:stop], train_idx, n_labels)
+            start = stop
+        return out
+
+    def _refine(self, x, keep, train_idx, n_labels) -> np.ndarray:
+        """:meth:`_vote` of the rows of ``x`` from their candidate mask."""
+        rows, cols = np.divmod(np.flatnonzero(keep), keep.shape[1])
         exact = np.zeros(rows.size)
         for j in range(x.shape[1]):
             diff = x[:, j].take(rows)
@@ -796,7 +826,7 @@ def _load(cls, obj: dict):
 def model_from_json(obj: dict):
     """The model that ``obj``, a ``to_json`` object, describes; a missing
     key, a wrong shape or type, or a number too large for a float raises
-    ValidationError.  ``core.read_json`` refuses non-finite numbers before
+    ValidationError.  ``jsonio.read_json`` refuses non-finite numbers before
     a saved model gets here."""
     if not isinstance(obj, dict):
         raise ValidationError("model JSON must be an object")

@@ -15,7 +15,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .core import RAW_MAX, Sample, SpectralCube, crop, load_dataset, save_dataset
+from .core import RAW_MAX, WORKING_MEMORY, Sample, SpectralCube, crop, load_dataset, save_dataset
 from .errors import DegenerateReferenceError, DimensionMismatchError, ValidationError, check_number
 
 
@@ -65,7 +65,7 @@ class SpectralGain:
         object.__setattr__(self, "scale", scale)
 
 
-def _box_mean(values: np.ndarray, window: int) -> np.ndarray:
+def box_mean(values: np.ndarray, window: int) -> np.ndarray:
     """Edge-replicated ``window`` x ``window`` box mean over the last two axes.
 
     Bit-identical to ``scipy.ndimage.uniform_filter`` with
@@ -106,7 +106,7 @@ def fit_spatial_gain(white_cube: SpectralCube, window: int = 11, floor: float = 
     if window % 2 == 0:
         raise ValidationError(f"window must be odd, got {window}")
     # each band is smoothed on its own
-    smooth = _box_mean(white_cube.values, window)
+    smooth = box_mean(white_cube.values, window)
     peak = smooth.max(axis=(1, 2), keepdims=True)
     for wl, band_peak in zip(white_cube.band_set, peak.ravel()):
         if band_peak <= 0.0:
@@ -174,8 +174,8 @@ def apply_spectral_gain(cube: SpectralCube, gain: SpectralGain) -> SpectralCube:
     return replace(cube, values=np.minimum(scaled, 1.0))
 
 
-# Pixels per filtering pass: a chunk of this many band pixels keeps the
-# per-offset buffers of one pass in cache.
+# Frame pixels per paired filtering pass: a chunk of this many band pixels
+# keeps the per-offset buffers of one pass in cache.
 _BILATERAL_CHUNK_PIXELS = 12_000
 
 
@@ -190,11 +190,14 @@ def bilateral_filter(
     Gaussian on intensity difference (sigma_r).  Edges are replicated.
     Output values stay inside the local input window's [min, max].
 
-    A stack is filtered a chunk of bands at a time, sized to stay in
+    A stack is filtered a chunk of frames at a time, sized to stay in
     cache.  The range weight of offset o at pixel p equals that of -o at
     p + o, so each mirror pair of offsets gets its weight and weighted
-    difference computed once, on the padded grid.  The sums still run in
-    row-major offset order, so every frame gets the bits it would get on
+    difference computed once, on the padded grid.  That pass holds two
+    buffers per pair; when one frame's do not fit ``WORKING_MEMORY``,
+    each offset's weight is computed on its own instead, in strips of rows
+    whose buffers fit (at least one row each).  The sums run in row-major
+    offset order either way, so every frame gets the bits it would get on
     its own.
     """
     check_number("window", window, 1, integer=True)
@@ -207,27 +210,54 @@ def bilateral_filter(
     if values.ndim not in (2, 3):
         raise ValidationError(f"bilateral filter needs a frame or a stack, got {values.ndim} dims")
     stack = values.reshape(-1, *values.shape[-2:])
-    step = max(1, _BILATERAL_CHUNK_PIXELS // max(1, stack.shape[1] * stack.shape[2]))
-    out = np.empty_like(stack)
-    for start in range(0, len(stack), step):
-        out[start : start + step] = _bilateral_chunk(
-            stack[start : start + step], sigma_s, sigma_r, window // 2
+    n, h, w = stack.shape
+    half = window // 2
+    padded_width = w + 2 * half
+    # per padded pixel, 8 bytes each: a difference and a weight per mirror
+    # pair of offsets, the padded frame, two sums and the output
+    paired = 8 * (2 * (window * window // 2) + 4) * (h + 2 * half) * padded_width
+    if paired <= WORKING_MEMORY:
+        frames = max(1, min(_BILATERAL_CHUNK_PIXELS // (h * w), WORKING_MEMORY // paired))
+        rows, filter_chunk = h, _bilateral_paired
+    else:
+        # the padded strip, and six buffers of output pixels
+        frame = 8 * ((h + 2 * half) * padded_width + 6 * h * w)
+        frames = max(1, WORKING_MEMORY // frame)
+        rows = h if frame <= WORKING_MEMORY else max(
+            1, (WORKING_MEMORY // 8 - 2 * half * padded_width) // (padded_width + 6 * w)
         )
+        filter_chunk = _bilateral_direct
+    out = np.empty_like(stack)
+    for first in range(0, n, frames):
+        for top in range(0, h, rows):
+            out[first : first + frames, top : top + rows] = filter_chunk(
+                stack[first : first + frames], top, rows, sigma_s, sigma_r, half
+            )
     return out.reshape(values.shape)
 
 
-def _bilateral_chunk(
-    frames: np.ndarray, sigma_s: float, sigma_r: float, half: int
-) -> np.ndarray:
-    """:func:`bilateral_filter` of a ``(b, h, w)`` float stack in one pass.
+def _edge_strip(frames: np.ndarray, top: int, rows: int, half: int) -> np.ndarray:
+    """Rows ``top .. top + rows`` of each of the ``(b, h, w)`` frames with
+    ``half`` more on every side, edges replicated."""
+    h, w = frames.shape[1:]
+    row = np.clip(np.arange(top - half, min(top + rows, h) + half), 0, h - 1)
+    column = np.clip(np.arange(-half, w + half), 0, w - 1)
+    return frames[:, row[:, None], column]
 
-    Works on the flattened padded stack, where offset (dy, dx) is a shift
+
+def _bilateral_paired(
+    frames: np.ndarray, top: int, rows: int, sigma_s: float, sigma_r: float, half: int
+) -> np.ndarray:
+    """:func:`bilateral_filter` of rows ``top .. top + rows`` of ``frames``,
+    each mirror pair of offsets at once.
+
+    Works on the flattened padded strip, where offset (dy, dx) is a shift
     by dy * width + dx, so every array operation is contiguous.  Each sum
-    covers the span from the first to the last frame pixel; the padding
+    covers the span from the first to the last output pixel; the padding
     inside it is computed and dropped.
     """
-    padded = np.pad(frames, ((0, 0), (half, half), (half, half)), mode="edge")
-    _, h, w = frames.shape
+    padded = _edge_strip(frames, top, rows, half)
+    h, w = padded.shape[1] - 2 * half, padded.shape[2] - 2 * half
     width = w + 2 * half
     flat = padded.ravel()
     lead = half * width + half
@@ -266,6 +296,34 @@ def _bilateral_chunk(
     out = np.empty_like(flat)
     out[span] = center + num / den
     return out.reshape(padded.shape)[:, half : half + h, half : half + w]
+
+
+def _bilateral_direct(
+    frames: np.ndarray, top: int, rows: int, sigma_s: float, sigma_r: float, half: int
+) -> np.ndarray:
+    """:func:`bilateral_filter` of rows ``top .. top + rows`` of ``frames``,
+    one offset at a time.  Offset -o's difference is minus that of o at
+    the shifted pixel and its weight the same, so each pixel gets the bits
+    of :func:`_bilateral_paired`."""
+    padded = _edge_strip(frames, top, rows, half)
+    h, w = padded.shape[1] - 2 * half, padded.shape[2] - 2 * half
+    center = padded[:, half : half + h, half : half + w]
+    num, den, diff, weight = np.zeros((4, *center.shape))
+    for dy in range(-half, half + 1):
+        for dx in range(-half, half + 1):
+            if dy == dx == 0:  # a zero difference with weight exp(0) * exp(0)
+                den += 1.0
+                continue
+            shifted = padded[:, half + dy : half + dy + h, half + dx : half + dx + w]
+            np.subtract(shifted, center, out=diff)
+            np.square(diff, out=weight)
+            np.divide(weight, -2.0 * sigma_r**2, out=weight)
+            np.exp(weight, out=weight)
+            np.multiply(weight, np.exp(-(dx * dx + dy * dy) / (2.0 * sigma_s**2)), out=weight)
+            np.multiply(diff, weight, out=diff)
+            num += diff
+            den += weight
+    return center + num / den
 
 
 @dataclass(frozen=True)

@@ -29,8 +29,9 @@ from pathlib import Path
 import numpy as np
 
 from . import materials
-from .core import BandSet, Label, Mode, Sample, json_call, json_value, save_dataset
+from .core import BandSet, Label, Mode, Sample, save_dataset
 from .errors import ValidationError, check_number
+from .jsonio import json_call, json_value
 from .synth import IlluminationProfile, MixtureSpec, NoiseSpec, SceneConfig, render, stream
 
 
@@ -136,7 +137,8 @@ class StudyDataset:
     transmittance: tuple[Sample, ...] = ()
 
 
-def _seed(*parts) -> int:
+def derive_seed(*parts) -> int:
+    """A seed in [0, 2**63 - 1) drawn from the stream that ``parts`` name."""
     return int(stream(*parts).integers(0, 2**63 - 1))
 
 
@@ -204,7 +206,7 @@ def _adulteration_captures(config: CaseStudyConfig, master_seed: int, base, adul
                 scene = config.scene(
                     Mode.REFLECTANCE,
                     MixtureSpec.binary(base, adulterant, fraction),
-                    _seed(master_seed, sid, "R"),
+                    derive_seed(master_seed, sid, "R"),
                     noise=noise,
                     band_gains=refl_gains,
                     label=label,
@@ -214,7 +216,7 @@ def _adulteration_captures(config: CaseStudyConfig, master_seed: int, base, adul
             scene_t = config.scene(
                 Mode.TRANSMITTANCE,
                 MixtureSpec.binary(base, adulterant, fraction, depth=max(depth, 1e-6)),
-                _seed(master_seed, sid, "T"),
+                derive_seed(master_seed, sid, "T"),
                 noise=noise,
                 band_gains=trans_gains,
                 label=label,
@@ -240,7 +242,7 @@ def _color_chart_captures(config: CaseStudyConfig, master_seed: int) -> list[Cap
             scene = config.scene(
                 Mode.REFLECTANCE,
                 MixtureSpec.pure(material),
-                _seed(master_seed, sid),
+                derive_seed(master_seed, sid),
                 band_gains=gains,
                 label=Label.color(class_id),
             )
@@ -297,7 +299,7 @@ def render_white_reference(
     scene = config.scene(
         mode,
         MixtureSpec.pure(materials.WHITE_REFERENCE),
-        _seed(master_seed, "white", mode.value),
+        derive_seed(master_seed, "white", mode.value),
         label=Label.adulteration(0.0),
     )
     return render(scene, sample_id=f"white-{mode.value}")

@@ -63,7 +63,10 @@ def repeat_series(n_times=3, drift_amplitude=None):
 
 def bilateral(**options):
     """``bilateral_filter`` with its filtering left out: a valid window may be wide."""
-    with mock.patch.object(preprocess, "_bilateral_chunk", lambda frames, *args: frames):
+    def unfiltered(frames, top, rows, *args):
+        return frames[:, top : top + rows]
+
+    with mock.patch.multiple(preprocess, _bilateral_paired=unfiltered, _bilateral_direct=unfiltered):
         bilateral_filter(FLOAT_CUBE.values, **options)
 
 

@@ -16,7 +16,8 @@ from hypothesis import given, settings, strategies as st
 
 import dualmsi
 from dualmsi.cli import COMMANDS, command_handler, main
-from dualmsi.core import Label, Mode, Sample, crop, json_value, load_dataset, save_dataset
+from dualmsi.core import WORKING_MEMORY, Label, Mode, Sample, crop, load_dataset, save_dataset
+from dualmsi.jsonio import json_value
 from dualmsi.models import MODEL_KINDS
 from dualmsi.preprocess import PipelineOptions, fit_corrections, preprocess_pipeline, quantize_sample
 from dualmsi.studies import CaseStudyConfig, StudyKind, generate_case_study, render_white_reference
@@ -504,6 +505,27 @@ class TestMatrixCsvRows:
         assert run(["--config", cfg, "--out", tmp_path / "o", "train"]) == 0
 
 
+def test_preprocess_with_a_wide_bilateral_window_stays_within_the_working_memory(tmp_path):
+    # the paired filtering form would ask for 2 * 32,512 buffers of the
+    # 258 x 258 padded grid; the per-offset form needs a few kilobytes
+    save_dataset([random_raw_sample(np.random.default_rng(0), "s", n_bands=1, size=4)],
+                 tmp_path / "d")
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"input": str(tmp_path / "d"),
+                               "options": {"spatial": False, "spectral": False,
+                                           "bilateral": {"window": 255}}}))
+    assert run(["--config", cfg, "--out", tmp_path / "warm", "preprocess"]) == 0
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        assert run(["--config", cfg, "--out", tmp_path / "o", "preprocess"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - base <= WORKING_MEMORY + 2**20  # the command's own objects: 1 MiB
+    assert file_bytes(tmp_path / "o") == file_bytes(tmp_path / "warm")
+
+
 def tiny_dataset(path, modes=(Mode.TRANSMITTANCE,) * 4):
     """Raw 20x20 samples, alternating 0% and 5% labels, one per mode given."""
     rng = np.random.default_rng(0)
@@ -878,12 +900,45 @@ def test_synth_run_leaves_scipy_unloaded(tmp_path):
 
 
 
-SHELL = {"dualmsi", "dualmsi.cli", "dualmsi.core", "dualmsi.errors", "dualmsi.pgm"}
+SHELL = {"dualmsi", "dualmsi.cli", "dualmsi.errors", "dualmsi.jsonio"}
 
 
-def test_cli_import_loads_only_the_shell_and_numpy(tmp_path):
+def test_cli_import_loads_only_the_shell(tmp_path):
     assert set(loaded_modules("dualmsi", "import dualmsi.cli", tmp_path)) == SHELL
-    assert "numpy" in loaded_modules("numpy", "import dualmsi.cli", tmp_path)
+    assert loaded_modules("numpy", "import dualmsi.cli", tmp_path) == []
+
+
+# The shell's own work, which needs no numpy: (arguments, exit code)
+SHELL_RUNS = [
+    (["--help"], 0),
+    (["--version"], 0),
+    (["--config", "proto.json", "--out", "o", "protocol-sim"], 0),
+    (["--config", "malformed.json", "--out", "o", "protocol-sim"], 2),
+    (["protocol-sim"], 2),  # no --out
+]
+
+
+def shell_run(root: Path, argv: list[str], block_numpy: bool):
+    """Exit code, output and written files of ``dualmsi argv`` run in a fresh
+    interpreter in ``root``; a None entry in sys.modules makes every numpy
+    import raise ImportError."""
+    root.mkdir()
+    (root / "proto.json").write_text('{"n_bands": 3}')
+    (root / "malformed.json").write_text("{")
+    code = "import sys\n" + ("sys.modules['numpy'] = None\n" if block_numpy else "")
+    code += f"from dualmsi.cli import main\nsys.exit(main({argv!r}))"
+    src = str(Path(dualmsi.__file__).parents[1])
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, cwd=root,
+                            env={**os.environ, "PYTHONPATH": src})
+    stderr = result.stderr.replace(str(root), "ROOT")
+    return result.returncode, result.stdout, stderr, file_bytes(root)
+
+
+@pytest.mark.parametrize("argv, exit_code", SHELL_RUNS, ids=[" ".join(a) for a, _ in SHELL_RUNS])
+def test_shell_commands_run_with_numpy_blocked(tmp_path, argv, exit_code):
+    blocked = shell_run(tmp_path / "blocked", argv, block_numpy=True)
+    assert blocked[0] == exit_code
+    assert blocked == shell_run(tmp_path / "loaded", argv, block_numpy=False)
 
 
 @pytest.fixture(scope="module")
@@ -902,18 +957,23 @@ def chain_root(tmp_path_factory):
 
 
 # Each command's config (paths relative to ``chain_root``) and the layer
-# modules it loads beyond the shell.
+# modules it loads beyond the shell; every layer but ``devicelink`` loads
+# ``core`` and ``pgm``.
+CUBES = {"core", "pgm"}
 CHAIN_RUNS = {
     "synth": ({"kind": "coconut_oil", "replicates": 1, "levels": [0, 40], "width": 10,
-               "height": 10}, {"studies", "synth", "materials"}),
-    "preprocess": ({"input": "d/transmittance", "white": "d/white_transmittance"}, {"preprocess"}),
-    "matrix": ({"input": "d/reflectance"}, {"features"}),
-    "train": ({"matrix": "m/matrix.csv"}, {"models", "features", "synth"}),
-    "eval": ({"matrix": "m/matrix.csv", "model": "t/model.json"}, {"models", "features", "synth"}),
-    "kl-regress": ({"input": "d/transmittance", "n_bins": 8}, {"divergence", "features"}),
+               "height": 10}, {"studies", "synth", "materials", *CUBES}),
+    "preprocess": ({"input": "d/transmittance", "white": "d/white_transmittance"},
+                   {"preprocess", *CUBES}),
+    "matrix": ({"input": "d/reflectance"}, {"features", *CUBES}),
+    "train": ({"matrix": "m/matrix.csv"}, {"models", "features", "synth", *CUBES}),
+    "eval": ({"matrix": "m/matrix.csv", "model": "t/model.json"},
+             {"models", "features", "synth", *CUBES}),
+    "kl-regress": ({"input": "d/transmittance", "n_bins": 8}, {"divergence", "features", *CUBES}),
     "protocol-sim": ({"n_bands": 3}, {"devicelink"}),
     "consistency": ({"width": 20, "height": 20}, {"harness", "studies", "synth", "materials",
-                                                  "preprocess", "features", "models", "divergence"}),
+                                                  "preprocess", "features", "models", "divergence",
+                                                  *CUBES}),
 }
 
 

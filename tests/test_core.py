@@ -12,20 +12,17 @@ from dualmsi.core import (
     SpectralCube,
     TABLE1_WAVELENGTHS,
     crop,
-    json_call,
-    json_value,
     load_dataset,
     load_sample,
-    read_json,
     save_dataset,
     save_sample,
-    write_json,
 )
 from dualmsi.errors import (
     DimensionMismatchError,
     MissingFrameError,
     ValidationError,
 )
+from dualmsi.jsonio import json_call, json_value, read_json, write_json
 from dualmsi.pgm import read_pgm16, write_pgm16
 
 from conftest import make_cube, random_raw_sample

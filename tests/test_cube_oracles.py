@@ -44,10 +44,10 @@ from dualmsi.preprocess import (
     SaturationClipWarning,
     SpatialGain,
     SpectralGain,
-    _box_mean,
     apply_spatial_gain,
     apply_spectral_gain,
     bilateral_filter,
+    box_mean,
     fit_spatial_gain,
     fit_spectral_gain,
     preprocess_pipeline,
@@ -450,15 +450,15 @@ class TestKernelsMatchPlainReference:
     )
     def test_box_mean_stack_and_frames(self, stack, window):
         # windows up to 31 are wider than most drawn frames
-        assert same_bits(_box_mean(stack, window),
+        assert same_bits(box_mean(stack, window),
                          uniform_filter(stack, size=(1, window, window), mode="nearest"))
-        assert same_bits(_box_mean(stack[0], window),
+        assert same_bits(box_mean(stack[0], window),
                          uniform_filter(stack[0], size=window, mode="nearest"))
 
     @pytest.mark.parametrize("window", [1, 2, 11, 31])
     def test_box_mean_one_pixel(self, window):
         frame = np.array([[0.7]])
-        assert same_bits(_box_mean(frame, window), uniform_filter(frame, size=window, mode="nearest"))
+        assert same_bits(box_mean(frame, window), uniform_filter(frame, size=window, mode="nearest"))
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 2**32), width=st.integers(1, 30), height=st.integers(1, 30))

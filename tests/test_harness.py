@@ -16,10 +16,10 @@ from dualmsi.harness import (
     study_classifiers,
     write_accuracy_csv,
     write_grid,
-    write_json,
     write_study_bundle,
 )
 from dualmsi.divergence import write_kl_curve_csv
+from dualmsi.jsonio import write_json
 from dualmsi.studies import CaseStudyConfig, StudyKind, render_white_reference
 from dualmsi.synth import (
     Curve,

@@ -608,9 +608,9 @@ class TestEquivalenceWithReference:
         assert got[0] == oracle_knn_predict(x, y, 16, q)[0] == 2.0
 
 
-def budget_for(block_rows, n_train, k, n_labels):
+def budget_for(block_rows, n_train):
     """A ``WORKING_MEMORY`` whose predict blocks hold ``block_rows`` rows."""
-    return block_rows * models._knn_row_bytes(n_train, k, n_labels)
+    return 2 * block_rows * models._knn_row_bytes(n_train)
 
 
 # A diagonal query point is exactly as far from a training row near the
@@ -663,7 +663,7 @@ class TestBlockedKnn:
         shuffled = np.empty_like(whole)
         shuffled[order] = model.predict(q[order])
         with mock.patch.object(models, "WORKING_MEMORY",
-                               budget_for(block_rows, x.shape[0], k, np.unique(y).size)):
+                               budget_for(block_rows, x.shape[0])):
             blocked = model.predict(q)
         assert alone.tobytes() == shuffled.tobytes() == blocked.tobytes() == whole.tobytes()
         assert np.array_equal(whole, oracle_knn_predict(x, y, k, q))
@@ -692,8 +692,8 @@ class TestBlockedKnn:
 
         with mock.patch.object(KNearestNeighbors, "_vote", spy):
             for budget, want in [
-                (budget_for(3, 50, 4, 3), [3, 3, 1]),
-                (budget_for(3, 50, 4, 3) - 1, [2, 2, 2, 1]),
+                (budget_for(3, 50), [3, 3, 1]),
+                (budget_for(3, 50) - 1, [2, 2, 2, 1]),
                 (1, [1] * 7),  # a block is never smaller than one row
             ]:
                 sizes.clear()
@@ -710,7 +710,7 @@ class TestBlockedKnn:
         for x, q in [(rng.normal(size=(n_train, 8)), rng.normal(size=(n_test, 8))),
                      (tied, np.full((n_test, 8), 0.5))]:
             model = KNearestNeighbors(k=k).fit(x, y)
-            budget = budget_for(256, n_train, k, 9)
+            budget = budget_for(256, n_train)
             with mock.patch.object(models, "WORKING_MEMORY", budget):
                 tracemalloc.start()
                 try:

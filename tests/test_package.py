@@ -14,8 +14,8 @@ import pytest
 import dualmsi
 
 SUBMODULES = frozenset(
-    "core errors pgm synth materials studies preprocess features models divergence devicelink "
-    "harness".split()
+    "core errors jsonio pgm synth materials studies preprocess features models divergence "
+    "devicelink harness".split()
 )
 # Every name the package exported while ``__init__`` imported each one.
 NAMES = frozenset("""

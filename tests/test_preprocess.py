@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dualmsi.core import Mode, json_value
+from dualmsi.core import Mode
 from dualmsi.errors import (
     DegenerateReferenceError,
     DimensionMismatchError,
     ValidationError,
 )
+from dualmsi.jsonio import json_value
 from dualmsi.preprocess import (
     BilateralOptions,
     PipelineOptions,
