@@ -55,6 +55,7 @@ from .preprocess import (
     preprocess_pipeline,
 )
 from .studies import (
+    STUDIES,
     CaseStudyConfig,
     Capture,
     StudyKind,
@@ -236,50 +237,6 @@ def run_pipeline_on_matrix(
         for name, make in classifiers.items()
     }
     return {"projection": proj, "test_projected": test_p, "accuracies": accuracies}
-
-
-@dataclass(frozen=True)
-class StudySpec:
-    """The axes and extras of one case study.
-
-    Accuracy tables are keyed variant -> matrix -> projection, leaving out
-    every axis with a single entry.  ``scatter_key``/``loadings_key`` name
-    the report entries taken from the corrected LDA run on the last matrix;
-    ``kl_band`` adds the KL curve and functional map computed on that
-    band's column of the corrected transmittance matrix.
-    """
-
-    split_tag: str
-    variants: tuple[str, ...] = ("corrected",)
-    projections: tuple[str, ...] = ("LDA",)
-    classifiers: tuple[str, ...] | None = None  # None: all five
-    scatter_key: str | None = None
-    loadings_key: str | None = None
-    kl_band: int | None = None
-
-
-STUDIES: dict[StudyKind, StudySpec] = {
-    StudyKind.TURMERIC: StudySpec(
-        "turmeric-split",
-        variants=("corrected", "uncorrected"),
-        scatter_key="merged_lda_scatter",
-        loadings_key="merged_lda_loadings",
-    ),
-    StudyKind.COCONUT_OIL: StudySpec(
-        "oil-split",
-        classifiers=("logistic", "knn", "svm", "decision_tree"),
-        # The divergence curve is built on a single mid-contrast band
-        # rather than the leading LDA component: on this fixture the
-        # discriminant axis separates levels so completely that their
-        # distributions share no support with the reference, and the
-        # divergence of disjoint smoothed histograms collapses to one
-        # constant.  A band with moderate absorbance contrast keeps the
-        # distributions overlapping, so the divergence grows smoothly with
-        # adulteration.
-        kl_band=621,
-    ),
-    StudyKind.COLOR_CHART: StudySpec("chart-split", projections=("PCA", "LDA"), scatter_key="lda_scatter"),
-}
 
 
 # Preprocessing of each correction variant.  "uncorrected" turns the

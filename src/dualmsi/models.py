@@ -325,7 +325,8 @@ def _best_split(xs, ys, total_counts, min_leaf, class_ids):
     one leaving fewer than ``min_leaf`` rows on a side, is no candidate.
     The candidates are scored in blocks of features, and their class
     counts in blocks of classes, whose temporaries fit ``WORKING_MEMORY``
-    (one block of each for every node of a small matrix).  A block's
+    beside numpy's iteration buffers (one block of each for every node of
+    a small matrix).  A block's
     maximum replaces the running one only when strictly greater: the first
     maximum in feature-major order realizes the documented tie-break,
     lowest feature, then lowest threshold.
@@ -335,9 +336,12 @@ def _best_split(xs, ys, total_counts, min_leaf, class_ids):
     if m == 0 or hi <= lo:
         return None
     parent = _gini(total_counts, n)
+    # an iteration buffer of getbufsize() elements for each operand of the
+    # class comparison in _squared_count_sums
+    budget = WORKING_MEMORY - 2 * 8 * np.getbufsize()
     # the most classes one feature's temporaries can hold, at least one
-    class_step = max(1, (WORKING_MEMORY // (8 * n) - 6) // 3)
-    step = max(1, WORKING_MEMORY // _split_feature_bytes(n, min(class_ids.shape[0], class_step)))
+    class_step = max(1, (budget // (8 * n) - 6) // 3)
+    step = max(1, budget // _split_feature_bytes(n, min(class_ids.shape[0], class_step)))
     best, found = -np.inf, None
     for start in range(0, m, step):
         block = slice(start, start + step)

@@ -209,6 +209,8 @@ def bilateral_filter(
     values = np.asarray(values, dtype=np.float64)
     if values.ndim not in (2, 3):
         raise ValidationError(f"bilateral filter needs a frame or a stack, got {values.ndim} dims")
+    if 0 in values.shape[-2:]:
+        raise ValidationError(f"bilateral filter needs frames with rows and columns, got {values.shape}")
     stack = values.reshape(-1, *values.shape[-2:])
     n, h, w = stack.shape
     half = window // 2

@@ -3,13 +3,15 @@
 Three fixtures mirror the validation experiments: turmeric powder
 adulterated with rice flour (both modes, paired per replicate for merged
 analysis), coconut oil adulterated with palm oil (transmittance only),
-and a 24-color calibration chart (reflectance only).
+and a 24-color calibration chart (reflectance only).  Everything that
+differs between them lives in one table, :data:`STUDIES`: each study's
+modes, specimen, config defaults and analysis.
 
 Replicate-to-replicate nuisance variation is modeled explicitly: small
 fraction errors from sample preparation, pour-depth variation for
-dissolved/liquid specimens, packing-density scale changes for powders,
-and per-capture LED drive drift (each band is a separate exposure).
-These magnitudes are fixture calibration, not measured device values.
+dissolved/liquid specimens, and per-capture LED drive drift (each band is
+a separate exposure).  These magnitudes are fixture calibration, not
+measured device values.
 
 A study is first planned: :func:`plan_case_study` lists every capture's
 sample id and scene (label and mode included) without rendering, which
@@ -22,7 +24,7 @@ same bytes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from enum import Enum
 from pathlib import Path
 
@@ -32,13 +34,79 @@ from . import materials
 from .core import BandSet, Label, Mode, Sample, save_dataset
 from .errors import ValidationError, check_number
 from .jsonio import json_call, json_value
-from .synth import IlluminationProfile, MixtureSpec, NoiseSpec, SceneConfig, render, stream
+from .synth import IlluminationProfile, MaterialSpec, MixtureSpec, NoiseSpec, SceneConfig, render, stream
 
 
 class StudyKind(Enum):
     TURMERIC = "turmeric"
     COCONUT_OIL = "coconut_oil"
     COLOR_CHART = "color_chart"
+
+
+@dataclass(frozen=True)
+class StudySpec:
+    """One case study: what it captures, and how it is analysed.
+
+    Each replicate is captured in every one of ``modes``, in that order.
+    ``mixture`` is the base material and adulterant of an adulteration
+    study, None for the colour chart.  ``defaults`` holds the
+    ``CaseStudyConfig`` fields whose values differ from the field defaults.
+
+    Accuracy tables are keyed variant -> matrix -> projection, leaving out
+    every axis with a single entry.  ``scatter_key``/``loadings_key`` name
+    the report entries taken from the corrected LDA run on the last matrix;
+    ``kl_band`` adds the KL curve and functional map computed on that
+    band's column of the corrected transmittance matrix.
+    """
+
+    modes: tuple[Mode, ...]
+    mixture: tuple[MaterialSpec, MaterialSpec] | None
+    defaults: dict[str, object]
+    split_tag: str
+    variants: tuple[str, ...] = ("corrected",)
+    projections: tuple[str, ...] = ("LDA",)
+    classifiers: tuple[str, ...] | None = None  # None: all five
+    scatter_key: str | None = None
+    loadings_key: str | None = None
+    kl_band: int | None = None
+
+
+STUDIES: dict[StudyKind, StudySpec] = {
+    StudyKind.TURMERIC: StudySpec(
+        modes=(Mode.REFLECTANCE, Mode.TRANSMITTANCE),
+        mixture=(materials.TURMERIC, materials.RICE_FLOUR),
+        defaults=dict(replicates=9),
+        split_tag="turmeric-split",
+        variants=("corrected", "uncorrected"),
+        scatter_key="merged_lda_scatter",
+        loadings_key="merged_lda_loadings",
+    ),
+    StudyKind.COCONUT_OIL: StudySpec(
+        modes=(Mode.TRANSMITTANCE,),
+        mixture=(materials.COCONUT_OIL, materials.PALM_OIL),
+        defaults=dict(replicates=8, depth_jitter_sd=0.005, trans_scale_jitter_sd=0.004,
+                      trans_tilt_jitter_sd=0.003, trans_band_jitter_sd=0.002),
+        split_tag="oil-split",
+        classifiers=("logistic", "knn", "svm", "decision_tree"),
+        # The divergence curve is built on a single mid-contrast band
+        # rather than the leading LDA component: on this fixture the
+        # discriminant axis separates levels so completely that their
+        # distributions share no support with the reference, and the
+        # divergence of disjoint smoothed histograms collapses to one
+        # constant.  A band with moderate absorbance contrast keeps the
+        # distributions overlapping, so the divergence grows smoothly with
+        # adulteration.
+        kl_band=621,
+    ),
+    StudyKind.COLOR_CHART: StudySpec(
+        modes=(Mode.REFLECTANCE,),
+        mixture=None,
+        defaults=dict(replicates=4, refl_scale_jitter_sd=0.02, refl_tilt_jitter_sd=0.012),
+        split_tag="chart-split",
+        projections=("PCA", "LDA"),
+        scatter_key="lda_scatter",
+    ),
+}
 
 
 ADULTERATION_LEVELS = tuple(float(p) for p in range(0, 41, 5))
@@ -70,13 +138,9 @@ class CaseStudyConfig:
     trans_scale_jitter_sd: float = 0.012
     trans_tilt_jitter_sd: float = 0.008
     trans_band_jitter_sd: float = 0.003
-    # Specimen heterogeneity growth with adulterant fraction: the shared
-    # texture sd is scaled by (1 + gain * fraction).
-    texture_adulteration_gain: float = 0.0
 
     def __post_init__(self):
-        for name in ("texture_adulteration_gain",
-                     *(f.name for f in fields(self) if f.name.endswith("_jitter_sd"))):
+        for name in (f.name for f in fields(self) if f.name.endswith("_jitter_sd")):
             object.__setattr__(self, name, check_number(name, getattr(self, name), 0))
         for level in self.levels:
             check_number("levels", level, 0, 100)
@@ -85,10 +149,16 @@ class CaseStudyConfig:
             raise ValidationError(f"no two levels may share a whole percent, got {list(self.levels)}")
         check_number("replicates", self.replicates, 1, integer=True)
         check_number("depth", self.depth, 0, strict=True)
-        if self.kind is not StudyKind.COLOR_CHART and len(self.levels) < 2:
-            raise ValidationError("adulteration study needs at least 2 levels")
-        if self.kind is StudyKind.COLOR_CHART:
+        if STUDIES[self.kind].mixture is None:
             check_number("n_classes", self.n_classes, 1, materials.PALETTE_SIZE, integer=True)
+        elif len(self.levels) < 2:
+            raise ValidationError("adulteration study needs at least 2 levels")
+
+    def drift_sd(self, mode: Mode) -> tuple[float, float, float]:
+        """The (scale, tilt, white residue) drift sds of a capture in ``mode``."""
+        if mode is Mode.REFLECTANCE:
+            return self.refl_scale_jitter_sd, self.refl_tilt_jitter_sd, self.refl_band_jitter_sd
+        return self.trans_scale_jitter_sd, self.trans_tilt_jitter_sd, self.trans_band_jitter_sd
 
     def scene(self, mode: Mode, mixture: MixtureSpec, rng_seed: int, **overrides) -> SceneConfig:
         """One capture's scene under the study's band set, illumination,
@@ -100,7 +170,7 @@ class CaseStudyConfig:
 
     @classmethod
     def for_kind(cls, kind: StudyKind, **overrides) -> "CaseStudyConfig":
-        return cls(kind=kind, **{**_KIND_DEFAULTS[kind], **overrides})
+        return cls(kind=kind, **{**STUDIES[kind].defaults, **overrides})
 
     @classmethod
     def from_json(cls, kind: StudyKind, obj: dict) -> "CaseStudyConfig":
@@ -111,21 +181,7 @@ class CaseStudyConfig:
         given = json_value(StudyKind, obj.pop("kind", kind.value), "study kind")
         if given is not kind:
             raise ValidationError(f"config is for the {given.value} study, not {kind.value}")
-        return json_call(cls, {**_KIND_DEFAULTS[kind], **obj}, "study config", kind)
-
-
-# Per-kind settings that differ from the field defaults.
-_KIND_DEFAULTS = {
-    StudyKind.TURMERIC: dict(replicates=9),
-    StudyKind.COCONUT_OIL: dict(
-        replicates=8,
-        depth_jitter_sd=0.005,
-        trans_scale_jitter_sd=0.004,
-        trans_tilt_jitter_sd=0.003,
-        trans_band_jitter_sd=0.002,
-    ),
-    StudyKind.COLOR_CHART: dict(replicates=4, refl_scale_jitter_sd=0.02, refl_tilt_jitter_sd=0.012),
-}
+        return json_call(cls, {**STUDIES[kind].defaults, **obj}, "study config", kind)
 
 
 @dataclass(frozen=True)
@@ -142,20 +198,15 @@ def derive_seed(*parts) -> int:
     return int(stream(*parts).integers(0, 2**63 - 1))
 
 
-def _band_gains(
-    rng: np.random.Generator,
-    band_set: BandSet,
-    scale_sd: float,
-    tilt_sd: float,
-    white_sd: float,
-) -> dict[int, float]:
-    """Per-capture LED drive drift: global scale x spectral tilt x white residue."""
-    wls = np.array(list(band_set), dtype=np.float64)
+def _band_gains(rng: np.random.Generator, config: CaseStudyConfig, mode: Mode) -> dict[int, float]:
+    """Per-capture LED drive drift in ``mode``: global scale x spectral tilt x white residue."""
+    scale_sd, tilt_sd, white_sd = config.drift_sd(mode)
+    wls = np.array(list(config.band_set), dtype=np.float64)
     x = 2.0 * (wls - wls.mean()) / (wls.max() - wls.min() or 1.0)
     scale = 1.0 + scale_sd * rng.normal()
     tilt = 1.0 + tilt_sd * rng.normal() * x
     white = 1.0 + white_sd * rng.normal(size=wls.size)
-    return {wl: float(g) for wl, g in zip(band_set, scale * tilt * white)}
+    return {wl: float(g) for wl, g in zip(config.band_set, scale * tilt * white)}
 
 
 @dataclass(frozen=True)
@@ -170,91 +221,39 @@ class Capture:
         return render(self.scene, sample_id=self.sample_id)
 
 
-def _adulteration_captures(config: CaseStudyConfig, master_seed: int, base, adulterant) -> list[Capture]:
+def _adulteration_captures(config: CaseStudyConfig, master_seed: int, spec: StudySpec) -> list[Capture]:
+    base, adulterant = spec.mixture
     captures = []
-    paired = config.kind is StudyKind.TURMERIC
     for li, level in enumerate(config.levels):
         for rep in range(config.replicates):
             sid = f"{config.kind.value}-{int(level):02d}-r{rep:02d}"
-            label = Label.adulteration(level)
             rng = stream(master_seed, config.kind.value, li, rep, "jitter")
             fraction = float(np.clip(level / 100.0 + rng.normal(0.0, config.fraction_jitter_sd), 0.0, 1.0))
             depth = config.depth * (1.0 + rng.normal(0.0, config.depth_jitter_sd))
-            noise = config.noise
-            if config.texture_adulteration_gain > 0.0:
-                noise = replace(
-                    noise,
-                    texture_shared_sd=noise.texture_shared_sd
-                    * (1.0 + config.texture_adulteration_gain * fraction),
-                )
-            refl_gains = _band_gains(
-                rng,
-                config.band_set,
-                config.refl_scale_jitter_sd,
-                config.refl_tilt_jitter_sd,
-                config.refl_band_jitter_sd,
-            )
-            trans_gains = _band_gains(
-                rng,
-                config.band_set,
-                config.trans_scale_jitter_sd,
-                config.trans_tilt_jitter_sd,
-                config.trans_band_jitter_sd,
-            )
-
-            if paired:
-                scene = config.scene(
-                    Mode.REFLECTANCE,
-                    MixtureSpec.binary(base, adulterant, fraction),
-                    derive_seed(master_seed, sid, "R"),
-                    noise=noise,
-                    band_gains=refl_gains,
-                    label=label,
-                )
+            # one preparation feeds every mode; reflectance reads no depth
+            mixture = MixtureSpec.binary(base, adulterant, fraction, depth=max(depth, 1e-6))
+            # both modes' drifts are drawn, reflectance first, whatever the
+            # study captures: a transmittance-only study keeps its stream order
+            gains = {mode: _band_gains(rng, config, mode) for mode in Mode}
+            for mode in spec.modes:
+                scene = config.scene(mode, mixture, derive_seed(master_seed, sid, mode.tag),
+                                     band_gains=gains[mode], label=Label.adulteration(level))
                 captures.append(Capture(sid, scene))
-
-            scene_t = config.scene(
-                Mode.TRANSMITTANCE,
-                MixtureSpec.binary(base, adulterant, fraction, depth=max(depth, 1e-6)),
-                derive_seed(master_seed, sid, "T"),
-                noise=noise,
-                band_gains=trans_gains,
-                label=label,
-            )
-            captures.append(Capture(sid, scene_t))
     return captures
 
 
-def _color_chart_captures(config: CaseStudyConfig, master_seed: int) -> list[Capture]:
+def _color_chart_captures(config: CaseStudyConfig, master_seed: int, spec: StudySpec) -> list[Capture]:
+    (mode,) = spec.modes  # one mode: a sample's seed names no mode
     captures = []
     for class_id in range(config.n_classes):
         material = materials.color_chart_material(class_id)
         for rep in range(config.replicates):
             sid = f"color-{class_id:02d}-r{rep:02d}"
-            rng = stream(master_seed, "color_chart", class_id, rep, "jitter")
-            gains = _band_gains(
-                rng,
-                config.band_set,
-                config.refl_scale_jitter_sd,
-                config.refl_tilt_jitter_sd,
-                config.refl_band_jitter_sd,
-            )
-            scene = config.scene(
-                Mode.REFLECTANCE,
-                MixtureSpec.pure(material),
-                derive_seed(master_seed, sid),
-                band_gains=gains,
-                label=Label.color(class_id),
-            )
+            rng = stream(master_seed, config.kind.value, class_id, rep, "jitter")
+            scene = config.scene(mode, MixtureSpec.pure(material), derive_seed(master_seed, sid),
+                                 band_gains=_band_gains(rng, config, mode), label=Label.color(class_id))
             captures.append(Capture(sid, scene))
     return captures
-
-
-# Base material and adulterant of each adulteration study.
-_MIXTURES = {
-    StudyKind.TURMERIC: (materials.TURMERIC, materials.RICE_FLOUR),
-    StudyKind.COCONUT_OIL: (materials.COCONUT_OIL, materials.PALM_OIL),
-}
 
 
 def plan_case_study(
@@ -262,18 +261,19 @@ def plan_case_study(
 ) -> tuple[Capture, ...]:
     """Every capture of one case study, in render order, without rendering.
 
-    Turmeric plans a reflectance and a transmittance capture per replicate
-    (same preparation, so the same jittered mixture feeds both modes);
-    coconut oil plans transmittance only; the color chart reflectance
-    only.  Each capture renders the same sample whenever it is rendered,
-    so a caller may render them one at a time and drop each in turn.
+    Each replicate is captured in every mode of its ``STUDIES`` entry, in
+    that order: turmeric in reflectance, then transmittance, from one
+    preparation (the same jittered mixture feeds both modes); coconut oil
+    in transmittance; the color chart in reflectance.  Each capture
+    renders the same sample whenever it is rendered, so a caller may
+    render them one at a time and drop each in turn.
     """
+    spec = STUDIES[kind]
     config = CaseStudyConfig.for_kind(kind) if config is None else config
     if config.kind is not kind:
         raise ValidationError(f"config is for {config.kind}, requested {kind}")
-    if kind is StudyKind.COLOR_CHART:
-        return tuple(_color_chart_captures(config, master_seed))
-    return tuple(_adulteration_captures(config, master_seed, *_MIXTURES[kind]))
+    planner = _color_chart_captures if spec.mixture is None else _adulteration_captures
+    return tuple(planner(config, master_seed, spec))
 
 
 def generate_case_study(
@@ -319,11 +319,8 @@ def cmd_synth(
     study_config = CaseStudyConfig.from_json(kind, study)
     plan = plan_case_study(kind, study_config, args.seed)
     written = dict.fromkeys(Mode, 0)
-    for mode in Mode:
-        captures = [capture for capture in plan if capture.scene.mode is mode]
-        if captures:
-            written[mode] = save_dataset((c.render() for c in captures), out / mode.value)
-            white = render_white_reference(study_config, mode, args.seed)
-            save_dataset([white], out / f"white_{mode.value}")
+    for mode in STUDIES[kind].modes:
+        written[mode] = save_dataset((c.render() for c in plan if c.scene.mode is mode), out / mode.value)
+        save_dataset([render_white_reference(study_config, mode, args.seed)], out / f"white_{mode.value}")
     print(f"wrote {written[Mode.REFLECTANCE]} reflectance + {written[Mode.TRANSMITTANCE]} "
           f"transmittance samples to {out}")

@@ -102,7 +102,7 @@ PARAMETERS = [
     *((name, lambda v, name=name: study(**{name: v}), at_least(0), False, False)
       for name in ("fraction_jitter_sd", "depth_jitter_sd", "refl_scale_jitter_sd",
                    "refl_tilt_jitter_sd", "refl_band_jitter_sd", "trans_scale_jitter_sd",
-                   "trans_tilt_jitter_sd", "trans_band_jitter_sd", "texture_adulteration_gain")),
+                   "trans_tilt_jitter_sd", "trans_band_jitter_sd")),
     ("depth", lambda v: study(depth=v), above(0), False, False),
     # preprocess
     ("window", lambda v: fit_spatial_gain(FLOAT_CUBE, window=v), lambda x: x >= 1 and x % 2,

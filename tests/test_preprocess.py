@@ -254,6 +254,11 @@ class TestBilateral:
         with pytest.raises(ValidationError):
             bilateral_filter(np.zeros(shape))
 
+    @pytest.mark.parametrize("shape", [(2, 0, 3), (4, 0)])
+    def test_rejects_frames_without_rows_or_columns(self, shape):
+        with pytest.raises(ValidationError, match="rows and columns"):
+            bilateral_filter(np.zeros(shape))
+
 
 class TestPipeline:
     @pytest.fixture()

@@ -62,11 +62,11 @@ def split_calls(draw):
     order = np.argsort(x, axis=0, kind="stable").T
     args = (x.T[np.arange(m)[:, None], order], y[order], np.bincount(y, minlength=n_classes),
             draw(st.integers(1, 3)), np.arange(n_classes)[:, None])
-    # one feature's temporaries of one class; the gap sizes and their squares,
-    # and numpy's buffers (8,192 elements for each of two operands) for the
-    # broadcast class comparison
-    return Call(lambda: models._best_split(*args), models._split_feature_bytes(n, 1),
-                8 * 4 * n + 2 * 8 * 8192)
+    # one feature's temporaries of one class beside numpy's buffers (8,192
+    # elements for each of two operands) for the broadcast class comparison;
+    # the gap sizes and their squares
+    return Call(lambda: models._best_split(*args), models._split_feature_bytes(n, 1) + 2 * 8 * 8192,
+                8 * 4 * n)
 
 
 @st.composite
