@@ -33,7 +33,7 @@ _EXPORTS = {
     ),
     "materials": (),
     "studies": (
-        "CaseStudyConfig", "Capture", "StudyDataset", "StudyKind", "generate_case_study",
+        "CaseStudyConfig", "StudyDataset", "StudyKind", "generate_case_study",
         "plan_case_study", "render_white_reference",
     ),
     "preprocess": (

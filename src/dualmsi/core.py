@@ -186,10 +186,10 @@ class Label:
             pct = check_number("adulteration_pct", self.adulteration_pct, 0, 100)
             object.__setattr__(self, "adulteration_pct", float(pct))
         else:
-            cid = int(self.class_id)
-            if cid != self.class_id or cid < 0:
-                raise ValidationError(f"class_id must be a non-negative integer: {self.class_id}")
-            object.__setattr__(self, "class_id", cid)
+            cid = self.class_id
+            if isinstance(cid, (float, np.floating)) and float(cid).is_integer():  # a CSV's 3.0
+                cid = int(cid)
+            object.__setattr__(self, "class_id", int(check_number("class_id", cid, 0, integer=True)))
 
     @classmethod
     def adulteration(cls, pct: float) -> "Label":

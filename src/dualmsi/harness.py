@@ -57,13 +57,12 @@ from .preprocess import (
 from .studies import (
     STUDIES,
     CaseStudyConfig,
-    Capture,
     StudyKind,
     derive_seed,
     plan_case_study,
     render_white_reference,
 )
-from .synth import MixtureSpec, render_repeat_series
+from .synth import MixtureSpec, SceneConfig, render, render_repeat_series
 
 
 # --------------------------------------------------------------------------
@@ -249,23 +248,23 @@ VARIANT_OPTIONS = {
 
 
 def _variant_matrices(
-    plan: Sequence[Capture], corrections: Mapping[Mode, Corrections], variants: Sequence[str]
+    plan: Sequence[SceneConfig], corrections: Mapping[Mode, Corrections], variants: Sequence[str]
 ) -> dict[str, dict[str, DataMatrix]]:
     """Each variant's matrices: one per mode, plus their merge when there
     are two.
 
-    One pass over the plan builds them all.  Each capture is rendered
+    One pass over the plan builds them all.  Each scene is rendered
     once, run through every variant's pipeline and reduced to superpixel
-    rows, and its cubes are dropped before the next capture renders: one
+    rows, and its cubes are dropped before the next scene renders: one
     raw and one preprocessed cube are alive at a time.
     """
     parts: dict[str, dict[Mode, list[DataMatrix]]] = {v: {} for v in variants}
-    for capture in plan:
-        raw, mode = capture.render(), capture.scene.mode
+    for scene in plan:
+        raw, mode = render(scene), scene.mode
         for v in variants:
             rows = build_matrix([preprocess_pipeline(raw, corrections[mode], VARIANT_OPTIONS[v])], mode)
             parts[v].setdefault(mode, []).append(rows)
-        del raw  # before the next capture renders
+        del raw  # before the next scene renders
     out = {}
     for v, by_mode in parts.items():
         matrices = {mode.value: stack(rows) for mode, rows in by_mode.items()}
@@ -302,12 +301,9 @@ def _signature_summary(matrix: DataMatrix) -> dict:
 
 
 def run_case_study(
-    kind: StudyKind,
-    config: CaseStudyConfig | None = None,
-    master_seed: int = 0,
-    classifier_kinds: Sequence[str] | None = None,
+    config: CaseStudyConfig, master_seed: int = 0, classifier_kinds: Sequence[str] | None = None
 ) -> dict:
-    """Run one case study as its ``STUDIES`` spec lays out.
+    """Run the ``config.kind`` case study as its ``STUDIES`` spec lays out.
 
     The study's captures are planned, not rendered up front: one pass
     renders each capture once, feeds it to every correction variant of
@@ -318,12 +314,11 @@ def run_case_study(
     scatter/loadings/KL extras, and the best accuracy per matrix when the
     study merges modes.
     """
-    spec = STUDIES[kind]
-    config = config or CaseStudyConfig.for_kind(kind)
+    spec = STUDIES[config.kind]
     if spec.kl_band is not None and spec.kl_band not in config.band_set:
-        raise ValidationError(f"the {kind.value} study needs band {spec.kl_band} nm in its band set")
-    plan = plan_case_study(kind, config, master_seed)
-    counts = Counter(capture.scene.mode for capture in plan)
+        raise ValidationError(f"the {config.kind.value} study needs band {spec.kl_band} nm in its band set")
+    plan = plan_case_study(config, master_seed)
+    counts = Counter(scene.mode for scene in plan)
     corrections = {mode: fit_corrections(render_white_reference(config, mode, master_seed)) for mode in counts}
     classifiers = study_classifiers(
         master_seed, spec.classifiers if classifier_kinds is None else classifier_kinds
@@ -332,7 +327,7 @@ def run_case_study(
     variant_matrices = _variant_matrices(plan, corrections, spec.variants)
 
     bundle: dict = {
-        "kind": kind.value,
+        "kind": config.kind.value,
         "master_seed": master_seed,
         "counts": {mode.value: n for mode, n in counts.items()},
     }
@@ -466,7 +461,7 @@ def cmd_study(args, out: Path, kind: str, /, **study: CaseStudyConfig) -> None:
     """Run one case study (``kind`` is a ``StudyKind`` value) and write its bundle."""
     kind = StudyKind(kind)
     study_config = CaseStudyConfig.from_json(kind, study)
-    bundle = run_case_study(kind, study_config, args.seed)
+    bundle = run_case_study(study_config, args.seed)
     write_study_bundle(bundle, out)
     print(f"{kind.value} study -> {out / 'report.json'}")
 
@@ -491,11 +486,11 @@ def cmd_consistency(
 
 def cmd_repeatability(
     args, out: Path, kind: StudyKind = StudyKind.TURMERIC, mode: Mode = Mode.REFLECTANCE,
-    n_times: int = 10, drift_amplitude: float | None = None, **study: CaseStudyConfig,
+    n_times: int = 10, **study: CaseStudyConfig,
 ) -> None:
     study_config = CaseStudyConfig.from_json(kind, study)
     scene = study_config.scene(mode, MixtureSpec.pure(materials.TURMERIC), args.seed)
-    series = render_repeat_series(scene, n_times, drift_amplitude)
+    series = render_repeat_series(scene, n_times)
     report = repeatability_report(series)
     report["per_band_deviation_pct"] = {
         str(k): v for k, v in report["per_band_deviation_pct"].items()

@@ -151,16 +151,9 @@ def _classes(values) -> np.ndarray:
     return classes
 
 
-def _rows(x, width: int) -> np.ndarray:
-    """``x`` as a float matrix of rows, which must have ``width`` columns."""
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    if x.shape[1] != width:
-        raise ValidationError(f"model expects {width} columns, rows have {x.shape[1]}")
-    return x
-
-
 class _Model:
-    """The model JSON layout, ``{"kind": KIND, <PARAMS>, <fitted state>}``.
+    """The model JSON layout, ``{"kind": KIND, <PARAMS>, <fitted state>}``,
+    and the input checks of every ``fit`` and ``predict``.
 
     ``PARAMS`` names the saved hyperparameters, constructor keywords that
     :func:`model_from_json` reads back with ``jsonio.json_call``, typed as
@@ -170,6 +163,36 @@ class _Model:
 
     KIND: str
     PARAMS: tuple[str, ...]
+
+    @staticmethod
+    def _training_set(x, y) -> tuple[np.ndarray, np.ndarray]:
+        """``x`` and ``y`` as float arrays, which must be a non-empty matrix
+        of finite rows and one finite label per row."""
+        x = np.asarray(x, dtype=np.float64)
+        y = np.asarray(y, dtype=np.float64)
+        if x.ndim != 2 or not x.size:
+            raise ValidationError(f"fit needs a non-empty matrix of rows, got shape {x.shape}")
+        if y.shape != x.shape[:1]:
+            raise ValidationError(f"fit needs one label per row: {x.shape[0]} rows, labels {y.shape}")
+        if not (np.isfinite(x).all() and np.isfinite(y).all()):
+            raise ValidationError("fit needs finite features and labels")
+        return x, y
+
+    @staticmethod
+    def _rows(x, fitted: bool, matrix: np.ndarray | None = None) -> np.ndarray:
+        """``x`` as a float matrix of finite rows (a vector is one row) for
+        a ``fitted`` model to predict, as wide as its fitted ``matrix``
+        (training rows or class weights) when given."""
+        if not fitted:
+            raise ValidationError("predict before fit")
+        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        if x.ndim != 2:
+            raise ValidationError(f"predict needs a matrix of rows, got shape {x.shape}")
+        if matrix is not None and x.shape[1] != matrix.shape[1]:
+            raise ValidationError(f"model expects {matrix.shape[1]} columns, rows have {x.shape[1]}")
+        if not np.isfinite(x).all():
+            raise ValidationError("predict needs finite features")
+        return x
 
     def to_json(self) -> dict:
         return {"kind": self.KIND, **{p: getattr(self, p) for p in self.PARAMS}, **self._state()}
@@ -203,8 +226,7 @@ class KNearestNeighbors(_Model):
         self.train_y = None
 
     def fit(self, x: np.ndarray, y: np.ndarray) -> "KNearestNeighbors":
-        x = np.asarray(x, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64)
+        x, y = self._training_set(x, y)
         check_number("k", self.k, 1, x.shape[0], integer=True)
         self.train_x, self.train_y = x, y
         return self
@@ -213,9 +235,7 @@ class KNearestNeighbors(_Model):
         """Labels of the rows of ``x``, ranked in row blocks whose BLAS
         distances fit half of ``WORKING_MEMORY``, at least one row each;
         the candidates they leave are refined in the other half."""
-        if self.train_x is None:
-            raise ValidationError("predict before fit")
-        x = _rows(x, self.train_x.shape[1])
+        x = self._rows(x, self.train_x is not None, self.train_x)
         labels, train_idx = np.unique(self.train_y, return_inverse=True)
         train_sq = (self.train_x**2).sum(axis=1)
         step = max(1, WORKING_MEMORY // 2 // _knn_row_bytes(train_sq.size))
@@ -488,8 +508,7 @@ class DecisionTree(_Model):
         self._feature_picker = None
 
     def fit(self, x: np.ndarray, y: np.ndarray) -> "DecisionTree":
-        x = np.asarray(x, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64)
+        x, y = self._training_set(x, y)
         self.classes_ = np.unique(y)
         self.nodes = self._grow(x, np.searchsorted(self.classes_, y))
         return self
@@ -558,9 +577,7 @@ class DecisionTree(_Model):
         return None if self.nodes is None else self.nodes.nested()
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        if self.nodes is None:
-            raise ValidationError("predict before fit")
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        x = self._rows(x, self.nodes is not None)
         return self.classes_[self.nodes.apply(x)]
 
     def _state(self) -> dict:
@@ -596,8 +613,7 @@ class RandomForest(_Model):
         self.classes_ = None
 
     def fit(self, x: np.ndarray, y: np.ndarray) -> "RandomForest":
-        x = np.asarray(x, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64)
+        x, y = self._training_set(x, y)
         n, d = x.shape
         self.classes_ = np.unique(y)
         mtry = self.mtry if self.mtry is not None else math.ceil(math.sqrt(d))
@@ -616,9 +632,7 @@ class RandomForest(_Model):
         return self
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        if not self.trees:
-            raise ValidationError("predict before fit")
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        x = self._rows(x, bool(self.trees))
         labels = np.unique(np.concatenate([tree.classes_ for tree in self.trees]))
         votes = np.searchsorted(labels, np.stack([tree.predict(x) for tree in self.trees]))
         cells = votes + np.arange(x.shape[0]) * labels.size
@@ -716,8 +730,7 @@ class LogisticRegressionGD(_Linear):
         return grad_w, grad_b
 
     def fit(self, x: np.ndarray, y: np.ndarray) -> "LogisticRegressionGD":
-        x = np.asarray(x, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64)
+        x, y = self._training_set(x, y)
         self.classes_ = np.unique(y)
         c, d = self.classes_.size, x.shape[1]
         onehot = (y[:, None] == self.classes_[None, :]).astype(np.float64)
@@ -734,9 +747,8 @@ class LogisticRegressionGD(_Linear):
         return self._fitted(weights, bias)
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        if self.weights is None:
-            raise ValidationError("predict before fit")
-        scores = _rows(x, self.weights.shape[1]) @ self.weights.T + self.bias
+        x = self._rows(x, self.weights is not None, self.weights)
+        scores = x @ self.weights.T + self.bias
         return self.classes_[np.argmax(scores, axis=1)]
 
 
@@ -765,8 +777,7 @@ class LinearSVM(_Linear):
         self.epochs = check_number("epochs", epochs, 1, integer=True)
 
     def fit(self, x: np.ndarray, y: np.ndarray) -> "LinearSVM":
-        x = np.asarray(x, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64)
+        x, y = self._training_set(x, y)
         self.classes_ = np.unique(y)
         n, d = x.shape
         c_count = self.classes_.size
@@ -799,9 +810,8 @@ class LinearSVM(_Linear):
         return self._fitted(weights, bias)
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        if self.weights is None:
-            raise ValidationError("predict before fit")
-        scores = _rows(x, self.weights.shape[1]) @ self.weights.T + self.bias
+        x = self._rows(x, self.weights is not None, self.weights)
+        scores = x @ self.weights.T + self.bias
         return self.classes_[np.argmax(scores, axis=1)]
 
     def _state(self) -> dict:

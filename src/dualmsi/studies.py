@@ -13,13 +13,14 @@ dissolved/liquid specimens, and per-capture LED drive drift (each band is
 a separate exposure).  These magnitudes are fixture calibration, not
 measured device values.
 
-A study is first planned: :func:`plan_case_study` lists every capture's
-sample id and scene (label and mode included) without rendering, which
-costs next to nothing.  :func:`generate_case_study` renders the whole
-plan and holds every raw cube; a caller that needs one sample at a time,
-as ``harness.run_case_study`` and the ``synth`` command do, renders the
-captures in turn and drops each cube before rendering the next, with the
-same bytes.
+A study is a pure function of its config, which names its kind, and a
+master seed.  It is first planned: :func:`plan_case_study` lists the
+scene of every capture (sample id, label and mode included) without
+rendering, which costs next to nothing.  :func:`generate_case_study`
+renders the whole plan and holds every raw cube; a caller that needs one
+sample at a time, as ``harness.run_case_study`` and the ``synth`` command
+do, renders the scenes in turn and drops each cube before rendering the
+next, with the same bytes.
 """
 
 from __future__ import annotations
@@ -209,19 +210,7 @@ def _band_gains(rng: np.random.Generator, config: CaseStudyConfig, mode: Mode) -
     return {wl: float(g) for wl, g in zip(config.band_set, scale * tilt * white)}
 
 
-@dataclass(frozen=True)
-class Capture:
-    """One planned capture of a study: the scene to render and the sample
-    id to render it under.  The scene carries the label and mode."""
-
-    sample_id: str
-    scene: SceneConfig
-
-    def render(self) -> Sample:
-        return render(self.scene, sample_id=self.sample_id)
-
-
-def _adulteration_captures(config: CaseStudyConfig, master_seed: int, spec: StudySpec) -> list[Capture]:
+def _adulteration_captures(config: CaseStudyConfig, master_seed: int, spec: StudySpec) -> list[SceneConfig]:
     base, adulterant = spec.mixture
     captures = []
     for li, level in enumerate(config.levels):
@@ -236,13 +225,13 @@ def _adulteration_captures(config: CaseStudyConfig, master_seed: int, spec: Stud
             # study captures: a transmittance-only study keeps its stream order
             gains = {mode: _band_gains(rng, config, mode) for mode in Mode}
             for mode in spec.modes:
-                scene = config.scene(mode, mixture, derive_seed(master_seed, sid, mode.tag),
-                                     band_gains=gains[mode], label=Label.adulteration(level))
-                captures.append(Capture(sid, scene))
+                captures.append(config.scene(mode, mixture, derive_seed(master_seed, sid, mode.tag),
+                                             band_gains=gains[mode], label=Label.adulteration(level),
+                                             sample_id=sid))
     return captures
 
 
-def _color_chart_captures(config: CaseStudyConfig, master_seed: int, spec: StudySpec) -> list[Capture]:
+def _color_chart_captures(config: CaseStudyConfig, master_seed: int, spec: StudySpec) -> list[SceneConfig]:
     (mode,) = spec.modes  # one mode: a sample's seed names no mode
     captures = []
     for class_id in range(config.n_classes):
@@ -250,41 +239,35 @@ def _color_chart_captures(config: CaseStudyConfig, master_seed: int, spec: Study
         for rep in range(config.replicates):
             sid = f"color-{class_id:02d}-r{rep:02d}"
             rng = stream(master_seed, config.kind.value, class_id, rep, "jitter")
-            scene = config.scene(mode, MixtureSpec.pure(material), derive_seed(master_seed, sid),
-                                 band_gains=_band_gains(rng, config, mode), label=Label.color(class_id))
-            captures.append(Capture(sid, scene))
+            captures.append(config.scene(mode, MixtureSpec.pure(material), derive_seed(master_seed, sid),
+                                         band_gains=_band_gains(rng, config, mode),
+                                         label=Label.color(class_id), sample_id=sid))
     return captures
 
 
-def plan_case_study(
-    kind: StudyKind, config: CaseStudyConfig | None = None, master_seed: int = 0
-) -> tuple[Capture, ...]:
-    """Every capture of one case study, in render order, without rendering.
+def plan_case_study(config: CaseStudyConfig, master_seed: int = 0) -> tuple[SceneConfig, ...]:
+    """The scene of every capture of the ``config.kind`` study, in render
+    order, without rendering.
 
     Each replicate is captured in every mode of its ``STUDIES`` entry, in
     that order: turmeric in reflectance, then transmittance, from one
     preparation (the same jittered mixture feeds both modes); coconut oil
-    in transmittance; the color chart in reflectance.  Each capture
-    renders the same sample whenever it is rendered, so a caller may
-    render them one at a time and drop each in turn.
+    in transmittance; the color chart in reflectance.  Each scene names
+    its sample and renders the same one whenever it is rendered, so a
+    caller may render them one at a time and drop each in turn.
     """
-    spec = STUDIES[kind]
-    config = CaseStudyConfig.for_kind(kind) if config is None else config
-    if config.kind is not kind:
-        raise ValidationError(f"config is for {config.kind}, requested {kind}")
+    spec = STUDIES[config.kind]
     planner = _color_chart_captures if spec.mixture is None else _adulteration_captures
     return tuple(planner(config, master_seed, spec))
 
 
-def generate_case_study(
-    kind: StudyKind, config: CaseStudyConfig | None = None, master_seed: int = 0
-) -> StudyDataset:
-    """Render the whole plan of one case study (:func:`plan_case_study`)
-    deterministically from the master seed; paired studies share sample
-    ids across modes."""
-    samples = [capture.render() for capture in plan_case_study(kind, config, master_seed)]
+def generate_case_study(config: CaseStudyConfig, master_seed: int = 0) -> StudyDataset:
+    """Render the whole plan of the ``config.kind`` study
+    (:func:`plan_case_study`) deterministically from the master seed;
+    paired studies share sample ids across modes."""
+    samples = [render(scene) for scene in plan_case_study(config, master_seed)]
     return StudyDataset(
-        kind=kind, **{mode.value: tuple(s for s in samples if s.cube.mode is mode) for mode in Mode}
+        kind=config.kind, **{mode.value: tuple(s for s in samples if s.cube.mode is mode) for mode in Mode}
     )
 
 
@@ -301,8 +284,9 @@ def render_white_reference(
         MixtureSpec.pure(materials.WHITE_REFERENCE),
         derive_seed(master_seed, "white", mode.value),
         label=Label.adulteration(0.0),
+        sample_id=f"white-{mode.value}",
     )
-    return render(scene, sample_id=f"white-{mode.value}")
+    return render(scene)
 
 
 # --------------------------------------------------------------------------
@@ -317,10 +301,10 @@ def cmd_synth(
 
     Each mode's captures are rendered and written one at a time."""
     study_config = CaseStudyConfig.from_json(kind, study)
-    plan = plan_case_study(kind, study_config, args.seed)
+    plan = plan_case_study(study_config, args.seed)
     written = dict.fromkeys(Mode, 0)
     for mode in STUDIES[kind].modes:
-        written[mode] = save_dataset((c.render() for c in plan if c.scene.mode is mode), out / mode.value)
+        written[mode] = save_dataset((render(s) for s in plan if s.mode is mode), out / mode.value)
         save_dataset([render_white_reference(study_config, mode, args.seed)], out / f"white_{mode.value}")
     print(f"wrote {written[Mode.REFLECTANCE]} reflectance + {written[Mode.TRANSMITTANCE]} "
           f"transmittance samples to {out}")

@@ -15,7 +15,7 @@ evaluation order or parallelism.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping
 
 import numpy as np
@@ -299,7 +299,8 @@ DEFAULT_LEDS: Mapping[int, LedSpec] = {
 
 @dataclass(frozen=True)
 class SceneConfig:
-    """Everything needed to render one capture deterministically."""
+    """Everything needed to render one capture deterministically, and the
+    id of the sample it renders."""
 
     band_set: BandSet
     mode: Mode
@@ -312,6 +313,7 @@ class SceneConfig:
     leds: Mapping[int, LedSpec] = field(default_factory=lambda: dict(DEFAULT_LEDS))
     band_gains: Mapping[int, float] | None = None
     label: Label | None = None
+    sample_id: str | None = None
 
     def __post_init__(self):
         check_number("width", self.width, 1, integer=True)
@@ -321,8 +323,9 @@ class SceneConfig:
             raise ValidationError(f"no LED spec for bands {missing}")
 
 
-def render(scene: SceneConfig, sample_id: str | None = None, intensity_scale: float = 1.0) -> Sample:
-    """Render one sample from a scene config.
+def render(scene: SceneConfig, intensity_scale: float = 1.0) -> Sample:
+    """Render one sample from a scene config, named ``scene.sample_id``
+    (``scene-<seed>`` when the scene has none).
 
     Per band: counts = clamp(round(65535 * power_b * response_b * gain_b *
     illum * (1 + texture) * (1 + shot)) + dark, 0, 65535) where
@@ -381,24 +384,21 @@ def render(scene: SceneConfig, sample_id: str | None = None, intensity_scale: fl
         band_set=scene.band_set,
     )
     label = scene.label if scene.label is not None else Label.adulteration(0.0)
-    sid = sample_id if sample_id is not None else f"scene-{scene.rng_seed & 0xFFFFFFFFFFFFFFFF:016x}"
+    sid = f"scene-{scene.rng_seed & 0xFFFFFFFFFFFFFFFF:016x}" if scene.sample_id is None else scene.sample_id
     return Sample(id=sid, cube=cube, label=label)
 
 
-def render_repeat_series(
-    scene: SceneConfig, n_times: int, drift_amplitude: float | None = None
-) -> list[Sample]:
+def render_repeat_series(scene: SceneConfig, n_times: int) -> list[Sample]:
     """Render the same scene ``n_times`` with multiplicative temporal drift.
 
-    Capture k is scaled by (1 + a*u_k) with u_k ~ uniform[-1, 1] from the
-    scene's seeded drift stream; a = ``drift_amplitude`` (defaults to the
-    scene's noise spec).
+    Capture k, named ``repeat-<k>``, is scaled by (1 + a*u_k) with
+    u_k ~ uniform[-1, 1] from the scene's seeded drift stream, and
+    a = ``scene.noise.drift_amplitude``.
     """
     check_number("n_times", n_times, 2, integer=True)
-    check_number("drift_amplitude", drift_amplitude, 0, optional=True)
-    amplitude = scene.noise.drift_amplitude if drift_amplitude is None else float(drift_amplitude)
+    amplitude = scene.noise.drift_amplitude
     u = stream(scene.rng_seed, "drift").uniform(-1.0, 1.0, n_times)
     return [
-        render(scene, sample_id=f"repeat-{k:03d}", intensity_scale=1.0 + amplitude * u[k])
+        render(replace(scene, sample_id=f"repeat-{k:03d}"), intensity_scale=1.0 + amplitude * u[k])
         for k in range(n_times)
     ]

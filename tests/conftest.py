@@ -36,7 +36,7 @@ def oil_study_full():
     from dualmsi.studies import generate_case_study
 
     config = CaseStudyConfig.for_kind(StudyKind.COCONUT_OIL)
-    return generate_case_study(StudyKind.COCONUT_OIL, config, master_seed=0), config
+    return generate_case_study(config, master_seed=0), config
 
 
 @pytest.fixture(scope="session")
@@ -45,4 +45,4 @@ def turmeric_study_small():
     from dualmsi.studies import generate_case_study
 
     config = CaseStudyConfig.for_kind(StudyKind.TURMERIC, replicates=3, width=40, height=40)
-    return generate_case_study(StudyKind.TURMERIC, config, master_seed=0), config
+    return generate_case_study(config, master_seed=0), config

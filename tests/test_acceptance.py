@@ -61,28 +61,28 @@ def criterion(number: int, budget_s: float, what: str, extra_elapsed: float = 0.
 @pytest.fixture(scope="session")
 def turmeric_bundle():
     start = time.perf_counter()
-    bundle = run_case_study(StudyKind.TURMERIC, master_seed=0)
+    bundle = run_case_study(CaseStudyConfig.for_kind(StudyKind.TURMERIC), master_seed=0)
     return bundle, time.perf_counter() - start
 
 
 @pytest.fixture(scope="session")
 def oil_bundle():
     start = time.perf_counter()
-    bundle = run_case_study(StudyKind.COCONUT_OIL, master_seed=0)
+    bundle = run_case_study(CaseStudyConfig.for_kind(StudyKind.COCONUT_OIL), master_seed=0)
     return bundle, time.perf_counter() - start
 
 
 @pytest.fixture(scope="session")
 def chart_bundle():
     start = time.perf_counter()
-    bundle = run_case_study(StudyKind.COLOR_CHART, master_seed=0)
+    bundle = run_case_study(CaseStudyConfig.for_kind(StudyKind.COLOR_CHART), master_seed=0)
     return bundle, time.perf_counter() - start
 
 
 def test_criterion_01_data_matrix_shape_law():
     with criterion(1, 1.0, "merged data-matrix width is 2B (26 for B=13)"):
         config = CaseStudyConfig.for_kind(StudyKind.TURMERIC, replicates=1, levels=(0.0, 40.0))
-        data = generate_case_study(StudyKind.TURMERIC, config, master_seed=0)
+        data = generate_case_study(config, master_seed=0)
         assert len(config.band_set) == 13
         r = build_matrix(list(data.reflectance), Mode.REFLECTANCE)
         t = build_matrix(list(data.transmittance), Mode.TRANSMITTANCE)
@@ -275,7 +275,7 @@ def test_criterion_09_repeatability():
         assert 0.0 < report["max_deviation_pct"] <= 5.0
 
         quiet = replace(scene, noise=NoiseSpec.none())
-        zero = repeatability_report(render_repeat_series(quiet, 5, drift_amplitude=0.0))
+        zero = repeatability_report(render_repeat_series(quiet, 5))
         assert zero["max_deviation_pct"] == 0.0
 
 

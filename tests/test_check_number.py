@@ -56,9 +56,9 @@ def within(low, high):
     return lambda x: low <= x <= high
 
 
-def repeat_series(n_times=3, drift_amplitude=None):
+def repeat_series(n_times):
     with mock.patch.object(synth, "render"):  # only the checks run
-        synth.render_repeat_series(SCENE, n_times, drift_amplitude)
+        synth.render_repeat_series(SCENE, n_times)
 
 
 def bilateral(**options):
@@ -74,86 +74,94 @@ def study(**fields):
     CaseStudyConfig.for_kind(StudyKind.COLOR_CHART, **fields)
 
 
-# (parameter, build call with the value in that parameter, rule, integer, optional)
+# (owner.parameter, build call with the value in that parameter, rule, integer, optional);
+# the error names the parameter, the part after the last dot
 PARAMETERS = [
     # synth
-    ("fwhm_nm", lambda v: LedSpec(530, v), above(0), False, False),
-    ("relative_power", lambda v: LedSpec(530, 30.0, v), above(0), False, False),
-    ("fraction", lambda v: MixtureSpec.binary(materials.TURMERIC, materials.RICE_FLOUR, v),
+    ("LedSpec.fwhm_nm", lambda v: LedSpec(530, v), above(0), False, False),
+    ("LedSpec.relative_power", lambda v: LedSpec(530, 30.0, v), above(0), False, False),
+    ("MixtureSpec.fraction", lambda v: MixtureSpec.binary(materials.TURMERIC, materials.RICE_FLOUR, v),
      within(0, 1), False, False),
-    ("depth", lambda v: MixtureSpec.pure(materials.COCONUT_OIL, v), above(0), False, False),
-    ("radial_falloff", lambda v: IlluminationProfile(radial_falloff=v), at_least(0), False, False),
-    ("base", lambda v: IlluminationProfile(base=v), lambda x: 0 < x <= 1, False, False),
-    ("ratio", IlluminationProfile.corner_ratio, lambda x: 0 < x <= 1, False, False),
-    *((name, lambda v, name=name: NoiseSpec(**{name: v}), at_least(0), False, False)
+    ("MixtureSpec.depth", lambda v: MixtureSpec.pure(materials.COCONUT_OIL, v), above(0), False, False),
+    ("IlluminationProfile.radial_falloff", lambda v: IlluminationProfile(radial_falloff=v), at_least(0),
+     False, False),
+    ("IlluminationProfile.base", lambda v: IlluminationProfile(base=v), lambda x: 0 < x <= 1, False, False),
+    ("corner_ratio.ratio", IlluminationProfile.corner_ratio, lambda x: 0 < x <= 1, False, False),
+    *((f"NoiseSpec.{name}", lambda v, name=name: NoiseSpec(**{name: v}), at_least(0), False, False)
       for name in ("dark_mean", "dark_sd", "shot_sd_fraction", "drift_amplitude",
                    "texture_shared_sd", "texture_band_sd")),
-    ("texture_block", lambda v: NoiseSpec(texture_block=v), at_least(1), True, False),
-    ("width", lambda v: SceneConfig(BandSet((530,)), Mode.REFLECTANCE, SCENE.mixture, width=v),
+    ("NoiseSpec.texture_block", lambda v: NoiseSpec(texture_block=v), at_least(1), True, False),
+    ("SceneConfig.width", lambda v: SceneConfig(BandSet((530,)), Mode.REFLECTANCE, SCENE.mixture, width=v),
      at_least(1), True, False),
-    ("height", lambda v: SceneConfig(BandSet((530,)), Mode.REFLECTANCE, SCENE.mixture, height=v),
+    ("SceneConfig.height", lambda v: SceneConfig(BandSet((530,)), Mode.REFLECTANCE, SCENE.mixture, height=v),
      at_least(1), True, False),
-    ("n_times", lambda v: repeat_series(n_times=v), at_least(2), True, False),
-    ("drift_amplitude", lambda v: repeat_series(drift_amplitude=v), at_least(0), False, True),
+    ("render_repeat_series.n_times", repeat_series, at_least(2), True, False),
     # studies
-    ("replicates", lambda v: study(replicates=v), at_least(1), True, False),
-    ("levels", lambda v: study(levels=(v,)), within(0, 100), False, False),
-    ("n_classes", lambda v: study(n_classes=v), within(1, materials.PALETTE_SIZE), True, False),
-    *((name, lambda v, name=name: study(**{name: v}), at_least(0), False, False)
+    ("CaseStudyConfig.replicates", lambda v: study(replicates=v), at_least(1), True, False),
+    ("CaseStudyConfig.levels", lambda v: study(levels=(v,)), within(0, 100), False, False),
+    ("CaseStudyConfig.n_classes", lambda v: study(n_classes=v), within(1, materials.PALETTE_SIZE), True,
+     False),
+    *((f"CaseStudyConfig.{name}", lambda v, name=name: study(**{name: v}), at_least(0), False, False)
       for name in ("fraction_jitter_sd", "depth_jitter_sd", "refl_scale_jitter_sd",
                    "refl_tilt_jitter_sd", "refl_band_jitter_sd", "trans_scale_jitter_sd",
                    "trans_tilt_jitter_sd", "trans_band_jitter_sd")),
-    ("depth", lambda v: study(depth=v), above(0), False, False),
+    ("CaseStudyConfig.depth", lambda v: study(depth=v), above(0), False, False),
     # preprocess
-    ("window", lambda v: fit_spatial_gain(FLOAT_CUBE, window=v), lambda x: x >= 1 and x % 2,
-     True, False),
-    ("floor", lambda v: fit_spatial_gain(FLOAT_CUBE, floor=v), lambda x: 0 < x <= 1, False, False),
-    ("window", lambda v: bilateral(window=v), lambda x: x >= 1 and x % 2, True, False),
-    ("sigma_s", lambda v: bilateral_filter(FLOAT_CUBE.values, sigma_s=v), within(1e-150, 1e150),
+    ("fit_spatial_gain.window", lambda v: fit_spatial_gain(FLOAT_CUBE, window=v),
+     lambda x: x >= 1 and x % 2, True, False),
+    ("fit_spatial_gain.floor", lambda v: fit_spatial_gain(FLOAT_CUBE, floor=v), lambda x: 0 < x <= 1,
      False, False),
-    ("sigma_r", lambda v: bilateral_filter(FLOAT_CUBE.values, sigma_r=v), within(1e-150, 1e150),
-     False, False),
-    ("scale", lambda v: SpectralGain({530: v}), above(0), False, False),
+    ("bilateral_filter.window", lambda v: bilateral(window=v), lambda x: x >= 1 and x % 2, True, False),
+    ("bilateral_filter.sigma_s", lambda v: bilateral_filter(FLOAT_CUBE.values, sigma_s=v),
+     within(1e-150, 1e150), False, False),
+    ("bilateral_filter.sigma_r", lambda v: bilateral_filter(FLOAT_CUBE.values, sigma_r=v),
+     within(1e-150, 1e150), False, False),
+    ("SpectralGain.scale", lambda v: SpectralGain({530: v}), above(0), False, False),
     # features: 3 columns, 3 classes
-    ("block", lambda v: superpixels(RAW_CUBE, v), within(1, 4), True, False),
-    ("k", lambda v: lda_fit(MATRIX, k=v), within(1, 2), True, True),
-    ("k", lambda v: pca_fit(MATRIX, k=v), within(1, 3), True, True),
+    ("superpixels.block", lambda v: superpixels(RAW_CUBE, v), within(1, 4), True, False),
+    ("lda_fit.k", lambda v: lda_fit(MATRIX, k=v), within(1, 2), True, True),
+    ("pca_fit.k", lambda v: pca_fit(MATRIX, k=v), within(1, 3), True, True),
     # divergence
-    ("n_bins", lambda v: histogram([0.5], n_bins=v), at_least(1), True, False),
-    ("epsilon", lambda v: histogram([0.5], epsilon=v), above(0), False, False),
+    ("histogram.n_bins", lambda v: histogram([0.5], n_bins=v), at_least(1), True, False),
+    ("histogram.epsilon", lambda v: histogram([0.5], epsilon=v), above(0), False, False),
     # models: KNN's k at most the 4 training rows
-    ("k", lambda v: KNearestNeighbors(k=v).fit(*TRAIN), within(1, 4), True, False),
-    ("max_depth", lambda v: DecisionTree(max_depth=v), at_least(1), True, True),
-    ("min_leaf", lambda v: DecisionTree(min_leaf=v), at_least(1), True, False),
-    ("n_trees", lambda v: RandomForest(n_trees=v), at_least(1), True, False),
-    ("mtry", lambda v: RandomForest(mtry=v), at_least(1), True, True),
-    ("max_depth", lambda v: RandomForest(max_depth=v), at_least(1), True, True),
-    ("min_leaf", lambda v: RandomForest(min_leaf=v), at_least(1), True, False),
-    ("l2", lambda v: LogisticRegressionGD(l2=v), at_least(0), False, False),
-    ("lr", lambda v: LogisticRegressionGD(lr=v), above(0), False, False),
-    ("lr_decay", lambda v: LogisticRegressionGD(lr_decay=v), at_least(0), False, False),
-    ("epochs", lambda v: LogisticRegressionGD(epochs=v), at_least(1), True, False),
-    ("tol", lambda v: LogisticRegressionGD(tol=v), at_least(0), False, False),
-    ("c", lambda v: LinearSVM(c=v), above(0), False, False),
-    ("lr", lambda v: LinearSVM(lr=v), above(0), False, False),
-    ("lr_decay", lambda v: LinearSVM(lr_decay=v), at_least(0), False, False),
-    ("epochs", lambda v: LinearSVM(epochs=v), at_least(1), True, False),
-    ("fraction", lambda v: stratified_split(MATRIX, v), lambda x: 0 < x < 1, False, False),
+    ("KNearestNeighbors.k", lambda v: KNearestNeighbors(k=v).fit(*TRAIN), within(1, 4), True, False),
+    ("DecisionTree.max_depth", lambda v: DecisionTree(max_depth=v), at_least(1), True, True),
+    ("DecisionTree.min_leaf", lambda v: DecisionTree(min_leaf=v), at_least(1), True, False),
+    ("RandomForest.n_trees", lambda v: RandomForest(n_trees=v), at_least(1), True, False),
+    ("RandomForest.mtry", lambda v: RandomForest(mtry=v), at_least(1), True, True),
+    ("RandomForest.max_depth", lambda v: RandomForest(max_depth=v), at_least(1), True, True),
+    ("RandomForest.min_leaf", lambda v: RandomForest(min_leaf=v), at_least(1), True, False),
+    ("LogisticRegressionGD.l2", lambda v: LogisticRegressionGD(l2=v), at_least(0), False, False),
+    ("LogisticRegressionGD.lr", lambda v: LogisticRegressionGD(lr=v), above(0), False, False),
+    ("LogisticRegressionGD.lr_decay", lambda v: LogisticRegressionGD(lr_decay=v), at_least(0), False,
+     False),
+    ("LogisticRegressionGD.epochs", lambda v: LogisticRegressionGD(epochs=v), at_least(1), True, False),
+    ("LogisticRegressionGD.tol", lambda v: LogisticRegressionGD(tol=v), at_least(0), False, False),
+    ("LinearSVM.c", lambda v: LinearSVM(c=v), above(0), False, False),
+    ("LinearSVM.lr", lambda v: LinearSVM(lr=v), above(0), False, False),
+    ("LinearSVM.lr_decay", lambda v: LinearSVM(lr_decay=v), at_least(0), False, False),
+    ("LinearSVM.epochs", lambda v: LinearSVM(epochs=v), at_least(1), True, False),
+    ("stratified_split.fraction", lambda v: stratified_split(MATRIX, v), lambda x: 0 < x < 1, False,
+     False),
     # devicelink: 13 bands by default
-    ("n_bands", lambda v: FirmwareConfig(n_bands=v), at_least(1), True, False),
-    ("timeout_steps", lambda v: FirmwareConfig(timeout_steps=v), at_least(1), True, False),
-    ("exposure_steps", lambda v: SimCamera(exposure_steps=v), at_least(1), True, False),
-    ("band", capture_handshake, within(0, 12), True, False),
-    ("pwm", lambda v: FirmwareState(pwm=(v,) + (0,) * 7), within(0, 255), True, False),
-    ("pots", lambda v: firmware_step(FirmwareState(), devicelink.TICK, (0,) * 7 + (v,)),
+    ("FirmwareConfig.n_bands", lambda v: FirmwareConfig(n_bands=v), at_least(1), True, False),
+    ("FirmwareConfig.timeout_steps", lambda v: FirmwareConfig(timeout_steps=v), at_least(1), True, False),
+    ("SimCamera.exposure_steps", lambda v: SimCamera(exposure_steps=v), at_least(1), True, False),
+    ("capture_handshake.band", capture_handshake, within(0, 12), True, False),
+    ("FirmwareState.pwm", lambda v: FirmwareState(pwm=(v,) + (0,) * 7), within(0, 255), True, False),
+    ("firmware_step.pots", lambda v: firmware_step(FirmwareState(), devicelink.TICK, (0,) * 7 + (v,)),
      within(0, 255), True, False),
     # core: a 5 x 4 frame
-    ("adulteration_pct", lambda v: Label(adulteration_pct=v), within(0, 100), False, False),
-    ("x", lambda v: crop(RAW_CUBE, v, 0, 1, 1), within(0, 4), True, False),
-    ("y", lambda v: crop(RAW_CUBE, 0, v, 1, 1), within(0, 3), True, False),
-    ("w", lambda v: crop(RAW_CUBE, 1, 0, v, 1), within(1, 4), True, False),
-    ("h", lambda v: crop(RAW_CUBE, 0, 1, 1, v), within(1, 3), True, False),
+    ("Label.adulteration_pct", lambda v: Label(adulteration_pct=v), within(0, 100), False, False),
+    # a whole float is a class: a matrix CSV holds class 3 as 3.0
+    ("Label.class_id", lambda v: Label(class_id=v), lambda x: x >= 0 and x == int(x), False, False),
+    ("crop.x", lambda v: crop(RAW_CUBE, v, 0, 1, 1), within(0, 4), True, False),
+    ("crop.y", lambda v: crop(RAW_CUBE, 0, v, 1, 1), within(0, 3), True, False),
+    ("crop.w", lambda v: crop(RAW_CUBE, 1, 0, v, 1), within(1, 4), True, False),
+    ("crop.h", lambda v: crop(RAW_CUBE, 0, 1, 1, v), within(1, 3), True, False),
 ]
+IDS = [row[0] for row in PARAMETERS]
 
 # boundaries and their neighbours, non-finite values, a bool, a fraction
 # for an integer parameter and an int beyond the float range
@@ -174,7 +182,8 @@ def rule_holds(value, rule, integer, optional) -> bool:
     return finite and bool(rule(value))
 
 
-def assert_checked(name, build, rule, integer, optional, value):
+def assert_checked(param, build, rule, integer, optional, value):
+    name = param.rsplit(".", 1)[1]
     with warnings.catch_warnings(), np.errstate(all="ignore"):
         warnings.simplefilter("ignore")
         try:
@@ -186,22 +195,23 @@ def assert_checked(name, build, rule, integer, optional, value):
     assert rule_holds(value, rule, integer, optional), f"{value!r} accepted"
 
 
-IDS = [f"{i}-{row[0]}" for i, row in enumerate(PARAMETERS)]
+def test_ids_are_unique():
+    assert len(set(IDS)) == len(IDS)
 
 
-@pytest.mark.parametrize("name, build, rule, integer, optional", PARAMETERS, ids=IDS)
+@pytest.mark.parametrize("param, build, rule, integer, optional", PARAMETERS, ids=IDS)
 @settings(max_examples=15, deadline=None)
 @given(value=st.one_of(st.sampled_from(SPECIAL), st.integers(-30, 30),
                        st.floats(-300.0, 300.0), st.floats()))
-def test_a_value_is_refused_exactly_when_it_breaks_the_rule(name, build, rule, integer, optional,
+def test_a_value_is_refused_exactly_when_it_breaks_the_rule(param, build, rule, integer, optional,
                                                             value):
-    assert_checked(name, build, rule, integer, optional, value)
+    assert_checked(param, build, rule, integer, optional, value)
 
 
-@pytest.mark.parametrize("name, build, rule, integer, optional", PARAMETERS, ids=IDS)
-def test_every_special_value(name, build, rule, integer, optional):
+@pytest.mark.parametrize("param, build, rule, integer, optional", PARAMETERS, ids=IDS)
+def test_every_special_value(param, build, rule, integer, optional):
     for value in SPECIAL + [None] * optional:
-        assert_checked(name, build, rule, integer, optional, value)
+        assert_checked(param, build, rule, integer, optional, value)
 
 
 def test_negative_zero_is_returned_as_zero():

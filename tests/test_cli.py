@@ -441,8 +441,8 @@ class TestNonFiniteStudyConfig:
     @pytest.mark.parametrize(
         "extra",
         [{"levels": [0, float("nan")]}, {"levels": [float("-inf"), 40]},
-         {"texture_adulteration_gain": float("nan")}, {"texture_adulteration_gain": float("inf")},
-         {"texture_adulteration_gain": -0.5}, {"levels": [0, 0, 40]}, {"levels": [0, 0.5, 40]},
+         {"depth_jitter_sd": float("nan")}, {"depth_jitter_sd": float("inf")},
+         {"depth_jitter_sd": -0.5}, {"levels": [0, 0, 40]}, {"levels": [0, 0.5, 40]},
          {"levels": [0, 101]}, {"levels": [-1, 40]}],
         ids=["nan-level", "inf-level", "nan-gain", "inf-gain", "negative-gain", "repeated-level",
              "levels-sharing-a-sample-id", "level-above-100", "negative-level"],
@@ -450,7 +450,7 @@ class TestNonFiniteStudyConfig:
     def test_study_config_exits_2(self, tmp_path, command, extra):
         cfg = tmp_path / "c.json"
         # json.dumps writes NaN/Infinity tokens, which the config reader refuses;
-        # out-of-range and colliding levels are refused by CaseStudyConfig
+        # a negative sd and out-of-range or colliding levels are refused by CaseStudyConfig
         cfg.write_text(json.dumps({"replicates": 3, "levels": [0, 40], "width": 10, "height": 20, **extra}))
         assert run(["--config", cfg, "--out", tmp_path / "o", command]) == 2
         assert not (tmp_path / "o" / "report.json").exists()
@@ -609,7 +609,7 @@ class TestStreamingChain:
         cfg.write_text(json.dumps({"kind": kind.value, **study}))
         assert run(["--config", cfg, "--seed", seed, "--out", root / "cli", "synth"]) == 0
         config = CaseStudyConfig.from_json(kind, study)
-        data = generate_case_study(kind, config, seed)
+        data = generate_case_study(config, seed)
         for mode in Mode:
             samples = getattr(data, mode.value)
             if samples:

@@ -256,7 +256,7 @@ def oil_datasets(draw):
         width=draw(st.sampled_from([20, 30])),
         height=draw(st.sampled_from([20, 30])),
     )
-    samples = list(generate_case_study(StudyKind.COCONUT_OIL, config, draw(st.integers(0, 2**32 - 1))).transmittance)
+    samples = list(generate_case_study(config, draw(st.integers(0, 2**32 - 1))).transmittance)
     return samples, draw(st.sampled_from(levels)), draw(st.integers(1, 32))
 
 

@@ -313,7 +313,7 @@ def tiny_config(command: str, seeds: Path) -> dict:
         "consistency": {"kind": "turmeric", "mode": "transmittance", "width": 20, "height": 20,
                         "band": 530},
         "repeatability": {"mode": "reflectance", "width": 10, "height": 10, "n_times": 2,
-                          "drift_amplitude": 0.01},
+                          "noise": {"drift_amplitude": 0.01}},
         "protocol-sim": {"n_bands": 3, "timeout_steps": 4, "exposure_steps": 1, "fail": False,
                          "band": 0},
     }[command]

@@ -51,13 +51,13 @@ def repeat_scene(seed=3, drift=0.0441):
 
 class TestRepeatability:
     def test_zero_drift_zero_deviation(self):
-        series = render_repeat_series(repeat_scene(drift=0.0), 5, drift_amplitude=0.0)
+        series = render_repeat_series(repeat_scene(drift=0.0), 5)
         # shot/texture noise off for an exact zero
         scene = repeat_scene()
         from dataclasses import replace
 
         quiet = replace(scene, noise=NoiseSpec.none())
-        series = render_repeat_series(quiet, 5, drift_amplitude=0.0)
+        series = render_repeat_series(quiet, 5)
         report = repeatability_report(series)
         assert report["max_deviation_pct"] == 0.0
 
@@ -134,7 +134,7 @@ STUDY_FILES = {
 class TestDeterminism:
     def run_oil(self):
         config = CaseStudyConfig.for_kind(StudyKind.COCONUT_OIL, replicates=3, width=30, height=30)
-        return run_case_study(StudyKind.COCONUT_OIL, config, master_seed=9, classifier_kinds=("knn",))
+        return run_case_study(config, master_seed=9, classifier_kinds=("knn",))
 
     def test_oil_study_bundle_is_reproducible(self):
         a, b = self.run_oil(), self.run_oil()
@@ -151,7 +151,7 @@ class TestDeterminism:
     def test_every_study_reruns_to_identical_files(self, tmp_path, kind):
         config = CaseStudyConfig.for_kind(kind, replicates=3, width=30, height=30)
         for out in ("a", "b"):
-            bundle = run_case_study(kind, config, master_seed=9, classifier_kinds=("knn",))
+            bundle = run_case_study(config, master_seed=9, classifier_kinds=("knn",))
             write_study_bundle(bundle, tmp_path / out)
         names = {path.name for path in (tmp_path / "a").iterdir()}
         assert names == STUDY_FILES[kind]
@@ -221,7 +221,7 @@ class TestMatrixStageMemory:
             base = tracemalloc.get_traced_memory()[0]
             with mock.patch.object(harness, "run_pipeline_on_matrix", first_run):
                 with pytest.raises(_FirstRun):
-                    run_case_study(StudyKind.TURMERIC, config, 0)
+                    run_case_study(config, 0)
         finally:
             tracemalloc.stop()
         peak, rows = seen[0]

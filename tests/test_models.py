@@ -1050,3 +1050,69 @@ class TestParameterRanges:
         assert model_from_json(obj).to_json() == obj
         with pytest.raises(ValidationError, match=rf"^{model.KIND} model JSON\.{name} must be"):
             model_from_json({**obj, name: value})
+
+
+# one model of each kind, small enough to fit in a few milliseconds
+SMALL_MODELS = {
+    "knn": lambda: KNearestNeighbors(k=1),
+    "decision_tree": DecisionTree,
+    "random_forest": lambda: RandomForest(n_trees=2),
+    "logistic": lambda: LogisticRegressionGD(epochs=5),
+    "linear_svm": lambda: LinearSVM(epochs=5),
+}
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+@st.composite
+def training_sets(draw):
+    """A valid training set: 2-6 finite rows of 1-3 columns, a label each."""
+    n, d = draw(st.integers(2, 6)), draw(st.integers(1, 3))
+    x = np.array(draw(st.lists(st.floats(-10, 10), min_size=n * d, max_size=n * d))).reshape(n, d)
+    return x, np.array(draw(st.lists(st.sampled_from([0.0, 5.0]), min_size=n, max_size=n)))
+
+
+@st.composite
+def malformed_training_sets(draw):
+    """A training set that breaks exactly one rule of ``fit``'s input."""
+    x, y = draw(training_sets())
+    fault = draw(st.sampled_from(["no rows", "no columns", "vector", "short labels", "long labels",
+                                  "non-finite feature", "non-finite label"]))
+    if fault == "no rows":
+        return x[:0], y[:0]
+    if fault == "no columns":
+        return x[:, :0], y
+    if fault == "vector":
+        return x.ravel(), np.resize(y, x.size)
+    if fault.endswith("labels"):
+        return x, y[:-1] if fault == "short labels" else np.append(y, 0.0)
+    target = x if fault == "non-finite feature" else y
+    target.flat[draw(st.integers(0, target.size - 1))] = draw(NON_FINITE)
+    return x, y
+
+
+class TestMalformedInput:
+    """Every kind checks its ``fit`` and ``predict`` input the same way:
+    a bad matrix raises ValidationError, never a raw numpy error, a
+    divergence blamed on ``lr`` or a silent fit."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(kind=st.sampled_from(sorted(SMALL_MODELS)), data=malformed_training_sets())
+    def test_fit_refuses_a_malformed_training_set(self, kind, data):
+        with pytest.raises(ValidationError, match="^fit needs"):
+            SMALL_MODELS[kind]().fit(*data)
+
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(sorted(SMALL_MODELS)), data=training_sets(),
+           fault=st.sampled_from(["unfitted", "non-finite row", "3-d rows"]), bad=NON_FINITE)
+    def test_predict_refuses_malformed_rows(self, kind, data, fault, bad):
+        x, y = data
+        model = SMALL_MODELS[kind]()
+        if fault != "unfitted":
+            model.fit(x, y)
+        rows = x.copy()
+        if fault == "non-finite row":
+            rows[-1, 0] = bad
+        elif fault == "3-d rows":
+            rows = rows[None]
+        with pytest.raises(ValidationError, match="^predict"):
+            model.predict(rows)

@@ -19,7 +19,7 @@ SUBMODULES = frozenset(
 )
 # Every name the package exported while ``__init__`` imported each one.
 NAMES = frozenset("""
-BandSet Capture CaseStudyConfig ConfusionMatrix Corrections Curve DataMatrix DecisionTree
+BandSet CaseStudyConfig ConfusionMatrix Corrections Curve DataMatrix DecisionTree
 DegenerateReferenceError DimensionMismatchError Distribution DualMsiError EmptyDataError
 FirmwareConfig FirmwareState FunctionalMap Granularity HandshakeTimeoutError
 IlluminationProfile KNearestNeighbors Label LedSpec LinearSVM LogisticRegressionGD

@@ -308,7 +308,6 @@ class TestPipeline:
         corrections = fit_corrections(white)
         from dualmsi.studies import generate_case_study
         data = generate_case_study(
-            StudyKind.TURMERIC,
             CaseStudyConfig.for_kind(StudyKind.TURMERIC, replicates=1, levels=(0.0, 5.0), width=50, height=50),
             master_seed=5,
         )

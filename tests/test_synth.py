@@ -1,7 +1,7 @@
 import hashlib
 import json
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -255,8 +255,8 @@ class TestRender:
 
 class TestRepeatSeries:
     def test_zero_drift_is_bit_identical(self):
-        scene = quiet_scene(noise=NoiseSpec())
-        series = render_repeat_series(scene, 4, drift_amplitude=0.0)
+        scene = quiet_scene(noise=NoiseSpec(drift_amplitude=0.0))
+        series = render_repeat_series(scene, 4)
         assert all(s.cube == series[0].cube for s in series[1:])
 
     def test_needs_at_least_two(self):
@@ -264,8 +264,8 @@ class TestRepeatSeries:
             render_repeat_series(quiet_scene(), 1)
 
     def test_drift_bounded_by_amplitude(self):
-        scene = quiet_scene(rng_seed=7)
-        series = render_repeat_series(scene, 10, drift_amplitude=0.04)
+        scene = quiet_scene(rng_seed=7, noise=replace(NoiseSpec.none(), drift_amplitude=0.04))
+        series = render_repeat_series(scene, 10)
         means = np.array([s.cube.frame(530).mean() for s in series])
         deviation = np.abs(means - means.mean()).max() / means.mean()
         assert 0.0 < deviation < 0.09
@@ -274,7 +274,7 @@ class TestRepeatSeries:
 class TestCaseStudies:
     def test_turmeric_counts_and_pairing(self):
         config = CaseStudyConfig.for_kind(StudyKind.TURMERIC, width=12, height=12)
-        data = generate_case_study(StudyKind.TURMERIC, config, master_seed=1)
+        data = generate_case_study(config, master_seed=1)
         assert len(data.reflectance) == 81
         assert len(data.transmittance) == 81
         assert [s.id for s in data.reflectance] == [s.id for s in data.transmittance]
@@ -285,26 +285,25 @@ class TestCaseStudies:
 
     def test_coconut_oil_counts(self):
         config = CaseStudyConfig.for_kind(StudyKind.COCONUT_OIL, width=12, height=12)
-        data = generate_case_study(StudyKind.COCONUT_OIL, config, master_seed=1)
+        data = generate_case_study(config, master_seed=1)
         assert len(data.transmittance) == 72
         assert len(data.reflectance) == 0
 
     def test_color_chart_counts(self):
         config = CaseStudyConfig.for_kind(StudyKind.COLOR_CHART, replicates=4, width=12, height=12)
-        data = generate_case_study(StudyKind.COLOR_CHART, config, master_seed=1)
+        data = generate_case_study(config, master_seed=1)
         assert len(data.reflectance) == 96
         assert {s.label.class_id for s in data.reflectance} == set(range(24))
 
     def test_deterministic_given_master_seed(self):
         config = CaseStudyConfig.for_kind(StudyKind.COCONUT_OIL, replicates=2, width=10, height=10)
-        a = generate_case_study(StudyKind.COCONUT_OIL, config, master_seed=5)
-        b = generate_case_study(StudyKind.COCONUT_OIL, config, master_seed=5)
+        a = generate_case_study(config, master_seed=5)
+        b = generate_case_study(config, master_seed=5)
         assert all(x == y for x, y in zip(a.transmittance, b.transmittance))
 
     def test_config_kind_mismatch_rejected(self):
-        config = CaseStudyConfig.for_kind(StudyKind.TURMERIC)
-        with pytest.raises(ValidationError):
-            generate_case_study(StudyKind.COCONUT_OIL, config, master_seed=0)
+        with pytest.raises(ValidationError, match="config is for the turmeric study, not coconut_oil"):
+            CaseStudyConfig.from_json(StudyKind.COCONUT_OIL, {"kind": "turmeric"})
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -323,17 +322,17 @@ class TestCaseStudies:
             kind, replicates=replicates, levels=tuple(map(float, levels)), n_classes=n_classes,
             width=width, height=height,
         )
-        data = generate_case_study(kind, config, master_seed)
+        data = generate_case_study(config, master_seed)
         generated = [*data.reflectance, *data.transmittance]
-        plan = plan_case_study(kind, config, master_seed)
-        assert sorted(c.sample_id for c in plan) == sorted(s.id for s in generated)
+        plan = plan_case_study(config, master_seed)
+        assert sorted(scene.sample_id for scene in plan) == sorted(s.id for s in generated)
         by_key = {(s.id, s.cube.mode): s for s in generated}
         # last capture first, each rendered alone: no render depends on another
-        for capture in reversed(plan):
-            sample = capture.render()
-            want = by_key.pop((capture.sample_id, capture.scene.mode))
-            assert sample.id == want.id == capture.sample_id
-            assert sample.label == want.label == capture.scene.label
+        for scene in reversed(plan):
+            sample = render(scene)
+            want = by_key.pop((scene.sample_id, scene.mode))
+            assert sample.id == want.id == scene.sample_id
+            assert sample.label == want.label == scene.label
             assert sample.cube.mode is want.cube.mode
             assert sample.cube.band_set == want.cube.band_set
             assert sample.cube.values.dtype == want.cube.values.dtype
@@ -354,8 +353,8 @@ class TestCaseStudies:
         config = CaseStudyConfig.for_kind(kind, replicates=2, n_classes=5, width=20, height=20)
         digest = hashlib.sha256()
         for seed in (0, 1):
-            for capture in plan_case_study(kind, config, seed):
-                sample = capture.render()
+            for scene in plan_case_study(config, seed):
+                sample = render(scene)
                 digest.update(json.dumps([sample.id, sample.label.to_json(), sample.cube.mode.value]).encode())
                 digest.update(sample.cube.values.tobytes())
                 digest.update(sample.cube.dark.tobytes())
