@@ -28,8 +28,9 @@ _EXPORTS = {
     "jsonio": (),
     "pgm": (),
     "synth": (
-        "Curve", "IlluminationProfile", "LedSpec", "MaterialSpec", "MixtureSpec", "NoiseSpec",
-        "SceneConfig", "effective_band_response", "led_emission", "render", "render_repeat_series",
+        "Curve", "Device", "IlluminationProfile", "LedSpec", "MaterialSpec", "MixtureSpec",
+        "NoiseSpec", "SceneConfig", "effective_band_response", "led_emission", "render",
+        "render_repeat_series",
     ),
     "materials": (),
     "studies": (

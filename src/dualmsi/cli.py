@@ -11,9 +11,11 @@ layer loaded and not the rest of the package.
 A handler's keyword parameters are its config schema: ``main`` reads each
 key of the config object as the parameter it names, typed by its
 annotation (``jsonio.json_kwargs``); a key that names none, or a value of
-the wrong type, exits 2.  ``--out`` appears at a handler's first write.  The
-study-reading handlers also take the ``CaseStudyConfig`` fields as
-``**study`` and pass them on to ``CaseStudyConfig.from_json``.
+the wrong type, exits 2.  ``--out`` appears at a handler's first write.  A
+handler whose ``**rest`` is annotated with a dataclass also takes that
+dataclass's fields and reads them into it: the study handlers take the
+``CaseStudyConfig`` fields as ``**study``, and ``consistency`` and
+``repeatability`` the ``synth.Device`` fields as ``**device``.
 """
 
 from __future__ import annotations

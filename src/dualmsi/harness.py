@@ -20,7 +20,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import materials
-from .core import Mode, Sample, SpectralCube, load_dataset
+from .core import Mode, Sample, SpectralCube
 from .divergence import adulteration_curve, fit_linear, median_curve, write_kl_curve_csv
 from .errors import ValidationError
 from .features import (
@@ -35,7 +35,7 @@ from .features import (
     spectral_signature,
     stack,
 )
-from .jsonio import write_json
+from .jsonio import json_call, write_json
 from .models import (
     DecisionTree,
     Granularity,
@@ -52,6 +52,7 @@ from .preprocess import (
     PipelineOptions,
     box_mean,
     fit_corrections,
+    load_white_reference,
     preprocess_pipeline,
 )
 from .studies import (
@@ -62,7 +63,7 @@ from .studies import (
     plan_case_study,
     render_white_reference,
 )
-from .synth import MixtureSpec, SceneConfig, render, render_repeat_series
+from .synth import Device, MixtureSpec, SceneConfig, render, render_repeat_series
 
 
 # --------------------------------------------------------------------------
@@ -467,15 +468,23 @@ def cmd_study(args, out: Path, kind: str, /, **study: CaseStudyConfig) -> None:
 
 
 def cmd_consistency(
-    args, out: Path, white: str | None = None, kind: StudyKind = StudyKind.TURMERIC,
-    mode: Mode = Mode.REFLECTANCE, band: int | None = None, **study: CaseStudyConfig,
+    args, out: Path, white: str | None = None, mode: Mode | None = None, band: int | None = None,
+    **device: Device,
 ) -> None:
-    """Spatial consistency report from a white dataset (or a synthetic one)."""
-    study_config = CaseStudyConfig.from_json(kind, study)
+    """Spatial consistency report from a white dataset, or from a white
+    capture in ``mode`` (default reflectance) rendered under ``device``.
+
+    A white dataset is used as it is, so ``mode`` or a device setting
+    given beside ``white`` raises ValidationError naming them."""
     if white is None:
-        white_sample = render_white_reference(study_config, mode, args.seed)
+        device = json_call(Device, device, "consistency config")
+        white_sample = render_white_reference(device, mode or Mode.REFLECTANCE, args.seed)
     else:
-        white_sample = next(load_dataset(white))
+        unused = sorted([*device, *(["mode"] if mode is not None else [])])
+        if unused:
+            raise ValidationError(f"consistency config keys {unused} set the rendered white, "
+                                  f"so they cannot be given beside 'white'")
+        white_sample = load_white_reference(white)
     report = spatial_consistency_report(white_sample)
     write_consistency_report(report, out, band=band)
     print(
@@ -485,11 +494,12 @@ def cmd_consistency(
 
 
 def cmd_repeatability(
-    args, out: Path, kind: StudyKind = StudyKind.TURMERIC, mode: Mode = Mode.REFLECTANCE,
-    n_times: int = 10, **study: CaseStudyConfig,
+    args, out: Path, mode: Mode = Mode.REFLECTANCE, n_times: int = 10, **device: Device,
 ) -> None:
-    study_config = CaseStudyConfig.from_json(kind, study)
-    scene = study_config.scene(mode, MixtureSpec.pure(materials.TURMERIC), args.seed)
+    """Repeat captures of pure turmeric powder in ``mode`` under ``device``;
+    their drift amplitude is ``noise.drift_amplitude``."""
+    device = json_call(Device, device, "repeatability config")
+    scene = device.scene(mode, MixtureSpec.pure(materials.TURMERIC), args.seed)
     series = render_repeat_series(scene, n_times)
     report = repeatability_report(series)
     report["per_band_deviation_pct"] = {

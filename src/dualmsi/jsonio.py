@@ -109,10 +109,11 @@ def _readable(fn, n_args: int):
     positional arguments leave unfilled, the required ones among them, the
     names of all its keyword parameters, and the keys its ``**rest`` takes
     with their type hints: none without one, the fields of the dataclass it
-    is annotated with, or None for any key.  Cached: resolving string
-    annotations is slow."""
+    is annotated with, or None for any key.  A dataclass's hints are its
+    fields', each resolved in the module of the class that declares it.
+    Cached: resolving string annotations is slow."""
     params = list(inspect.signature(fn).parameters.values())
-    hints = get_type_hints(fn.__init__ if isinstance(fn, type) else fn)
+    hints = get_type_hints(fn.__init__ if isinstance(fn, type) and not is_dataclass(fn) else fn)
     keyword = {p.name for p in params if p.kind in (p.POSITIONAL_OR_KEYWORD, p.KEYWORD_ONLY)}
     named = [p for p in params[n_args:] if p.name in keyword]
     rest = [hints.get(p.name) for p in params if p.kind is p.VAR_KEYWORD]

@@ -16,7 +16,13 @@ from typing import Mapping
 import numpy as np
 
 from .core import RAW_MAX, WORKING_MEMORY, Sample, SpectralCube, crop, load_dataset, save_dataset
-from .errors import DegenerateReferenceError, DimensionMismatchError, ValidationError, check_number
+from .errors import (
+    DegenerateReferenceError,
+    DimensionMismatchError,
+    ModeMismatchError,
+    ValidationError,
+    check_number,
+)
 
 
 class SaturationClipWarning(UserWarning):
@@ -447,6 +453,17 @@ def preprocess_pipeline(
     )
 
 
+def load_white_reference(path) -> Sample:
+    """The one sample of the white-reference dataset ``path``.  A dataset
+    of more than one sample raises ValidationError: which of them is the
+    white cannot be told."""
+    samples = load_dataset(path)
+    white = next(samples)
+    if next(samples, None) is not None:
+        raise ValidationError(f"a white reference is one sample, but {path} holds more")
+    return white
+
+
 # --------------------------------------------------------------------------
 # Command handler (``dualmsi preprocess``, listed in ``cli.COMMANDS``)
 # --------------------------------------------------------------------------
@@ -460,17 +477,23 @@ def cmd_preprocess(
     a time.
 
     The gains are fitted on the white capture cropped by ``options.crop``,
-    the window the pipeline crops each sample to.  Output frames are
-    re-quantized to 16-bit for storage.
+    the window the pipeline crops each sample to.  A sample of another
+    mode than the white's raises ModeMismatchError before it is written.
+    Output frames are re-quantized to 16-bit for storage.
     """
     samples = load_dataset(input)
-    corrections = None
+    corrections = white_sample = None
     if white:
-        white_sample = next(load_dataset(white))
+        white_sample = load_white_reference(white)
         if options.crop is not None:
             white_sample = replace(white_sample, cube=crop(white_sample.cube, *options.crop))
         corrections = fit_corrections(white_sample)
-    written = save_dataset(
-        (quantize_sample(preprocess_pipeline(s, corrections, options)) for s in samples), out
-    )
+
+    def corrected(sample: Sample) -> Sample:
+        if white_sample is not None and sample.cube.mode is not white_sample.cube.mode:
+            raise ModeMismatchError(f"sample {sample.id} is {sample.cube.mode.value}, but the white "
+                                    f"reference {white} is {white_sample.cube.mode.value}")
+        return quantize_sample(preprocess_pipeline(sample, corrections, options))
+
+    written = save_dataset((corrected(s) for s in samples), out)
     print(f"preprocessed {written} samples -> {out}")

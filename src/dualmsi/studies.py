@@ -32,10 +32,10 @@ from pathlib import Path
 import numpy as np
 
 from . import materials
-from .core import BandSet, Label, Mode, Sample, save_dataset
+from .core import Label, Mode, Sample, save_dataset
 from .errors import ValidationError, check_number
 from .jsonio import json_call, json_value
-from .synth import IlluminationProfile, MaterialSpec, MixtureSpec, NoiseSpec, SceneConfig, render, stream
+from .synth import Device, MaterialSpec, MixtureSpec, SceneConfig, render, stream
 
 
 class StudyKind(Enum):
@@ -114,18 +114,15 @@ ADULTERATION_LEVELS = tuple(float(p) for p in range(0, 41, 5))
 
 
 @dataclass(frozen=True)
-class CaseStudyConfig:
-    """Knobs for one synthetic case study; per-kind defaults via ``for_kind``."""
+class CaseStudyConfig(Device):
+    """Knobs for one synthetic case study: the capture settings it
+    inherits from ``Device``, set by keyword, and the study's own;
+    per-kind defaults via ``for_kind``."""
 
     kind: StudyKind
     replicates: int
     levels: tuple[float, ...] = ADULTERATION_LEVELS
     n_classes: int = 24
-    width: int = 100
-    height: int = 100
-    band_set: BandSet = BandSet.thirteen_band()
-    illumination: IlluminationProfile = IlluminationProfile()
-    noise: NoiseSpec = NoiseSpec()
     depth: float = 1.0
     # Replicate-level nuisance magnitudes (all standard deviations).  The
     # multiplicative per-capture drift is low-rank by design: one global
@@ -154,20 +151,13 @@ class CaseStudyConfig:
             check_number("n_classes", self.n_classes, 1, materials.PALETTE_SIZE, integer=True)
         elif len(self.levels) < 2:
             raise ValidationError("adulteration study needs at least 2 levels")
+        super().__post_init__()
 
     def drift_sd(self, mode: Mode) -> tuple[float, float, float]:
         """The (scale, tilt, white residue) drift sds of a capture in ``mode``."""
         if mode is Mode.REFLECTANCE:
             return self.refl_scale_jitter_sd, self.refl_tilt_jitter_sd, self.refl_band_jitter_sd
         return self.trans_scale_jitter_sd, self.trans_tilt_jitter_sd, self.trans_band_jitter_sd
-
-    def scene(self, mode: Mode, mixture: MixtureSpec, rng_seed: int, **overrides) -> SceneConfig:
-        """One capture's scene under the study's band set, illumination,
-        noise and frame size; ``overrides`` sets other ``SceneConfig``
-        fields or replaces these."""
-        device = dict(band_set=self.band_set, illumination=self.illumination, noise=self.noise,
-                      width=self.width, height=self.height)
-        return SceneConfig(mode=mode, mixture=mixture, rng_seed=rng_seed, **{**device, **overrides})
 
     @classmethod
     def for_kind(cls, kind: StudyKind, **overrides) -> "CaseStudyConfig":
@@ -271,15 +261,14 @@ def generate_case_study(config: CaseStudyConfig, master_seed: int = 0) -> StudyD
     )
 
 
-def render_white_reference(
-    config: CaseStudyConfig, mode: Mode, master_seed: int = 0
-) -> Sample:
-    """Uniform white capture under the study's device settings.
+def render_white_reference(device: Device, mode: Mode, master_seed: int = 0) -> Sample:
+    """Uniform white capture in ``mode`` under the ``device`` settings.
 
     This is the reference the correction pipeline is fitted on; it shares
-    the study's illumination profile, noise model and band set.
+    the device's illumination profile, noise model and band set, so a
+    study passes its config.
     """
-    scene = config.scene(
+    scene = device.scene(
         mode,
         MixtureSpec.pure(materials.WHITE_REFERENCE),
         derive_seed(master_seed, "white", mode.value),

@@ -15,7 +15,7 @@ evaluation order or parallelism.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Mapping
 
 import numpy as np
@@ -297,18 +297,37 @@ DEFAULT_LEDS: Mapping[int, LedSpec] = {
 }
 
 
-@dataclass(frozen=True)
-class SceneConfig:
-    """Everything needed to render one capture deterministically, and the
-    id of the sample it renders."""
+@dataclass(frozen=True, kw_only=True)
+class Device:
+    """The capture settings of the imaging device: the bands it captures,
+    the panel's illumination profile, the sensor noise model and the frame
+    size in pixels, each set by keyword.  Each capture it takes is a
+    :class:`SceneConfig` (:meth:`scene`), which holds these settings too."""
 
-    band_set: BandSet
-    mode: Mode
-    mixture: MixtureSpec
+    band_set: BandSet = BandSet.thirteen_band()
     illumination: IlluminationProfile = IlluminationProfile()
     noise: NoiseSpec = NoiseSpec()
     width: int = 100
     height: int = 100
+
+    def __post_init__(self):
+        check_number("width", self.width, 1, integer=True)
+        check_number("height", self.height, 1, integer=True)
+
+    def scene(self, mode: Mode, mixture: MixtureSpec, rng_seed: int, **overrides) -> SceneConfig:
+        """One capture of ``mixture`` in ``mode`` under these settings;
+        ``overrides`` sets other ``SceneConfig`` fields or replaces these."""
+        settings = {f.name: getattr(self, f.name) for f in fields(Device)}
+        return SceneConfig(mode=mode, mixture=mixture, rng_seed=rng_seed, **{**settings, **overrides})
+
+
+@dataclass(frozen=True)
+class SceneConfig(Device):
+    """Everything needed to render one capture deterministically, and the
+    id of the sample it renders: the device settings plus what is captured."""
+
+    mode: Mode
+    mixture: MixtureSpec
     rng_seed: int = 0
     leds: Mapping[int, LedSpec] = field(default_factory=lambda: dict(DEFAULT_LEDS))
     band_gains: Mapping[int, float] | None = None
@@ -316,8 +335,7 @@ class SceneConfig:
     sample_id: str | None = None
 
     def __post_init__(self):
-        check_number("width", self.width, 1, integer=True)
-        check_number("height", self.height, 1, integer=True)
+        super().__post_init__()
         missing = [wl for wl in self.band_set if wl not in self.leds]
         if missing:
             raise ValidationError(f"no LED spec for bands {missing}")

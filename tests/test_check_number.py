@@ -5,6 +5,7 @@ parameter's rule, and the error names the parameter first."""
 import math
 import numbers
 import warnings
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -33,8 +34,8 @@ from conftest import make_cube
 
 FLOAT_CUBE = make_cube({405: np.full((4, 4), 0.5), 530: np.full((4, 4), 0.25)})
 RAW_CUBE = make_cube({530: np.zeros((4, 5), dtype=np.uint16)})
-SCENE = SceneConfig(BandSet((530,)), Mode.REFLECTANCE, MixtureSpec.pure(materials.TURMERIC),
-                    width=2, height=2)
+SCENE = SceneConfig(band_set=BandSet((530,)), mode=Mode.REFLECTANCE,
+                    mixture=MixtureSpec.pure(materials.TURMERIC), width=2, height=2)
 # 3 classes of 4 rows in 3 columns, two samples a class
 MATRIX = DataMatrix(
     values=np.random.default_rng(0).normal(size=(12, 3)),
@@ -91,10 +92,8 @@ PARAMETERS = [
       for name in ("dark_mean", "dark_sd", "shot_sd_fraction", "drift_amplitude",
                    "texture_shared_sd", "texture_band_sd")),
     ("NoiseSpec.texture_block", lambda v: NoiseSpec(texture_block=v), at_least(1), True, False),
-    ("SceneConfig.width", lambda v: SceneConfig(BandSet((530,)), Mode.REFLECTANCE, SCENE.mixture, width=v),
-     at_least(1), True, False),
-    ("SceneConfig.height", lambda v: SceneConfig(BandSet((530,)), Mode.REFLECTANCE, SCENE.mixture, height=v),
-     at_least(1), True, False),
+    ("SceneConfig.width", lambda v: replace(SCENE, width=v), at_least(1), True, False),
+    ("SceneConfig.height", lambda v: replace(SCENE, height=v), at_least(1), True, False),
     ("render_repeat_series.n_times", repeat_series, at_least(2), True, False),
     # studies
     ("CaseStudyConfig.replicates", lambda v: study(replicates=v), at_least(1), True, False),

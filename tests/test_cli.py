@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import json
 import os
@@ -21,6 +22,7 @@ from dualmsi.jsonio import json_value
 from dualmsi.models import MODEL_KINDS
 from dualmsi.preprocess import PipelineOptions, fit_corrections, preprocess_pipeline, quantize_sample
 from dualmsi.studies import CaseStudyConfig, StudyKind, generate_case_study, render_white_reference
+from dualmsi.synth import Device
 
 from conftest import random_raw_sample
 from test_features import matrix_from
@@ -160,7 +162,7 @@ class TestPreprocessMatrixTrainEval(object):
 class TestUnknownMode:
     @pytest.mark.parametrize(
         "command, config",
-        [("consistency", {"kind": "turmeric", "mode": "bogus", "width": 20, "height": 20}),
+        [("consistency", {"mode": "bogus", "width": 20, "height": 20}),
          ("repeatability", {"mode": "bogus", "width": 20, "height": 20})],
     )
     def test_synthetic_fixture_commands_exit_2(self, tmp_path, command, config):
@@ -234,7 +236,7 @@ class TestOtherCommands:
 
     def test_repeatability(self, tmp_path):
         cfg = tmp_path / "r.json"
-        cfg.write_text(json.dumps({"kind": "turmeric", "width": 24, "height": 24, "n_times": 4}))
+        cfg.write_text(json.dumps({"width": 24, "height": 24, "n_times": 4}))
         out = tmp_path / "rep"
         assert run(["--config", cfg, "--out", out, "repeatability"]) == 0
         report = json.loads((out / "repeatability.json").read_text())
@@ -242,7 +244,7 @@ class TestOtherCommands:
 
     def test_consistency(self, tmp_path):
         cfg = tmp_path / "c.json"
-        cfg.write_text(json.dumps({"kind": "turmeric", "width": 30, "height": 30}))
+        cfg.write_text(json.dumps({"width": 30, "height": 30}))
         out = tmp_path / "cons"
         assert run(["--config", cfg, "--out", out, "consistency"]) == 0
         summary = json.loads((out / "consistency.json").read_text())
@@ -735,15 +737,95 @@ class TestMatrixInputs:
 class TestConsistencyWithWhite:
     @pytest.mark.parametrize(
         "extra, code",
-        [({}, 0), ({"bogus": 1}, 2), ({"replicates": "3"}, 2), ({"kind": "bogus"}, 2),
+        [({}, 0), ({"bogus": 1}, 2), ({"width": 20}, 2), ({"mode": "reflectance"}, 2),
          ({"mode": "bogus"}, 2)],
-        ids=["white-only", "unknown-key", "bad-study-field", "bad-kind", "bad-mode"],
+        ids=["white-only", "unknown-key", "device-key", "mode", "bad-mode"],
     )
     def test_keys_beside_white_are_checked(self, synth_dirs, tmp_path, extra, code):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"white": str(synth_dirs / "white_reflectance"), **extra}))
         assert run(["--config", cfg, "--out", tmp_path / "o", "consistency"]) == code
         assert (tmp_path / "o" / "consistency.json").exists() == (code == 0)
+
+    def test_keys_beside_white_are_named(self, synth_dirs, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"white": str(synth_dirs / "white_reflectance"), "width": 20,
+                                   "noise": {}, "mode": "reflectance", "band": 530}))
+        assert run(["--config", cfg, "--out", tmp_path / "o", "consistency"]) == 2
+        assert "keys ['mode', 'noise', 'width']" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+
+class TestWhiteReference:
+    @pytest.mark.parametrize("command", ["consistency", "preprocess"])
+    def test_white_dataset_of_several_samples_exits_2(self, synth_dirs, tmp_path, capsys, command):
+        # each command once took the first sample of the directory as the white
+        config = {"white": str(synth_dirs / "reflectance")}
+        if command == "preprocess":
+            config["input"] = str(synth_dirs / "reflectance")
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(config))
+        assert run(["--config", cfg, "--out", tmp_path / "o", command]) == 2
+        assert "a white reference is one sample" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_preprocess_with_a_white_of_the_other_mode_exits_2(self, synth_dirs, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"input": str(synth_dirs / "transmittance"),
+                                   "white": str(synth_dirs / "white_reflectance")}))
+        assert run(["--config", cfg, "--out", tmp_path / "o", "preprocess"]) == 2
+        assert "is transmittance, but the white reference" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+
+DEVICE_CONFIGS = {
+    "default-device": {},
+    "custom-device": {"noise": {"dark_sd": 4.0, "shot_sd_fraction": 0.02, "drift_amplitude": 0.02},
+                      "illumination": {"tilt_x": 0.3, "radial_falloff": 0.4},
+                      "band_set": {"wavelengths_nm": [405, 530, 660, 850]}},
+}
+# the case-study fields that are no device setting
+STUDY_ONLY_KEYS = sorted({f.name for f in fields(CaseStudyConfig)} - {f.name for f in fields(Device)})
+TURMERIC = CaseStudyConfig.for_kind(StudyKind.TURMERIC)
+
+
+class TestReliabilityCommands:
+    # sha256 over every file each command wrote in both modes at seeds 0
+    # and 1 on 20 x 20 frames, each file's path relative to the run root
+    # then its bytes
+    DIGESTS = {
+        ("consistency", "default-device"): "b6d58053f2c1fdd26194af3e6b43623868057bf802638a59266ef691ccb8a9cc",
+        ("consistency", "custom-device"): "c535346144b1d4236426fe13f05b286d60d12fde1509277c4bdc8147fbe32be3",
+        ("repeatability", "default-device"): "0a34f8347cf5cfb4f77c29bb928d90ac615eef261511f099d9bb6251547de744",
+        ("repeatability", "custom-device"): "20d7e1a7db852274653a0150df1863cd8385522734644f5906ea0f0c5daa82b2",
+    }
+
+    @pytest.mark.parametrize("command, device", sorted(DIGESTS), ids="-".join)
+    def test_commands_write_the_recorded_bytes(self, tmp_path, command, device):
+        root = tmp_path / "out"
+        for mode in Mode:
+            for seed in (0, 1):
+                cfg = tmp_path / "c.json"
+                cfg.write_text(json.dumps({**DEVICE_CONFIGS[device], "mode": mode.value,
+                                           "width": 20, "height": 20}))
+                out = root / f"{mode.value}-{seed}"
+                assert run(["--config", cfg, "--seed", seed, "--out", out, command]) == 0
+        digest = hashlib.sha256()
+        for path in sorted(p for p in root.rglob("*") if p.is_file()):
+            digest.update(path.relative_to(root).as_posix().encode())
+            digest.update(path.read_bytes())
+        assert digest.hexdigest() == self.DIGESTS[command, device]
+
+    @pytest.mark.parametrize("key", STUDY_ONLY_KEYS)
+    @pytest.mark.parametrize("command", ["consistency", "repeatability"])
+    def test_study_only_key_exits_2_naming_it(self, tmp_path, capsys, command, key):
+        # each was accepted once and changed no byte of the output
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({key: getattr(TURMERIC, key), "width": 20, "height": 20},
+                                  default=lambda kind: kind.value))
+        assert run(["--config", cfg, "--out", tmp_path / "o", command]) == 2
+        assert f"config keys ['{key}']" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 class TestMatrixName:
@@ -779,11 +861,14 @@ class TestUnknownKeys:
     def test_unknown_key_lists_the_command_keys_and_study_fields(
         self, tmp_path, capsys, command, own
     ):
+        # every command lists the device keys; only a study lists its own
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"bnad": 530}))
         assert run(["--config", cfg, "--out", tmp_path / "o", command]) == 2
         choices = capsys.readouterr().err.split("choose from")[1]
-        assert f"'{own}'" in choices and "'replicates'" in choices
+        assert f"'{own}'" in choices
+        assert all(f"'{f.name}'" in choices for f in fields(Device))
+        assert ("'replicates'" in choices) == (command == "synth")
 
     @pytest.mark.parametrize("command, kind", [("turmeric", "coconut_oil"),
                                                ("coconut-oil", "color_chart"),

@@ -15,6 +15,7 @@ import shutil
 import tempfile
 from dataclasses import fields
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 import pytest
@@ -23,7 +24,6 @@ from hypothesis import HealthCheck, event, example, given, settings, strategies 
 from dualmsi.cli import COMMANDS, command_handler, main
 from dualmsi.core import Label, Mode, Sample, save_dataset
 from dualmsi.models import MODEL_KINDS
-from dualmsi.studies import CaseStudyConfig
 
 from conftest import random_raw_sample
 
@@ -310,8 +310,7 @@ def tiny_config(command: str, seeds: Path) -> dict:
         "coconut-oil": {**study, "kind": "coconut_oil"},
         "colorcheck": {"kind": "color_chart", "replicates": 3, "n_classes": 2, "width": 10,
                        "height": 20},
-        "consistency": {"kind": "turmeric", "mode": "transmittance", "width": 20, "height": 20,
-                        "band": 530},
+        "consistency": {"mode": "transmittance", "width": 20, "height": 20, "band": 530},
         "repeatability": {"mode": "reflectance", "width": 10, "height": 10, "n_times": 2,
                           "noise": {"drift_amplitude": 0.01}},
         "protocol-sim": {"n_bands": 3, "timeout_steps": 4, "exposure_steps": 1, "fail": False,
@@ -333,12 +332,13 @@ def classifier_params(draw) -> dict:
 
 def config_keys(command: str) -> set[str]:
     """Every key ``command`` reads: its handler's keyword parameters, plus
-    the study fields for a handler that takes ``**study``."""
+    the fields of the dataclass its ``**rest`` is annotated with."""
     handler, extra = command_handler(command)
     params = list(inspect.signature(handler).parameters.values())[2 + len(extra):]
     keys = {p.name for p in params if p.kind is not p.VAR_KEYWORD}
-    if any(p.kind is p.VAR_KEYWORD for p in params):
-        keys |= {f.name for f in fields(CaseStudyConfig)}
+    for p in params:
+        if p.kind is p.VAR_KEYWORD:
+            keys |= {f.name for f in fields(get_type_hints(handler)[p.name])}
     return keys
 
 

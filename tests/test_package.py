@@ -20,7 +20,7 @@ SUBMODULES = frozenset(
 # Every name the package exported while ``__init__`` imported each one.
 NAMES = frozenset("""
 BandSet CaseStudyConfig ConfusionMatrix Corrections Curve DataMatrix DecisionTree
-DegenerateReferenceError DimensionMismatchError Distribution DualMsiError EmptyDataError
+DegenerateReferenceError Device DimensionMismatchError Distribution DualMsiError EmptyDataError
 FirmwareConfig FirmwareState FunctionalMap Granularity HandshakeTimeoutError
 IlluminationProfile KNearestNeighbors Label LedSpec LinearSVM LogisticRegressionGD
 MaterialSpec MissingFrameError MixtureSpec Mode ModeMismatchError NoiseSpec Normalizer
