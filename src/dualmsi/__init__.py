@@ -38,9 +38,9 @@ _EXPORTS = {
         "plan_case_study", "render_white_reference",
     ),
     "preprocess": (
-        "Corrections", "PipelineOptions", "quantize_sample", "SpatialGain", "SpectralGain",
-        "apply_spatial_gain", "apply_spectral_gain", "bilateral_filter", "fit_corrections",
-        "fit_spatial_gain", "fit_spectral_gain", "preprocess_pipeline", "subtract_dark",
+        "Corrections", "PipelineOptions", "quantize_sample", "apply_spatial_gain",
+        "apply_spectral_gain", "bilateral_filter", "fit_corrections", "fit_spatial_gain",
+        "fit_spectral_gain", "preprocess_pipeline", "subtract_dark",
     ),
     "features": (
         "DataMatrix", "Normalizer", "Projection", "SignatureTable", "apply_normalizer",

@@ -12,10 +12,11 @@ A handler's keyword parameters are its config schema: ``main`` reads each
 key of the config object as the parameter it names, typed by its
 annotation (``jsonio.json_kwargs``); a key that names none, or a value of
 the wrong type, exits 2.  ``--out`` appears at a handler's first write.  A
-handler whose ``**rest`` is annotated with a dataclass also takes that
-dataclass's fields and reads them into it: the study handlers take the
-``CaseStudyConfig`` fields as ``**study``, and ``consistency`` and
-``repeatability`` the ``synth.Device`` fields as ``**device``.
+handler may end in a ``**rest``, which must be annotated with a dataclass:
+the handler then also takes that dataclass's fields, type-checked, and
+reads them into it.  The study handlers take the ``CaseStudyConfig``
+fields as ``**study``, and ``consistency`` and ``repeatability`` the
+``synth.Device`` fields as ``**device``.
 """
 
 from __future__ import annotations

@@ -18,7 +18,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import DimensionMismatchError, MissingFrameError, ValidationError, check_number
+from .errors import DimensionMismatchError, MissingFrameError, ModeMismatchError, ValidationError, check_number
 from .jsonio import json_value, read_json
 from .pgm import read_pgm16, write_pgm16
 
@@ -382,14 +382,16 @@ def save_dataset(samples, dir_path) -> int:
     return len(seen)
 
 
-def load_dataset(dir_path) -> Iterator[Sample]:
+def load_dataset(dir_path, white: Sample | None = None) -> Iterator[Sample]:
     """Every sample subdirectory of ``dir_path`` in name order, read lazily.
 
     Every manifest is read and checked, and the ids too, before this
     returns, so a malformed manifest anywhere raises before any frame is
-    read.  The iterator returned reads each sample's frames when it is
-    asked for that sample, so a consumer that takes one sample at a time
-    holds one cube at a time; a frame error raises at that sample.
+    read.  With a ``white`` reference, each manifest must also name its
+    mode (else ModeMismatchError) and its band set (else ValidationError).
+    The iterator returned reads each sample's frames when it is asked for
+    that sample, so a consumer that takes one sample at a time holds one
+    cube at a time; a frame error raises at that sample.
     """
     directory = Path(dir_path)
     if not directory.is_dir():
@@ -404,4 +406,12 @@ def load_dataset(dir_path) -> Iterator[Sample]:
     ids = [manifest.id for _, manifest, _ in entries]
     if len(set(ids)) != len(ids):
         raise ValidationError(f"duplicate sample ids in dataset {directory}")
+    if white is not None:
+        for _, manifest, band_set in entries:
+            if manifest.mode is not white.cube.mode:
+                raise ModeMismatchError(f"sample {manifest.id} is {manifest.mode.value}, but the white "
+                                        f"reference {white.id} is {white.cube.mode.value}")
+            if band_set != white.cube.band_set:
+                raise ValidationError(f"sample {manifest.id} has the bands {band_set.wavelengths_nm}, but the white "
+                                      f"reference {white.id} has {white.cube.band_set.wavelengths_nm}")
     return (_read_sample(*entry) for entry in entries)

@@ -15,7 +15,7 @@ import csv
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -136,15 +136,20 @@ def spatial_consistency_report(white_sample: Sample) -> SpatialConsistencyReport
 # --------------------------------------------------------------------------
 
 
-def repeatability_report(series: Sequence[Sample]) -> dict:
-    """Per-band maximum percent deviation of mean intensity from the series mean."""
-    series = list(series)
-    if len(series) < 2:
+def repeatability_report(series: Iterable[Sample]) -> dict:
+    """Per-band maximum percent deviation of mean intensity from the series mean.
+
+    Only each capture's band means are kept, so a lazy ``series`` (as
+    ``render_repeat_series`` returns) is held one capture at a time."""
+    means_by_capture = []
+    for sample in series:
+        if means_by_capture and sample.cube.band_set != band_set:
+            raise ValidationError("repeatability captures must share one band set")
+        band_set = sample.cube.band_set
+        means_by_capture.append(sample.cube.values.mean(axis=(1, 2)))
+    if len(means_by_capture) < 2:
         raise ValidationError("repeatability needs at least 2 captures")
-    band_set = series[0].cube.band_set
-    if any(s.cube.band_set != band_set for s in series):
-        raise ValidationError("repeatability captures must share one band set")
-    band_means = np.stack([s.cube.values.mean(axis=(1, 2)) for s in series], axis=1)
+    band_means = np.stack(means_by_capture, axis=1)
     deviations = {}
     for wl, means in zip(band_set, band_means):
         center = means.mean()
@@ -157,7 +162,7 @@ def repeatability_report(series: Sequence[Sample]) -> dict:
     return {
         "per_band_deviation_pct": deviations,
         "max_deviation_pct": max(deviations.values()),
-        "n_captures": len(series),
+        "n_captures": len(means_by_capture),
     }
 
 
@@ -500,8 +505,7 @@ def cmd_repeatability(
     their drift amplitude is ``noise.drift_amplitude``."""
     device = json_call(Device, device, "repeatability config")
     scene = device.scene(mode, MixtureSpec.pure(materials.TURMERIC), args.seed)
-    series = render_repeat_series(scene, n_times)
-    report = repeatability_report(series)
+    report = repeatability_report(render_repeat_series(scene, n_times))
     report["per_band_deviation_pct"] = {
         str(k): v for k, v in report["per_band_deviation_pct"].items()
     }

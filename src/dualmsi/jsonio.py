@@ -108,24 +108,20 @@ def _readable(fn, n_args: int):
     """The type hints of the keyword parameters of ``fn`` that ``n_args``
     positional arguments leave unfilled, the required ones among them, the
     names of all its keyword parameters, and the keys its ``**rest`` takes
-    with their type hints: none without one, the fields of the dataclass it
-    is annotated with, or None for any key.  A dataclass's hints are its
-    fields', each resolved in the module of the class that declares it.
-    Cached: resolving string annotations is slow."""
+    with their type hints: none without one, else the fields of the
+    dataclass it is annotated with.  A dataclass's hints are its fields',
+    each resolved in the module of the class that declares it.  Cached:
+    resolving string annotations is slow."""
     params = list(inspect.signature(fn).parameters.values())
     hints = get_type_hints(fn.__init__ if isinstance(fn, type) and not is_dataclass(fn) else fn)
     keyword = {p.name for p in params if p.kind in (p.POSITIONAL_OR_KEYWORD, p.KEYWORD_ONLY)}
     named = [p for p in params[n_args:] if p.name in keyword]
-    rest = [hints.get(p.name) for p in params if p.kind is p.VAR_KEYWORD]
-    if not rest:
-        passed_on = {}
-    else:
-        passed_on = _readable(rest[0], 0)[0] if is_dataclass(rest[0]) else None
+    rest = [hints[p.name] for p in params if p.kind is p.VAR_KEYWORD]
     return (
         {p.name: hints[p.name] for p in named},
         [p.name for p in named if p.default is p.empty],
         keyword,
-        passed_on,
+        _readable(rest[0], 0)[0] if rest else {},
     )
 
 
@@ -134,20 +130,16 @@ def json_kwargs(fn, obj: dict, what: str, n_args: int) -> dict:
     called with ``n_args`` positional arguments first.
 
     A key naming a parameter of ``fn`` that those arguments leave unfilled
-    is read by :func:`json_value` as that parameter's annotated type.
-    Other keys go to ``fn``'s ``**rest``: any key, unread, or only the
-    field names if ``**rest`` is annotated with a dataclass, each
-    type-checked here and passed on as given.  Any other key raises
-    ValidationError, naming every key ``fn`` takes, as does a missing
-    required parameter.
+    is read by :func:`json_value` as that parameter's annotated type.  A
+    ``**rest`` of ``fn`` must be annotated with a dataclass: the names of
+    its fields go to ``**rest``, each type-checked here and passed on as
+    given.  Any other key raises ValidationError, naming every key ``fn``
+    takes, as does a missing required parameter.
     """
     hints, required, keyword, passed_on = _readable(fn, n_args)
-    unknown = sorted(
-        k for k in obj
-        if k not in hints and (k in keyword or passed_on is not None and k not in passed_on)
-    )
+    unknown = sorted(k for k in obj if k not in hints and (k in keyword or k not in passed_on))
     if unknown:
-        choices = sorted({*hints, *(passed_on or ())})
+        choices = sorted({*hints, *passed_on})
         raise ValidationError(f"unknown {what} keys {unknown} (choose from {choices})")
     missing = [name for name in required if name not in obj]
     if missing:
@@ -156,7 +148,7 @@ def json_kwargs(fn, obj: dict, what: str, n_args: int) -> dict:
     for k, v in obj.items():
         if k in hints:
             v = json_value(hints[k], v, f"{what}.{k}")
-        elif passed_on:
+        else:
             json_value(passed_on[k], v, f"{what}.{k}")
         kwargs[k] = v
     return kwargs

@@ -2,8 +2,9 @@
 
 The fixed stage order is crop -> dark subtraction -> spatial gain ->
 spectral gain -> bilateral filter.  Gains are fitted once on a uniform
-white reference and are immutable afterwards; every function here is pure,
-so samples can be processed in parallel.
+white reference as arrays in its band-set order, the order of the cube they
+correct, and are locked read-only, so immutable afterwards; every function
+here is pure, so samples can be processed in parallel.
 """
 
 from __future__ import annotations
@@ -11,15 +12,13 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Mapping
 
 import numpy as np
 
-from .core import RAW_MAX, WORKING_MEMORY, Sample, SpectralCube, crop, load_dataset, save_dataset
+from .core import RAW_MAX, WORKING_MEMORY, BandSet, Mode, Sample, SpectralCube, crop, load_dataset, save_dataset
 from .errors import (
     DegenerateReferenceError,
     DimensionMismatchError,
-    ModeMismatchError,
     ValidationError,
     check_number,
 )
@@ -40,35 +39,6 @@ def subtract_dark(cube: SpectralCube) -> SpectralCube:
     lifted = cube.values.astype(np.int64) - cube.dark.astype(np.int64)
     values = np.maximum(lifted, 0).astype(np.float64) / RAW_MAX
     return replace(cube, values=values, dark=np.zeros(cube.dark.shape))
-
-
-@dataclass(frozen=True)
-class SpatialGain:
-    """Per-band multiplicative gain maps fitted from a white reference.
-
-    ``flags`` marks pixels whose reference response fell below the floor;
-    their gains are capped and they are excluded from spectral statistics.
-    """
-
-    gains: Mapping[int, np.ndarray]
-    flags: Mapping[int, np.ndarray]
-
-    def __post_init__(self):
-        object.__setattr__(self, "gains", dict(self.gains))
-        object.__setattr__(self, "flags", dict(self.flags))
-
-
-@dataclass(frozen=True)
-class SpectralGain:
-    """Per-band scalar balance factors (all >= 1, max-referenced)."""
-
-    scale: Mapping[int, float]
-
-    def __post_init__(self):
-        scale = {
-            int(wl): float(check_number("scale", c, 0, strict=True)) for wl, c in self.scale.items()
-        }
-        object.__setattr__(self, "scale", scale)
 
 
 def box_mean(values: np.ndarray, window: int) -> np.ndarray:
@@ -97,13 +67,16 @@ def box_mean(values: np.ndarray, window: int) -> np.ndarray:
     return out
 
 
-def fit_spatial_gain(white_cube: SpectralCube, window: int = 11, floor: float = 0.05) -> SpatialGain:
+def fit_spatial_gain(
+    white_cube: SpectralCube, window: int = 11, floor: float = 0.05
+) -> tuple[np.ndarray, np.ndarray]:
     """Fit flat-field gain maps from a dark-subtracted white capture.
 
     Each band is box-smoothed (edge-replicated) and the gain is the ratio
     of the smoothed maximum to the local smoothed response.  Pixels whose
     response is below ``floor`` of the maximum get their gain capped at
-    1/floor and are flagged as unreliable.
+    1/floor and are flagged as unreliable, to be left out of the spectral
+    fit.  Returns the ``(B, h, w)`` gain maps and flags in band-set order.
     """
     if white_cube.is_raw:
         raise ValidationError("fit_spatial_gain expects a dark-subtracted float cube")
@@ -118,59 +91,49 @@ def fit_spatial_gain(white_cube: SpectralCube, window: int = 11, floor: float = 
         if band_peak <= 0.0:
             raise DegenerateReferenceError(f"white reference band {wl} nm is all zero")
     low = smooth < floor * peak
-    gain = peak / np.where(low, floor * peak, smooth)
-    bands = white_cube.band_set
-    return SpatialGain(gains=dict(zip(bands, gain)), flags=dict(zip(bands, low)))
+    return peak / np.where(low, floor * peak, smooth), low
 
 
-def _in_band_order(table: Mapping[int, object], cube: SpectralCube, what: str) -> list:
-    """The entries of a wavelength-keyed ``table`` in the cube's band-set order."""
-    for wl in cube.band_set:
-        if wl not in table:
-            raise ValidationError(f"{what} for band {wl} nm")
-    return [table[wl] for wl in cube.band_set]
-
-
-def apply_spatial_gain(cube: SpectralCube, gain: SpatialGain) -> SpectralCube:
-    """Multiply each band by its gain map, clamped to [0, 1]."""
+def apply_spatial_gain(cube: SpectralCube, gain: np.ndarray) -> SpectralCube:
+    """Multiply each band by its map of the ``(B, h, w)`` ``gain``, clamped to [0, 1]."""
     if cube.is_raw:
         raise ValidationError("apply_spatial_gain expects a float cube")
-    gains = _in_band_order(gain.gains, cube, "spatial gain has no map")
-    for wl, band_gain in zip(cube.band_set, gains):
-        if band_gain.shape != cube.dark.shape:
-            raise DimensionMismatchError(
-                f"gain map for {wl} nm is {band_gain.shape}, cube is {cube.dark.shape}"
-            )
-    return replace(cube, values=np.clip(cube.values * np.stack(gains), 0.0, 1.0))
+    if gain.shape != cube.values.shape:
+        raise DimensionMismatchError(f"gain maps are {gain.shape}, cube is {cube.values.shape}")
+    return replace(cube, values=np.clip(cube.values * gain, 0.0, 1.0))
 
 
-def fit_spectral_gain(white_cube: SpectralCube, spatial: SpatialGain | None = None) -> SpectralGain:
-    """Fit per-band balance factors from a spatially corrected white capture.
+def fit_spectral_gain(white_cube: SpectralCube, flags: np.ndarray | None = None) -> np.ndarray:
+    """Fit the ``(B,)`` balance factors, in band-set order, from a
+    spatially corrected white capture.
 
     The factor for a band is max(mean response over bands) / this band's
-    mean response, computed over unflagged pixels when flags are given.
+    mean response, computed over the pixels not in the ``(B, h, w)``
+    ``flags`` of :func:`fit_spatial_gain` when they are given.
     """
     if white_cube.is_raw:
         raise ValidationError("fit_spectral_gain expects a float cube")
-    means = {}
-    for wl in white_cube.band_set:
-        values = white_cube.frame(wl)
-        if spatial is not None and wl in spatial.flags:
-            good = ~spatial.flags[wl]
-            values = values[good] if good.any() else values
+    if flags is not None and flags.shape != white_cube.values.shape:
+        raise DimensionMismatchError(f"flags are {flags.shape}, cube is {white_cube.values.shape}")
+    means = []
+    for i, (wl, values) in enumerate(zip(white_cube.band_set, white_cube.values)):
+        if flags is not None and (good := ~flags[i]).any():
+            values = values[good]
         mean = float(values.mean())
         if mean <= 0.0:
             raise DegenerateReferenceError(f"white reference band {wl} nm has zero mean")
-        means[wl] = mean
-    top = max(means.values())
-    return SpectralGain(scale={wl: top / m for wl, m in means.items()})
+        means.append(mean)
+    top = max(means)
+    return np.array([top / m for m in means])
 
 
-def apply_spectral_gain(cube: SpectralCube, gain: SpectralGain) -> SpectralCube:
-    """Scale each band by its balance factor, clamping to 1.0 with a warning."""
+def apply_spectral_gain(cube: SpectralCube, scale: np.ndarray) -> SpectralCube:
+    """Scale each band by its factor of the ``(B,)`` ``scale``, clamping to
+    1.0 with a warning."""
     if cube.is_raw:
         raise ValidationError("apply_spectral_gain expects a float cube")
-    scale = np.array(_in_band_order(gain.scale, cube, "spectral gain has no factor"))
+    if scale.shape != (len(cube.band_set),):
+        raise DimensionMismatchError(f"{scale.shape} balance factors for {len(cube.band_set)} bands")
     scaled = cube.values * scale[:, None, None]
     clipped = int((scaled > 1.0).sum())
     if clipped:
@@ -356,33 +319,42 @@ class PipelineOptions:
     spectral: bool | None = None
     bilateral: BilateralOptions | None = BilateralOptions()
 
-    def spectral_enabled(self, mode) -> bool:
-        from .core import Mode
-
+    def spectral_enabled(self, mode: Mode) -> bool:
         if self.spectral is None:
             return mode is Mode.REFLECTANCE
         return self.spectral
 
-    @classmethod
-    def disabled(cls) -> "PipelineOptions":
-        return cls(crop=None, dark=False, spatial=False, spectral=False, bilateral=None)
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Corrections:
-    """Fitted gains bundle passed to the pipeline."""
+    """The gains fitted on a white reference, in its band-set order: the
+    ``(B, h, w)`` flat-field maps ``gain`` and the ``(B,)`` balance factors
+    ``scale``, each finite and > 0.  Both are locked read-only on
+    construction."""
 
-    spatial: SpatialGain | None = None
-    spectral: SpectralGain | None = None
+    band_set: BandSet
+    gain: np.ndarray
+    scale: np.ndarray
+
+    def __post_init__(self):
+        gain = np.array(self.gain, dtype=np.float64)
+        scale = np.array([check_number("scale", c, 0, strict=True) for c in self.scale], dtype=np.float64)
+        bands = len(self.band_set)
+        if gain.ndim != 3 or gain.shape[0] != bands or scale.shape != (bands,):
+            raise ValidationError(f"gain maps {gain.shape} and balance factors {scale.shape} "
+                                  f"do not line up with the {bands} bands {self.band_set.wavelengths_nm}")
+        for arr in (gain, scale):
+            arr.setflags(write=False)
+        object.__setattr__(self, "gain", gain)
+        object.__setattr__(self, "scale", scale)
 
 
 def fit_corrections(white_sample: Sample) -> Corrections:
     """Fit both gains from one raw white capture (dark-subtract, then fit)."""
     white = subtract_dark(white_sample.cube)
-    spatial = fit_spatial_gain(white)
-    flattened = apply_spatial_gain(white, spatial)
-    spectral = fit_spectral_gain(flattened, spatial)
-    return Corrections(spatial=spatial, spectral=spectral)
+    gain, flags = fit_spatial_gain(white)
+    scale = fit_spectral_gain(apply_spatial_gain(white, gain), flags)
+    return Corrections(white.band_set, gain, scale)
 
 
 def quantize_sample(sample: Sample) -> Sample:
@@ -408,11 +380,20 @@ def preprocess_pipeline(
 ) -> Sample:
     """Run the enabled stages in fixed order and record them in provenance.
 
-    Even with every stage disabled the output cube is float-normalized
-    (raw/65535), so downstream feature code sees one numeric domain.
+    The spatial and spectral stages need ``corrections`` fitted on a white
+    of the sample's band set; without them, or with another band set, this
+    raises ValidationError before any stage runs.  Even with every stage
+    disabled the output cube is float-normalized (raw/65535), so
+    downstream feature code sees one numeric domain.
     """
-    corrections = corrections or Corrections()
     cube = sample.cube
+    spectral = options.spectral_enabled(cube.mode)
+    if options.spatial or spectral:
+        if corrections is None:
+            raise ValidationError("the spatial and spectral stages need gains fitted on a white reference")
+        if cube.band_set != corrections.band_set:
+            raise ValidationError(f"sample {sample.id} has the bands {cube.band_set.wavelengths_nm}, but the "
+                                  f"gains were fitted on {corrections.band_set.wavelengths_nm}")
     applied: list[str] = []
 
     if options.crop is not None:
@@ -428,15 +409,11 @@ def preprocess_pipeline(
         cube = replace(cube, values=values, dark=np.zeros(cube.dark.shape))
 
     if options.spatial:
-        if corrections.spatial is None:
-            raise ValidationError("spatial stage enabled but no spatial gain fitted")
-        cube = apply_spatial_gain(cube, corrections.spatial)
+        cube = apply_spatial_gain(cube, corrections.gain)
         applied.append("spatial")
 
-    if options.spectral_enabled(cube.mode):
-        if corrections.spectral is None:
-            raise ValidationError("spectral stage enabled but no spectral gain fitted")
-        cube = apply_spectral_gain(cube, corrections.spectral)
+    if spectral:
+        cube = apply_spectral_gain(cube, corrections.scale)
         applied.append("spectral")
 
     if options.bilateral is not None:
@@ -477,23 +454,18 @@ def cmd_preprocess(
     a time.
 
     The gains are fitted on the white capture cropped by ``options.crop``,
-    the window the pipeline crops each sample to.  A sample of another
-    mode than the white's raises ModeMismatchError before it is written.
-    Output frames are re-quantized to 16-bit for storage.
+    the window the pipeline crops each sample to.  Every input sample must
+    share the white's mode and band set: the manifests are checked before
+    anything is written (ModeMismatchError, ValidationError).  Output
+    frames are re-quantized to 16-bit for storage.
     """
-    samples = load_dataset(input)
     corrections = white_sample = None
     if white:
         white_sample = load_white_reference(white)
-        if options.crop is not None:
-            white_sample = replace(white_sample, cube=crop(white_sample.cube, *options.crop))
-        corrections = fit_corrections(white_sample)
-
-    def corrected(sample: Sample) -> Sample:
-        if white_sample is not None and sample.cube.mode is not white_sample.cube.mode:
-            raise ModeMismatchError(f"sample {sample.id} is {sample.cube.mode.value}, but the white "
-                                    f"reference {white} is {white_sample.cube.mode.value}")
-        return quantize_sample(preprocess_pipeline(sample, corrections, options))
-
-    written = save_dataset((corrected(s) for s in samples), out)
+        cropped = white_sample.cube if options.crop is None else crop(white_sample.cube, *options.crop)
+        corrections = fit_corrections(replace(white_sample, cube=cropped))
+    samples = load_dataset(input, white=white_sample)
+    written = save_dataset(
+        (quantize_sample(preprocess_pipeline(s, corrections, options)) for s in samples), out
+    )
     print(f"preprocessed {written} samples -> {out}")

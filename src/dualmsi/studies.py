@@ -189,15 +189,16 @@ def derive_seed(*parts) -> int:
     return int(stream(*parts).integers(0, 2**63 - 1))
 
 
-def _band_gains(rng: np.random.Generator, config: CaseStudyConfig, mode: Mode) -> dict[int, float]:
-    """Per-capture LED drive drift in ``mode``: global scale x spectral tilt x white residue."""
+def _band_gains(rng: np.random.Generator, config: CaseStudyConfig, mode: Mode) -> tuple[float, ...]:
+    """Per-capture LED drive drift in ``mode``, in band-set order: global
+    scale x spectral tilt x white residue."""
     scale_sd, tilt_sd, white_sd = config.drift_sd(mode)
     wls = np.array(list(config.band_set), dtype=np.float64)
     x = 2.0 * (wls - wls.mean()) / (wls.max() - wls.min() or 1.0)
     scale = 1.0 + scale_sd * rng.normal()
     tilt = 1.0 + tilt_sd * rng.normal() * x
     white = 1.0 + white_sd * rng.normal(size=wls.size)
-    return {wl: float(g) for wl, g in zip(config.band_set, scale * tilt * white)}
+    return tuple((scale * tilt * white).tolist())
 
 
 def _adulteration_captures(config: CaseStudyConfig, master_seed: int, spec: StudySpec) -> list[SceneConfig]:

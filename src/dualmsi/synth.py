@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field, fields, replace
-from typing import Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -324,13 +324,16 @@ class Device:
 @dataclass(frozen=True)
 class SceneConfig(Device):
     """Everything needed to render one capture deterministically, and the
-    id of the sample it renders: the device settings plus what is captured."""
+    id of the sample it renders: the device settings plus what is captured.
+    ``leds`` is the device's LED table by wavelength, from which the band set
+    picks; ``band_gains`` is one drive factor per band in band-set order, or
+    None for 1.0 each."""
 
     mode: Mode
     mixture: MixtureSpec
     rng_seed: int = 0
     leds: Mapping[int, LedSpec] = field(default_factory=lambda: dict(DEFAULT_LEDS))
-    band_gains: Mapping[int, float] | None = None
+    band_gains: tuple[float, ...] | None = None
     label: Label | None = None
     sample_id: str | None = None
 
@@ -339,6 +342,9 @@ class SceneConfig(Device):
         missing = [wl for wl in self.band_set if wl not in self.leds]
         if missing:
             raise ValidationError(f"no LED spec for bands {missing}")
+        if self.band_gains is not None and len(self.band_gains) != len(self.band_set):
+            raise ValidationError(f"{len(self.band_gains)} band gains for the "
+                                  f"{len(self.band_set)} bands {self.band_set.wavelengths_nm}")
 
 
 def render(scene: SceneConfig, intensity_scale: float = 1.0) -> Sample:
@@ -376,7 +382,7 @@ def render(scene: SceneConfig, intensity_scale: float = 1.0) -> Sample:
     for index, wl in enumerate(scene.band_set):
         led = scene.leds[wl]
         response = effective_band_response(scene.mixture, led, scene.mode)
-        gain = 1.0 if scene.band_gains is None else float(scene.band_gains.get(wl, 1.0))
+        gain = 1.0 if scene.band_gains is None else scene.band_gains[index]
         band_rng = stream(scene.rng_seed, "band", index, wl)
         shot = band_rng.normal(0.0, 1.0, shape)
         texture = shared_texture
@@ -406,17 +412,19 @@ def render(scene: SceneConfig, intensity_scale: float = 1.0) -> Sample:
     return Sample(id=sid, cube=cube, label=label)
 
 
-def render_repeat_series(scene: SceneConfig, n_times: int) -> list[Sample]:
-    """Render the same scene ``n_times`` with multiplicative temporal drift.
+def render_repeat_series(scene: SceneConfig, n_times: int) -> Iterator[Sample]:
+    """The same scene rendered ``n_times`` with multiplicative temporal drift.
 
     Capture k, named ``repeat-<k>``, is scaled by (1 + a*u_k) with
     u_k ~ uniform[-1, 1] from the scene's seeded drift stream, and
-    a = ``scene.noise.drift_amplitude``.
+    a = ``scene.noise.drift_amplitude``.  ``n_times`` is checked now; each
+    capture is rendered when the iterator returned reaches it, so a
+    consumer that takes one at a time holds one capture at a time.
     """
     check_number("n_times", n_times, 2, integer=True)
     amplitude = scene.noise.drift_amplitude
     u = stream(scene.rng_seed, "drift").uniform(-1.0, 1.0, n_times)
-    return [
+    return (
         render(replace(scene, sample_id=f"repeat-{k:03d}"), intensity_scale=1.0 + amplitude * u[k])
         for k in range(n_times)
-    ]
+    )

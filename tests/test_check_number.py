@@ -26,7 +26,7 @@ from dualmsi.models import (
     RandomForest,
     stratified_split,
 )
-from dualmsi.preprocess import SpectralGain, bilateral_filter, fit_spatial_gain
+from dualmsi.preprocess import Corrections, bilateral_filter, fit_spatial_gain
 from dualmsi.studies import CaseStudyConfig, StudyKind
 from dualmsi.synth import IlluminationProfile, LedSpec, MixtureSpec, NoiseSpec, SceneConfig
 
@@ -115,7 +115,8 @@ PARAMETERS = [
      within(1e-150, 1e150), False, False),
     ("bilateral_filter.sigma_r", lambda v: bilateral_filter(FLOAT_CUBE.values, sigma_r=v),
      within(1e-150, 1e150), False, False),
-    ("SpectralGain.scale", lambda v: SpectralGain({530: v}), above(0), False, False),
+    ("Corrections.scale", lambda v: Corrections(BandSet((530,)), np.ones((1, 2, 2)), (v,)), above(0), False,
+     False),
     # features: 3 columns, 3 classes
     ("superpixels.block", lambda v: superpixels(RAW_CUBE, v), within(1, 4), True, False),
     ("lda_fit.k", lambda v: lda_fit(MATRIX, k=v), within(1, 2), True, True),

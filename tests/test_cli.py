@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 import dualmsi
 from dualmsi.cli import COMMANDS, command_handler, main
-from dualmsi.core import WORKING_MEMORY, Label, Mode, Sample, crop, load_dataset, save_dataset
+from dualmsi.core import WORKING_MEMORY, BandSet, Label, Mode, Sample, crop, load_dataset, save_dataset
 from dualmsi.jsonio import json_value
 from dualmsi.models import MODEL_KINDS
 from dualmsi.preprocess import PipelineOptions, fit_corrections, preprocess_pipeline, quantize_sample
@@ -775,6 +775,27 @@ class TestWhiteReference:
                                    "white": str(synth_dirs / "white_reflectance")}))
         assert run(["--config", cfg, "--out", tmp_path / "o", "preprocess"]) == 2
         assert "is transmittance, but the white reference" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("other", ["mode", "band-set"])
+    def test_preprocess_checks_every_sample_before_the_first_write(self, synth_dirs, tmp_path, capsys,
+                                                                   other):
+        # the first sample matches the white; the second, of the other mode or
+        # with a band left out, once exited 2 after the first was written
+        first = next(load_dataset(synth_dirs / "reflectance"))
+        others = load_dataset(synth_dirs / ("transmittance" if other == "mode" else "reflectance"))
+        next(others)
+        second = next(others)  # sorted after the first
+        if other == "band-set":
+            cube = second.cube
+            narrow = replace(cube, values=cube.values[1:], band_set=BandSet(cube.band_set.wavelengths_nm[1:]))
+            second = replace(second, cube=narrow)
+        data = tmp_path / "mixed"
+        save_dataset([first, second], data)
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"input": str(data), "white": str(synth_dirs / "white_reflectance")}))
+        assert run(["--config", cfg, "--out", tmp_path / "o", "preprocess"]) == 2
+        assert "but the white reference" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
 

@@ -42,8 +42,6 @@ from dualmsi.preprocess import (
     Corrections,
     PipelineOptions,
     SaturationClipWarning,
-    SpatialGain,
-    SpectralGain,
     apply_spatial_gain,
     apply_spectral_gain,
     bilateral_filter,
@@ -178,10 +176,10 @@ def ref_pipeline(frames, dark, corrections, options, mode):
     else:
         frames = [f.astype(np.float64) / RAW_MAX for f in frames]
     if options.spatial:
-        frames = ref_apply_spatial_gain(frames, list(corrections.spatial.gains.values()))
+        frames = ref_apply_spatial_gain(frames, list(corrections.gain))
         applied.append("spatial")
     if options.spectral_enabled(mode):
-        frames, messages = ref_apply_spectral_gain(frames, list(corrections.spectral.scale.values()))
+        frames, messages = ref_apply_spectral_gain(frames, list(corrections.scale))
         applied.append("spectral")
     if options.bilateral is not None:
         b = options.bilateral
@@ -264,10 +262,9 @@ class TestStagesMatchPerFrameReference:
             with pytest.raises(DegenerateReferenceError):
                 fit_spatial_gain(cube, window=window, floor=floor)
             return
-        gain = fit_spatial_gain(cube, window=window, floor=floor)
-        assert list(gain.gains) == list(gain.flags) == list(cube.band_set)
-        assert same_bits(np.stack(list(gain.gains.values())), want[0])
-        assert same_bits(np.stack(list(gain.flags.values())), want[1])
+        gain, flags = fit_spatial_gain(cube, window=window, floor=floor)
+        assert same_bits(gain, want[0])
+        assert same_bits(flags, want[1])
         out = apply_spatial_gain(cube, gain)
         assert same_bits(out.values, ref_apply_spatial_gain(frames, want[0]))
 
@@ -276,20 +273,14 @@ class TestStagesMatchPerFrameReference:
     def test_apply_spatial_gain_with_drawn_maps(self, frames, data):
         shape = (len(frames), *frames[0].shape)
         maps = data.draw(hnp.arrays(np.float64, shape, elements=st.floats(0.0, 30.0)))
-        # keyed in reverse band order: application follows the cube's order
-        gain = SpatialGain(
-            gains={wl: maps[i] for i, wl in reversed(list(enumerate(WAVELENGTHS[: len(frames)])))},
-            flags={wl: np.zeros(shape[1:], bool) for wl in WAVELENGTHS[: len(frames)]},
-        )
-        out = apply_spatial_gain(cube_from(frames), gain)
+        out = apply_spatial_gain(cube_from(frames), maps)
         assert same_bits(out.values, ref_apply_spatial_gain(frames, list(maps)))
 
     @settings(max_examples=100, deadline=None)
     @given(frames=float_frames(), data=st.data())
     def test_apply_spectral_gain_and_clip_warnings(self, frames, data):
         scales = data.draw(st.lists(st.floats(0.25, 4.0), min_size=len(frames), max_size=len(frames)))
-        gain = SpectralGain(scale=dict(reversed(list(zip(WAVELENGTHS, scales)))))
-        out, messages = spectral_messages(apply_spectral_gain, cube_from(frames), gain)
+        out, messages = spectral_messages(apply_spectral_gain, cube_from(frames), np.array(scales))
         want, want_messages = ref_apply_spectral_gain(frames, scales)
         assert same_bits(out.values, want)
         assert messages == want_messages
@@ -302,19 +293,19 @@ class TestStagesMatchPerFrameReference:
         # an all-zero band is the spatial fit's own error
         assume(not masked or all(f.max() > 0 for f in frames))
         cube = cube_from(frames)
-        spatial = fit_spatial_gain(cube, window=3, floor=0.5) if masked else None
+        flags = fit_spatial_gain(cube, window=3, floor=0.5)[1] if masked else None
         means = []
         for i, f in enumerate(frames):
-            good = ~list(spatial.flags.values())[i] if masked else np.ones(f.shape, bool)
+            good = ~flags[i] if masked else np.ones(f.shape, bool)
             means.append(float((f[good] if good.any() else f).mean()))
         if min(means) <= 0:
             # the unflagged pixels of a band can all be 0 where its mean is not
             with pytest.raises(DegenerateReferenceError, match="zero mean"):
-                fit_spectral_gain(cube, spatial)
+                fit_spectral_gain(cube, flags)
             return
-        got = fit_spectral_gain(cube, spatial)
+        got = fit_spectral_gain(cube, flags)
         top = max(means)
-        assert list(got.scale.values()) == [top / m for m in means]
+        assert same_bits(got, np.array([top / m for m in means]))
 
     @settings(max_examples=80, deadline=None)
     @given(frames=float_frames())
@@ -383,8 +374,8 @@ class TestPipelineMatchesPerFrameReference:
         rng = np.random.default_rng(white_seed)
         white_frames = list(rng.integers(1, RAW_MAX + 1, (len(frames), *size)).astype(np.uint16))
         white_cube = subtract_dark(cube_from(white_frames, np.zeros(size, np.uint16)))
-        spatial = fit_spatial_gain(white_cube, window=3)
-        corrections = Corrections(spatial=spatial, spectral=fit_spectral_gain(white_cube, spatial))
+        gain, flags = fit_spatial_gain(white_cube, window=3)
+        corrections = Corrections(white_cube.band_set, gain, fit_spectral_gain(white_cube, flags))
         options = PipelineOptions(
             crop=crop_rect,
             dark=dark_on,

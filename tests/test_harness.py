@@ -67,9 +67,30 @@ class TestRepeatability:
         assert 0.0 < report["max_deviation_pct"] <= 5.0
 
     def test_single_capture_rejected(self):
-        series = render_repeat_series(repeat_scene(), 2)
+        series = list(render_repeat_series(repeat_scene(), 2))
         with pytest.raises(ValidationError):
             repeatability_report(series[:1])
+
+    @staticmethod
+    def report_peak(n_times: int) -> int:
+        """The traced peak of a report over a series of ``n_times`` captures."""
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            repeatability_report(render_repeat_series(repeat_scene(), n_times))
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    def test_report_holds_one_capture_at_a_time(self):
+        # the series renders each capture when the report reaches it, and the
+        # report keeps only its band means
+        self.report_peak(2)  # first calls fill lazy caches
+        short, long = self.report_peak(3), self.report_peak(60)
+        capture = render(repeat_scene())
+        capture_bytes = capture.cube.values.nbytes + capture.cube.dark.nbytes
+        # slack: 60 captures' band means and drift draws
+        assert long - short < capture_bytes + 16 * 1024
 
     def test_mixed_band_sets_rejected(self):
         from dataclasses import replace

@@ -24,8 +24,8 @@ DegenerateReferenceError Device DimensionMismatchError Distribution DualMsiError
 FirmwareConfig FirmwareState FunctionalMap Granularity HandshakeTimeoutError
 IlluminationProfile KNearestNeighbors Label LedSpec LinearSVM LogisticRegressionGD
 MaterialSpec MissingFrameError MixtureSpec Mode ModeMismatchError NoiseSpec Normalizer
-PipelineOptions Projection RandomForest Sample SceneConfig SignatureTable SpatialGain
-SpectralCube SpectralGain Split StudyDataset StudyKind TABLE1_WAVELENGTHS
+PipelineOptions Projection RandomForest Sample SceneConfig SignatureTable
+SpectralCube Split StudyDataset StudyKind TABLE1_WAVELENGTHS
 UnpairedSampleError ValidationError adulteration_curve apply_normalizer apply_spatial_gain
 apply_spectral_gain band_normalize bilateral_filter build_matrix capture_handshake crop
 effective_band_response evaluate firmware_step fit_corrections fit_linear fit_spatial_gain

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dualmsi.core import Mode
+from dualmsi.core import TABLE1_WAVELENGTHS, BandSet, Label, Mode, Sample
 from dualmsi.errors import (
     DegenerateReferenceError,
     DimensionMismatchError,
@@ -15,10 +15,9 @@ from dualmsi.errors import (
 from dualmsi.jsonio import json_value
 from dualmsi.preprocess import (
     BilateralOptions,
+    Corrections,
     PipelineOptions,
     SaturationClipWarning,
-    SpatialGain,
-    SpectralGain,
     apply_spatial_gain,
     apply_spectral_gain,
     bilateral_filter,
@@ -69,25 +68,25 @@ class TestSubtractDark:
 class TestSpatialGain:
     def test_flat_white_gives_unit_gain(self):
         white = make_float({530: np.full((20, 20), 0.5)})
-        gain = fit_spatial_gain(white)
-        assert np.allclose(gain.gains[530], 1.0)
-        assert not gain.flags[530].any()
+        gain, flags = fit_spatial_gain(white)
+        assert np.allclose(gain, 1.0)
+        assert not flags.any()
 
     def test_gain_is_ratio_to_max(self):
         # left half 0.8, right half 0.4 (well away from the seam):
         # smoothed interior keeps those values, so gains are 1.0 and 2.0
         values = np.full((30, 40), 0.8)
         values[:, 20:] = 0.4
-        gain = fit_spatial_gain(make_float({530: values}), window=3)
-        assert gain.gains[530][15, 5] == pytest.approx(1.0)
-        assert gain.gains[530][15, 35] == pytest.approx(2.0)
+        gain, _ = fit_spatial_gain(make_float({530: values}), window=3)
+        assert gain[0, 15, 5] == pytest.approx(1.0)
+        assert gain[0, 15, 35] == pytest.approx(2.0)
 
     def test_floor_caps_and_flags(self):
         values = np.full((20, 20), 1.0)
         values[0, 0] = 1e-6
-        gain = fit_spatial_gain(make_float({530: values}), window=1, floor=0.05)
-        assert gain.flags[530][0, 0]
-        assert gain.gains[530][0, 0] == pytest.approx(20.0)
+        gain, flags = fit_spatial_gain(make_float({530: values}), window=1, floor=0.05)
+        assert flags[0, 0, 0]
+        assert gain[0, 0, 0] == pytest.approx(20.0)
 
     def test_all_zero_band_rejected(self):
         with pytest.raises(DegenerateReferenceError):
@@ -95,11 +94,10 @@ class TestSpatialGain:
 
     def test_apply_identity_and_mismatch(self):
         cube = make_float({530: np.full((8, 8), 0.25)})
-        unit = SpatialGain(gains={530: np.ones((8, 8))}, flags={530: np.zeros((8, 8), bool)})
-        assert apply_spatial_gain(cube, unit) == cube
-        small = SpatialGain(gains={530: np.ones((4, 4))}, flags={530: np.zeros((4, 4), bool)})
-        with pytest.raises(DimensionMismatchError):
-            apply_spatial_gain(cube, small)
+        assert apply_spatial_gain(cube, np.ones((1, 8, 8))) == cube
+        for other in ((1, 4, 4), (2, 8, 8)):
+            with pytest.raises(DimensionMismatchError):
+                apply_spatial_gain(cube, np.ones(other))
 
     def test_flat_field_identity_per_pixel(self):
         # gain fitted from a white capture, applied to that same capture:
@@ -116,10 +114,10 @@ class TestSpatialGain:
         )
         white = render_white_reference(config, Mode.REFLECTANCE, master_seed=13)
         dark_sub = subtract_dark(white.cube)
-        gain = fit_spatial_gain(dark_sub)
+        gain, flags = fit_spatial_gain(dark_sub)
         flat = apply_spatial_gain(dark_sub, gain)
-        for wl in flat.band_set:
-            values = flat.frame(wl)[~gain.flags[wl]]
+        for frame, band_flags in zip(flat.values, flags):
+            values = frame[~band_flags]
             assert (values / values.max()).min() >= 0.98
 
     @pytest.mark.parametrize("corner_ratio", [0.3, 0.5, 0.7, 0.9])
@@ -131,25 +129,23 @@ class TestSpatialGain:
         )
         white = render_white_reference(config, Mode.REFLECTANCE, master_seed=21)
         dark_sub = subtract_dark(white.cube)
-        gain = fit_spatial_gain(dark_sub)
+        gain, flags = fit_spatial_gain(dark_sub)
         flat = apply_spatial_gain(dark_sub, gain)
-        for wl in list(flat.band_set)[::4]:
-            good = ~gain.flags[wl]
-            values = flat.frame(wl)[good]
+        for frame, band_flags in list(zip(flat.values, flags))[::4]:
+            values = frame[~band_flags]
             assert values.std() / values.mean() <= 0.02
 
 
 class TestSpectralGain:
     def test_ratio_to_best_band(self):
         cube = make_float({405: np.full((6, 6), 0.25), 530: np.full((6, 6), 0.5)})
-        gain = fit_spectral_gain(cube)
-        assert gain.scale[530] == pytest.approx(1.0)
-        assert gain.scale[405] == pytest.approx(2.0)
+        scale_405, scale_530 = fit_spectral_gain(cube)
+        assert scale_530 == pytest.approx(1.0)
+        assert scale_405 == pytest.approx(2.0)
 
     def test_equal_bands_unit_gain(self):
         cube = make_float({405: np.full((6, 6), 0.4), 530: np.full((6, 6), 0.4)})
-        gain = fit_spectral_gain(cube)
-        assert all(v == pytest.approx(1.0) for v in gain.scale.values())
+        assert all(v == pytest.approx(1.0) for v in fit_spectral_gain(cube))
 
     def test_zero_mean_band_rejected(self):
         cube = make_float({405: np.zeros((6, 6)), 530: np.full((6, 6), 0.4)})
@@ -158,16 +154,17 @@ class TestSpectralGain:
 
     def test_apply_scales_and_clamps(self):
         cube = make_float({405: np.full((4, 4), 0.6), 530: np.full((4, 4), 0.9)})
-        gain = SpectralGain(scale={405: 1.5, 530: 2.0})
         with pytest.warns(SaturationClipWarning):
-            out = apply_spectral_gain(cube, gain)
+            out = apply_spectral_gain(cube, np.array([1.5, 2.0]))
         assert np.allclose(out.frame(405), 0.9)
         assert np.allclose(out.frame(530), 1.0)
 
     def test_unit_gain_identity(self):
         cube = make_float({405: np.full((4, 4), 0.6)})
-        out = apply_spectral_gain(cube, SpectralGain(scale={405: 1.0}))
+        out = apply_spectral_gain(cube, np.array([1.0]))
         assert out == cube
+        with pytest.raises(DimensionMismatchError):
+            apply_spectral_gain(cube, np.array([1.0, 1.0]))
 
 
 def bilateral_reference(frame, sigma_s, sigma_r, window):
@@ -263,14 +260,17 @@ class TestBilateral:
 class TestPipeline:
     @pytest.fixture()
     def white_and_corrections(self):
-        config = CaseStudyConfig.for_kind(StudyKind.TURMERIC, width=40, height=40)
+        # the bands of random_raw_sample
+        config = CaseStudyConfig.for_kind(StudyKind.TURMERIC, width=40, height=40,
+                                          band_set=BandSet((405, 530, 660)))
         white = render_white_reference(config, Mode.REFLECTANCE, master_seed=3)
         return config, white, fit_corrections(white)
 
     def test_all_disabled_is_float_conversion(self):
         rng = np.random.default_rng(1)
         sample = random_raw_sample(rng)
-        out = preprocess_pipeline(sample, None, PipelineOptions.disabled())
+        options = PipelineOptions(crop=None, dark=False, spatial=False, spectral=False, bilateral=None)
+        out = preprocess_pipeline(sample, None, options)
         for wl in out.cube.band_set:
             assert np.allclose(out.cube.frame(wl), sample.cube.frame(wl) / 65535)
         assert out.provenance == ()
@@ -334,6 +334,44 @@ class TestPipeline:
         sample = random_raw_sample(rng)
         with pytest.raises(ValidationError):
             preprocess_pipeline(sample, None, PipelineOptions(spatial=True, bilateral=None))
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        bands=st.lists(st.lists(st.sampled_from(TABLE1_WAVELENGTHS), min_size=1, max_size=5, unique=True)
+                       .map(sorted), min_size=2, max_size=2),
+        stages=st.sampled_from([(True, False), (False, True), (True, None), (False, None)]),
+        mode=st.sampled_from(Mode),
+    )
+    def test_gains_of_another_band_set_are_refused(self, bands, stages, mode):
+        # a cube whose bands were a strict subset of the white's was once
+        # corrected, and a missing band raised at its stage
+        white_bands, sample_bands = map(BandSet, bands)
+        corrections = Corrections(white_bands, np.ones((len(white_bands), 4, 4)), np.ones(len(white_bands)))
+        cube = make_cube({wl: np.full((4, 4), 1000, np.uint16) for wl in sample_bands}, mode=mode)
+        sample = Sample("s", cube, Label.adulteration(0.0))
+        spatial, spectral = stages
+        options = PipelineOptions(spatial=spatial, spectral=spectral, bilateral=None)
+        if white_bands == sample_bands or not (spatial or options.spectral_enabled(mode)):
+            assert preprocess_pipeline(sample, corrections, options).cube.band_set == sample_bands
+        else:
+            with pytest.raises(ValidationError, match="has the bands"):
+                preprocess_pipeline(sample, corrections, options)
+
+    @pytest.mark.parametrize(
+        "gain, scale",
+        [((2, 4, 4), (3,)), ((3, 4, 4), (2,)), ((3, 4), (3,)), ((3, 4, 4), (3, 1))],
+        ids=["few-maps", "few-factors", "flat-maps", "nested-factors"],
+    )
+    def test_corrections_line_up_with_their_bands(self, gain, scale):
+        bands = BandSet((405, 530, 660))
+        with pytest.raises(ValidationError):
+            Corrections(bands, np.ones(gain), np.ones(scale))
+
+    def test_corrections_are_locked(self):
+        corrections = Corrections(BandSet((530,)), np.ones((1, 2, 2)), [1.5])
+        for arr in (corrections.gain, corrections.scale):
+            with pytest.raises(ValueError):
+                arr[0] = 2.0
 
     @settings(max_examples=50, deadline=None)
     @given(

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dualmsi.core import BandSet, Mode
+from dualmsi.core import TABLE1_WAVELENGTHS, BandSet, Mode
 from dualmsi.errors import ValidationError
 from dualmsi.synth import (
     Curve,
@@ -214,7 +214,7 @@ class TestRender:
     def test_values_always_in_range(self):
         scene = quiet_scene(
             noise=NoiseSpec(dark_mean=300, dark_sd=200, shot_sd_fraction=0.8),
-            band_gains={405: 5.0, 530: 5.0},
+            band_gains=(5.0, 5.0),
             rng_seed=9,
         )
         sample = render(scene)
@@ -229,7 +229,7 @@ class TestRender:
         # must stay there and not wrap through the integer cast
         noise = NoiseSpec(dark_mean=dark_mean, dark_sd=0.0, shot_sd_fraction=0.0,
                           texture_shared_sd=0.0, texture_band_sd=0.0)
-        sample = render(quiet_scene(noise=noise, band_gains={405: gain, 530: gain}))
+        sample = render(quiet_scene(noise=noise, band_gains=(gain, gain)))
         assert np.all(sample.cube.values == 65535)
 
     @settings(max_examples=40, deadline=None)
@@ -237,18 +237,33 @@ class TestRender:
            shot=st.floats(0.0, 0.05))
     def test_counts_are_monotone_in_gain(self, gains, shot):
         noise = NoiseSpec(shot_sd_fraction=shot)
-        low, high = (render(quiet_scene(noise=noise, rng_seed=5, band_gains={405: g, 530: g}))
+        low, high = (render(quiet_scene(noise=noise, rng_seed=5, band_gains=(g, g)))
                      for g in gains)
         assert np.all(high.cube.values >= low.cube.values)
 
     def test_non_finite_signal_is_validation_error(self):
         noise = NoiseSpec(shot_sd_fraction=1e300)
         with pytest.raises(ValidationError, match="not finite"):
-            render(quiet_scene(noise=noise, band_gains={405: 1e300, 530: 1.0}))
+            render(quiet_scene(noise=noise, band_gains=(1e300, 1.0)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(bands=st.lists(st.sampled_from(TABLE1_WAVELENGTHS), min_size=1, unique=True).map(sorted),
+           n_gains=st.integers(0, len(TABLE1_WAVELENGTHS)))
+    def test_band_gains_are_one_per_band(self, bands, n_gains):
+        # once a wavelength-keyed map that left a missing band at 1.0
+        def scene():
+            return SceneConfig(band_set=BandSet(bands), mode=Mode.REFLECTANCE,
+                               mixture=MixtureSpec.pure(flat_material()), band_gains=(1.5,) * n_gains)
+
+        if n_gains == len(bands):
+            assert scene().band_gains == (1.5,) * n_gains
+        else:
+            with pytest.raises(ValidationError, match="band gains for the"):
+                scene()
 
     def test_band_gains_scale_signal(self):
         base = render(quiet_scene())
-        gained = render(quiet_scene(band_gains={405: 2.0, 530: 1.0}))
+        gained = render(quiet_scene(band_gains=(2.0, 1.0)))
         assert np.all(gained.cube.frame(405) == 2 * base.cube.frame(405))
         assert np.array_equal(gained.cube.frame(530), base.cube.frame(530))
 
@@ -256,7 +271,7 @@ class TestRender:
 class TestRepeatSeries:
     def test_zero_drift_is_bit_identical(self):
         scene = quiet_scene(noise=NoiseSpec(drift_amplitude=0.0))
-        series = render_repeat_series(scene, 4)
+        series = list(render_repeat_series(scene, 4))
         assert all(s.cube == series[0].cube for s in series[1:])
 
     def test_needs_at_least_two(self):
@@ -450,9 +465,10 @@ class TestStudyConfigChecks:
     def test_scene_takes_the_study_device_settings(self):
         config = CaseStudyConfig.for_kind(StudyKind.TURMERIC, width=12, height=8, noise=NoiseSpec(dark_sd=2.0))
         mixture = MixtureSpec.pure(flat_material())
-        scene = config.scene(Mode.TRANSMITTANCE, mixture, 7, width=6, band_gains={405: 1.0})
+        gains = (1.0,) * len(config.band_set)
+        scene = config.scene(Mode.TRANSMITTANCE, mixture, 7, width=6, band_gains=gains)
         assert scene == SceneConfig(
             band_set=config.band_set, mode=Mode.TRANSMITTANCE, mixture=mixture,
             illumination=config.illumination, noise=config.noise, width=6, height=8, rng_seed=7,
-            band_gains={405: 1.0},
+            band_gains=gains,
         )
