@@ -48,7 +48,7 @@ _EXPORTS = {
         "spectral_signature", "superpixels",
     ),
     "models": (
-        "ConfusionMatrix", "DecisionTree", "Granularity", "KNearestNeighbors", "LinearSVM",
+        "ConfusionMatrix", "DecisionTree", "KNearestNeighbors", "LinearSVM",
         "LogisticRegressionGD", "RandomForest", "Split", "evaluate", "split_matrix",
         "stratified_split",
     ),

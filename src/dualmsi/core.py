@@ -382,16 +382,21 @@ def save_dataset(samples, dir_path) -> int:
     return len(seen)
 
 
-def load_dataset(dir_path, white: Sample | None = None) -> Iterator[Sample]:
+def load_dataset(
+    dir_path, white: Sample | None = None, window: tuple[int, int, int, int] | None = None
+) -> Iterator[Sample]:
     """Every sample subdirectory of ``dir_path`` in name order, read lazily.
 
     Every manifest is read and checked, and the ids too, before this
     returns, so a malformed manifest anywhere raises before any frame is
     read.  With a ``white`` reference, each manifest must also name its
     mode (else ModeMismatchError) and its band set (else ValidationError).
-    The iterator returned reads each sample's frames when it is asked for
-    that sample, so a consumer that takes one sample at a time holds one
-    cube at a time; a frame error raises at that sample.
+    A crop ``window`` (x, y, w, h) must fit inside each manifest's frame;
+    without one, a ``white`` needs each frame to be the white's size (else
+    DimensionMismatchError either way).  The iterator returned reads each
+    sample's frames when it is asked for that sample, so a consumer that
+    takes one sample at a time holds one cube at a time; a frame error
+    raises at that sample.
     """
     directory = Path(dir_path)
     if not directory.is_dir():
@@ -414,4 +419,13 @@ def load_dataset(dir_path, white: Sample | None = None) -> Iterator[Sample]:
             if band_set != white.cube.band_set:
                 raise ValidationError(f"sample {manifest.id} has the bands {band_set.wavelengths_nm}, but the white "
                                       f"reference {white.id} has {white.cube.band_set.wavelengths_nm}")
+    for _, manifest, _ in entries:
+        size = f"sample {manifest.id} is {manifest.width}x{manifest.height}"
+        if window is not None:
+            x, y, w, h = window
+            if x + w > manifest.width or y + h > manifest.height:
+                raise DimensionMismatchError(f"{size}, too small for the crop window {list(window)}")
+        elif white is not None and (manifest.width, manifest.height) != (white.cube.width, white.cube.height):
+            raise DimensionMismatchError(f"{size}, but the white reference {white.id} is "
+                                         f"{white.cube.width}x{white.cube.height}")
     return (_read_sample(*entry) for entry in entries)

@@ -328,19 +328,14 @@ def _fix_signs(components: np.ndarray) -> np.ndarray:
     return out
 
 
-def pca_fit(
-    matrix: DataMatrix | np.ndarray,
-    k: int | None = None,
-    variance_target: float = 0.99,
-) -> Projection:
+def pca_fit(matrix: DataMatrix, k: int | None = None, variance_target: float = 0.99) -> Projection:
     """Fit PCA by eigendecomposition of the sample covariance.
 
     ``k`` wins when given; otherwise the smallest k reaching
     ``variance_target`` of total variance is chosen.  Components use a
     deterministic sign convention so runs reproduce across platforms.
     """
-    values = matrix.values if isinstance(matrix, DataMatrix) else np.asarray(matrix, dtype=np.float64)
-    cols = matrix.col_labels if isinstance(matrix, DataMatrix) else tuple(f"x{i}" for i in range(values.shape[1]))
+    values = matrix.values
     n, d = values.shape
     if n < 2:
         raise ValidationError("PCA needs at least 2 rows")
@@ -366,7 +361,7 @@ def pca_fit(
         mean=mean,
         components=components,
         eigenvalues=eigvals[:k],
-        col_labels=cols,
+        col_labels=matrix.col_labels,
     )
 
 
@@ -469,14 +464,9 @@ def project(proj: Projection, matrix: DataMatrix) -> DataMatrix:
 
 def cmd_matrix(
     args, out: Path, input: str | None = None, mode: Mode | None = None,
-    reflectance: str | None = None, transmittance: str | None = None, name: str = "matrix.csv",
+    reflectance: str | None = None, transmittance: str | None = None,
 ) -> None:
-    """Build a data matrix CSV from one or two (paired) dataset directories.
-
-    ``name`` is the CSV's file name inside ``--out``.
-    """
-    if name in ("", ".", "..") or Path(name).name != name or "\0" in name:
-        raise ValidationError(f"matrix name must be a plain file name, got {name!r}")
+    """Build ``matrix.csv`` from one or two (paired) dataset directories."""
     if input is None and mode is None and None not in (reflectance, transmittance):
         r = build_matrix(load_dataset(reflectance), Mode.REFLECTANCE)
         t = build_matrix(load_dataset(transmittance), Mode.TRANSMITTANCE)
@@ -486,6 +476,6 @@ def cmd_matrix(
     else:
         raise ValidationError("config needs 'input' (and optionally 'mode') or else both "
                               "'reflectance' and 'transmittance'")
-    path = out / name
+    path = out / "matrix.csv"
     matrix.to_csv(path)
     print(f"wrote {matrix.n_rows}x{matrix.n_cols} matrix to {path}")

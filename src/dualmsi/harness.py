@@ -38,7 +38,6 @@ from .features import (
 from .jsonio import json_call, write_json
 from .models import (
     DecisionTree,
-    Granularity,
     KNearestNeighbors,
     LinearSVM,
     LogisticRegressionGD,
@@ -224,7 +223,7 @@ def run_pipeline_on_matrix(
     Returns each classifier's accuracy plus the fitted projection and the
     projected test matrix (for loadings and scatter reports).
     """
-    split = stratified_split(matrix, TRAIN_FRACTION, seed=split_seed, granularity=Granularity.SAMPLE)
+    split = stratified_split(matrix, TRAIN_FRACTION, seed=split_seed)
     train, test = split_matrix(matrix, split)
     normalizer, train_n = band_normalize(train)
     test_n = apply_normalizer(normalizer, test)

@@ -24,18 +24,15 @@ Every model is saved in one layout, ``{"kind", <saved hyperparameters>,
 :func:`model_from_json`: the saved hyperparameters are constructor keywords
 typed by ``jsonio.json_call``, exactly as ``train`` reads its ``params``.
 
-The default split granularity keeps all superpixel rows of a sample on
-one side: rows of one sample are near-duplicates, and splitting them
-across train/test inflates accuracy.  Row-level splitting stays available
-to mimic pixel-level protocols, but it warns.
+The split is by sample: all superpixel rows of a sample go to one side,
+because rows of one sample are near-duplicates, and splitting them across
+train/test would inflate accuracy.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
-from enum import Enum
 from pathlib import Path
 from typing import NamedTuple
 
@@ -48,20 +45,14 @@ from .jsonio import json_call, read_json, write_json
 from .synth import stream
 
 
-class Granularity(Enum):
-    SAMPLE = "sample"
-    ROW = "row"
-
-
 @dataclass(frozen=True)
 class Split:
-    """Disjoint train/test unit ids (sample ids, or ``row:<i>`` for row level)."""
+    """Disjoint train/test sample ids."""
 
     train_ids: tuple[str, ...]
     test_ids: tuple[str, ...]
     fraction: float
     seed: int
-    granularity: Granularity
 
     def __post_init__(self):
         overlap = set(self.train_ids) & set(self.test_ids)
@@ -74,34 +65,22 @@ class Split:
             "test_ids": list(self.test_ids),
             "fraction": self.fraction,
             "seed": self.seed,
-            "granularity": self.granularity.value,
+            "granularity": "sample",  # the only split there is; kept in split.json
         }
 
 
-def stratified_split(
-    matrix: DataMatrix,
-    fraction: float = 0.75,
-    seed: int = 0,
-    granularity: Granularity = Granularity.SAMPLE,
-) -> Split:
-    """Per-label split sending ceil(fraction * n) units to the training side."""
+def stratified_split(matrix: DataMatrix, fraction: float = 0.75, seed: int = 0) -> Split:
+    """Per-label split sending ceil(fraction * n) of a label's n samples,
+    but at most n - 1, to the training side."""
     check_number("fraction", fraction, 0, math.nextafter(1.0, 0.0), strict=True)  # in (0, 1)
-
-    if granularity is Granularity.SAMPLE:
-        units: dict[str, float] = {}
-        for sid, label in matrix.row_meta:
-            key = label.key
-            if sid in units and units[sid] != key:
-                raise ValidationError(f"sample {sid} carries inconsistent labels")
-            units.setdefault(sid, key)
-        unit_ids = list(units)
-        unit_labels = np.array([units[u] for u in unit_ids])
-    else:
-        warnings.warn(
-            "row-level split lets rows of one sample straddle train/test (leakage)"
-        )
-        unit_ids = [f"row:{i}" for i in range(matrix.n_rows)]
-        unit_labels = matrix.label_keys()
+    units: dict[str, float] = {}
+    for sid, label in matrix.row_meta:
+        key = label.key
+        if sid in units and units[sid] != key:
+            raise ValidationError(f"sample {sid} carries inconsistent labels")
+        units.setdefault(sid, key)
+    unit_ids = list(units)
+    unit_labels = np.array([units[u] for u in unit_ids])
 
     train, test = [], []
     for label in np.unique(unit_labels):
@@ -117,24 +96,14 @@ def stratified_split(
         shuffled = [members[i] for i in order]
         train.extend(shuffled[:n_train])
         test.extend(shuffled[n_train:])
-    return Split(
-        train_ids=tuple(train),
-        test_ids=tuple(test),
-        fraction=fraction,
-        seed=seed,
-        granularity=granularity,
-    )
+    return Split(train_ids=tuple(train), test_ids=tuple(test), fraction=fraction, seed=seed)
 
 
 def split_matrix(matrix: DataMatrix, split: Split) -> tuple[DataMatrix, DataMatrix]:
     """Materialize the train and test row subsets of a matrix."""
-    if split.granularity is Granularity.SAMPLE:
-        train_set, test_set = set(split.train_ids), set(split.test_ids)
-        train_idx = [i for i, (sid, _) in enumerate(matrix.row_meta) if sid in train_set]
-        test_idx = [i for i, (sid, _) in enumerate(matrix.row_meta) if sid in test_set]
-    else:
-        train_idx = [int(u.split(":")[1]) for u in split.train_ids]
-        test_idx = [int(u.split(":")[1]) for u in split.test_ids]
+    train_set, test_set = set(split.train_ids), set(split.test_ids)
+    train_idx = [i for i, (sid, _) in enumerate(matrix.row_meta) if sid in train_set]
+    test_idx = [i for i, (sid, _) in enumerate(matrix.row_meta) if sid in test_set]
     return matrix.select_rows(train_idx), matrix.select_rows(test_idx)
 
 
@@ -916,15 +885,14 @@ def evaluate(model, test: DataMatrix) -> ConfusionMatrix:
 
 def cmd_train(
     args, out: Path, matrix: str, model: str = "decision_tree", params: dict | None = None,
-    fraction: float = 0.75, granularity: Granularity = Granularity.SAMPLE,
-    label_kind: LabelKind = LabelKind.ADULTERATION,
+    fraction: float = 0.75, label_kind: LabelKind = LabelKind.ADULTERATION,
 ) -> None:
     """Split a matrix CSV, train one classifier, save model + split."""
     data = DataMatrix.from_csv(matrix, label_kind)
     if model not in MODEL_KINDS:
         raise ValidationError(f"unknown model {model!r} (choose from {sorted(MODEL_KINDS)})")
     classifier = json_call(MODEL_KINDS[model], params or {}, f"{model} params")
-    split = stratified_split(data, fraction, args.seed, granularity)
+    split = stratified_split(data, fraction, args.seed)
     train, test = split_matrix(data, split)
     classifier.fit(train.values, train.label_keys())
     write_json(classifier.to_json(), out / "model.json")

@@ -306,7 +306,8 @@ class BilateralOptions:
 
 @dataclass(frozen=True)
 class PipelineOptions:
-    """Which stages run; the order itself is fixed.
+    """Which stages run after dark subtraction, which always does; the
+    order itself is fixed.
 
     Spectral balancing defaults ON for reflectance and OFF for
     transmittance, where near-saturated bands make extra spectral
@@ -314,7 +315,6 @@ class PipelineOptions:
     """
 
     crop: tuple[int, int, int, int] | None = None
-    dark: bool = True
     spatial: bool = True
     spectral: bool | None = None
     bilateral: BilateralOptions | None = BilateralOptions()
@@ -380,11 +380,12 @@ def preprocess_pipeline(
 ) -> Sample:
     """Run the enabled stages in fixed order and record them in provenance.
 
-    The spatial and spectral stages need ``corrections`` fitted on a white
-    of the sample's band set; without them, or with another band set, this
-    raises ValidationError before any stage runs.  Even with every stage
-    disabled the output cube is float-normalized (raw/65535), so
-    downstream feature code sees one numeric domain.
+    The sample must be raw: dark subtraction always runs, and turns the
+    cube into floats in [0, 1] (raw/65535), the one numeric domain of the
+    later stages and of the feature code.  The spatial and spectral stages
+    need ``corrections`` fitted on a white of the sample's band set;
+    without them, or with another band set, this raises ValidationError
+    before any stage runs.
     """
     cube = sample.cube
     spectral = options.spectral_enabled(cube.mode)
@@ -401,12 +402,8 @@ def preprocess_pipeline(
         cube = crop(cube, x, y, w, h)
         applied.append(f"crop({x},{y},{w},{h})")
 
-    if options.dark:
-        cube = subtract_dark(cube)
-        applied.append("dark")
-    elif cube.is_raw:
-        values = cube.values.astype(np.float64) / RAW_MAX
-        cube = replace(cube, values=values, dark=np.zeros(cube.dark.shape))
+    cube = subtract_dark(cube)
+    applied.append("dark")
 
     if options.spatial:
         cube = apply_spatial_gain(cube, corrections.gain)
@@ -455,16 +452,18 @@ def cmd_preprocess(
 
     The gains are fitted on the white capture cropped by ``options.crop``,
     the window the pipeline crops each sample to.  Every input sample must
-    share the white's mode and band set: the manifests are checked before
-    anything is written (ModeMismatchError, ValidationError).  Output
-    frames are re-quantized to 16-bit for storage.
+    share the white's mode and band set, and its frame must hold the crop
+    window or, without one, be the white's size: the manifests are checked
+    before anything is written (ModeMismatchError, ValidationError,
+    DimensionMismatchError).  Output frames are re-quantized to 16-bit for
+    storage.
     """
     corrections = white_sample = None
     if white:
         white_sample = load_white_reference(white)
         cropped = white_sample.cube if options.crop is None else crop(white_sample.cube, *options.crop)
         corrections = fit_corrections(replace(white_sample, cube=cropped))
-    samples = load_dataset(input, white=white_sample)
+    samples = load_dataset(input, white=white_sample, window=options.crop)
     written = save_dataset(
         (quantize_sample(preprocess_pipeline(s, corrections, options)) for s in samples), out
     )

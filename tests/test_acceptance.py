@@ -41,6 +41,7 @@ from dualmsi.studies import (
 from dualmsi.synth import IlluminationProfile, NoiseSpec
 
 from conftest import make_cube, random_raw_sample
+from test_features import matrix_from
 from test_preprocess import bilateral_reference
 
 
@@ -191,7 +192,7 @@ def test_criterion_08_oracle_suites():
         # PCA vs brute-force covariance eigendecomposition
         for _ in range(10):
             data = rng.normal(size=(6, 3))
-            proj = pca_fit(data, k=3)
+            proj = pca_fit(matrix_from(data), k=3)
             centered = data - data.mean(axis=0)
             cov = sum(np.outer(row, row) for row in centered) / (len(data) - 1)
             eigvals, eigvecs = np.linalg.eig(cov)

@@ -124,7 +124,7 @@ class TestPreprocessMatrixTrainEval(object):
 
     @pytest.mark.parametrize(
         "options",
-        [{"crop": [1, 2]}, {"dark": "no"}, {"bilateral": {"sigma": 1.0}}],
+        [{"crop": [1, 2]}, {"spatial": "no"}, {"bilateral": {"sigma": 1.0}}],
         ids=["short-crop", "string-flag", "unknown-bilateral-key"],
     )
     def test_preprocess_with_bad_options_exits_2(self, synth_dirs, tmp_path, options):
@@ -197,8 +197,8 @@ class TestCommandKeyTypes:
     @pytest.mark.parametrize(
         "command, config, artifact",
         [("kl-regress", {"n_bins": "24"}, "kl_curve.csv"),
-         ("matrix", {"mode": "transmittance", "name": 5}, "5")],
-        ids=["kl-regress-n-bins", "matrix-name"],
+         ("matrix", {"mode": "bogus"}, "matrix.csv")],
+        ids=["kl-regress-n-bins", "matrix-mode"],
     )
     def test_dataset_commands_exit_2(self, synth_dirs, tmp_path, command, config, artifact):
         cfg = tmp_path / "c.json"
@@ -373,11 +373,11 @@ class TestMalformedModelAndTrainConfigs:
 
     @pytest.mark.parametrize(
         "extra",
-        [{"params": {"depth": 3}}, {"params": [3]}, {"granularity": "bogus"},
+        [{"params": {"depth": 3}}, {"params": [3]}, {"model": "bogus"},
          {"model": "knn", "params": {"k": "5"}},
          {"model": "random_forest", "params": {"bootstrap": 1}},
          {"model": "logistic", "params": {"epochs": 10.5}}, {"fraction": "0.5"}],
-        ids=["unknown-param", "params-not-object", "bogus-granularity", "string-param",
+        ids=["unknown-param", "params-not-object", "bogus-model", "string-param",
              "int-for-bool-param", "float-for-int-param", "string-fraction"],
     )
     def test_train_with_bad_config_exits_2(self, tmp_path, matrix_csv, extra):
@@ -849,21 +849,21 @@ class TestReliabilityCommands:
         assert not (tmp_path / "o").exists()
 
 
-class TestMatrixName:
-    @pytest.mark.parametrize("name", ["../escaped.csv", "", ".", "..", "sub/m.csv", "/tmp/m.csv",
-                                      "m\0.csv"])
-    def test_name_that_is_not_a_plain_file_name_exits_2(self, synth_dirs, tmp_path, name):
-        cfg = tmp_path / "m.json"
-        cfg.write_text(json.dumps({"input": str(synth_dirs / "reflectance"), "name": name}))
-        out = tmp_path / "o" / "m"
-        assert run(["--config", cfg, "--out", out, "matrix"]) == 2
-        assert [p for p in tmp_path.rglob("*") if p.is_file()] == [cfg]
+# keys of deleted options: each is unknown to its command
+REMOVED_KEYS = [
+    ("train", {"matrix": "m.csv", "granularity": "sample"}, "['granularity']"),
+    ("preprocess", {"input": "d", "options": {"dark": True}}, "['dark']"),
+    ("matrix", {"input": "d", "name": "matrix.csv"}, "['name']"),
+]
 
-    def test_plain_name_is_written_inside_out(self, synth_dirs, tmp_path):
-        cfg = tmp_path / "m.json"
-        cfg.write_text(json.dumps({"input": str(synth_dirs / "reflectance"), "name": "..m.csv"}))
-        assert run(["--config", cfg, "--out", tmp_path / "o", "matrix"]) == 0
-        assert (tmp_path / "o" / "..m.csv").is_file()
+
+@pytest.mark.parametrize("command, config, named", REMOVED_KEYS, ids=[c for c, *_ in REMOVED_KEYS])
+def test_removed_key_exits_2_naming_it(tmp_path, capsys, command, config, named):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(config))
+    assert run(["--config", cfg, "--out", tmp_path / "o", command]) == 2
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 class TestUnknownKeys:
@@ -1103,7 +1103,7 @@ REFUSED_CONFIGS = [
     ("synth", {"kind": 3}),
     ("synth", {"replicates": "3"}),
     ("preprocess", {"input": "d", "options": {"bilateral": {"window": "5"}}}),
-    ("matrix", {"name": 3}),
+    ("matrix", {"mode": 3}),
     ("train", {"matrix": "m.csv", "fraction": "0.5"}),
     ("eval", {"model": "m.json", "matrix": "m.csv", "label_kind": 1}),
     ("kl-regress", {"input": "d", "n_bins": 8.5}),
@@ -1133,7 +1133,7 @@ FAILED_COMMANDS = [
     ("synth", {"depth": -5}, 2),
     ("coconut-oil", {"depth": 0}, 2),
     ("train", {"matrix": "m.csv", "model": "knn", "params": {"k": 0}}, 2),
-    ("matrix", {"input": "d", "name": "../m.csv"}, 2),
+    ("matrix", {"input": "d"}, 2),
     ("train", {"matrix": "missing.csv"}, 3),
 ]
 

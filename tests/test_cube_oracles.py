@@ -170,11 +170,8 @@ def ref_pipeline(frames, dark, corrections, options, mode):
         frames = [f[y : y + h, x : x + w] for f in frames]
         dark = dark[y : y + h, x : x + w]
         applied.append(f"crop({x},{y},{w},{h})")
-    if options.dark:
-        frames = ref_subtract_dark(frames, dark)
-        applied.append("dark")
-    else:
-        frames = [f.astype(np.float64) / RAW_MAX for f in frames]
+    frames = ref_subtract_dark(frames, dark)
+    applied.append("dark")
     if options.spatial:
         frames = ref_apply_spatial_gain(frames, list(corrections.gain))
         applied.append("spatial")
@@ -360,13 +357,13 @@ class TestPipelineMatchesPerFrameReference:
     @given(
         data=raw_frames(max_side=10),
         white_seed=st.integers(0, 2**32 - 1),
-        stages=st.tuples(st.booleans(), st.booleans(), st.none() | st.booleans(), st.booleans()),
+        stages=st.tuples(st.booleans(), st.none() | st.booleans(), st.booleans()),
         mode=st.sampled_from(Mode),
         cropped=st.booleans(),
     )
     def test_pipeline(self, data, white_seed, stages, mode, cropped):
         frames, dark = data
-        dark_on, spatial_on, spectral, bilateral_on = stages
+        spatial_on, spectral, bilateral_on = stages
         shape = dark.shape
         crop_rect = (0, 0, max(1, shape[1] - 1), max(1, shape[0] - 1)) if cropped else None
         size = shape if crop_rect is None else (crop_rect[3], crop_rect[2])
@@ -378,7 +375,6 @@ class TestPipelineMatchesPerFrameReference:
         corrections = Corrections(white_cube.band_set, gain, fit_spectral_gain(white_cube, flags))
         options = PipelineOptions(
             crop=crop_rect,
-            dark=dark_on,
             spatial=spatial_on,
             spectral=spectral,
             bilateral=BilateralOptions(window=3, sigma_s=1.5, sigma_r=0.2) if bilateral_on else None,

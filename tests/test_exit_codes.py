@@ -5,7 +5,8 @@ can leave them undecodable as UTF-8.  A config, model JSON or manifest
 that holds NaN, Infinity, -Infinity or a number overflowing to inf exits
 2 and leaves nothing under ``--out``.
 
-Frame sizes and sample counts are never mutated, so every run stays tiny.
+Frames are at most 10 pixels a side and sample counts are never
+mutated, so every run stays tiny.
 """
 
 import inspect
@@ -25,7 +26,7 @@ from dualmsi.cli import COMMANDS, command_handler, main
 from dualmsi.core import Label, Mode, Sample, save_dataset
 from dualmsi.models import MODEL_KINDS
 
-from conftest import random_raw_sample
+from conftest import make_cube, random_raw_sample
 
 FUZZ = settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 EXIT_CODES = {0, 2, 3}
@@ -288,6 +289,53 @@ class TestDatasetFuzz:
             assert run_in(root, "matrix", {"input": str(root / "data"), "mode": "transmittance"}) in EXIT_CODES
 
 
+@st.composite
+def frame_sizes_and_crops(draw):
+    """A white's (width, height), another sample's, and a crop window that
+    fits the white, or None."""
+    white = (draw(st.integers(1, 8)), draw(st.integers(1, 8)))
+    other = (draw(st.integers(1, 8)), draw(st.integers(1, 8)))
+    window = None
+    if draw(st.booleans()):
+        x, y = draw(st.integers(0, white[0] - 1)), draw(st.integers(0, white[1] - 1))
+        window = (x, y, draw(st.integers(1, white[0] - x)), draw(st.integers(1, white[1] - y)))
+    return white, other, window
+
+
+class TestPreprocessFrameSizes:
+    @pytest.mark.parametrize("with_white", [True, False], ids=["white", "no-white"])
+    @FUZZ
+    @given(sizes=frame_sizes_and_crops(), seed=st.integers(0, 2**32 - 1))
+    def test_a_sample_the_window_or_gains_do_not_fit_exits_2_before_any_write(self, with_white, sizes, seed):
+        # the first sample is the white's size; a second one that breaks the
+        # rule once exited 2 after the first was written.  Without a white,
+        # only the crop window constrains the frames.
+        (white_w, white_h), (other_w, other_h), window = sizes
+        rng = np.random.default_rng(seed)
+
+        def sample(sample_id, width, height):
+            bands = {wl: rng.integers(1000, 65536, (height, width)).astype(np.uint16) for wl in (405, 530)}
+            cube = make_cube(bands, dark=rng.integers(0, 200, (height, width)).astype(np.uint16),
+                             mode=Mode.TRANSMITTANCE)
+            return Sample(sample_id, cube, Label.adulteration(0.0))
+
+        if window is None:
+            fits = not with_white or (other_w, other_h) == (white_w, white_h)
+        else:
+            x, y, w, h = window
+            fits = x + w <= other_w and y + h <= other_h
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            save_dataset([sample("white", white_w, white_h)], root / "white")
+            save_dataset([sample("a", white_w, white_h), sample("b", other_w, other_h)], root / "data")
+            config = {"input": str(root / "data"), "white": str(root / "white") if with_white else None,
+                      "options": {"crop": window, "spatial": with_white, "bilateral": None}}
+            code = run_in(root, "preprocess", config)
+            written = sorted(p.name for p in (root / "out").glob("*"))
+        event(f"fits: {fits}, crop: {window is not None}")
+        assert (code, written) == ((0, ["a", "b"]) if fits else (2, []))
+
+
 SIZE_KEYS = {"width", "height", "replicates", "levels", "n_times", "n_bands"}
 CONFIG_FUZZ = settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -300,7 +348,7 @@ def tiny_config(command: str, seeds: Path) -> dict:
         "preprocess": {"input": str(seeds / "synth" / "out" / "transmittance"),
                        "white": str(seeds / "synth" / "out" / "white_transmittance"),
                        "options": {"bilateral": None}},
-        "matrix": {"input": str(seeds / "data"), "mode": "transmittance", "name": "m.csv"},
+        "matrix": {"input": str(seeds / "data"), "mode": "transmittance"},
         "train": {"matrix": str(seeds / "m.csv"), "model": "decision_tree", "fraction": 0.75},
         "eval": {"model": str(seeds / "model-decision_tree.json"), "matrix": str(seeds / "m.csv"),
                  "label_kind": "adulteration"},

@@ -19,7 +19,6 @@ from dualmsi.errors import ValidationError
 from dualmsi.features import DataMatrix
 from dualmsi.models import (
     DecisionTree,
-    Granularity,
     KNearestNeighbors,
     LinearSVM,
     LogisticRegressionGD,
@@ -68,24 +67,29 @@ class TestStratifiedSplit:
         assert stratified_split(matrix, seed=7) == stratified_split(matrix, seed=7)
         assert stratified_split(matrix, seed=7) != stratified_split(matrix, seed=8)
 
-    def test_sample_level_keeps_rows_together(self):
-        labels = [0, 0, 0, 5, 5, 5]
-        matrix = self.make_matrix(labels)
-        split = stratified_split(matrix, 0.75, seed=3)
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), fraction=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+           seed=st.integers(0, 2**64 - 1))
+    def test_sample_level_keeps_rows_together(self, data, fraction, seed):
+        per_label = data.draw(st.lists(st.integers(2, 6), min_size=1, max_size=4), label="samples per label")
+        meta = []
+        for li, n in enumerate(per_label):
+            for si in range(n):
+                meta += [(f"s{li}-{si}", Label.adulteration(5.0 * li))] * data.draw(st.integers(1, 4))
+        meta = data.draw(st.permutations(meta), label="row order")
+        # each row's value is its index, so a side's values name its rows
+        matrix = DataMatrix(values=np.arange(len(meta), dtype=float)[:, None], col_labels=("i",),
+                            row_meta=tuple(meta))
+        split = stratified_split(matrix, fraction, seed)
         train, test = split_matrix(matrix, split)
-        train_ids = {sid for sid, _ in train.row_meta}
-        test_ids = {sid for sid, _ in test.row_meta}
-        assert not train_ids & test_ids
-
-    def test_row_level_straddles_with_warning(self):
-        labels = [0, 5]  # one sample per class
-        matrix = self.make_matrix(labels, rows_per_sample=8)
-        with pytest.warns(UserWarning, match="leakage"):
-            split = stratified_split(matrix, 0.75, seed=3, granularity=Granularity.ROW)
-        train, test = split_matrix(matrix, split)
-        train_ids = {sid for sid, _ in train.row_meta}
-        test_ids = {sid for sid, _ in test.row_meta}
-        assert train_ids & test_ids  # rows of one sample on both sides
+        assert not set(split.train_ids) & set(split.test_ids)
+        assert {*split.train_ids, *split.test_ids} == {sid for sid, _ in meta}
+        for side, ids in ((train, set(split.train_ids)), (test, set(split.test_ids))):
+            assert side.values[:, 0].tolist() == [i for i, (sid, _) in enumerate(meta) if sid in ids]
+        for li, n in enumerate(per_label):
+            sent = sum(sid.startswith(f"s{li}-") for sid in split.train_ids)
+            assert sent == min(math.ceil(fraction * n), n - 1)
+        assert split.to_json()["granularity"] == "sample"
 
     def test_small_class_rejected(self):
         matrix = self.make_matrix([0, 5, 5])

@@ -21,7 +21,7 @@ SUBMODULES = frozenset(
 NAMES = frozenset("""
 BandSet CaseStudyConfig ConfusionMatrix Corrections Curve DataMatrix DecisionTree
 DegenerateReferenceError Device DimensionMismatchError Distribution DualMsiError EmptyDataError
-FirmwareConfig FirmwareState FunctionalMap Granularity HandshakeTimeoutError
+FirmwareConfig FirmwareState FunctionalMap HandshakeTimeoutError
 IlluminationProfile KNearestNeighbors Label LedSpec LinearSVM LogisticRegressionGD
 MaterialSpec MissingFrameError MixtureSpec Mode ModeMismatchError NoiseSpec Normalizer
 PipelineOptions Projection RandomForest Sample SceneConfig SignatureTable

@@ -266,14 +266,15 @@ class TestPipeline:
         white = render_white_reference(config, Mode.REFLECTANCE, master_seed=3)
         return config, white, fit_corrections(white)
 
-    def test_all_disabled_is_float_conversion(self):
+    def test_dark_subtraction_runs_with_every_other_stage_off(self):
         rng = np.random.default_rng(1)
         sample = random_raw_sample(rng)
-        options = PipelineOptions(crop=None, dark=False, spatial=False, spectral=False, bilateral=None)
+        options = PipelineOptions(crop=None, spatial=False, spectral=False, bilateral=None)
         out = preprocess_pipeline(sample, None, options)
-        for wl in out.cube.band_set:
-            assert np.allclose(out.cube.frame(wl), sample.cube.frame(wl) / 65535)
-        assert out.provenance == ()
+        assert out.cube == subtract_dark(sample.cube)
+        assert out.provenance == ("dark",)
+        with pytest.raises(ValidationError, match="raw cube"):  # dark subtraction needs a raw cube
+            preprocess_pipeline(out, None, options)
 
     @pytest.mark.filterwarnings("ignore::dualmsi.preprocess.SaturationClipWarning")
     def test_stage_order_recorded(self, white_and_corrections):
@@ -376,7 +377,7 @@ class TestPipeline:
     @settings(max_examples=50, deadline=None)
     @given(
         crop=st.none() | st.tuples(*[st.integers(0, 99)] * 4),
-        flags=st.tuples(st.booleans(), st.booleans(), st.none() | st.booleans()),
+        flags=st.tuples(st.booleans(), st.none() | st.booleans()),
         bilateral=st.none() | st.builds(
             BilateralOptions, st.integers(1, 9), st.floats(0.1, 5.0), st.integers(1, 3)
         ),
@@ -384,8 +385,8 @@ class TestPipeline:
     def test_options_json_round_trip(self, crop, flags, bilateral):
         # the CLI reads "options" with json_value; any options object
         # written as plain JSON reads back equal
-        dark, spatial, spectral = flags
-        options = PipelineOptions(crop, dark, spatial, spectral, bilateral)
+        spatial, spectral = flags
+        options = PipelineOptions(crop, spatial, spectral, bilateral)
         text = json.dumps(dataclasses.asdict(options))
         assert json_value(PipelineOptions, json.loads(text), "options") == options
 
@@ -397,7 +398,7 @@ class TestPipeline:
         assert read({"bilateral": None}).bilateral is None
         assert read({"bilateral": {}}).bilateral == BilateralOptions()
         assert read({"bilateral": {"window": 7}}).bilateral == BilateralOptions(window=7)
-        for bad in ({"bilateral": 5}, {"crop": [1, 2]}, {"dark": "no"},
+        for bad in ({"bilateral": 5}, {"crop": [1, 2]}, {"dark": True},
                     {"bilateral": {"sigma": 1.0}}, {"spectral": 1}, [1]):
             with pytest.raises(ValidationError):
                 read(bad)
