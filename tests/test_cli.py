@@ -866,6 +866,28 @@ def test_removed_key_exits_2_naming_it(tmp_path, capsys, command, config, named)
     assert not (tmp_path / "o").exists()
 
 
+class TestMatrixName:
+    # `name` is no longer a key: no value of it can steer a write, inside --out or out of it
+    @pytest.mark.parametrize("name", ["../escaped.csv", "", ".", "..", "sub/m.csv", "/tmp/m.csv",
+                                      "m\0.csv"])
+    def test_name_that_is_not_a_plain_file_name_exits_2(self, synth_dirs, tmp_path, name):
+        cfg = tmp_path / "m.json"
+        cfg.write_text(json.dumps({"input": str(synth_dirs / "reflectance"), "name": name}))
+        out = tmp_path / "o" / "m"
+        assert run(["--config", cfg, "--out", out, "matrix"]) == 2
+        assert [p for p in tmp_path.rglob("*") if p.is_file()] == [cfg]
+
+    def test_plain_name_exits_2_and_the_matrix_is_matrix_csv(self, synth_dirs, tmp_path, capsys):
+        cfg = tmp_path / "m.json"
+        cfg.write_text(json.dumps({"input": str(synth_dirs / "reflectance"), "name": "..m.csv"}))
+        assert run(["--config", cfg, "--out", tmp_path / "o", "matrix"]) == 2
+        assert "config keys ['name']" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+        cfg.write_text(json.dumps({"input": str(synth_dirs / "reflectance")}))
+        assert run(["--config", cfg, "--out", tmp_path / "o", "matrix"]) == 0
+        assert [p.name for p in (tmp_path / "o").glob("*.csv")] == ["matrix.csv"]
+
+
 class TestUnknownKeys:
     @pytest.mark.parametrize("key", ["bogus", "args"])
     @pytest.mark.parametrize("command", sorted(COMMANDS))
