@@ -2,7 +2,7 @@
 
 One binary with subcommands; global flags ``--config`` (JSON file),
 ``--seed`` and ``--out``.  Exit codes: 0 success, 2 validation error,
-3 IO error.
+3 IO error or out of memory.
 
 Each command's handler lives beside the layer it drives (``COMMANDS``),
 and ``main`` imports only that module, so a command starts with its own
@@ -100,6 +100,9 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except MemoryError as exc:
+        print(f"out of memory: {exc}", file=sys.stderr)
         return EXIT_IO
 
 

@@ -5,13 +5,13 @@ adulterated with rice flour (both modes, paired per replicate for merged
 analysis), coconut oil adulterated with palm oil (transmittance only),
 and a 24-color calibration chart (reflectance only).  Everything that
 differs between them lives in one table, :data:`STUDIES`: each study's
-modes, specimen, config defaults and analysis.
+modes, specimen, default replicate count, replicate variation and analysis.
 
-Replicate-to-replicate nuisance variation is modeled explicitly: small
+Replicate-to-replicate nuisance variation (:class:`Variation`) is small
 fraction errors from sample preparation, pour-depth variation for
 dissolved/liquid specimens, and per-capture LED drive drift (each band is
-a separate exposure).  These magnitudes are fixture calibration, not
-measured device values.
+a separate exposure).  Its sds are fixture calibration, not measured
+device values, so they are constants of the table that no config key sets.
 
 A study is a pure function of its config, which names its kind, and a
 master seed.  It is first planned: :func:`plan_case_study` lists the
@@ -25,7 +25,7 @@ next, with the same bytes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
@@ -45,13 +45,26 @@ class StudyKind(Enum):
 
 
 @dataclass(frozen=True)
+class Variation:
+    """A study's replicate-to-replicate sds: the fraction and depth of each
+    preparation, and per mode the (scale, tilt, white residue) sds of each
+    capture's LED drive drift, low-rank by design: one global scale and one
+    smooth spectral tilt per capture, plus a small white residue per band."""
+
+    fraction: float = 0.001
+    depth: float = 0.015
+    reflectance: tuple[float, float, float] = (0.03, 0.02, 0.006)
+    transmittance: tuple[float, float, float] = (0.012, 0.008, 0.003)
+
+
+@dataclass(frozen=True)
 class StudySpec:
     """One case study: what it captures, and how it is analysed.
 
     Each replicate is captured in every one of ``modes``, in that order.
     ``mixture`` is the base material and adulterant of an adulteration
-    study, None for the colour chart.  ``defaults`` holds the
-    ``CaseStudyConfig`` fields whose values differ from the field defaults.
+    study, None for the colour chart.  ``replicates`` is the default
+    replicate count, and ``variation`` the study's replicate variation.
 
     Accuracy tables are keyed variant -> matrix -> projection, leaving out
     every axis with a single entry.  ``scatter_key``/``loadings_key`` name
@@ -62,8 +75,9 @@ class StudySpec:
 
     modes: tuple[Mode, ...]
     mixture: tuple[MaterialSpec, MaterialSpec] | None
-    defaults: dict[str, object]
+    replicates: int
     split_tag: str
+    variation: Variation = Variation()
     variants: tuple[str, ...] = ("corrected",)
     projections: tuple[str, ...] = ("LDA",)
     classifiers: tuple[str, ...] | None = None  # None: all five
@@ -76,7 +90,7 @@ STUDIES: dict[StudyKind, StudySpec] = {
     StudyKind.TURMERIC: StudySpec(
         modes=(Mode.REFLECTANCE, Mode.TRANSMITTANCE),
         mixture=(materials.TURMERIC, materials.RICE_FLOUR),
-        defaults=dict(replicates=9),
+        replicates=9,
         split_tag="turmeric-split",
         variants=("corrected", "uncorrected"),
         scatter_key="merged_lda_scatter",
@@ -85,9 +99,9 @@ STUDIES: dict[StudyKind, StudySpec] = {
     StudyKind.COCONUT_OIL: StudySpec(
         modes=(Mode.TRANSMITTANCE,),
         mixture=(materials.COCONUT_OIL, materials.PALM_OIL),
-        defaults=dict(replicates=8, depth_jitter_sd=0.005, trans_scale_jitter_sd=0.004,
-                      trans_tilt_jitter_sd=0.003, trans_band_jitter_sd=0.002),
+        replicates=8,
         split_tag="oil-split",
+        variation=Variation(depth=0.005, transmittance=(0.004, 0.003, 0.002)),
         classifiers=("logistic", "knn", "svm", "decision_tree"),
         # The divergence curve is built on a single mid-contrast band
         # rather than the leading LDA component: on this fixture the
@@ -102,8 +116,9 @@ STUDIES: dict[StudyKind, StudySpec] = {
     StudyKind.COLOR_CHART: StudySpec(
         modes=(Mode.REFLECTANCE,),
         mixture=None,
-        defaults=dict(replicates=4, refl_scale_jitter_sd=0.02, refl_tilt_jitter_sd=0.012),
+        replicates=4,
         split_tag="chart-split",
+        variation=Variation(reflectance=(0.02, 0.012, 0.006)),
         projections=("PCA", "LDA"),
         scatter_key="lda_scatter",
     ),
@@ -116,30 +131,17 @@ ADULTERATION_LEVELS = tuple(float(p) for p in range(0, 41, 5))
 @dataclass(frozen=True)
 class CaseStudyConfig(Device):
     """Knobs for one synthetic case study: the capture settings it
-    inherits from ``Device``, set by keyword, and the study's own;
-    per-kind defaults via ``for_kind``."""
+    inherits from ``Device``, set by keyword, and the study's own, of
+    which an adulteration study reads ``levels`` and ``depth`` and the
+    colour chart ``n_classes``; per-kind defaults via ``for_kind``."""
 
     kind: StudyKind
     replicates: int
     levels: tuple[float, ...] = ADULTERATION_LEVELS
     n_classes: int = 24
     depth: float = 1.0
-    # Replicate-level nuisance magnitudes (all standard deviations).  The
-    # multiplicative per-capture drift is low-rank by design: one global
-    # scale and one smooth spectral tilt per mode, plus a small white
-    # residue per band.
-    fraction_jitter_sd: float = 0.001
-    depth_jitter_sd: float = 0.015
-    refl_scale_jitter_sd: float = 0.03
-    refl_tilt_jitter_sd: float = 0.02
-    refl_band_jitter_sd: float = 0.006
-    trans_scale_jitter_sd: float = 0.012
-    trans_tilt_jitter_sd: float = 0.008
-    trans_band_jitter_sd: float = 0.003
 
     def __post_init__(self):
-        for name in (f.name for f in fields(self) if f.name.endswith("_jitter_sd")):
-            object.__setattr__(self, name, check_number(name, getattr(self, name), 0))
         for level in self.levels:
             check_number("levels", level, 0, 100)
         if len({int(level) for level in self.levels}) != len(self.levels):
@@ -153,26 +155,23 @@ class CaseStudyConfig(Device):
             raise ValidationError("adulteration study needs at least 2 levels")
         super().__post_init__()
 
-    def drift_sd(self, mode: Mode) -> tuple[float, float, float]:
-        """The (scale, tilt, white residue) drift sds of a capture in ``mode``."""
-        if mode is Mode.REFLECTANCE:
-            return self.refl_scale_jitter_sd, self.refl_tilt_jitter_sd, self.refl_band_jitter_sd
-        return self.trans_scale_jitter_sd, self.trans_tilt_jitter_sd, self.trans_band_jitter_sd
-
     @classmethod
     def for_kind(cls, kind: StudyKind, **overrides) -> "CaseStudyConfig":
-        return cls(kind=kind, **{**STUDIES[kind].defaults, **overrides})
+        return cls(kind=kind, **{"replicates": STUDIES[kind].replicates, **overrides})
 
     @classmethod
     def from_json(cls, kind: StudyKind, obj: dict) -> "CaseStudyConfig":
         """The ``kind`` defaults with every field that ``obj`` names read
-        from JSON and type-checked.  A key that names no field, or a
-        ``kind`` other than ``kind`` itself, raises ValidationError."""
+        from JSON and type-checked.  A key that names no field or a field
+        the study does not read, or another ``kind``, raises ValidationError."""
         obj = dict(obj)
         given = json_value(StudyKind, obj.pop("kind", kind.value), "study kind")
         if given is not kind:
             raise ValidationError(f"config is for the {given.value} study, not {kind.value}")
-        return json_call(cls, {**STUDIES[kind].defaults, **obj}, "study config", kind)
+        unread = sorted(obj.keys() & ({"levels", "depth"} if STUDIES[kind].mixture is None else {"n_classes"}))
+        if unread:
+            raise ValidationError(f"study config keys {unread} are not read by the {kind.value} study")
+        return json_call(cls, {"replicates": STUDIES[kind].replicates, **obj}, "study config", kind)
 
 
 @dataclass(frozen=True)
@@ -192,7 +191,7 @@ def derive_seed(*parts) -> int:
 def _band_gains(rng: np.random.Generator, config: CaseStudyConfig, mode: Mode) -> tuple[float, ...]:
     """Per-capture LED drive drift in ``mode``, in band-set order: global
     scale x spectral tilt x white residue."""
-    scale_sd, tilt_sd, white_sd = config.drift_sd(mode)
+    scale_sd, tilt_sd, white_sd = getattr(STUDIES[config.kind].variation, mode.value)
     wls = np.array(list(config.band_set), dtype=np.float64)
     x = 2.0 * (wls - wls.mean()) / (wls.max() - wls.min() or 1.0)
     scale = 1.0 + scale_sd * rng.normal()
@@ -208,8 +207,8 @@ def _adulteration_captures(config: CaseStudyConfig, master_seed: int, spec: Stud
         for rep in range(config.replicates):
             sid = f"{config.kind.value}-{int(level):02d}-r{rep:02d}"
             rng = stream(master_seed, config.kind.value, li, rep, "jitter")
-            fraction = float(np.clip(level / 100.0 + rng.normal(0.0, config.fraction_jitter_sd), 0.0, 1.0))
-            depth = config.depth * (1.0 + rng.normal(0.0, config.depth_jitter_sd))
+            fraction = float(np.clip(level / 100.0 + rng.normal(0.0, spec.variation.fraction), 0.0, 1.0))
+            depth = config.depth * (1.0 + rng.normal(0.0, spec.variation.depth))
             # one preparation feeds every mode; reflectance reads no depth
             mixture = MixtureSpec.binary(base, adulterant, fraction, depth=max(depth, 1e-6))
             # both modes' drifts are drawn, reflectance first, whatever the

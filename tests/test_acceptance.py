@@ -6,6 +6,7 @@ time budget.  Expensive study bundles are computed once per session and
 their wall time is charged to every criterion that consumes them.
 """
 
+import hashlib
 import math
 import time
 from contextlib import contextmanager
@@ -23,6 +24,7 @@ from dualmsi.divergence import (
 )
 from dualmsi.features import build_matrix, merge, pca_fit
 from dualmsi.harness import repeatability_report, run_case_study
+from dualmsi.jsonio import write_json
 from dualmsi.models import KNearestNeighbors, LogisticRegressionGD
 from dualmsi.preprocess import (
     apply_spatial_gain,
@@ -78,6 +80,22 @@ def chart_bundle():
     start = time.perf_counter()
     bundle = run_case_study(CaseStudyConfig.for_kind(StudyKind.COLOR_CHART), master_seed=0)
     return bundle, time.perf_counter() - start
+
+
+# sha256 of the report.json that `dualmsi turmeric|colorcheck|coconut-oil`
+# writes with no config at seed 0
+REPORT_DIGESTS = {
+    "turmeric_bundle": "58719b2c7b573f4a7724cb5d18db889ffbda6cb5b76056472c91f0199cffeed5",
+    "chart_bundle": "457ee97442ea2fba82727b8e2315423821fdccd7cfa833c484ef07d0dae95af2",
+    "oil_bundle": "92331fc53c1ac71a856dea489dd013bd48ba2b6e45f7e19c66cee90c295df48f",
+}
+
+
+@pytest.mark.parametrize("fixture", REPORT_DIGESTS)
+def test_default_reports_keep_their_bytes(request, tmp_path, fixture):
+    bundle, _ = request.getfixturevalue(fixture)
+    write_json(bundle, tmp_path / "report.json")
+    assert hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest() == REPORT_DIGESTS[fixture]
 
 
 def test_criterion_01_data_matrix_shape_law():

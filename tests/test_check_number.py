@@ -100,10 +100,6 @@ PARAMETERS = [
     ("CaseStudyConfig.levels", lambda v: study(levels=(v,)), within(0, 100), False, False),
     ("CaseStudyConfig.n_classes", lambda v: study(n_classes=v), within(1, materials.PALETTE_SIZE), True,
      False),
-    *((f"CaseStudyConfig.{name}", lambda v, name=name: study(**{name: v}), at_least(0), False, False)
-      for name in ("fraction_jitter_sd", "depth_jitter_sd", "refl_scale_jitter_sd",
-                   "refl_tilt_jitter_sd", "refl_band_jitter_sd", "trans_scale_jitter_sd",
-                   "trans_tilt_jitter_sd", "trans_band_jitter_sd")),
     ("CaseStudyConfig.depth", lambda v: study(depth=v), above(0), False, False),
     # preprocess
     ("fit_spatial_gain.window", lambda v: fit_spatial_gain(FLOAT_CUBE, window=v),

@@ -1,10 +1,12 @@
 import hashlib
 import inspect
+import io
 import json
 import os
 import subprocess
 import sys
 import tracemalloc
+from contextlib import redirect_stderr
 from dataclasses import fields, is_dataclass, replace
 from enum import Enum
 from pathlib import Path
@@ -17,7 +19,17 @@ from hypothesis import given, settings, strategies as st
 
 import dualmsi
 from dualmsi.cli import COMMANDS, command_handler, main
-from dualmsi.core import WORKING_MEMORY, BandSet, Label, Mode, Sample, crop, load_dataset, save_dataset
+from dualmsi.core import (
+    TABLE1_WAVELENGTHS,
+    WORKING_MEMORY,
+    BandSet,
+    Label,
+    Mode,
+    Sample,
+    crop,
+    load_dataset,
+    save_dataset,
+)
 from dualmsi.jsonio import json_value
 from dualmsi.models import MODEL_KINDS
 from dualmsi.preprocess import PipelineOptions, fit_corrections, preprocess_pipeline, quantize_sample
@@ -443,16 +455,16 @@ class TestNonFiniteStudyConfig:
     @pytest.mark.parametrize(
         "extra",
         [{"levels": [0, float("nan")]}, {"levels": [float("-inf"), 40]},
-         {"depth_jitter_sd": float("nan")}, {"depth_jitter_sd": float("inf")},
-         {"depth_jitter_sd": -0.5}, {"levels": [0, 0, 40]}, {"levels": [0, 0.5, 40]},
+         {"depth": float("nan")}, {"depth": float("inf")},
+         {"depth": -0.5}, {"levels": [0, 0, 40]}, {"levels": [0, 0.5, 40]},
          {"levels": [0, 101]}, {"levels": [-1, 40]}],
-        ids=["nan-level", "inf-level", "nan-gain", "inf-gain", "negative-gain", "repeated-level",
+        ids=["nan-level", "inf-level", "nan-depth", "inf-depth", "negative-depth", "repeated-level",
              "levels-sharing-a-sample-id", "level-above-100", "negative-level"],
     )
     def test_study_config_exits_2(self, tmp_path, command, extra):
         cfg = tmp_path / "c.json"
         # json.dumps writes NaN/Infinity tokens, which the config reader refuses;
-        # a negative sd and out-of-range or colliding levels are refused by CaseStudyConfig
+        # a negative depth and out-of-range or colliding levels are refused by CaseStudyConfig
         cfg.write_text(json.dumps({"replicates": 3, "levels": [0, 40], "width": 10, "height": 20, **extra}))
         assert run(["--config", cfg, "--out", tmp_path / "o", command]) == 2
         assert not (tmp_path / "o" / "report.json").exists()
@@ -854,6 +866,9 @@ REMOVED_KEYS = [
     ("train", {"matrix": "m.csv", "granularity": "sample"}, "['granularity']"),
     ("preprocess", {"input": "d", "options": {"dark": True}}, "['dark']"),
     ("matrix", {"input": "d", "name": "matrix.csv"}, "['name']"),
+    ("turmeric", {"fraction_jitter_sd": 0.001}, "['fraction_jitter_sd']"),
+    ("coconut-oil", {"refl_scale_jitter_sd": 0.1}, "['refl_scale_jitter_sd']"),
+    ("colorcheck", {"trans_band_jitter_sd": 0.003}, "['trans_band_jitter_sd']"),
 ]
 
 
@@ -864,6 +879,90 @@ def test_removed_key_exits_2_naming_it(tmp_path, capsys, command, config, named)
     assert run(["--config", cfg, "--out", tmp_path / "o", command]) == 2
     assert named in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+# a study key of the other study shape: each was taken once and changed no byte
+UNREAD_KEYS = [
+    ("turmeric", {"n_classes": 3}, "keys ['n_classes'] are not read by the turmeric study"),
+    ("coconut-oil", {"n_classes": 24}, "keys ['n_classes'] are not read by the coconut_oil study"),
+    ("colorcheck", {"levels": [0, 40], "depth": 2.0},
+     "keys ['depth', 'levels'] are not read by the color_chart study"),
+]
+
+
+@pytest.mark.parametrize("command, config, named", UNREAD_KEYS, ids=[c for c, *_ in UNREAD_KEYS])
+def test_unread_study_key_exits_2_naming_it(tmp_path, capsys, command, config, named):
+    test_removed_key_exits_2_naming_it(tmp_path, capsys, command, config, named)
+
+
+# the replicate-variation sds, study config keys once and constants of each study now
+JITTER_KEYS = ["fraction_jitter_sd", "depth_jitter_sd", "refl_scale_jitter_sd", "refl_tilt_jitter_sd",
+               "refl_band_jitter_sd", "trans_scale_jitter_sd", "trans_tilt_jitter_sd", "trans_band_jitter_sd"]
+
+
+def one_field(values: dict) -> st.SearchStrategy:
+    """An object setting one key of ``values`` to a value drawn from its strategy."""
+    return st.sampled_from(sorted(values)).flatmap(lambda key: values[key].map(lambda v: {key: v}))
+
+
+# Values other than those of the run ``TestStudyKeys.BASE`` describes, one
+# strategy per key; ``noise`` leaves out ``drift_amplitude``, which only a
+# repeat series reads.
+LEVELS = st.lists(st.integers(0, 100), min_size=2, max_size=4, unique=True)
+DEPTHS = st.floats(0.25, 0.9) | st.floats(1.1, 4.0)
+N_CLASSES = st.integers(1, 23)
+DEVICE_VALUES = {
+    "replicates": st.sampled_from([1, 3]),
+    "width": st.integers(11, 13),
+    "height": st.integers(11, 13),
+    "band_set": st.lists(st.sampled_from(TABLE1_WAVELENGTHS), min_size=1, max_size=6, unique=True)
+    .map(lambda wls: {"wavelengths_nm": sorted(wls)}),
+    "illumination": one_field({
+        "tilt_x": st.floats(-0.5, 0.0), "tilt_y": st.floats(0.2, 0.5), "radial_falloff": st.floats(0.0, 0.5),
+        "base": st.floats(0.3, 0.6), "center": st.lists(st.floats(0.0, 3.0), min_size=2, max_size=2),
+    }),
+    "noise": one_field({
+        "dark_mean": st.floats(0.0, 60.0), "dark_sd": st.floats(0.0, 4.0),
+        "shot_sd_fraction": st.floats(0.0, 0.005), "texture_shared_sd": st.floats(0.03, 0.1),
+        "texture_band_sd": st.floats(0.01, 0.05), "texture_block": st.integers(1, 5),
+    }),
+}
+
+
+class TestStudyKeys:
+    """Every key a study takes changes what ``synth`` writes; every other
+    study key exits 2 naming it, with no ``--out``."""
+
+    BASE = {"replicates": 2, "width": 10, "height": 10}
+
+    def synth(self, root: Path, config: dict) -> tuple[int, str]:
+        root.mkdir(parents=True)
+        (root / "c.json").write_text(json.dumps(config))
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code = run(["--config", root / "c.json", "--out", root / "o", "synth"])
+        return code, err.getvalue()
+
+    @settings(max_examples=15, deadline=None)
+    @given(kind=st.sampled_from(list(StudyKind)), data=st.data())
+    def test_every_key_read_changes_the_bytes_and_no_other_is_taken(self, tmp_path_factory, kind, data):
+        adulteration = {"levels": LEVELS, "depth": DEPTHS}
+        own, other = ({"n_classes": N_CLASSES}, adulteration) if kind is StudyKind.COLOR_CHART else (
+            adulteration, {"n_classes": N_CLASSES})
+        root = tmp_path_factory.mktemp("keys")
+        base = {"kind": kind.value, **self.BASE}
+        changed = data.draw(one_field({**DEVICE_VALUES, **own}), label="changed")
+        assert self.synth(root / "base", base)[0] == 0
+        assert self.synth(root / "changed", {**base, **changed})[0] == 0
+        assert file_bytes(root / "changed" / "o") != file_bytes(root / "base" / "o")
+        unread = data.draw(one_field(other), label="unread")
+        errors = []
+        for i, refused in enumerate([unread, *({key: 0.01} for key in JITTER_KEYS)]):
+            code, err = self.synth(root / f"refused{i}", {**base, **refused})
+            assert code == 2 and str(list(refused)) in err
+            assert not (root / f"refused{i}" / "o").exists()
+            errors.append(err)
+        assert f"the {kind.value} study" in errors[0]
 
 
 class TestMatrixName:

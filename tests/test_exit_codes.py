@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, event, example, given, settings, strategies as st
 
+from dualmsi import studies
 from dualmsi.cli import COMMANDS, command_handler, main
 from dualmsi.core import Label, Mode, Sample, save_dataset
 from dualmsi.models import MODEL_KINDS
@@ -214,6 +215,19 @@ def test_utf16_byte_order_mark_exits_2(seeds, tmp_path, capsys, target):
     raw = json.dumps(config).encode()
     assert run_in(tmp_path, "eval", b"\xff\xfe" + raw if target == "config" else raw) == 2
     assert "utf-8" in capsys.readouterr().err
+
+
+def test_running_out_of_memory_exits_3_without_a_traceback(tmp_path, capsys, monkeypatch):
+    # numpy raises MemoryError (_ArrayMemoryError) for a frame too large to
+    # hold, such as synth at 1000000 x 1000000; raised here, nothing is allocated
+    message = "Unable to allocate 14.2 TiB for an array with shape (13, 1000000, 1000000)"
+
+    def render(scene):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(studies, "render", render)
+    assert run_in(tmp_path, "synth", {"replicates": 1, "width": 10, "height": 10}) == 3
+    assert capsys.readouterr().err == f"out of memory: {message}\n"
 
 
 MANIFEST_KEYS = ["id", "mode", "label", "bit_depth", "dark", "bands"]  # width/height stay
@@ -462,9 +476,6 @@ class TestConfigFuzz:
         assert not (tmp_path / "out" / "model.json").exists()
 
     @pytest.mark.parametrize("key, value", [
-        ("depth_jitter_sd", -1.0),
-        ("fraction_jitter_sd", -1e-300),
-        ("trans_band_jitter_sd", -1.0),
         ("noise", {"dark_sd": -1.0}),
         ("noise", {"dark_sd": 1e999}),
     ])
@@ -473,8 +484,6 @@ class TestConfigFuzz:
         assert run_in(tmp_path, "coconut-oil", config) == 2
 
     @pytest.mark.parametrize("key, zero", [
-        ("depth_jitter_sd", -0.0),  # the fuzz draw that once exited 1
-        ("fraction_jitter_sd", -0.0),
         ("noise", {"dark_sd": -0.0}),
     ])
     def test_negative_zero_noise_scale_runs_as_zero(self, seeds, tmp_path, key, zero):
