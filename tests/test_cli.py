@@ -821,6 +821,10 @@ DEVICE_CONFIGS = {
 STUDY_ONLY_KEYS = sorted({f.name for f in fields(CaseStudyConfig)} - {f.name for f in fields(Device)})
 TURMERIC = CaseStudyConfig.for_kind(StudyKind.TURMERIC)
 
+# the replicate-variation sds, study config keys once and constants of each study now
+JITTER_KEYS = ["fraction_jitter_sd", "depth_jitter_sd", "refl_scale_jitter_sd", "refl_tilt_jitter_sd",
+               "refl_band_jitter_sd", "trans_scale_jitter_sd", "trans_tilt_jitter_sd", "trans_band_jitter_sd"]
+
 
 class TestReliabilityCommands:
     # sha256 over every file each command wrote in both modes at seeds 0
@@ -849,12 +853,13 @@ class TestReliabilityCommands:
             digest.update(path.read_bytes())
         assert digest.hexdigest() == self.DIGESTS[command, device]
 
-    @pytest.mark.parametrize("key", STUDY_ONLY_KEYS)
+    @pytest.mark.parametrize("key", sorted(STUDY_ONLY_KEYS + JITTER_KEYS))
     @pytest.mark.parametrize("command", ["consistency", "repeatability"])
     def test_study_only_key_exits_2_naming_it(self, tmp_path, capsys, command, key):
-        # each was accepted once and changed no byte of the output
+        # each was accepted once and changed no byte of the output; the jitter
+        # sds are no study key either now
         cfg = tmp_path / "c.json"
-        cfg.write_text(json.dumps({key: getattr(TURMERIC, key), "width": 20, "height": 20},
+        cfg.write_text(json.dumps({key: getattr(TURMERIC, key, 0.01), "width": 20, "height": 20},
                                   default=lambda kind: kind.value))
         assert run(["--config", cfg, "--out", tmp_path / "o", command]) == 2
         assert f"config keys ['{key}']" in capsys.readouterr().err
@@ -881,6 +886,12 @@ def test_removed_key_exits_2_naming_it(tmp_path, capsys, command, config, named)
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("key", JITTER_KEYS)
+@pytest.mark.parametrize("command", ["turmeric", "coconut-oil", "colorcheck"])
+def test_every_removed_jitter_key_exits_2_naming_it(tmp_path, capsys, command, key):
+    test_removed_key_exits_2_naming_it(tmp_path, capsys, command, {key: 0.01}, f"['{key}']")
+
+
 # a study key of the other study shape: each was taken once and changed no byte
 UNREAD_KEYS = [
     ("turmeric", {"n_classes": 3}, "keys ['n_classes'] are not read by the turmeric study"),
@@ -893,11 +904,6 @@ UNREAD_KEYS = [
 @pytest.mark.parametrize("command, config, named", UNREAD_KEYS, ids=[c for c, *_ in UNREAD_KEYS])
 def test_unread_study_key_exits_2_naming_it(tmp_path, capsys, command, config, named):
     test_removed_key_exits_2_naming_it(tmp_path, capsys, command, config, named)
-
-
-# the replicate-variation sds, study config keys once and constants of each study now
-JITTER_KEYS = ["fraction_jitter_sd", "depth_jitter_sd", "refl_scale_jitter_sd", "refl_tilt_jitter_sd",
-               "refl_band_jitter_sd", "trans_scale_jitter_sd", "trans_tilt_jitter_sd", "trans_band_jitter_sd"]
 
 
 def one_field(values: dict) -> st.SearchStrategy:
